@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,19 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     Entries in [-eps, 0) are rounded up to exactly 0 so that genuine zeros
     stay exact under iteration; anything more negative is an error.
     """
-    v = np.asarray(values, dtype=float).copy()
+    v = np.array(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidPoint(f"{what} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidPoint(f"{what} contains non-finite entries")
-    if np.any(v < -eps):
-        raise InvalidPoint(f"{what} has a negative entry: min = {v.min():.3e}")
-    v[v < 0.0] = 0.0
     total = v.sum()
+    # a non-finite entry makes the sum non-finite, so a finite sum needs no scan
+    if not math.isfinite(total) and not np.isfinite(v).all():
+        raise InvalidPoint(f"{what} contains non-finite entries")
+    lo = v.min()
+    if lo < -eps:
+        raise InvalidPoint(f"{what} has a negative entry: min = {lo:.3e}")
+    if lo < 0.0:
+        v[v < 0.0] = 0.0
+        total = v.sum()
     if abs(total - 1.0) > eps:
         raise InvalidPoint(f"{what} sums to {total!r}, expected 1 within {eps:g}")
     v /= total

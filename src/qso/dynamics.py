@@ -14,7 +14,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .core import QsoTensor, SimplexPoint, apply
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParameterOutOfRange
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -55,26 +55,36 @@ def iterate(
 ) -> Trajectory:
     """Iterate the operator from x0 until convergence, a cycle, or the budget.
 
-    Convergence means two consecutive points within ``tol`` in the max
-    norm. Cycles are detected against the last ``window`` points; the
-    reported length is the smallest revisit distance.
+    Each new point is compared, in one vectorized max-norm test, against
+    the last ``window`` points, which are kept in a ``(window, m)`` ring
+    buffer. The smallest matching lag decides: lag 1 (two consecutive
+    points within ``tol``) is convergence, and a lag L >= 2 is a cycle of
+    length L. With ``window <= 1`` only convergence is detected.
     """
     if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ParameterOutOfRange(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ParameterOutOfRange(f"tol must be positive, got {tol!r}")
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
+    size = max(min(window, max_iter), 1)  # no lag exceeds the budget
+    ring = np.empty((size, V.m))
+    ring[0] = x0.coords
+    lags = np.arange(1, size + 1)
     points = [x0]
     for t in range(1, max_iter + 1):
         nxt = apply(V, points[-1])
         points.append(nxt)
-        if np.abs(nxt.coords - points[-2].coords).max() <= tol:
-            return Trajectory(points, STATUS_CONVERGED, None, t)
-        for dist in range(2, min(window, t) + 1):
-            if np.abs(nxt.coords - points[t - dist].coords).max() <= tol:
-                return Trajectory(points, STATUS_CYCLE, dist, t)
+        # rows of points t-1, t-2, ..., t-L in lag order, so the first hit is the smallest lag
+        rows = (t - lags[: min(size, t)]) % size
+        hits = np.flatnonzero(np.abs(ring[rows] - nxt.coords).max(axis=1) <= tol)
+        if hits.size:
+            lag = int(hits[0]) + 1
+            if lag == 1:
+                return Trajectory(points, STATUS_CONVERGED, None, t)
+            return Trajectory(points, STATUS_CYCLE, lag, t)
+        ring[t % size] = nxt.coords
     return Trajectory(points, STATUS_BUDGET, None, max_iter)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, validate
-from .errors import QsoError
+from .errors import DimensionMismatch, NotStochastic, QsoError
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -61,9 +61,23 @@ def _require(obj: dict, key: str, payload: str):
     return obj[key]
 
 
+def _dimension(obj: dict, key: str, payload: str) -> int:
+    """The nonnegative integer size field ``key`` of a payload."""
+    value = _require(obj, key, payload)
+    try:
+        m = int(value)
+        integral = not isinstance(value, bool) and m == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or m < 0:
+        raise DimensionMismatch(f"{payload} {key} must be a nonnegative integer, got {value!r}")
+    return m
+
+
 def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
-    p = np.zeros((m, m, m))
-    seen = set()
+    if not isinstance(entries, (list, tuple)):
+        raise QsoError(f"{payload} entries must be a list, got {type(entries).__name__}")
+    values = {}
     for ent in entries:
         try:
             i, j, k, v = int(ent["i"]), int(ent["j"]), int(ent["k"]), float(ent["p"])
@@ -73,9 +87,19 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
             raise QsoError(f"{payload} entry indices {(i, j, k)} outside 1..{m}")
         if i > j:
             raise QsoError(f"{payload} entries must have i <= j, got {(i, j, k)}")
-        if (i, j, k) in seen:
+        if (i, j, k) in values:
             raise QsoError(f"duplicate {payload} entry for {(i, j, k)}")
-        seen.add((i, j, k))
+        values[i, j, k] = v
+    # every (i <= j) slice must sum to one, so each needs an entry; checking
+    # the count before allocating also refuses a huge size with few entries
+    need = m * (m + 1) // 2
+    if len(values) < need:
+        raise NotStochastic(
+            f"{payload} lists {len(values)} entries, fewer than the {need} slices i <= j "
+            f"of size {m}"
+        )
+    p = np.zeros((m, m, m))
+    for (i, j, k), v in values.items():
         p[i - 1, j - 1, k - 1] = v
         p[j - 1, i - 1, k - 1] = v
     return p
@@ -97,9 +121,8 @@ def tensor_to_obj(V: QsoTensor) -> dict:
 
 
 def tensor_from_obj(obj: dict, mode: str = "strict") -> QsoTensor:
-    m = int(_require(obj, "m", "tensor"))
-    entries = obj.get("entries", [])
-    return validate(_entries_to_array(m, entries, "tensor"), mode=mode)
+    m = _dimension(obj, "m", "tensor")
+    return validate(_entries_to_array(m, obj.get("entries", []), "tensor"), mode=mode)
 
 
 def kernel_to_obj(K: FiniteKernel) -> dict:
@@ -107,9 +130,8 @@ def kernel_to_obj(K: FiniteKernel) -> dict:
 
 
 def kernel_from_obj(obj: dict) -> FiniteKernel:
-    n = int(_require(obj, "n", "kernel"))
-    entries = obj.get("q", [])
-    return FiniteKernel(n, _entries_to_array(n, entries, "kernel"))
+    n = _dimension(obj, "n", "kernel")
+    return FiniteKernel(n, _entries_to_array(n, obj.get("q", []), "kernel"))
 
 
 def point_to_obj(x: SimplexPoint) -> dict:
@@ -133,7 +155,7 @@ def skew_to_obj(a: SkewMatrix) -> dict:
 
 
 def skew_from_obj(obj: dict) -> SkewMatrix:
-    m = int(_require(obj, "m", "skew matrix"))
+    m = _dimension(obj, "m", "skew matrix")
     return SkewMatrix(m, np.asarray(_require(obj, "a", "skew matrix"), dtype=float))
 
 

@@ -17,6 +17,8 @@ from qso import (
     QsoTensor,
     SimplexPoint,
     SkewMatrix,
+    Trajectory,
+    apply,
     from_canonical,
     validate,
 )
@@ -140,3 +142,18 @@ def product_loops(p: np.ndarray, x, y) -> np.ndarray:
 def canonical_image(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Oracle: coordinates x_k * (1 + sum_i a[k, i] x_i)."""
     return x * (1.0 + a @ x)
+
+
+def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,
+                      window: int = 64) -> Trajectory:
+    """Oracle: iteration with one max-norm test per lag, smallest lag first."""
+    points = [x0]
+    for t in range(1, max_iter + 1):
+        nxt = apply(V, points[-1])
+        points.append(nxt)
+        if np.abs(nxt.coords - points[-2].coords).max() <= tol:
+            return Trajectory(points, "converged", None, t)
+        for dist in range(2, min(window, t) + 1):
+            if np.abs(nxt.coords - points[t - dist].coords).max() <= tol:
+                return Trajectory(points, "cycle", dist, t)
+    return Trajectory(points, "budget_exhausted", None, max_iter)

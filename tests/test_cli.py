@@ -102,6 +102,23 @@ class TestExitCodes:
         assert main(["op", "classify", "--op", files["uniform.json"]]) == 2
         assert "VertexImageNotVertex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--max-iter", "0"), ("--tol", "-1")])
+    def test_bad_iterate_parameters_are_exit_two(self, files, capsys, flag, value):
+        argv = ["dyn", "iterate", "--op", files["v2.json"], "--x0", "0.2,0.3,0.5", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
+
+    @pytest.mark.parametrize("payload", ['{"m": -1}', '{"m": 2.7}', '{"m": 100000}'])
+    def test_bad_tensor_size_is_exit_two(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload, encoding="utf-8")
+        assert main(["validate", "--op", str(bad)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["validate", "--op", "/nonexistent/path.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -48,6 +48,22 @@ class TestSimplexPoint:
         with pytest.raises(InvalidPoint):
             SimplexPoint([0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidPoint, match="contains non-finite entries"):
+            SimplexPoint([0.5, bad, 0.5])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_of_finite_entries_reports_the_sum(self):
+        with pytest.raises(InvalidPoint, match="sums to .*inf"):
+            SimplexPoint([1e308, 1e308])
+
+    def test_clamped_negatives_renormalize_by_the_clamped_sum(self):
+        x = SimplexPoint([0.25, 0.75 + 8e-10, -8e-10])
+        clamped = np.array([0.25, 0.75 + 8e-10, 0.0])
+        assert np.array_equal(x.coords, clamped / clamped.sum())
+        assert x.coords.sum() == pytest.approx(1.0, abs=1e-15)
+
     def test_vertex_and_barycenter(self):
         e2 = SimplexPoint.vertex(3, 2)
         assert e2.coords.tolist() == [0.0, 1.0, 0.0]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from helpers import rand_simplex, rand_tensor, rand_volterra_tensor
+from helpers import rand_simplex, rand_skew, rand_tensor, rand_volterra_tensor, reference_iterate
 from qso import (
     OpFamilySpec,
     Permutation,
@@ -23,7 +24,7 @@ from qso import (
     validate,
     write_trajectory_csv,
 )
-from qso.errors import DimensionMismatch
+from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 
 def rock_paper_scissors() -> np.ndarray:
@@ -110,6 +111,69 @@ class TestIterate:
             iterate(V, SimplexPoint.barycenter(3), tol=0.0)
         with pytest.raises(DimensionMismatch):
             iterate(V, SimplexPoint.barycenter(4))
+
+    def test_bad_budget_and_tolerance_are_typed_errors(self):
+        V = rand_tensor(np.random.default_rng(0), 3)
+        x0 = SimplexPoint.barycenter(3)
+        for kwargs in ({"max_iter": 0}, {"max_iter": -5}, {"tol": 0.0}, {"tol": -1.0},
+                       {"tol": float("nan")}):
+            with pytest.raises(ParameterOutOfRange):
+                iterate(V, x0, **kwargs)
+
+
+HETEROCLINIC = from_canonical(
+    SkewMatrix(3, 0.05 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]))
+)
+
+
+def reference_cases():
+    """(operator, start, budget, tol) covering convergence, cycles and budget runs."""
+    rng = np.random.default_rng(86)
+    cases = []
+    for family in (1, 2, 4):
+        for params in itertools.product((0.0, 0.5, 1.0), repeat=3):
+            V = op_family(OpFamilySpec(family, *params))
+            cases.append((V, rand_simplex(rng, 3), 120, 1e-10))
+    for x0 in ([0.5, 0.3, 0.2], [0.1, 0.1, 0.8]):
+        cases.append((HETEROCLINIC, SimplexPoint(x0), 300, 1e-10))
+    for _ in range(4):
+        cases.append((from_canonical(rand_skew(rng, 10)), rand_simplex(rng, 10), 150, 1e-10))
+        m = int(rng.integers(2, 6))
+        cases.append((rand_tensor(rng, m), rand_simplex(rng, m), 150, 1e-10))
+    # at step 3 both lag 2 and lag 3 are within tol; the smallest lag must win
+    multi = (op_family(OpFamilySpec(4, 0.02, 0.92, 0.6)), SimplexPoint([0.3, 0.36, 0.34]), 10, 0.077)
+    cases.append(multi)
+    return cases
+
+
+class TestIterateMatchesReference:
+    """The ring-buffer scan reproduces the per-lag loop exactly."""
+
+    @pytest.mark.parametrize("window", [0, 1, 3, 64])
+    def test_same_stop_and_points(self, window):
+        statuses = set()
+        for V, x0, budget, tol in reference_cases():
+            got = iterate(V, x0, max_iter=budget, tol=tol, window=window)
+            want = reference_iterate(V, x0, budget, tol, window=window)
+            assert (got.status, got.cycle_length, got.iterations) == (
+                want.status, want.cycle_length, want.iterations)
+            assert len(got.points) == len(want.points)
+            for p, q in zip(got.points, want.points):
+                assert np.array_equal(p.coords, q.coords)
+            statuses.add(got.status)
+        expected = {"converged", "budget_exhausted"} | ({"cycle"} if window >= 2 else set())
+        assert statuses == expected
+
+    def test_smallest_matching_lag_wins(self):
+        V, x0, budget, tol = reference_cases()[-1]
+        traj = iterate(V, x0, max_iter=budget, tol=tol)
+        pts = [pt.coords for pt in traj.points]
+        t = traj.iterations
+        lags = [d for d in range(1, t + 1) if np.abs(pts[t] - pts[t - d]).max() <= tol]
+        assert lags == [2, 3]
+        assert (traj.status, traj.cycle_length) == ("cycle", 2)
+        ref = reference_iterate(V, x0, budget, tol)
+        assert (ref.status, ref.cycle_length, ref.iterations) == ("cycle", 2, t)
 
 
 class TestFixedVertices:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import rand_kernel, rand_skew, rand_tensor
-from qso import OpFamilySpec, Permutation, QsoError, SimplexPoint
+from qso import DimensionMismatch, NotStochastic, OpFamilySpec, Permutation, QsoError, SimplexPoint
 from qso.kernel import DiscreteMeasure
 from qso.serialize import (
     dumps,
@@ -92,6 +92,53 @@ class TestTensorFormat:
     def test_missing_m_rejected(self):
         with pytest.raises(QsoError, match="'m'"):
             tensor_from_obj({"entries": []})
+
+
+class TestPayloadSizeChecks:
+    """Sizes are checked before the m x m x m array is allocated."""
+
+    @pytest.mark.parametrize("m", [-1, 2.7, "3", True, None, float("inf")])
+    def test_bad_tensor_m_rejected(self, m):
+        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+            tensor_from_obj({"m": m, "entries": []})
+
+    @pytest.mark.parametrize("n", [-1, 2.7])
+    def test_bad_kernel_n_rejected(self, n):
+        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+            kernel_from_obj({"n": n, "q": []})
+
+    def test_integral_float_size_accepted(self):
+        V = rand_tensor(np.random.default_rng(5), 2)
+        obj = tensor_to_obj(V)
+        obj["m"] = 2.0
+        assert np.array_equal(tensor_from_obj(obj).p, V.p)
+
+    def test_huge_m_with_few_entries_rejected_before_allocating(self):
+        with pytest.raises(NotStochastic, match="fewer than the 5000050000 slices"):
+            tensor_from_obj({"m": 100000})
+        with pytest.raises(NotStochastic, match="fewer than"):
+            kernel_from_obj({"n": 100000, "q": []})
+
+    def test_entry_list_shorter_than_slice_count_rejected(self):
+        # m = 2 has three slices (1,1), (1,2), (2,2); two entries cannot cover them
+        obj = {"m": 2, "entries": [
+            {"i": 1, "j": 1, "k": 1, "p": 1.0},
+            {"i": 2, "j": 2, "k": 2, "p": 1.0},
+        ]}
+        with pytest.raises(NotStochastic, match="2 entries, fewer than the 3 slices"):
+            tensor_from_obj(obj)
+        for mode in ("strict", "normalize"):
+            obj["entries"].append({"i": 1, "j": 2, "k": 1, "p": 1.0})
+            assert tensor_from_obj(obj, mode=mode).m == 2
+            obj["entries"].pop()
+
+    def test_entries_must_be_a_list(self):
+        with pytest.raises(QsoError, match="must be a list"):
+            tensor_from_obj({"m": 2, "entries": 5})
+
+    def test_skew_m_must_be_integral(self):
+        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+            skew_from_obj({"m": 2.5, "a": [[0.0, 1.0], [-1.0, 0.0]]})
 
 
 class TestOtherFormats:
