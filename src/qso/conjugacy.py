@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import QsoTensor, SimplexPoint
+from .core import QsoTensor, SimplexPoint, as_integer
 from .errors import DimensionMismatch, InvalidPermutation
 from .orthopreserve import OpFamilySpec, classify_op, op_family
 
@@ -45,7 +45,10 @@ class Permutation:
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> "Permutation":
-        return cls(tuple(int(i) - 1 for i in images))
+        sigma = tuple(as_integer(i) for i in images)
+        if None in sigma:
+            raise InvalidPermutation(f"images must be integers, got {list(images)}")
+        return cls(tuple(i - 1 for i in sigma))
 
     @property
     def one_based(self) -> tuple[int, ...]:
@@ -90,35 +93,20 @@ def conjugacy_classes(
 ) -> list[frozenset[int]]:
     """Partition the given OP family indices into conjugacy classes.
 
-    Conjugates each family at the (generic) ``params`` by all 6 coordinate
-    permutations of S_3, classifies the results, and joins families that
-    reach each other. The default parameters avoid 0, 1/2 and 1, where
-    distinct families can collapse onto permutation fixed points.
+    Conjugates one member of each family (at ``params``) by all 6
+    coordinate permutations of S_3 and classifies the results; the
+    families reached form the member's orbit, and families with the same
+    orbit form one class. A member's family is read off its vertex
+    permutation alone, and conjugation acts on that permutation by
+    conjugation in S_3, so ``params`` never changes the result.
     Classes are returned sorted by their smallest member.
     """
-    families = sorted(set(int(f) for f in families))
-    reachable: dict[int, set[int]] = {f: {f} for f in families}
-    for f in families:
+    classes: dict[frozenset[int], set[int]] = {}
+    for f in sorted(set(int(f) for f in families)):
         V = op_family(OpFamilySpec(f, *params))
-        for sigma in itertools.permutations(range(3)):
-            target = classify_op(conjugate(V, Permutation(sigma))).family
-            if target in reachable:
-                reachable[f].add(target)
-
-    # union-find over the reachability edges
-    parent = {f: f for f in families}
-
-    def find(f: int) -> int:
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for f, targets in reachable.items():
-        for g in targets:
-            parent[find(f)] = find(g)
-
-    classes: dict[int, set[int]] = {}
-    for f in families:
-        classes.setdefault(find(f), set()).add(f)
+        orbit = frozenset(
+            classify_op(conjugate(V, Permutation(sigma))).family
+            for sigma in itertools.permutations(range(3))
+        )
+        classes.setdefault(orbit, set()).add(f)
     return sorted((frozenset(c) for c in classes.values()), key=min)

@@ -33,6 +33,7 @@ from .errors import (
     NegativeCoefficient,
     NotStochastic,
     NotSymmetric,
+    ParameterOutOfRange,
 )
 
 EPS_VAL = 1e-9
@@ -42,6 +43,20 @@ EPS_SUPP = 1e-12
 SupportSet = frozenset
 
 _VALIDATE_MODES = ("strict", "normalize")
+
+
+def as_integer(value) -> int | None:
+    """``value`` as an int if it is integral and not a bool, else None.
+
+    Unlike ``int()`` it never truncates: 3.0 gives 3; 2.7, True and "3" give None.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if isinstance(value, (bool, np.bool_)) or n != value:
+        return None
+    return n
 
 
 def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
@@ -155,7 +170,7 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     above 1 + eps raise :class:`NotStochastic` in both modes.
     """
     if mode not in _VALIDATE_MODES:
-        raise ValueError(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
+        raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise DimensionMismatch(f"expected a cubic m x m x m array, got shape {arr.shape}")
@@ -206,7 +221,7 @@ def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoin
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:
     """Indices (1-based) of the coordinates of x exceeding ``eps_supp``."""
     if eps_supp <= 0:
-        raise ValueError("eps_supp must be positive")
+        raise ParameterOutOfRange("eps_supp must be positive")
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > eps_supp)[0])
 
 

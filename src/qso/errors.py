@@ -49,7 +49,8 @@ class InvalidFamily(QsoError):
 
 
 class ParameterOutOfRange(QsoError):
-    """A family parameter lies outside [0, 1] (or a step size is invalid)."""
+    """A parameter lies outside its allowed range (a family parameter outside
+    [0, 1], a step, a tolerance or threshold, a sample count, a mode name)."""
 
 
 class NotOrthogonalityPreserving(QsoError):

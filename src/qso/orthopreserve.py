@@ -29,20 +29,30 @@ coordinates (x, y, z are the input coordinates) are:
                y' = x^2 + 2a xy + 2(1-g) xz
                z' = y^2 + 2(1-a) xy + 2(1-b) yz
 
-with a, b, g (alpha, beta, gamma) in [0, 1]. Each family sends vertices
-to vertices by a fixed permutation, and the six permutations are exactly
-the six elements of S_3 (``FAMILY_VERTEX_IMAGES``), so the family index
-of an OP operator can be read off its vertex images and the parameters
-recovered from its values at the three edge midpoints.
+with a, b, g (alpha, beta, gamma) in [0, 1].
+
+Each family is a vertex permutation sigma (``FAMILY_VERTEX_IMAGES``; the
+six are exactly S_3) applied to the outputs of a Volterra tensor W:
+p[:, :, sigma] = W, where W[k, k, k] = 1 and the edge slice (i, j) of W
+holds one parameter t at one endpoint and 1 - t at the other
+(``_PARAM_ENDPOINTS``). The family is read off the diagonal slices
+p[k, k, :] = V(e_k); undoing sigma leaves the parameters as plain entries.
+
+Orthogonality preservation is decided exactly. Coefficients are
+nonnegative, so supp V(x) is the union of supp p[i, j, :] over i, j in
+supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
+supp p[k, l, :] are disjoint whenever {i, j} and {k, l} are (necessary
+because (e_i + e_j)/2 and (e_k + e_l)/2 are orthogonal points).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, apply, support
+from .core import EPS_SUPP, EPS_VAL, QsoTensor
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
@@ -64,14 +74,19 @@ FAMILY_VERTEX_IMAGES: dict[int, tuple[int, int, int]] = {
 
 _VERTEX_IMAGES_TO_FAMILY = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}
 
-#: Tensor slots (i, j, k), 1-based, holding alpha, beta and gamma per family.
-_PARAM_SLOTS: dict[int, tuple[tuple[int, int, int], ...]] = {
-    1: ((1, 2, 2), (2, 3, 1), (1, 3, 1)),
-    2: ((1, 2, 1), (2, 3, 2), (1, 3, 1)),
-    3: ((1, 2, 1), (2, 3, 2), (1, 3, 1)),
-    4: ((1, 2, 1), (2, 3, 1), (1, 3, 2)),
-    5: ((1, 2, 1), (2, 3, 1), (1, 3, 2)),
-    6: ((1, 2, 2), (2, 3, 1), (1, 3, 1)),
+#: The edges (i, j), 0-based, whose Volterra slices carry alpha, beta and gamma.
+_EDGES = ((0, 1), (1, 2), (0, 2))
+
+#: Per family, the endpoint (1-based) of each edge in ``_EDGES`` whose entry
+#: W[i, j, endpoint] holds alpha, beta and gamma; the other endpoint holds
+#: one minus that parameter.
+_PARAM_ENDPOINTS: dict[int, tuple[int, int, int]] = {
+    1: (2, 3, 3),
+    2: (1, 2, 1),
+    3: (1, 3, 1),
+    4: (2, 2, 3),
+    5: (2, 2, 1),
+    6: (1, 3, 3),
 }
 
 
@@ -98,77 +113,48 @@ class OpFamilySpec:
         return (self.alpha, self.beta, self.gamma)
 
 
-def _family_entries(spec: OpFamilySpec) -> dict[tuple[int, int, int], float]:
-    a, b, g = spec.params
-    return {
-        1: {(1, 1, 3): 1.0, (2, 2, 2): 1.0, (3, 3, 1): 1.0,
-            (1, 2, 2): a, (1, 2, 3): 1 - a, (2, 3, 1): b, (2, 3, 2): 1 - b,
-            (1, 3, 1): g, (1, 3, 3): 1 - g},
-        2: {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (3, 3, 3): 1.0,
-            (1, 2, 1): a, (1, 2, 2): 1 - a, (2, 3, 2): b, (2, 3, 3): 1 - b,
-            (1, 3, 1): g, (1, 3, 3): 1 - g},
-        3: {(1, 1, 1): 1.0, (2, 2, 3): 1.0, (3, 3, 2): 1.0,
-            (1, 2, 1): a, (1, 2, 3): 1 - a, (2, 3, 2): b, (2, 3, 3): 1 - b,
-            (1, 3, 1): g, (1, 3, 2): 1 - g},
-        4: {(1, 1, 3): 1.0, (2, 2, 1): 1.0, (3, 3, 2): 1.0,
-            (1, 2, 1): a, (1, 2, 3): 1 - a, (2, 3, 1): b, (2, 3, 2): 1 - b,
-            (1, 3, 2): g, (1, 3, 3): 1 - g},
-        5: {(1, 1, 2): 1.0, (2, 2, 1): 1.0, (3, 3, 3): 1.0,
-            (1, 2, 1): a, (1, 2, 2): 1 - a, (2, 3, 1): b, (2, 3, 3): 1 - b,
-            (1, 3, 2): g, (1, 3, 3): 1 - g},
-        6: {(1, 1, 2): 1.0, (2, 2, 3): 1.0, (3, 3, 1): 1.0,
-            (1, 2, 2): a, (1, 2, 3): 1 - a, (2, 3, 1): b, (2, 3, 3): 1 - b,
-            (1, 3, 1): g, (1, 3, 2): 1 - g},
-    }[spec.family]
+def _require_s2(V: QsoTensor) -> None:
+    if V.m != 3:
+        raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
 
 
 def op_family(spec: OpFamilySpec) -> QsoTensor:
-    """Build the m = 3 tensor of the named family member."""
+    """Build the m = 3 tensor of the named family member.
+
+    Writes the parameters into the edge slices of the Volterra tensor W
+    with the outputs relabeled by the family's vertex permutation, so that
+    p[:, :, sigma] = W, one entry at a time.
+    """
+    sigma = [s - 1 for s in FAMILY_VERTEX_IMAGES[spec.family]]
     p = np.zeros((3, 3, 3))
-    for (i, j, k), v in _family_entries(spec).items():
-        p[i - 1, j - 1, k - 1] = v
-        p[j - 1, i - 1, k - 1] = v
+    for k in range(3):
+        p[k, k, sigma[k]] = 1.0
+    for (i, j), end, t in zip(_EDGES, _PARAM_ENDPOINTS[spec.family], spec.params):
+        own, other = (sigma[i], sigma[j]) if end - 1 == i else (sigma[j], sigma[i])
+        p[i, j, own] = p[j, i, own] = t
+        p[i, j, other] = p[j, i, other] = 1.0 - t
     return QsoTensor(3, p)
 
 
-def _edge_point(i: int, j: int, t: float) -> SimplexPoint:
-    c = np.zeros(3)
-    c[i] = t
-    c[j] = 1.0 - t
-    return SimplexPoint(c)
+def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> bool:
+    """Exact test of orthogonality preservation on S^2.
 
-
-def is_orthogonality_preserving(
-    V: QsoTensor,
-    *,
-    grid: int = 101,
-    eps_supp: float = EPS_SUPP,
-) -> bool:
-    """Certificate check of orthogonality preservation on S^2.
-
-    Every orthogonal pair on S^2 consists of a point on an edge and the
-    opposite vertex (vertex pairs being the degenerate cases), so it
-    suffices to test the three vertex pairs plus, for each vertex, a grid
-    of ``grid`` points on the opposite edge. The orthogonality defect of
-    a quadratic map is a low-degree polynomial along an edge, so a modest
-    grid cannot miss a sign.
+    Compares the supports (entries above ``eps_supp``) of the slices
+    p[i, j, :] and p[k, l, :] for every pair of disjoint index sets
+    {i, j} and {k, l}; the module docstring shows this is equivalent to
+    the definition. On S^2 these are six slice pairs: the three vertex
+    pairs and each edge against its opposite vertex.
     """
-    if V.m != 3:
-        raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
-    vertex_supports = [
-        support(apply(V, SimplexPoint.vertex(3, k)), eps_supp) for k in (1, 2, 3)
-    ]
-    for k in range(3):
-        for l in range(k + 1, 3):
-            if vertex_supports[k] & vertex_supports[l]:
-                return False
-    for k in range(3):
-        i, j = (o for o in range(3) if o != k)
-        for t in np.linspace(0.0, 1.0, grid):
-            img = support(apply(V, _edge_point(i, j, float(t))), eps_supp)
-            if img & vertex_supports[k]:
-                return False
-    return True
+    _require_s2(V)
+    if eps_supp <= 0:
+        raise ParameterOutOfRange("eps_supp must be positive")
+    supp = V.p > eps_supp
+    slots = [(i, j) for i in range(V.m) for j in range(i, V.m)]
+    return not any(
+        (supp[i, j] & supp[k, l]).any()
+        for (i, j), (k, l) in itertools.combinations(slots, 2)
+        if not {i, j} & {k, l}
+    )
 
 
 def classify_op(
@@ -179,47 +165,37 @@ def classify_op(
 ) -> OpFamilySpec:
     """Recover (family, alpha, beta, gamma) from an OP tensor.
 
-    Matches each vertex image to its nearest vertex (anything farther than
-    ``vertex_tol`` from every vertex raises :class:`VertexImageNotVertex`),
-    looks the permutation up in ``FAMILY_VERTEX_IMAGES``, then reads the
-    parameters from the operator's values at the three edge midpoints.
-    The candidate tensor rebuilt from the recovered spec must reproduce
-    the input entrywise within ``eps``; otherwise the input lies outside
-    the six families and :class:`NotOrthogonalityPreserving` is raised.
+    Matches each vertex image p[k, k, :] = V(e_k) to its nearest vertex
+    (anything farther than ``vertex_tol`` from every vertex raises
+    :class:`VertexImageNotVertex`), looks the permutation up in
+    ``FAMILY_VERTEX_IMAGES``, undoes it on the outputs and reads the
+    parameters straight from the Volterra entries, so a family member is
+    recovered exactly. The candidate tensor rebuilt from the recovered
+    spec must reproduce the input entrywise within ``eps``; otherwise the
+    input lies outside the six families and
+    :class:`NotOrthogonalityPreserving` is raised.
     """
-    if V.m != 3:
-        raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
+    _require_s2(V)
 
-    vertex_images = [apply(V, SimplexPoint.vertex(3, k)).coords for k in (1, 2, 3)]
-    labels = []
-    for k, img in enumerate(vertex_images, start=1):
+    sigma = []
+    for k in range(3):
+        img = V.p[k, k]
         nearest = int(np.argmax(img))
-        e = np.zeros(3)
-        e[nearest] = 1.0
-        if np.abs(img - e).max() > vertex_tol:
+        if np.abs(img - np.eye(3)[nearest]).max() > vertex_tol:
             raise VertexImageNotVertex(
-                f"image of vertex {k} is {np.round(img, 6).tolist()}, "
+                f"image of vertex {k + 1} is {np.round(img, 6).tolist()}, "
                 f"not within {vertex_tol:g} of any vertex"
             )
-        labels.append(nearest + 1)
-    images = tuple(labels)
+        sigma.append(nearest)
+    images = tuple(s + 1 for s in sigma)
     if len(set(images)) != 3:
         raise NotOrthogonalityPreserving(
             f"vertex images {images} are not mutually orthogonal"
         )
     family = _VERTEX_IMAGES_TO_FAMILY[images]
 
-    # V((e_i + e_j)/2) = (p[i,i,:] + p[j,j,:] + 2 p[i,j,:]) / 4, and the
-    # diagonal slices are the known vertex images, so each midpoint value
-    # determines the off-diagonal slice p[i,j,:].
-    slices = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        mid = apply(V, _edge_point(i, j, 0.5)).coords
-        slices[(i + 1, j + 1)] = 2.0 * mid - 0.5 * (vertex_images[i] + vertex_images[j])
-
-    values = []
-    for (i, j, k) in _PARAM_SLOTS[family]:
-        values.append(float(slices[(i, j)][k - 1]))
+    w = V.p[:, :, sigma]
+    values = [float(w[i, j, e - 1]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])]
     if any(not -eps <= v <= 1.0 + eps for v in values):
         raise NotOrthogonalityPreserving(
             f"recovered parameters {values} fall outside [0, 1]"

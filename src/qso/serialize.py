@@ -23,8 +23,8 @@ from typing import Any
 import numpy as np
 
 from .conjugacy import Permutation
-from .core import QsoTensor, SimplexPoint, validate
-from .errors import DimensionMismatch, NotStochastic, QsoError
+from .core import QsoTensor, SimplexPoint, as_integer, validate
+from .errors import DimensionMismatch, InvalidFamily, NotStochastic, QsoError
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -64,12 +64,8 @@ def _require(obj: dict, key: str, payload: str):
 def _dimension(obj: dict, key: str, payload: str) -> int:
     """The nonnegative integer size field ``key`` of a payload."""
     value = _require(obj, key, payload)
-    try:
-        m = int(value)
-        integral = not isinstance(value, bool) and m == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or m < 0:
+    m = as_integer(value)
+    if m is None or m < 0:
         raise DimensionMismatch(f"{payload} {key} must be a nonnegative integer, got {value!r}")
     return m
 
@@ -80,9 +76,13 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     values = {}
     for ent in entries:
         try:
-            i, j, k, v = int(ent["i"]), int(ent["j"]), int(ent["k"]), float(ent["p"])
+            i, j, k, v = ent["i"], ent["j"], ent["k"], float(ent["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
+        if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
+            i, j, k = as_integer(i), as_integer(j), as_integer(k)
+            if None in (i, j, k):
+                raise QsoError(f"bad {payload} entry {ent!r}: indices must be integers")
         if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
             raise QsoError(f"{payload} entry indices {(i, j, k)} outside 1..{m}")
         if i > j:
@@ -169,8 +169,11 @@ def spec_to_obj(spec: OpFamilySpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> OpFamilySpec:
+    family = _require(obj, "family", "family spec")
+    if as_integer(family) is None:
+        raise InvalidFamily(f"family must be an integer, got {family!r}")
     return OpFamilySpec(
-        int(_require(obj, "family", "family spec")),
+        as_integer(family),
         float(_require(obj, "alpha", "family spec")),
         float(_require(obj, "beta", "family spec")),
         float(_require(obj, "gamma", "family spec")),

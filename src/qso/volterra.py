@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, abs_continuous, apply
-from .errors import DimensionMismatch, InvalidSkew, NotVolterra
+from .errors import DimensionMismatch, InvalidSkew, NotVolterra, ParameterOutOfRange
 
 
 def _forbidden_mask(m: int) -> np.ndarray:
@@ -123,7 +123,7 @@ def check_abs_continuity_property(
     """True iff V(x) is absolutely continuous w.r.t. x for every sample."""
     samples = list(samples)
     if not samples:
-        raise ValueError("samples must be nonempty")
+        raise ParameterOutOfRange("samples must be nonempty")
     return all(abs_continuous(apply(V, x), x, eps_supp) for x in samples)
 
 

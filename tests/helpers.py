@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from qso import (
+    EPS_SUPP,
     DiscreteMeasure,
     FiniteKernel,
     QsoTensor,
@@ -20,6 +21,7 @@ from qso import (
     Trajectory,
     apply,
     from_canonical,
+    support,
     validate,
 )
 
@@ -157,3 +159,29 @@ def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,
             if np.abs(nxt.coords - points[t - dist].coords).max() <= tol:
                 return Trajectory(points, "cycle", dist, t)
     return Trajectory(points, "budget_exhausted", None, max_iter)
+
+
+def reference_is_op_grid(V: QsoTensor, grid: int = 101, eps_supp: float = EPS_SUPP) -> bool:
+    """Oracle: orthogonality preservation on S^2 probed by operator images.
+
+    Every orthogonal pair on S^2 is two vertices or an edge point and the
+    opposite vertex, so this compares the image supports of the three
+    vertex pairs, and of ``grid`` points on each edge against the opposite
+    vertex's image. The edge images are evaluated in one batch per edge.
+    """
+    assert V.m == 3
+    vertex_supports = [support(apply(V, SimplexPoint.vertex(3, k)), eps_supp) for k in (1, 2, 3)]
+    for k in range(3):
+        for l in range(k + 1, 3):
+            if vertex_supports[k] & vertex_supports[l]:
+                return False
+    t = np.linspace(0.0, 1.0, grid)
+    for k in range(3):
+        i, j = (o for o in range(3) if o != k)
+        x = np.zeros((grid, 3))
+        x[:, i], x[:, j] = t, 1.0 - t
+        images = np.einsum("ijk,ni,nj->nk", V.p, x, x)
+        opposite = [c - 1 for c in vertex_supports[k]]
+        if (images[:, opposite] > eps_supp).any():
+            return False
+    return True

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_kernel, rand_volterra_kernel
 from qso import OpFamilySpec, op_family, validate
-from qso.cli import main
+from qso.cli import EXIT_BROKEN_PIPE, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
 
@@ -205,3 +211,132 @@ class TestOutput:
         payload = dumps(tensor_to_obj(op_family(OpFamilySpec(2, 0.2, 0.4, 0.6))))
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         assert main(["volterra", "check", "--op", "-"]) == 0
+
+
+def one_error_line(err: str) -> bool:
+    return sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestMalformedIntegers:
+    def test_negative_samples_is_exit_two(self, files, capsys):
+        assert main(["volterra", "check", "--op", files["v2.json"], "--samples", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
+
+    def test_non_integral_perm_is_exit_two(self, files, capsys):
+        argv = ["op", "conjugate", "--op", files["v1.json"], "--perm", "2.9,3.2,1.7"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: InvalidPermutation:")
+
+    @pytest.mark.parametrize("value", [1.7, True])
+    def test_non_integral_entry_index_is_exit_two(self, tmp_path, capsys, value):
+        obj = tensor_to_obj(op_family(OpFamilySpec(2, 0.5, 0.5, 0.5)))
+        obj["entries"][0]["i"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["validate", "--op", str(bad)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: QsoError: bad tensor entry")
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away, on ``write`` or on ``flush``."""
+
+    def __init__(self, on: str):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+def test_closed_stdout_is_not_an_input_error(files, monkeypatch, on):
+    monkeypatch.setattr("sys.stdout", _ClosedStdout(on))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["op", "conjugate", "--op", files["v1.json"], "--perm", "2,3,1", "--json"])
+    assert code == EXIT_BROKEN_PIPE
+    assert err.getvalue() == ""
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of an in-process call, argparse exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _valid_samples(text: str) -> bool:
+    try:
+        return int(text) >= 0
+    except ValueError:
+        return False
+
+
+def _valid_perm(text: str) -> bool:
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        return False
+    return all(math.isfinite(v) for v in values) and sorted(values) == [1.0, 2.0, 3.0]
+
+
+_NUMBERS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SAMPLES = st.one_of(_NUMBERS.map(str), st.text(max_size=12)).filter(
+    lambda s: not _valid_samples(s))
+_PERMS = st.one_of(
+    st.lists(_NUMBERS, max_size=5).map(lambda vs: ",".join(map(str, vs))),
+    st.text(max_size=12),
+).filter(lambda s: not _valid_perm(s))
+_INDICES = st.one_of(
+    _NUMBERS, st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2)
+).filter(lambda v: not (isinstance(v, (int, float)) and not isinstance(v, bool) and v in (1, 2, 3)))
+
+
+@pytest.fixture(scope="module")
+def v1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "v1.json"
+    path.write_text(dumps(tensor_to_obj(op_family(OpFamilySpec(1, 0.3, 0.6, 0.9)))))
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("samples"), _SAMPLES),
+    st.tuples(st.just("perm"), _PERMS),
+    st.tuples(st.sampled_from("ijk"), _INDICES),
+))
+def test_fuzz_malformed_integer_arguments(v1_file, case):
+    """A malformed --samples, --perm or entry index exits 2 with one error line."""
+    kind, value = case
+    if kind == "samples":
+        code, err = _run(["volterra", "check", "--op", v1_file, f"--samples={value}"])
+    elif kind == "perm":
+        code, err = _run(["op", "conjugate", "--op", v1_file, f"--perm={value}"])
+    else:
+        obj = tensor_to_obj(op_family(OpFamilySpec(2, 0.3, 0.6, 0.9)))
+        obj["entries"][1][kind] = value
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+            fh.write(json.dumps(obj))
+            fh.flush()
+            code, err = _run(["validate", "--op", fh.name])
+    assert code == 2 and one_error_line(err), (case, err)

@@ -23,7 +23,8 @@ from qso import (
     support,
     validate,
 )
-from qso.errors import DimensionMismatch
+from qso.core import as_integer
+from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 
 def uniform_tensor(m: int) -> np.ndarray:
@@ -248,3 +249,26 @@ class TestSupportPredicates:
         assert abs_continuous(small, small)
         assert abs_continuous(small, mid) and abs_continuous(mid, big)
         assert abs_continuous(small, big)
+
+
+class TestTypedParameterErrors:
+    def test_unknown_validate_mode(self):
+        with pytest.raises(ParameterOutOfRange, match="mode must be one of"):
+            validate(uniform_tensor(3), mode="x")
+
+    @pytest.mark.parametrize("eps_supp", [0.0, -1e-12])
+    def test_nonpositive_support_threshold(self, eps_supp):
+        with pytest.raises(ParameterOutOfRange, match="eps_supp must be positive"):
+            support(SimplexPoint([0.5, 0.5]), eps_supp=eps_supp)
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("value,want", [(3, 3), (3.0, 3), (-2, -2), (np.int64(4), 4)])
+    def test_integral_values(self, value, want):
+        assert as_integer(value) == want
+
+    @pytest.mark.parametrize(
+        "value", [1.7, -0.5, True, False, np.True_, "3", None, float("nan"), float("inf"), [1]]
+    )
+    def test_non_integral_values(self, value):
+        assert as_integer(value) is None

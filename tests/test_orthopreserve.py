@@ -7,9 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import family_polynomial, rand_simplex
+from helpers import family_polynomial, rand_simplex, reference_is_op_grid
 from qso import (
     FAMILY_VERTEX_IMAGES,
+    Permutation,
     InvalidFamily,
     NotOrthogonalityPreserving,
     OpFamilySpec,
@@ -19,6 +20,7 @@ from qso import (
     VertexImageNotVertex,
     apply,
     classify_op,
+    conjugate,
     is_orthogonality_preserving,
     op_family,
     validate,
@@ -191,3 +193,73 @@ class TestClassify:
                 got = classify_op(V)
                 assert got.family == family
                 assert np.allclose(got.params, spec.params, atol=1e-12)
+
+
+CORNER_VALUES = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+def random_sparse_vertex_tensor(rng: np.random.Generator) -> QsoTensor:
+    """Random m = 3 tensor whose diagonal slices are vertices and whose
+    off-diagonal slices have random supports with entries well above noise."""
+    p = np.zeros((3, 3, 3))
+    # every third draw may send two vertices to the same vertex
+    images = rng.integers(0, 3, 3) if rng.random() < 1 / 3 else rng.permutation(3)
+    for k in range(3):
+        p[k, k, images[k]] = 1.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        mask = rng.random(3) < 0.45
+        mask[rng.integers(0, 3)] = True
+        w = np.where(mask, rng.random(3) + 0.05, 0.0)
+        p[i, j] = p[j, i] = w / w.sum()
+    return QsoTensor(3, p)
+
+
+class TestExactCriterionMatchesGrid:
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_family_members_and_their_conjugates(self, family):
+        for a, b, g in itertools.product((0.0, 0.5, 1.0, 0.3), repeat=3):
+            V = op_family(OpFamilySpec(family, a, b, g))
+            for sigma in itertools.permutations(range(3)):
+                W = conjugate(V, Permutation(sigma))
+                assert is_orthogonality_preserving(W) is True
+                assert reference_is_op_grid(W) is True
+
+    def test_random_sparse_tensors(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(600):
+            V = random_sparse_vertex_tensor(rng)
+            verdict = is_orthogonality_preserving(V)
+            assert verdict == reference_is_op_grid(V)
+            verdicts.append(verdict)
+        # both verdicts occur, so the comparison is not vacuous
+        assert 10 <= sum(verdicts) <= 590
+
+    def test_random_dense_tensors_fail_both(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(20):
+            V = validate(rng.random((3, 3, 3)), mode="normalize")
+            assert not is_orthogonality_preserving(V)
+            assert not reference_is_op_grid(V)
+
+    def test_nonpositive_support_threshold_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            is_orthogonality_preserving(op_family(OpFamilySpec(2, *GENERIC)), eps_supp=0.0)
+
+
+class TestExactRoundTrip:
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_classify_inverts_build_exactly(self, family):
+        for a, b, g in itertools.product(CORNER_VALUES, repeat=3):
+            spec = OpFamilySpec(family, a, b, g)
+            assert classify_op(op_family(spec)) == spec
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_conjugates_rebuild_to_the_last_ulp(self, family):
+        # a conjugate may hold 1 - t where the family chart holds t, and
+        # rebuilding recomputes 1 - (1 - t), which can differ from t by an ulp
+        for a, b, g in itertools.product(CORNER_VALUES, repeat=3):
+            V = op_family(OpFamilySpec(family, a, b, g))
+            for sigma in itertools.permutations(range(3)):
+                W = conjugate(V, Permutation(sigma))
+                assert np.abs(op_family(classify_op(W)).p - W.p).max() <= 2.0**-52

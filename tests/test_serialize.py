@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from helpers import rand_kernel, rand_skew, rand_tensor
-from qso import DimensionMismatch, NotStochastic, OpFamilySpec, Permutation, QsoError, SimplexPoint
+from qso import (
+    DimensionMismatch,
+    InvalidFamily,
+    InvalidPermutation,
+    NotStochastic,
+    OpFamilySpec,
+    Permutation,
+    QsoError,
+    SimplexPoint,
+)
 from qso.kernel import DiscreteMeasure
 from qso.serialize import (
     dumps,
@@ -172,3 +181,46 @@ class TestOtherFormats:
         assert set(obj.keys()) == {"n", "q"}
         back = kernel_from_obj(obj)
         assert np.abs(back.q - K.q).max() <= 1e-15
+
+
+class TestIntegralIndices:
+    """Index fields must be integral and not bool; nothing is truncated."""
+
+    @staticmethod
+    def payload(**bad):
+        entries = [
+            {"i": 1, "j": 1, "k": 1, "p": 1.0},
+            {"i": 1, "j": 2, "k": 2, "p": 1.0},
+            {"i": 2, "j": 2, "k": 2, "p": 1.0},
+        ]
+        entries[1].update(bad)
+        return {"m": 2, "entries": entries}
+
+    def test_integral_payload_accepted(self):
+        assert tensor_from_obj(self.payload()).m == 2
+        assert tensor_from_obj(self.payload(i=1.0, k=2.0)).m == 2
+
+    @pytest.mark.parametrize("field", ["i", "j", "k"])
+    @pytest.mark.parametrize("value", [1.7, True, "1", None])
+    def test_non_integral_entry_index_rejected(self, field, value):
+        with pytest.raises(QsoError, match="indices must be integers"):
+            tensor_from_obj(self.payload(**{field: value}))
+
+    def test_non_integral_kernel_index_rejected(self):
+        obj = self.payload(j=1.7)
+        with pytest.raises(QsoError, match="indices must be integers"):
+            kernel_from_obj({"n": 2, "q": obj["entries"]})
+
+    @pytest.mark.parametrize("sigma", [[2.9, 3.2, 1.7], [True, 2, 3], ["2", "3", "1"]])
+    def test_non_integral_permutation_rejected(self, sigma):
+        with pytest.raises(InvalidPermutation, match="must be integers"):
+            perm_from_obj({"sigma": sigma})
+
+    def test_integral_float_permutation_accepted(self):
+        assert perm_from_obj({"sigma": [2.0, 3.0, 1.0]}) == Permutation.from_one_based([2, 3, 1])
+
+    @pytest.mark.parametrize("family", [1.7, True, "1"])
+    def test_non_integral_family_rejected(self, family):
+        obj = {"family": family, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
+        with pytest.raises(InvalidFamily, match="must be an integer"):
+            spec_from_obj(obj)

@@ -21,7 +21,7 @@ from qso import (
     validate,
     volterra_certificate,
 )
-from qso.errors import InvalidSkew
+from qso.errors import InvalidSkew, ParameterOutOfRange
 
 
 def volterra_like_with_forbidden_mass(value: float) -> QsoTensor:
@@ -180,3 +180,9 @@ class TestCertificate:
         for trial in range(100):
             V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
             assert volterra_certificate(V) == is_volterra(V)
+
+
+def test_empty_samples_raise_a_typed_error():
+    V = rand_tensor(np.random.default_rng(0), 3)
+    with pytest.raises(ParameterOutOfRange, match="samples must be nonempty"):
+        check_abs_continuity_property(V, [])
