@@ -9,6 +9,19 @@ By multilinearity, associativity holds for all vectors iff it holds on the
 m^3 basis triples, so the decision procedure here is exact up to floating
 point: compare (e_i o e_j) o e_k with e_i o (e_j o e_k) for every triple.
 
+All m^4 left products come from one matrix product,
+
+    L = P(m^2 x m) @ P(m x m^2),    L[i, j, k, u] = ((e_i o e_j) o e_k)_u,
+
+and the right products need no second one: :class:`QsoTensor` keeps p
+exactly symmetric in (i, j), so e_i o (e_j o e_k) = (e_j o e_k) o e_i =
+L[j, k, i, :]. The residual is the largest entry of |L - L[j, k, i, u]|,
+taken one i at a time unless the whole gap is small, so that L is the
+only large array.
+The refutation grid evaluates stacks of family tensors with the same
+kernel in batches of ``_REFUTE_CHUNK`` points, and is capped at
+``_REFUTE_MAX_AXIS`` values per parameter (a step of at least 0.005).
+
 For family 2 a reduced system of seven polynomial conditions in the
 parameters is kept verbatim as a cross-check oracle
 (:func:`v2_condition_system`). Note it is stricter than the basis-triple
@@ -16,19 +29,46 @@ decision at exactly one corner, (alpha, beta, gamma) = (1, 0, 1): the
 system splits the constraint alpha*(gamma-beta) == gamma*(1-beta) into two
 separate zero conditions, which that (associative) corner violates.
 :func:`assoc_solutions_v2` therefore filters by the basis-triple decision.
+
+The corners read as tournaments. At a family-2 corner every product
+e_i o e_j (i != j) is e_i or e_j, so the corner is a tournament on
+{1, 2, 3} in which i beats j when e_i o e_j = e_i. Such a product is
+associative iff the tournament is transitive (then e_i o e_j = e_max(i,j)
+for a total order): the six transitive tournaments are the six
+associative corners, and (1, 1, 0) and (0, 0, 1) are the two 3-cycles
+(at (1, 1, 0), 1 beats 2, 2 beats 3 and 3 beats 1). The paper's solution
+list, pinned by the acceptance test, keeps the 3-cycle (1, 1, 0) and
+omits the transitive corner (1, 0, 1).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EPS_VAL, QsoTensor
-from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange
+from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
 EPS_ASSOC = 1e-9
+
+#: Most values per parameter axis of the refutation grid, i.e. the smallest
+#: step is 0.005: 201^3 (about 8.1 million) grid points, whose residuals
+#: take 65 MB; the scan takes about 11 s on one core of a 2-core x86-64
+#: host. Smaller steps raise :class:`TooLarge` before anything is allocated.
+_REFUTE_MAX_AXIS = 201
+
+#: Grid points per batch of the refutation scan; bounds its temporaries at
+#: a few MB whatever the step.
+_REFUTE_CHUNK = 4096
+
+#: Largest gap (elements of 8 bytes) that :func:`_residuals` takes in one
+#: piece. Small tensors skip the per-i loop's call overhead; on larger ones
+#: the strided pass over the whole gap is slower than the loop (one tensor
+#: crosses over between m = 12 and m = 15).
+_WHOLE_GAP_MAX = 1 << 15
 
 
 def product(V: QsoTensor, x, y) -> np.ndarray:
@@ -46,6 +86,27 @@ def product(V: QsoTensor, x, y) -> np.ndarray:
     return np.einsum("ijk,i,j->k", V.p, xv, yv)
 
 
+def _residuals(P: np.ndarray) -> np.ndarray:
+    """Associator residual of every tensor in an (n, m, m, m) stack.
+
+    Each tensor must be exactly symmetric in its first two indices (see
+    the module docstring). Besides L, the gap to L[j, k, i, u] takes one
+    array: all of it when that fits in ``_WHOLE_GAP_MAX`` elements, else one
+    (n, m, m, m) slice, reused for each i.
+    """
+    n, m = P.shape[:2]
+    L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
+    if n * m**4 <= _WHOLE_GAP_MAX:
+        gap = L - L.transpose(0, 3, 1, 2, 4)
+        return np.abs(gap, out=gap).reshape(n, -1).max(axis=1)
+    out = np.zeros(n)
+    gap = np.empty((n, m, m, m))
+    for i in range(m):
+        np.subtract(L[:, i], L[:, :, :, i], out=gap)
+        np.maximum(out, np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=out)
+    return out
+
+
 def associator_residual(V: QsoTensor) -> float:
     """Largest associator entry over all basis triples.
 
@@ -53,9 +114,7 @@ def associator_residual(V: QsoTensor) -> float:
     (e_i o e_j) o e_k and e_i o (e_j o e_k). Zero (up to floating point)
     iff the algebra is associative.
     """
-    left = np.einsum("ija,aku->ijku", V.p, V.p)
-    right = np.einsum("jkb,ibu->ijku", V.p, V.p)
-    return float(np.abs(left - right).max())
+    return float(_residuals(V.p[np.newaxis])[0])
 
 
 def is_associative(V: QsoTensor, eps: float = EPS_ASSOC) -> bool:
@@ -104,13 +163,9 @@ def assoc_solutions_v2(eps: float = EPS_ASSOC) -> set[tuple[float, float, float]
     triples force alpha*(1-alpha), beta*(1-beta) and gamma*(1-gamma) to
     vanish); each corner is decided by the basis-triple residual.
     """
-    out = set()
-    for a in (0.0, 1.0):
-        for b in (0.0, 1.0):
-            for g in (0.0, 1.0):
-                if is_associative(op_family(OpFamilySpec(2, a, b, g)), eps):
-                    out.add((a, b, g))
-    return out
+    corners = list(itertools.product((0.0, 1.0), repeat=3))
+    res = _residuals(np.stack([op_family(OpFamilySpec(2, *c)).p for c in corners]))
+    return {c for c, r in zip(corners, res) if r <= eps}
 
 
 @dataclass(frozen=True)
@@ -138,26 +193,38 @@ def refute_associativity(family: int, grid_step: float = 0.05) -> RefutationRepo
     Only families 1 and 4 are accepted; the remaining families inherit
     their status by conjugation. Ties are broken by lexicographic
     parameter order, so the report is deterministic.
+
+    A family tensor is affine in its parameters, so the grid's tensors
+    are base + alpha*d_alpha + beta*d_beta + gamma*d_gamma, built from
+    four :func:`op_family` calls; every entry holds 0, 1, t or 1 - t
+    exactly as :func:`op_family` writes it. They are evaluated
+    ``_REFUTE_CHUNK`` grid points at a time.
     """
     if family not in (1, 4):
         raise InvalidFamily(f"refutation covers families 1 and 4, got {family}")
     if not 0.0 < grid_step <= 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step}")
+    if 1.0 / grid_step > _REFUTE_MAX_AXIS - 1:
+        raise TooLarge(
+            f"grid_step {grid_step!r} gives more than {_REFUTE_MAX_AXIS} values per "
+            f"axis; use a step of at least {1.0 / (_REFUTE_MAX_AXIS - 1):g}"
+        )
 
     vals = _grid(grid_step)
-    best = np.inf
-    argbest = (0.0, 0.0, 0.0)
-    for a in vals:
-        for b in vals:
-            for g in vals:
-                r = associator_residual(op_family(OpFamilySpec(family, a, b, g)))
-                if r < best:
-                    best = r
-                    argbest = (float(a), float(b), float(g))
-    corner_min = min(
-        associator_residual(op_family(OpFamilySpec(family, a, b, g)))
-        for a in (0.0, 1.0)
-        for b in (0.0, 1.0)
-        for g in (0.0, 1.0)
+    shape = (vals.size,) * 3
+    base = op_family(OpFamilySpec(family, 0.0, 0.0, 0.0)).p
+    slopes = [op_family(OpFamilySpec(family, *e)).p - base for e in np.eye(3)]
+    res = np.empty(vals.size**3)
+    for start in range(0, res.size, _REFUTE_CHUNK):
+        idx = np.arange(start, min(start + _REFUTE_CHUNK, res.size))
+        a, b, g = (vals[k][:, None, None, None] for k in np.unravel_index(idx, shape))
+        res[idx] = _residuals(base + a * slopes[0] + b * slopes[1] + g * slopes[2])
+
+    # argmin returns the first minimum in C order, i.e. in lexicographic order
+    best = int(res.argmin())
+    argbest = tuple(float(vals[k]) for k in np.unravel_index(best, shape))
+    ends = [0, vals.size - 1]
+    corner_min = res.reshape(shape)[np.ix_(ends, ends, ends)].min()
+    return RefutationReport(
+        family, float(grid_step), float(res[best]), argbest, float(corner_min)
     )
-    return RefutationReport(family, float(grid_step), float(best), argbest, float(corner_min))

@@ -67,4 +67,6 @@ class InvalidPermutation(QsoError):
 
 
 class TooLarge(QsoError):
-    """The exhaustive oracle was asked for a space it cannot enumerate."""
+    """A request exceeds a documented size cap: more atoms than the
+    exhaustive kernel oracle enumerates, or a refutation grid step below
+    its smallest allowed value."""

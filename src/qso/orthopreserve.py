@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor
+from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
@@ -100,8 +100,11 @@ class OpFamilySpec:
     gamma: float
 
     def __post_init__(self):
+        family = self.family
+        if type(family) is not int:
+            object.__setattr__(self, "family", as_integer(family))
         if self.family not in FAMILY_VERTEX_IMAGES:
-            raise InvalidFamily(f"family must be in 1..6, got {self.family}")
+            raise InvalidFamily(f"family must be an integer in 1..6, got {family!r}")
         for name in ("alpha", "beta", "gamma"):
             v = float(getattr(self, name))
             if not -EPS_VAL <= v <= 1.0 + EPS_VAL:

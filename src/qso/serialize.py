@@ -24,7 +24,7 @@ import numpy as np
 
 from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, as_integer, validate
-from .errors import DimensionMismatch, InvalidFamily, NotStochastic, QsoError
+from .errors import DimensionMismatch, NotStochastic, QsoError
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -169,11 +169,8 @@ def spec_to_obj(spec: OpFamilySpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> OpFamilySpec:
-    family = _require(obj, "family", "family spec")
-    if as_integer(family) is None:
-        raise InvalidFamily(f"family must be an integer, got {family!r}")
     return OpFamilySpec(
-        as_integer(family),
+        _require(obj, "family", "family spec"),
         float(_require(obj, "alpha", "family spec")),
         float(_require(obj, "beta", "family spec")),
         float(_require(obj, "gamma", "family spec")),

@@ -15,12 +15,16 @@ from qso import (
     EPS_SUPP,
     DiscreteMeasure,
     FiniteKernel,
+    OpFamilySpec,
     QsoTensor,
+    RefutationReport,
     SimplexPoint,
     SkewMatrix,
     Trajectory,
     apply,
+    associator_residual,
     from_canonical,
+    op_family,
     support,
     validate,
 )
@@ -144,6 +148,44 @@ def product_loops(p: np.ndarray, x, y) -> np.ndarray:
 def canonical_image(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Oracle: coordinates x_k * (1 + sum_i a[k, i] x_i)."""
     return x * (1.0 + a @ x)
+
+
+def reference_associator_residual(V: QsoTensor) -> float:
+    """Oracle: both sides of the associator contracted separately by einsum."""
+    left = np.einsum("ija,aku->ijku", V.p, V.p)
+    right = np.einsum("jkb,ibu->ijku", V.p, V.p)
+    return float(np.abs(left - right).max())
+
+
+def reference_refute(family: int, grid_step: float) -> RefutationReport:
+    """Oracle: the refutation scan as one op_family call per grid point.
+
+    Each point is evaluated with the library's single-tensor
+    ``associator_residual`` (itself checked against
+    :func:`reference_associator_residual`), so the report must equal the
+    batched scan exactly, tie-breaks included: a strict ``<`` keeps the
+    first minimum in lexicographic (alpha, beta, gamma) order.
+    """
+    vals = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
+    vals[-1] = min(vals[-1], 1.0)
+    if vals[-1] < 1.0:
+        vals = np.append(vals, 1.0)
+    best = np.inf
+    argbest = (0.0, 0.0, 0.0)
+    for a in vals:
+        for b in vals:
+            for g in vals:
+                r = associator_residual(op_family(OpFamilySpec(family, a, b, g)))
+                if r < best:
+                    best = r
+                    argbest = (float(a), float(b), float(g))
+    corner_min = min(
+        associator_residual(op_family(OpFamilySpec(family, a, b, g)))
+        for a in (0.0, 1.0)
+        for b in (0.0, 1.0)
+        for g in (0.0, 1.0)
+    )
+    return RefutationReport(family, float(grid_step), float(best), argbest, float(corner_min))
 
 
 def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,

@@ -9,13 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_loops, rand_simplex, rand_tensor
+from helpers import (
+    product_loops,
+    rand_simplex,
+    rand_tensor,
+    reference_associator_residual,
+    reference_refute,
+)
 from qso import (
+    algebra,
     EPS_ASSOC,
     InvalidFamily,
     OpFamilySpec,
     ParameterOutOfRange,
     Permutation,
+    TooLarge,
     apply,
     assoc_solutions_v2,
     associator_residual,
@@ -25,6 +33,7 @@ from qso import (
     product,
     refute_associativity,
     v2_condition_system,
+    validate,
 )
 from qso.errors import DimensionMismatch
 
@@ -218,3 +227,73 @@ class TestSolutionsAndRefutation:
         rng = np.random.default_rng(48)
         for _ in range(5):
             assert not is_associative(op_family(OpFamilySpec(family, *rng.random(3))))
+
+
+class TestBatchedResidualMatchesReference:
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_random_tensors(self, m):
+        rng = np.random.default_rng(4900 + m)
+        for _ in range(3):
+            V = rand_tensor(rng, m)
+            assert abs(associator_residual(V) - reference_associator_residual(V)) <= 1e-14
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_family_members(self, family):
+        for params in itertools.product((0.0, 0.5, 1.0, 0.3), repeat=3):
+            V = op_family(OpFamilySpec(family, *params))
+            assert abs(associator_residual(V) - reference_associator_residual(V)) <= 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 20])
+    def test_associative_controls(self, m):
+        # p[i, j, :] = c gives (x o y) = (sum x)(sum y) c, which associates
+        c = np.random.default_rng(4950 + m).dirichlet(np.ones(m))
+        V = validate(np.broadcast_to(c, (m, m, m)))
+        assert associator_residual(V) <= 1e-12
+
+    def test_family2_corner_verdicts(self):
+        for corner in itertools.product((0.0, 1.0), repeat=3):
+            V = op_family(OpFamilySpec(2, *corner))
+            assert is_associative(V) == (reference_associator_residual(V) <= EPS_ASSOC)
+            assert is_associative(V) == (corner in ASSOCIATIVE_V2_CORNERS)
+
+    @pytest.mark.parametrize("whole_gap_max", [1, 750, 1 << 17])
+    def test_stack_equals_single_calls(self, monkeypatch, whole_gap_max):
+        # the gap is taken per i or in one piece: 1 forces the loop
+        # everywhere, 750 loops over the stack of three m = 5 tensors
+        # (1875 gap entries) but not over a single one (625)
+        monkeypatch.setattr(algebra, "_WHOLE_GAP_MAX", whole_gap_max)
+        rng = np.random.default_rng(4960)
+        stack = [rand_tensor(rng, 5) for _ in range(3)]
+        got = algebra._residuals(np.stack([V.p for V in stack]))
+        want = [reference_associator_residual(V) for V in stack]
+        assert np.abs(got - want).max() <= 1e-14
+        assert got.tolist() == [associator_residual(V) for V in stack]
+
+
+class TestBatchedRefutation:
+    @pytest.mark.parametrize("family", [1, 4])
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.07])
+    def test_matches_pointwise_scan(self, family, step):
+        assert refute_associativity(family, step) == reference_refute(family, step)
+
+    @pytest.mark.parametrize("family", [1, 4])
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, family):
+        want = refute_associativity(family, 0.05)
+        monkeypatch.setattr(algebra, "_REFUTE_CHUNK", 1000)  # does not divide 21^3
+        assert refute_associativity(family, 0.05) == want
+
+    @pytest.mark.parametrize("family", [1, 4])
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.07])
+    def test_minimum_recomputes_exactly(self, family, step):
+        rep = refute_associativity(family, step)
+        again = associator_residual(op_family(OpFamilySpec(family, *rep.argmin)))
+        assert rep.min_residual == again
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-6, 0.0049])
+    def test_grid_cap(self, step):
+        with pytest.raises(TooLarge):
+            refute_associativity(1, step)
+
+    def test_cap_admits_exactly_its_axis_length(self):
+        smallest = 1.0 / (algebra._REFUTE_MAX_AXIS - 1)
+        assert algebra._grid(smallest).size == algebra._REFUTE_MAX_AXIS

@@ -244,6 +244,18 @@ class TestMalformedIntegers:
         assert len(lines) == 1 and lines[0].startswith("error: QsoError: bad tensor entry")
 
 
+@pytest.mark.parametrize("step,error", [
+    ("1e-300", "TooLarge"), ("1e-6", "TooLarge"),
+    ("nan", "ParameterOutOfRange"), ("inf", "ParameterOutOfRange"), ("-0.1", "ParameterOutOfRange"),
+])
+def test_bad_refute_step_is_exit_two(capsys, step, error):
+    assert main(["algebra", "refute", "--family", "1", f"--step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and one_error_line(captured.err)
+    assert captured.err.startswith(f"error: {error}:")
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone away, on ``write`` or on ``flush``."""
 

@@ -26,6 +26,7 @@ from qso import (
     validate,
 )
 from qso.errors import DimensionUnsupported
+from qso.serialize import dumps, spec_to_obj
 
 GENERIC = (0.3, 0.6, 0.9)
 
@@ -95,6 +96,19 @@ class TestOpFamily:
             OpFamilySpec(7, 0.1, 0.2, 0.3)
         with pytest.raises(ParameterOutOfRange):
             OpFamilySpec(1, 1.5, 0.2, 0.3)
+
+
+class TestSpecFamilyType:
+    @pytest.mark.parametrize("family", [True, False, 2.5, "2", None])
+    def test_non_integral_family_rejected(self, family):
+        with pytest.raises(InvalidFamily, match="must be an integer"):
+            OpFamilySpec(family, 0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize("family", [2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_family_stored_as_int(self, family):
+        spec = OpFamilySpec(family, 0.1, 0.2, 0.3)
+        assert type(spec.family) is int and spec.family == 2
+        assert dumps(spec_to_obj(spec)) == dumps(spec_to_obj(OpFamilySpec(2, 0.1, 0.2, 0.3)))
 
 
 class TestCertificate:
