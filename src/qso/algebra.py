@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor
+from .core import EPS_VAL, QsoTensor, as_integer
 from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
@@ -191,8 +191,10 @@ def refute_associativity(family: int, grid_step: float = 0.05) -> RefutationRepo
     """Scan a parameter grid (corners included) for the smallest residual.
 
     Only families 1 and 4 are accepted; the remaining families inherit
-    their status by conjugation. Ties are broken by lexicographic
-    parameter order, so the report is deterministic.
+    their status by conjugation. The family is read as
+    :class:`OpFamilySpec` reads it: 4.0 is the int 4, a bool is rejected.
+    Ties are broken by lexicographic parameter order, so the report is
+    deterministic.
 
     A family tensor is affine in its parameters, so the grid's tensors
     are base + alpha*d_alpha + beta*d_beta + gamma*d_gamma, built from
@@ -200,8 +202,10 @@ def refute_associativity(family: int, grid_step: float = 0.05) -> RefutationRepo
     exactly as :func:`op_family` writes it. They are evaluated
     ``_REFUTE_CHUNK`` grid points at a time.
     """
-    if family not in (1, 4):
-        raise InvalidFamily(f"refutation covers families 1 and 4, got {family}")
+    fam = family if type(family) is int else as_integer(family)
+    if fam not in (1, 4):
+        raise InvalidFamily(f"refutation covers families 1 and 4, got {family!r}")
+    family = fam
     if not 0.0 < grid_step <= 0.1:
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step}")
     if 1.0 / grid_step > _REFUTE_MAX_AXIS - 1:

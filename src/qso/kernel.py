@@ -9,9 +9,12 @@ vectors, symmetric in (x, y):
 The kernel is Volterra exactly when q[x, y, A] vanishes for every subset A
 avoiding both x and y, which on atoms reduces to q[x, y, k] == 0 for
 k outside {x, y}. :func:`kernel_volterra_oracle` keeps the subset form as
-an exhaustive cross-check (O(4^n * n), hence the small-n precondition) and
-additionally spot-checks the defining property V(mu) absolutely continuous
-w.r.t. mu on randomly supported measures.
+an exhaustive cross-check and additionally spot-checks the defining
+property V(mu) absolutely continuous w.r.t. mu on randomly supported
+measures. The scan gets all 2^n - 1 subset masses q[x, y, A] from one
+(2^n - 1, n) @ (n, n^2) product, i.e. O(2^n * n^3) work and an
+(2^n - 1, n^2) array (4.7 MB at the cap n = 12, hence the small-n
+precondition).
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from .errors import (
     NegativeCoefficient,
     NotStochastic,
     NotSymmetric,
+    ParameterOutOfRange,
     TooLarge,
 )
 
 _ORACLE_MAX_ATOMS = 12
+# random measures evaluated per batch by the oracle's spot check
+_SPOT_CHUNK = 4096
 
 
 class DiscreteMeasure:
@@ -138,21 +144,32 @@ def volterra_violation_witness(
     violation means the kernel puts more than |A| * eps mass on A. The
     per-subset threshold scales with |A| so the verdict coincides exactly
     with the entrywise test of :func:`kernel_is_volterra`.
+
+    Subsets are ordered by their bit mask (atom k is bit k), then x, then
+    y. All masses come from one product with the 0/1 subset indicator. In
+    exact arithmetic the first violation is a singleton {k}, whose mass is
+    q[x, y, k] plus exact zeros, so the product's summation order cannot
+    move it. ``eps`` must be nonnegative; 0 asks for exact zeros.
     """
+    if not eps >= 0:
+        raise ParameterOutOfRange(f"eps must be nonnegative, got {eps!r}")
     n = K.n
     if n > _ORACLE_MAX_ATOMS:
         raise TooLarge(f"subset enumeration supports n <= {_ORACLE_MAX_ATOMS}, got {n}")
-    atoms = np.arange(n)
-    for mask in range(1, 1 << n):
-        inside = atoms[[bool(mask >> k & 1) for k in range(n)]]
-        outside = atoms[[not bool(mask >> k & 1) for k in range(n)]]
-        threshold = len(inside) * eps
-        mass = K.q[:, :, inside].sum(axis=2)
-        for x in outside:
-            for y in outside:
-                if mass[x, y] > threshold:
-                    return (tuple(int(a) + 1 for a in inside), int(x) + 1, int(y) + 1)
-    return None
+    masks = np.arange(1, 1 << n)
+    inside = (masks[:, None] >> np.arange(n) & 1).astype(bool)  # (2^n - 1, n), row = mask - 1
+    mass = (inside.astype(float) @ K.q.reshape(n * n, n).T).reshape(-1, n, n)
+    threshold = inside.sum(axis=1) * eps
+    outside = ~inside
+    hits = mass > threshold[:, None, None]
+    hits &= outside[:, :, None]
+    hits &= outside[:, None, :]
+    first = int(hits.argmax())
+    if not hits.flat[first]:
+        return None
+    row, x, y = np.unravel_index(first, hits.shape)
+    subset = tuple(int(a) + 1 for a in np.flatnonzero(inside[row]))
+    return (subset, int(x) + 1, int(y) + 1)
 
 
 def kernel_volterra_oracle(
@@ -167,26 +184,37 @@ def kernel_volterra_oracle(
     When the subset scan passes, additionally verifies absolute continuity
     of V(mu) w.r.t. mu on ``n_measures`` random measures with randomly
     zeroed supports (seeded deterministically unless ``rng`` is given).
+    Each measure draws from ``rng`` exactly as a one-at-a-time loop would;
+    they are evaluated ``_SPOT_CHUNK`` at a time. ``eps`` must be
+    nonnegative and ``n_measures`` at least 0, else
+    :class:`ParameterOutOfRange`.
     """
-    if volterra_violation_witness(K, eps) is not None:
+    if n_measures < 0:
+        raise ParameterOutOfRange(f"n_measures must be at least 0, got {n_measures}")
+    if volterra_violation_witness(K, eps) is not None:  # also checks eps
         return False
     if rng is None:
         rng = np.random.default_rng(0)
     n = K.n
     # Forbidden entries up to eps each can leak at most n * eps of mass
     # onto a null set, so the spot check uses that bound to stay coherent
-    # with the entrywise predicate.
+    # with the entrywise predicate. After the subset scan passed every
+    # forbidden entry is at most eps, so only rounding could exceed it.
     leak_tol = n * eps
-    for _ in range(n_measures):
-        w = rng.exponential(size=n)
-        if n > 1:
-            kill = rng.random(n) < 0.5
-            if kill.all():
-                kill[rng.integers(n)] = False
-            w[kill] = 0.0
-        mu = DiscreteMeasure(w / w.sum())
-        out = kernel_apply(K, mu)
-        null_mass = out.weights[mu.weights == 0.0].sum()
-        if null_mass > leak_tol:
+    flat_q = K.q.reshape(n, n * n)
+    for start in range(0, n_measures, _SPOT_CHUNK):
+        w = np.empty((min(_SPOT_CHUNK, n_measures - start), n))
+        for row in w:
+            row[:] = rng.exponential(size=n)
+            if n > 1:
+                kill = rng.random(n) < 0.5
+                if kill.all():
+                    kill[rng.integers(n)] = False
+                row[kill] = 0.0
+        mu = w / w.sum(axis=1, keepdims=True)
+        out = np.einsum("cyk,cy->ck", (mu @ flat_q).reshape(-1, n, n), mu)
+        out /= out.sum(axis=1, keepdims=True)
+        null_mass = np.where(mu == 0.0, out, 0.0).sum(axis=1)
+        if (null_mass > leak_tol).any():
             return False
     return True

@@ -34,13 +34,34 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_str(s: str) -> str:
+    if '"' in s or "\\" in s:
+        s = s.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{s}"'
+
+
 def dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    An exact float, int or str (also as a dict key) is written straight
+    from its type; everything else, numpy scalars and subclasses included,
+    goes through the ``isinstance`` chain, which gives those three the
+    same text.
+    """
+    t = type(obj)
+    if t is float:
+        return format(obj, ".17g")
+    if t is int:
+        return str(obj)
+    if t is str:
+        return _fmt_str(obj)
     if isinstance(obj, dict):
-        items = ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in sorted(obj.items()))
-        return "{" + items + "}"
+        return "{" + ",".join([
+            f"{_fmt_str(k) if type(k) is str else dumps(str(k))}:{dumps(v)}"
+            for k, v in sorted(obj.items())
+        ]) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
+        return "[" + ",".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -106,14 +127,15 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
 
 
 def _array_to_entries(p: np.ndarray) -> list[dict]:
+    """Nonzero entries with i <= j, in (i, j, k) order, as 1-based dicts."""
     m = p.shape[0]
-    entries = []
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(m):
-                if p[i, j, k] != 0.0:
-                    entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "p": float(p[i, j, k])})
-    return entries
+    upper = np.arange(m)[:, None, None] <= np.arange(m)[None, :, None]
+    i, j, k = np.nonzero((p != 0.0) & upper)
+    return [
+        {"i": a, "j": b, "k": c, "p": v}
+        for a, b, c, v in zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),
+                              p[i, j, k].tolist())
+    ]
 
 
 def tensor_to_obj(V: QsoTensor) -> dict:

@@ -13,6 +13,7 @@ import numpy as np
 
 from qso import (
     EPS_SUPP,
+    EPS_VAL,
     DiscreteMeasure,
     FiniteKernel,
     OpFamilySpec,
@@ -23,7 +24,10 @@ from qso import (
     Trajectory,
     apply,
     associator_residual,
+    certificate_points,
+    check_abs_continuity_property,
     from_canonical,
+    kernel_apply,
     op_family,
     support,
     validate,
@@ -227,3 +231,83 @@ def reference_is_op_grid(V: QsoTensor, grid: int = 101, eps_supp: float = EPS_SU
         if (images[:, opposite] > eps_supp).any():
             return False
     return True
+
+
+def reference_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
+    """Oracle: the Volterra certificate as one ``apply`` per probe point."""
+    return check_abs_continuity_property(V, certificate_points(V.m), eps_supp=eps)
+
+
+def reference_violation_witness(K: FiniteKernel, eps: float = EPS_VAL):
+    """Oracle: the subset scan as a loop over masks, then x, then y."""
+    n = K.n
+    atoms = np.arange(n)
+    for mask in range(1, 1 << n):
+        inside = atoms[[bool(mask >> k & 1) for k in range(n)]]
+        outside = atoms[[not bool(mask >> k & 1) for k in range(n)]]
+        threshold = len(inside) * eps
+        mass = K.q[:, :, inside].sum(axis=2)
+        for x in outside:
+            for y in outside:
+                if mass[x, y] > threshold:
+                    return (tuple(int(a) + 1 for a in inside), int(x) + 1, int(y) + 1)
+    return None
+
+
+def reference_kernel_oracle(K: FiniteKernel, eps: float = EPS_VAL, *, n_measures: int = 100,
+                            rng: np.random.Generator | None = None) -> bool:
+    """Oracle: the kernel oracle with one measure drawn and applied at a time."""
+    if reference_violation_witness(K, eps) is not None:
+        return False
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n = K.n
+    leak_tol = n * eps
+    for _ in range(n_measures):
+        w = rng.exponential(size=n)
+        if n > 1:
+            kill = rng.random(n) < 0.5
+            if kill.all():
+                kill[rng.integers(n)] = False
+            w[kill] = 0.0
+        mu = DiscreteMeasure(w / w.sum())
+        out = kernel_apply(K, mu)
+        null_mass = out.weights[mu.weights == 0.0].sum()
+        if null_mass > leak_tol:
+            return False
+    return True
+
+
+def reference_dumps(obj) -> str:
+    """Oracle: the deterministic JSON emitter as one ``isinstance`` chain."""
+    if isinstance(obj, dict):
+        items = ",".join(
+            f"{reference_dumps(str(k))}:{reference_dumps(v)}" for k, v in sorted(obj.items())
+        )
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_dumps(v) for v in obj) + "]"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{out}"'
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_array_to_entries(p: np.ndarray) -> list[dict]:
+    """Oracle: the nonzero entries with i <= j by a triple loop."""
+    m = p.shape[0]
+    entries = []
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(m):
+                if p[i, j, k] != 0.0:
+                    entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "p": float(p[i, j, k])})
+    return entries

@@ -216,6 +216,14 @@ class TestSolutionsAndRefutation:
         with pytest.raises(InvalidFamily):
             refute_associativity(2, 0.1)
 
+    def test_refutation_family_is_read_as_an_integer(self):
+        rep = refute_associativity(4.0, 0.1)
+        assert type(rep.family) is int and rep == refute_associativity(4, 0.1)
+        assert refute_associativity(np.int64(1), 0.1).family == 1
+        for family in (True, 4.5, "4", None):
+            with pytest.raises(InvalidFamily, match="refutation covers families 1 and 4"):
+                refute_associativity(family, 0.1)
+
     def test_refutation_rejects_bad_step(self):
         with pytest.raises(ParameterOutOfRange):
             refute_associativity(1, 0.0)

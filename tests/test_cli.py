@@ -144,6 +144,13 @@ class TestExitCodes:
                   "--skew", files["skew.json"]])
         assert exc.value.code == 2
 
+    def test_negative_oracle_measures_is_exit_two(self, files, capsys):
+        assert main(["kernel", "oracle", "--op", files["kernel_volterra.json"],
+                     "--measures", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParameterOutOfRange:")
+
     def test_oracle_reports_witness(self, files, capsys):
         assert main(["kernel", "oracle", "--op", files["kernel_generic.json"], "--json"]) == 1
         out = json.loads(capsys.readouterr().out)

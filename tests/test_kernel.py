@@ -5,18 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import rand_kernel, rand_measure, rand_simplex, rand_tensor, rand_volterra_kernel
+from helpers import (
+    rand_kernel,
+    rand_measure,
+    rand_simplex,
+    rand_skew,
+    rand_tensor,
+    rand_volterra_kernel,
+    reference_kernel_oracle,
+    reference_violation_witness,
+)
 from qso import (
+    EPS_VAL,
     DiscreteMeasure,
     FiniteKernel,
     InvalidPoint,
+    ParameterOutOfRange,
     TooLarge,
     apply,
+    from_canonical,
     kernel_apply,
     kernel_is_volterra,
     kernel_volterra_oracle,
     volterra_violation_witness,
 )
+from qso import kernel as kernel_module
 from qso.errors import DimensionMismatch, NotStochastic, NotSymmetric
 
 
@@ -150,3 +163,116 @@ class TestVolterraPredicates:
             mu = rand_measure(rng, n, n_zeros=int(rng.integers(1, n)))
             out = kernel_apply(K, mu)
             assert out.weights[mu.weights == 0.0].sum() <= 1e-12
+
+
+FORBIDDEN_VALUES = (0.0, EPS_VAL / 2, EPS_VAL, 2 * EPS_VAL, 1e-3)
+
+
+def kernel_with_forbidden(rng: np.random.Generator, n: int, rate: float,
+                          values=FORBIDDEN_VALUES) -> FiniteKernel:
+    """Kernel whose forbidden entries are, with probability ``rate``,
+    drawn from ``values``; each row's remaining mass sits on x and y."""
+    q = np.zeros((n, n, n))
+    for x in range(n):
+        for y in range(x, n):
+            for k in range(n):
+                if k not in (x, y) and rng.random() < rate:
+                    q[x, y, k] = values[rng.integers(len(values))]
+            rest = 1.0 - q[x, y].sum()
+            a = rng.uniform(0.2, 0.8) if x != y else 1.0
+            q[x, y, x] += a * rest
+            q[x, y, y] += rest - a * rest
+            q[y, x] = q[x, y]
+    return FiniteKernel(n, q)
+
+
+def near_volterra_kernel(V, x: int, y: int) -> FiniteKernel:
+    """Kernel of V with mass 1e-3 of the pair (x, y) moved onto the last atom."""
+    q = V.p.copy()
+    keep = x if q[x, y, x] >= q[x, y, y] else y
+    for a, b in ((x, y), (y, x)):
+        q[a, b, V.m - 1] = 1e-3
+        q[a, b, keep] -= 1e-3
+    return FiniteKernel(V.m, q)
+
+
+class TestSubsetScanMatchesReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("eps", [EPS_VAL, 0.0])
+    def test_random_forbidden_entries(self, n, eps):
+        rng = np.random.default_rng(700 + n)
+        for rate in (0.0, 0.02, 0.1, 0.5, 1.0) * 4:
+            K = kernel_with_forbidden(rng, n, rate)
+            assert volterra_violation_witness(K, eps) == reference_violation_witness(K, eps)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_volterra_and_near_volterra(self, n):
+        rng = np.random.default_rng(710 + n)
+        V = from_canonical(rand_skew(rng, n))
+        x, y = (int(a) for a in rng.choice(n - 1, size=2, replace=False))
+        for K in (FiniteKernel.from_tensor(V), near_volterra_kernel(V, x, y)):
+            assert volterra_violation_witness(K) == reference_violation_witness(K)
+
+    def test_near_volterra_witness_is_the_last_atom(self):
+        V = from_canonical(rand_skew(np.random.default_rng(720), 10))
+        assert volterra_violation_witness(near_volterra_kernel(V, 2, 5)) == ((10,), 3, 6)
+
+
+class TestSpotCheckMatchesReference:
+    @staticmethod
+    def both(K, seed, **kw):
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kernel_volterra_oracle(K, rng=r1, **kw)
+        want = reference_kernel_oracle(K, rng=r2, **kw)
+        return got, want, r1.bit_generator.state, r2.bit_generator.state
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_verdict_and_rng_state(self, n):
+        rng = np.random.default_rng(730 + n)
+        for trial in range(6):
+            K = rand_volterra_kernel(rng, n) if trial % 3 else rand_kernel(rng, n)
+            for n_measures in (0, 1, 100):
+                got, want, s1, s2 = self.both(K, trial, n_measures=n_measures)
+                assert got == want
+                assert s1 == s2
+
+    def test_chunks_draw_like_one_loop(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_SPOT_CHUNK", 7)
+        K = rand_volterra_kernel(np.random.default_rng(740), 5)
+        for n_measures in (6, 7, 8, 20, 21):
+            got, want, s1, s2 = self.both(K, n_measures, n_measures=n_measures)
+            assert got is want is True
+            assert s1 == s2
+
+    def test_leaking_kernel_that_passes_the_scan(self):
+        # forbidden entries at most eps pass the scan and leak up to n * eps
+        # onto null sets, which the spot check must tolerate
+        rng = np.random.default_rng(741)
+        for n in (3, 5, 8):
+            K = kernel_with_forbidden(rng, n, 1.0, values=(EPS_VAL / 2, EPS_VAL))
+            got, want, s1, s2 = self.both(K, n)
+            assert got is want is True
+            assert s1 == s2
+
+
+class TestEpsAndCountChecks:
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-9, -1.0])
+    def test_witness_rejects_nan_and_negative_eps(self, eps):
+        with pytest.raises(ParameterOutOfRange):
+            volterra_violation_witness(rand_kernel(np.random.default_rng(0), 3), eps)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-9])
+    def test_oracle_rejects_nan_and_negative_eps(self, eps):
+        uniform = FiniteKernel(3, np.full((3, 3, 3), 1.0 / 3.0))
+        with pytest.raises(ParameterOutOfRange):
+            kernel_volterra_oracle(uniform, eps)
+
+    def test_zero_eps_is_the_exact_test(self):
+        assert kernel_volterra_oracle(diagonal_kernel(4), 0.0)
+        assert volterra_violation_witness(diagonal_kernel(4), 0.0) is None
+        K = kernel_with_forbidden(np.random.default_rng(742), 4, 1.0)
+        assert not kernel_volterra_oracle(K, 0.0)
+
+    def test_negative_measure_count_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            kernel_volterra_oracle(diagonal_kernel(3), n_measures=-5)

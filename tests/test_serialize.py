@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_kernel, rand_skew, rand_tensor
+from helpers import (
+    rand_kernel,
+    rand_skew,
+    rand_tensor,
+    rand_volterra_tensor,
+    reference_array_to_entries,
+    reference_dumps,
+)
 from qso import (
     DimensionMismatch,
     InvalidFamily,
@@ -16,6 +26,7 @@ from qso import (
     OpFamilySpec,
     Permutation,
     QsoError,
+    QsoTensor,
     SimplexPoint,
 )
 from qso.kernel import DiscreteMeasure
@@ -53,6 +64,72 @@ class TestDumps:
         values = [1 / 3, 0.1, 1e-17, 123456.789]
         parsed = json.loads(dumps(values))
         assert parsed == values
+
+
+class _List(list):
+    """A list subclass, which takes the emitter's isinstance route."""
+
+
+def _text_or_error(dump, obj):
+    try:
+        return dump(obj)
+    except TypeError as exc:
+        return (TypeError, str(exc))
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf"), 0.1]
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(width=32).map(np.float32),
+    st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)).map(np.float64),
+    st.text(alphabet=st.sampled_from('ab"\\é€😀 \n')),
+    st.text(),
+    st.just(object()),
+)
+_keys = st.one_of(st.text(alphabet=st.sampled_from('ab"\\é')), st.sampled_from([1, True, 1.0]))
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_payloads)
+def test_dumps_matches_reference(obj):
+    assert _text_or_error(dumps, obj) == _text_or_error(reference_dumps, obj)
+
+
+class TestEntriesMatchReference:
+    @pytest.mark.parametrize("m", [2, 3, 7, 12])
+    def test_dense_and_sparse_tensors(self, m):
+        rng = np.random.default_rng(m)
+        for V in (rand_tensor(rng, m), rand_volterra_tensor(rng, m)):
+            got = tensor_to_obj(V)["entries"]
+            assert got == reference_array_to_entries(V.p)
+            assert all(type(e["i"]) is int and type(e["p"]) is float for e in got)
+            assert dumps(got) == reference_dumps(reference_array_to_entries(V.p))
+
+    def test_randomly_zeroed_tensor(self):
+        rng = np.random.default_rng(5)
+        p = rng.random((6, 6, 6)) * (rng.random((6, 6, 6)) < 0.3)
+        p[:, :, 0] += 1e-3  # every slice keeps some mass
+        p = (p + p.transpose(1, 0, 2)) / 2.0
+        p /= p.sum(axis=2, keepdims=True)
+        V = QsoTensor(6, p)
+        assert tensor_to_obj(V)["entries"] == reference_array_to_entries(V.p)
 
 
 class TestTensorFormat:

@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import canonical_image, rand_simplex, rand_skew, rand_tensor, rand_volterra_tensor
+from helpers import (
+    canonical_image,
+    rand_simplex,
+    rand_skew,
+    rand_tensor,
+    rand_volterra_tensor,
+    reference_certificate,
+)
 from qso import (
+    EPS_VAL,
     NotVolterra,
     OpFamilySpec,
     QsoTensor,
@@ -186,3 +194,43 @@ def test_empty_samples_raise_a_typed_error():
     V = rand_tensor(np.random.default_rng(0), 3)
     with pytest.raises(ParameterOutOfRange, match="samples must be nonempty"):
         check_abs_continuity_property(V, [])
+
+
+class TestCertificateMatchesReference:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_random_tensors(self, m):
+        rng = np.random.default_rng(80 + m)
+        for trial in range(6):
+            V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
+            got = volterra_certificate(V)
+            assert got == reference_certificate(V) == is_volterra(V)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("factor", [0.25, 4.0])
+    def test_one_forbidden_entry_outside_the_straddle_band(self, m, factor):
+        rng = np.random.default_rng(90 + m)
+        for _ in range(10):
+            p = rand_volterra_tensor(rng, m).p.copy()
+            k = int(rng.integers(m))
+            i, j = sorted(int(a) for a in rng.choice([c for c in range(m) if c != k], size=2))
+            value = factor * EPS_VAL
+            for a, b in {(i, j), (j, i)}:
+                p[a, b, k] = value
+                p[a, b, i] -= value
+            V = QsoTensor(m, p)
+            got = volterra_certificate(V)
+            assert got == reference_certificate(V) == is_volterra(V) == (factor < 1)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.3, 0.5, 0.7, 1.0, 2.0])
+    def test_large_eps_shrinks_the_probe_supports_alike(self, eps):
+        rng = np.random.default_rng(95)
+        for m in (2, 3, 4):
+            for trial in range(10):
+                V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
+                assert volterra_certificate(V, eps) == reference_certificate(V, eps)
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1e-9])
+    def test_eps_must_be_positive(self, eps):
+        uniform = validate(np.full((3, 3, 3), 1.0 / 3.0))
+        with pytest.raises(ParameterOutOfRange):
+            volterra_certificate(uniform, eps)
