@@ -186,9 +186,10 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     if arr.max() > 1.0 + eps:
         raise NotStochastic(f"coefficient above one: max entry = {arr.max():.6g}")
 
-    asym = np.abs(arr - arr.transpose(1, 0, 2)).max()
-    if mode == "strict" and asym > eps:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {eps:g}")
+    if mode == "strict":
+        asym = np.abs(arr - arr.transpose(1, 0, 2)).max()
+        if asym > eps:
+            raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {eps:g}")
     sym = (arr + arr.transpose(1, 0, 2)) / 2.0
 
     sums = sym.sum(axis=2)

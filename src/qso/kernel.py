@@ -149,7 +149,12 @@ def volterra_violation_witness(
     y. All masses come from one product with the 0/1 subset indicator. In
     exact arithmetic the first violation is a singleton {k}, whose mass is
     q[x, y, k] plus exact zeros, so the product's summation order cannot
-    move it. ``eps`` must be nonnegative; 0 asks for exact zeros.
+    move it and its threshold is exactly eps. A larger A sums |A| entries
+    with rounding: ten copies of 1e-9 add up to more than 10 * 1e-9. Its
+    threshold is raised by a relative 2^-45, more than the rounding error
+    of any sum of at most 12 terms, so a float mass above it means an
+    exact mass above |A| * eps, hence an entry above eps and an earlier
+    singleton hit. ``eps`` must be nonnegative; 0 asks for exact zeros.
     """
     if not eps >= 0:
         raise ParameterOutOfRange(f"eps must be nonnegative, got {eps!r}")
@@ -159,7 +164,8 @@ def volterra_violation_witness(
     masks = np.arange(1, 1 << n)
     inside = (masks[:, None] >> np.arange(n) & 1).astype(bool)  # (2^n - 1, n), row = mask - 1
     mass = (inside.astype(float) @ K.q.reshape(n * n, n).T).reshape(-1, n, n)
-    threshold = inside.sum(axis=1) * eps
+    size = inside.sum(axis=1)
+    threshold = size * eps * np.where(size > 1, 1.0 + 2.0**-45, 1.0)
     outside = ~inside
     hits = mass > threshold[:, None, None]
     hits &= outside[:, :, None]

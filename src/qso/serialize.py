@@ -13,18 +13,25 @@ All index fields in payloads are 1-based. Formats:
 * permutation: {"sigma": [2, 3, 1]}     (images of 1..m)
 
 ``dumps`` renders with sorted keys and floats at 17 significant digits so
-identical inputs always produce byte-identical output.
+identical inputs always produce byte-identical output. An entry list (a
+list of plain dicts sharing one set of str keys, each key holding only
+ints or only floats) is written with one ``%`` format over its columns;
+``_entries_to_array`` reads a well-formed entry list column by column and
+falls back to the per-entry loop, the only source of its error messages,
+for anything its bulk checks refuse.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, as_integer, validate
-from .errors import DimensionMismatch, NotStochastic, QsoError
+from .errors import DimensionMismatch, InvalidSkew, NotStochastic, QsoError
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -40,13 +47,49 @@ def _fmt_str(s: str) -> str:
     return f'"{s}"'
 
 
+# row template field for each exact column type; "%.17g" % x and
+# format(x, ".17g") are the same conversion, as are "%d" % n and str(n)
+_COLUMN_FORMATS = {int: "%d", float: "%.17g"}
+
+
+def _dumps_records(rows: list) -> str | None:
+    """A list of records in one ``%`` format, or None if it is not one.
+
+    A record list is non-empty, its items are exact dicts with the same
+    exact-str keys, and each key's values are all exact ints or all exact
+    floats. One row template (keys sorted and escaped, ``%`` doubled) is
+    repeated and filled from the flattened columns.
+    """
+    if not rows or set(map(type, rows)) != {dict}:
+        return None
+    first = rows[0]
+    if not all(type(k) is str for k in first) or set(map(len, rows)) != {len(first)}:
+        return None
+    fields = []
+    columns = []
+    try:
+        for key in sorted(first):
+            column = list(map(itemgetter(key), rows))
+            types = set(map(type, column))
+            if len(types) != 1 or (spec := _COLUMN_FORMATS.get(types.pop())) is None:
+                return None
+            fields.append(_fmt_str(key).replace("%", "%%") + ":" + spec)
+            columns.append(column)
+    except KeyError:  # a row lacks a key of the first row
+        return None
+    row = "{" + ",".join(fields) + "}"
+    text = ",".join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+    return "[" + text + "]"
+
+
 def dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
     An exact float, int or str (also as a dict key) is written straight
-    from its type; everything else, numpy scalars and subclasses included,
-    goes through the ``isinstance`` chain, which gives those three the
-    same text.
+    from its type, and an exact list of records (see ``_dumps_records``)
+    with one ``%`` format; any other list, and everything else, numpy
+    scalars and subclasses included, goes through the ``isinstance``
+    chain, which gives all of these the same text.
     """
     t = type(obj)
     if t is float:
@@ -55,6 +98,8 @@ def dumps(obj: Any) -> str:
         return str(obj)
     if t is str:
         return _fmt_str(obj)
+    if t is list and (text := _dumps_records(obj)) is not None:
+        return text
     if isinstance(obj, dict):
         return "{" + ",".join([
             f"{_fmt_str(k) if type(k) is str else dumps(str(k))}:{dumps(v)}"
@@ -91,14 +136,56 @@ def _dimension(obj: dict, key: str, payload: str) -> int:
     return m
 
 
+# entry lists shorter than this are read by the per-entry loop: below it the
+# bulk path's fixed numpy cost outweighs what it saves per entry
+_BULK_MIN_ENTRIES = 64
+
+
+def _bulk_entries_to_array(m: int, entries) -> np.ndarray | None:
+    """The array of a well-formed entry list, or None to leave it to the loop.
+
+    Well formed means: exact-int indices with 1 <= i <= j <= m and
+    1 <= k <= m, values that ``float`` takes, no (i, j, k) twice, and at
+    least one entry per slice i <= j. The loop judges everything else and
+    words every error, so an error names the first bad entry in list order.
+    Lists shorter than ``_BULK_MIN_ENTRIES`` go to the loop, which is the
+    faster of the two there.
+    """
+    n = len(entries)
+    if n < max(m * (m + 1) // 2, _BULK_MIN_ENTRIES):
+        return None
+    try:
+        columns = [list(map(itemgetter(key), entries)) for key in "ijk"]
+        if any(set(map(type, column)) != {int} for column in columns):
+            return None
+        i, j, k = (np.array(column, dtype=np.int64) - 1 for column in columns)
+        values = np.fromiter(map(float, map(itemgetter("p"), entries)), dtype=float, count=n)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    # with i <= j throughout, min(i) >= 1 and max(j) <= m bound i and j
+    if i.min() < 0 or j.max() >= m or k.min() < 0 or k.max() >= m or (i > j).any():
+        return None
+    upper = (i * m + j) * m + k
+    ordered = np.sort(upper)  # np.unique would import numpy.ma (~1 MB) on first use
+    if (ordered[1:] == ordered[:-1]).any():  # an (i, j, k) twice
+        return None
+    p = np.zeros(m**3)
+    p[upper] = values
+    p[(j * m + i) * m + k] = values
+    return p.reshape(m, m, m)
+
+
 def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     if not isinstance(entries, (list, tuple)):
         raise QsoError(f"{payload} entries must be a list, got {type(entries).__name__}")
+    p = _bulk_entries_to_array(m, entries)
+    if p is not None:
+        return p
     values = {}
     for ent in entries:
         try:
             i, j, k, v = ent["i"], ent["j"], ent["k"], float(ent["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
         if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
             i, j, k = as_integer(i), as_integer(j), as_integer(k)
@@ -178,7 +265,12 @@ def skew_to_obj(a: SkewMatrix) -> dict:
 
 def skew_from_obj(obj: dict) -> SkewMatrix:
     m = _dimension(obj, "m", "skew matrix")
-    return SkewMatrix(m, np.asarray(_require(obj, "a", "skew matrix"), dtype=float))
+    rows = _require(obj, "a", "skew matrix")
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSkew(f"skew matrix a must be a matrix of numbers: {exc}") from exc
+    return SkewMatrix(m, a)
 
 
 def spec_to_obj(spec: OpFamilySpec) -> dict:

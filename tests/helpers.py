@@ -16,7 +16,9 @@ from qso import (
     EPS_VAL,
     DiscreteMeasure,
     FiniteKernel,
+    NotStochastic,
     OpFamilySpec,
+    QsoError,
     QsoTensor,
     RefutationReport,
     SimplexPoint,
@@ -32,6 +34,7 @@ from qso import (
     support,
     validate,
 )
+from qso.core import as_integer
 
 
 def rand_simplex(rng: np.random.Generator, m: int, n_zeros: int = 0) -> SimplexPoint:
@@ -311,3 +314,41 @@ def reference_array_to_entries(p: np.ndarray) -> list[dict]:
                 if p[i, j, k] != 0.0:
                     entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "p": float(p[i, j, k])})
     return entries
+
+
+def reference_entries_to_array(m: int, entries, payload: str) -> np.ndarray:
+    """Oracle: an entry payload read one entry at a time.
+
+    This is the per-entry loop of ``serialize._entries_to_array``, the one
+    place its error messages are worded.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise QsoError(f"{payload} entries must be a list, got {type(entries).__name__}")
+    values = {}
+    for ent in entries:
+        try:
+            i, j, k, v = ent["i"], ent["j"], ent["k"], float(ent["p"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
+        if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
+            i, j, k = as_integer(i), as_integer(j), as_integer(k)
+            if None in (i, j, k):
+                raise QsoError(f"bad {payload} entry {ent!r}: indices must be integers")
+        if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
+            raise QsoError(f"{payload} entry indices {(i, j, k)} outside 1..{m}")
+        if i > j:
+            raise QsoError(f"{payload} entries must have i <= j, got {(i, j, k)}")
+        if (i, j, k) in values:
+            raise QsoError(f"duplicate {payload} entry for {(i, j, k)}")
+        values[i, j, k] = v
+    need = m * (m + 1) // 2
+    if len(values) < need:
+        raise NotStochastic(
+            f"{payload} lists {len(values)} entries, fewer than the {need} slices i <= j "
+            f"of size {m}"
+        )
+    p = np.zeros((m, m, m))
+    for (i, j, k), v in values.items():
+        p[i - 1, j - 1, k - 1] = v
+        p[j - 1, i - 1, k - 1] = v
+    return p

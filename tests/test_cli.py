@@ -41,6 +41,13 @@ def files(tmp_path):
     return paths
 
 
+def _entries_with_huge_p(m: int) -> list[dict]:
+    """Entries of the uniform size-m operator, the last with a 401-digit p."""
+    entries = tensor_to_obj(validate(np.ones((m, m, m)), mode="normalize"))["entries"]
+    entries[-1]["p"] = 10**400
+    return entries
+
+
 # one row per subcommand: (argv builder, expected exit code)
 MATRIX = [
     (lambda f: ["validate", "--op", f["v2.json"]], 0),
@@ -249,6 +256,26 @@ class TestMalformedIntegers:
         assert main(["validate", "--op", str(bad)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: QsoError: bad tensor entry")
+
+    @pytest.mark.parametrize("argv,payload,error", [
+        (["validate", "--op"], {"m": 2, "entries": _entries_with_huge_p(2)},
+         "QsoError: bad tensor entry"),
+        (["validate", "--op"], {"m": 6, "entries": _entries_with_huge_p(6)},
+         "QsoError: bad tensor entry"),
+        (["kernel", "check", "--op"], {"n": 2, "q": _entries_with_huge_p(2)},
+         "QsoError: bad kernel entry"),
+        (["volterra", "canonical", "--skew"], {"m": 2, "a": [[0, 10**400], [-1, 0]]},
+         "InvalidSkew: skew matrix a must be a matrix of numbers"),
+    ])
+    def test_huge_integer_coefficient_is_exit_two(self, tmp_path, capsys, argv, payload, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}")
+        assert "int too large to convert to float" in lines[0]
 
 
 @pytest.mark.parametrize("step,error", [

@@ -218,6 +218,27 @@ class TestSubsetScanMatchesReference:
         assert volterra_violation_witness(near_volterra_kernel(V, 2, 5)) == ((10,), 3, 6)
 
 
+class TestWitnessAgreesWithEntrywiseTest:
+    """A sum of |A| entries at eps may round above |A| * eps; no verdict may."""
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_every_forbidden_entry_at_eps(self, n):
+        K = kernel_with_forbidden(np.random.default_rng(750 + n), n, 1.0, values=(EPS_VAL,))
+        assert kernel_is_volterra(K)
+        assert volterra_violation_witness(K) is None
+        assert kernel_volterra_oracle(K)
+
+    @pytest.mark.parametrize("n", [3, 11, 12])
+    def test_one_entry_just_above_eps_is_a_singleton_witness(self, n):
+        K = kernel_with_forbidden(np.random.default_rng(760 + n), n, 1.0, values=(EPS_VAL,))
+        q = K.q.copy()
+        q[0, 1, n - 1] = q[1, 0, n - 1] = np.nextafter(EPS_VAL, 1.0)
+        K = FiniteKernel(n, q)
+        assert not kernel_is_volterra(K)
+        assert volterra_violation_witness(K) == ((n,), 1, 2)
+        assert not kernel_volterra_oracle(K)
+
+
 class TestSpotCheckMatchesReference:
     @staticmethod
     def both(K, seed, **kw):

@@ -17,11 +17,13 @@ from helpers import (
     rand_volterra_tensor,
     reference_array_to_entries,
     reference_dumps,
+    reference_entries_to_array,
 )
 from qso import (
     DimensionMismatch,
     InvalidFamily,
     InvalidPermutation,
+    InvalidSkew,
     NotStochastic,
     OpFamilySpec,
     Permutation,
@@ -31,6 +33,9 @@ from qso import (
 )
 from qso.kernel import DiscreteMeasure
 from qso.serialize import (
+    _BULK_MIN_ENTRIES,
+    _bulk_entries_to_array,
+    _entries_to_array,
     dumps,
     kernel_from_obj,
     kernel_to_obj,
@@ -106,10 +111,112 @@ _payloads = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(_payloads)
+# keys that a row template must escape ('"', '\\') or double ('%')
+_RECORD_KEYS = ["i", "p", "%", "%d", "%%s", '"', "\\", 'a"%b\\']
+_COLUMNS = {
+    "int": st.integers(),
+    "float": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    "bool": st.booleans(),
+    "np.float64": st.floats().map(np.float64),
+}
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of dicts with shared keys, some broken in one row."""
+    keys = draw(st.lists(st.sampled_from(_RECORD_KEYS), unique=True, max_size=4))
+    kinds = [draw(st.sampled_from(sorted(_COLUMNS))) for _ in keys]
+    rows = [
+        {key: draw(_COLUMNS[kind]) for key, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        change = draw(st.sampled_from(["none", "missing", "extra", "renamed", "retyped",
+                                       "ordered"]))
+        if change in ("missing", "renamed") and keys:
+            del row[keys[0]]
+        if change in ("extra", "renamed"):
+            row["%x"] = 1
+        if change == "retyped" and keys:
+            row[keys[0]] = draw(st.one_of(*_COLUMNS.values()))
+        if change == "ordered":
+            rows[rows.index(row)] = OrderedDict(row)
+    return rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_payloads, _record_lists()))
 def test_dumps_matches_reference(obj):
     assert _text_or_error(dumps, obj) == _text_or_error(reference_dumps, obj)
+
+
+def _array_or_error(read, m, entries, payload):
+    try:
+        p = read(m, entries, payload)
+    except Exception as exc:  # the error's type and message are the result
+        return (type(exc), str(exc))
+    return (p.shape, p.dtype, p.tobytes())
+
+
+def _dense_entries(m: int) -> list[dict]:
+    return [
+        {"i": i, "j": j, "k": k, "p": 1.0 / m}
+        for i in range(1, m + 1) for j in range(i, m + 1) for k in range(1, m + 1)
+    ]
+
+
+_ODD_FIELDS = [1.0, 2.7, True, False, "0.5", "x", None, 10**400, -(10**400), float("nan"), -0.0]
+
+
+@st.composite
+def _entry_payloads(draw):
+    """Tensor and kernel entry lists, dense or thinned, some broken."""
+    # 5 and 6 give dense lists long enough for the bulk path
+    m = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.sampled_from([5, 6])))
+    rnd = draw(st.randoms(use_true_random=False))
+    keep = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    entries = [dict(ent, p=rnd.random()) for ent in _dense_entries(m) if rnd.random() < keep]
+    if draw(st.booleans()):
+        rnd.shuffle(entries)
+    edits = st.tuples(
+        st.sampled_from(["set", "delete", "duplicate", "swap", "cut"]),
+        st.integers(0, 10**6),
+        st.sampled_from("ijkp"),
+        st.one_of(st.sampled_from([-1, 0, 1, m, m + 1]), st.sampled_from(_ODD_FIELDS)),
+    )
+    for edit, at, key, value in draw(st.lists(edits, max_size=3)):
+        if not entries:
+            break
+        at %= len(entries)
+        ent = dict(entries[at])
+        if edit == "set":
+            ent[key] = value
+        elif edit == "delete":
+            ent.pop(key, None)
+        elif edit == "duplicate":
+            entries.insert(at, dict(ent))
+        elif edit == "swap":
+            ent["i"], ent["j"] = ent.get("j"), ent.get("i")
+        else:
+            entries = entries[:at]
+            continue
+        entries[at] = ent
+    if draw(st.booleans()):
+        entries = tuple(entries)
+    return m, entries, draw(st.sampled_from(["tensor", "kernel"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_entry_payloads())
+def test_entries_match_reference(case):
+    """The bulk path and the loop give the loop's array bits or its error."""
+    want = _array_or_error(reference_entries_to_array, *case)
+    assert _array_or_error(_entries_to_array, *case) == want
+    m, entries, _ = case
+    exact_indices = all(type(e.get(key)) is int for e in entries for key in "ijk")
+    if len(entries) >= _BULK_MIN_ENTRIES and exact_indices and type(want[0]) is tuple:
+        assert _bulk_entries_to_array(m, entries) is not None
 
 
 class TestEntriesMatchReference:
@@ -130,6 +237,62 @@ class TestEntriesMatchReference:
         p /= p.sum(axis=2, keepdims=True)
         V = QsoTensor(6, p)
         assert tensor_to_obj(V)["entries"] == reference_array_to_entries(V.p)
+
+
+# one fault each in a bulk-sized m = 6 list; entry 6 is (1, 2, 1), and
+# (1, 1, 0) would index one cell before the array's first
+_ENTRY_EDITS = {
+    "i > j": lambda e: e[6].update(i=2, j=1),
+    "i zero": lambda e: e[6].update(i=0),
+    "j above m": lambda e: e[6].update(j=7),
+    "k zero": lambda e: e[0].update(k=0),
+    "k above m": lambda e: e[6].update(k=7),
+    "huge index": lambda e: e[6].update(k=10**400),
+    "fractional index": lambda e: e[6].update(i=2.7),
+    "bool index": lambda e: e[6].update(k=True),
+    "integral float index": lambda e: e[6].update(i=1.0),
+    "duplicate": lambda e: e.append(dict(e[6])),
+    "missing p": lambda e: e[6].pop("p"),
+    "p None": lambda e: e[6].update(p=None),
+    "p text": lambda e: e[6].update(p="x"),
+    "p numeric text": lambda e: e[6].update(p="0.5"),
+    "p huge": lambda e: e[6].update(p=10**400),
+    "not a dict": lambda e: e.__setitem__(6, [1, 2, 1, 0.5]),
+}
+
+
+class TestBulkEntries:
+    @pytest.mark.parametrize("edit", sorted(_ENTRY_EDITS))
+    def test_each_fault_matches_the_loop(self, edit):
+        entries = _dense_entries(6)
+        _ENTRY_EDITS[edit](entries)
+        got = _array_or_error(_entries_to_array, 6, entries, "tensor")
+        assert got == _array_or_error(reference_entries_to_array, 6, entries, "tensor")
+
+    def test_fewer_entries_than_slices_above_the_cutover(self):
+        # m = 12 has 78 slices i <= j; 70 distinct entries cannot cover them
+        entries = _dense_entries(12)[:70]
+        assert _BULK_MIN_ENTRIES <= 70
+        with pytest.raises(NotStochastic, match="70 entries, fewer than the 78 slices"):
+            _entries_to_array(12, entries, "tensor")
+
+    @pytest.mark.parametrize("m", [5, 30])
+    def test_dense_payload_takes_the_bulk_path(self, m):
+        V = rand_tensor(np.random.default_rng(m), m)
+        entries = json.loads(dumps(tensor_to_obj(V)))["entries"]
+        p = _bulk_entries_to_array(m, entries)
+        assert p is not None
+        assert p.tobytes() == reference_entries_to_array(m, entries, "tensor").tobytes()
+        assert np.array_equal(tensor_from_obj({"m": m, "entries": entries}).p, V.p)
+
+    def test_huge_integer_is_a_typed_error_on_both_paths(self):
+        for m in (2, 6):
+            obj = tensor_to_obj(rand_tensor(np.random.default_rng(m), m))
+            obj["entries"][-1]["p"] = 10**400
+            with pytest.raises(QsoError, match="int too large to convert to float"):
+                tensor_from_obj(obj)
+            with pytest.raises(QsoError, match="int too large to convert to float"):
+                kernel_from_obj({"n": m, "q": obj["entries"]})
 
 
 class TestTensorFormat:
@@ -221,6 +384,11 @@ class TestPayloadSizeChecks:
     def test_entries_must_be_a_list(self):
         with pytest.raises(QsoError, match="must be a list"):
             tensor_from_obj({"m": 2, "entries": 5})
+
+    @pytest.mark.parametrize("a", [[[0, 10**400], [-1, 0]], [[0, "x"], [-1, 0]], [[0, 1], [-1]]])
+    def test_skew_entries_must_be_numbers(self, a):
+        with pytest.raises(InvalidSkew, match="matrix of numbers"):
+            skew_from_obj({"m": 2, "a": a})
 
     def test_skew_m_must_be_integral(self):
         with pytest.raises(DimensionMismatch, match="nonnegative integer"):
