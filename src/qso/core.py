@@ -100,6 +100,17 @@ class SimplexPoint:
     def __init__(self, coords, *, eps: float = EPS_VAL):
         object.__setattr__(self, "coords", _clean_prob_vector(coords, eps, "simplex point"))
 
+    @classmethod
+    def _trusted(cls, coords: np.ndarray) -> "SimplexPoint":
+        """Wrap a float vector the caller has already cleaned, without re-checking it.
+
+        The caller gives up ``coords``: it is made read-only, not copied.
+        """
+        coords.flags.writeable = False
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "coords", coords)
+        return pt
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SimplexPoint is immutable")
 

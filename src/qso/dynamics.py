@@ -12,13 +12,19 @@ from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import QsoTensor, SimplexPoint, apply
-from .errors import DimensionMismatch, ParameterOutOfRange
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _clean_prob_vector, apply, as_integer
+from .errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 CYCLE_WINDOW = 64
+# stop-scan chunks grow from _CHUNK_FIRST to _CHUNK_MAX steps; one chunk's
+# (step, lag) table holds at most _SCAN_ELEMENTS entries
+_CHUNK_FIRST = 4
+_CHUNK_MAX = 64
+_SCAN_ELEMENTS = 1 << 16
 
 STATUS_CONVERGED = "converged"
 STATUS_CYCLE = "cycle"
@@ -45,6 +51,32 @@ class Trajectory:
         return self.status
 
 
+def _check_tol(tol) -> None:
+    if not tol > 0:
+        raise ParameterOutOfRange(f"tol must be positive, got {tol!r}")
+
+
+def _integer(name: str, value) -> int:
+    n = as_integer(value)
+    if n is None:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+    return n
+
+
+def _image(p: np.ndarray, x: np.ndarray, nonneg: bool) -> np.ndarray:
+    """The coordinates of ``apply`` of x, bit for bit.
+
+    With ``nonneg`` (every coefficient >= 0) the image has no negative entry
+    to clamp, so a finite sum within ``EPS_VAL`` of one only needs the division.
+    """
+    out = np.einsum("ijk,i,j->k", p, x, x)
+    total = out.sum()
+    if nonneg and abs(total - 1.0) <= EPS_VAL:  # false for a non-finite sum
+        out /= total
+        return out
+    return _clean_prob_vector(out, EPS_VAL, "simplex point")
+
+
 def iterate(
     V: QsoTensor,
     x0: SimplexPoint,
@@ -55,41 +87,88 @@ def iterate(
 ) -> Trajectory:
     """Iterate the operator from x0 until convergence, a cycle, or the budget.
 
-    Each new point is compared, in one vectorized max-norm test, against
-    the last ``window`` points, which are kept in a ``(window, m)`` ring
-    buffer. The smallest matching lag decides: lag 1 (two consecutive
-    points within ``tol``) is convergence, and a lag L >= 2 is a cycle of
-    length L. With ``window <= 1`` only convergence is detected.
+    Each new point x_t is compared in max norm against the last ``window``
+    points. The smallest lag L with ``|x_t - x_{t-L}| <= tol`` decides: lag
+    1 is convergence, and a lag L >= 2 is a cycle of length L. With
+    ``window <= 1`` only convergence is detected.
+
+    Every point is ``apply`` of the one before, bit for bit: the same einsum,
+    then the division by its sum. When every coefficient is >= 0 (checked
+    once), every einsum term is >= 0 because points are, so no image has a
+    negative entry to clamp; an image whose sum is non-finite or off by more
+    than ``EPS_VAL``, and every image of an operator with a negative
+    coefficient, goes through the full point check instead, which raises
+    ``InvalidPoint`` at the same step ``apply`` would.
+
+    Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
+    64 steps, so an orbit that stops at step t computes at most 2t + 8
+    images. A chunk's points follow the last ``window`` points in one
+    buffer, one column per point; a sliding-window view of it lines every
+    step of the chunk up with its lags. The (step, lag) match table is
+    built one coordinate at a time and left early once no pair is within
+    ``tol``. Its first row with a match is the stop, its smallest lag there
+    the cycle length, and the images past it are dropped. An error inside
+    a chunk is raised only if no step before it stops.
     """
+    max_iter = _integer("max_iter", max_iter)
     if max_iter < 1:
         raise ParameterOutOfRange(f"max_iter must be at least 1, got {max_iter}")
-    if not tol > 0:
-        raise ParameterOutOfRange(f"tol must be positive, got {tol!r}")
+    window = _integer("window", window)
+    _check_tol(tol)
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
+    p = V.p
+    nonneg = p.min() >= 0  # NaN coefficients fail this too
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
-    ring = np.empty((size, V.m))
-    ring[0] = x0.coords
-    lags = np.arange(1, size + 1)
+    cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
+    # one column per point: columns [0, size) hold the points before the
+    # chunk, oldest first; NaN columns stand for steps before 0 and never match
+    buf = np.full((V.m, size + cap), np.nan)
+    buf[:, size - 1] = x0.coords
+    # back[k, r, q] is coordinate k of the point size - q steps before chunk column r
+    back = sliding_window_view(buf, size, axis=1)
     points = [x0]
-    for t in range(1, max_iter + 1):
-        nxt = apply(V, points[-1])
-        points.append(nxt)
-        # rows of points t-1, t-2, ..., t-L in lag order, so the first hit is the smallest lag
-        rows = (t - lags[: min(size, t)]) % size
-        hits = np.flatnonzero(np.abs(ring[rows] - nxt.coords).max(axis=1) <= tol)
+    x = x0.coords
+    t0, chunk = 1, min(_CHUNK_FIRST, cap)
+    while t0 <= max_iter:
+        new, error = [], None
+        for r in range(min(chunk, max_iter - t0 + 1)):
+            try:
+                x = _image(p, x, nonneg)
+            except InvalidPoint as exc:
+                error = exc
+                break
+            buf[:, size + r] = x
+            new.append(x)
+        n = len(new)
+        # |x_t - x_{t-L}| <= tol in max norm, one coordinate at a time,
+        # stopping early once no (step, lag) pair is left
+        near = np.abs(back[0, :n] - buf[0, size:size + n, None]) <= tol
+        for k in range(1, V.m):
+            if not near.any():
+                break
+            near &= np.abs(back[k, :n] - buf[k, size:size + n, None]) <= tol
+        hits = np.flatnonzero(near.any(axis=1))
         if hits.size:
-            lag = int(hits[0]) + 1
+            r = int(hits[0])
+            points.extend(map(SimplexPoint._trusted, new[: r + 1]))
+            lag = size - int(np.flatnonzero(near[r])[-1])
             if lag == 1:
-                return Trajectory(points, STATUS_CONVERGED, None, t)
-            return Trajectory(points, STATUS_CYCLE, lag, t)
-        ring[t % size] = nxt.coords
+                return Trajectory(points, STATUS_CONVERGED, None, t0 + r)
+            return Trajectory(points, STATUS_CYCLE, lag, t0 + r)
+        if error is not None:
+            raise error
+        points.extend(map(SimplexPoint._trusted, new))
+        buf[:, :size] = buf[:, n:n + size]
+        t0 += n
+        chunk = min(2 * chunk, cap)
     return Trajectory(points, STATUS_BUDGET, None, max_iter)
 
 
 def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozenset:
     """Labels (1-based) of the vertices fixed by the operator within ``tol``."""
+    _check_tol(tol)
     fixed = set()
     for k in range(1, V.m + 1):
         e = SimplexPoint.vertex(V.m, k)

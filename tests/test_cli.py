@@ -124,6 +124,14 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_bad_fixed_points_tolerance_is_exit_two(self, files, capsys, value):
+        assert main(["dyn", "fixed-points", "--op", files["v2.json"], "--tol", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
+
     @pytest.mark.parametrize("payload", ['{"m": -1}', '{"m": 2.7}', '{"m": 100000}'])
     def test_bad_tensor_size_is_exit_two(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from helpers import rand_simplex, rand_skew, rand_tensor, rand_volterra_tensor, 
 from qso import (
     OpFamilySpec,
     Permutation,
+    QsoTensor,
     SimplexPoint,
     SkewMatrix,
     apply,
@@ -24,7 +25,8 @@ from qso import (
     validate,
     write_trajectory_csv,
 )
-from qso.errors import DimensionMismatch, ParameterOutOfRange
+from qso import dynamics
+from qso.errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 
 def rock_paper_scissors() -> np.ndarray:
@@ -116,9 +118,24 @@ class TestIterate:
         V = rand_tensor(np.random.default_rng(0), 3)
         x0 = SimplexPoint.barycenter(3)
         for kwargs in ({"max_iter": 0}, {"max_iter": -5}, {"tol": 0.0}, {"tol": -1.0},
-                       {"tol": float("nan")}):
+                       {"tol": float("nan")}, {"max_iter": 2.5}, {"max_iter": True},
+                       {"max_iter": None}, {"max_iter": "10"}, {"window": 2.5},
+                       {"window": None}, {"window": False}):
             with pytest.raises(ParameterOutOfRange):
                 iterate(V, x0, **kwargs)
+
+    def test_integral_floats_and_negative_window_are_accepted(self):
+        V = rock_paper_scissors()
+        x0 = SimplexPoint([0.5, 0.3, 0.2])
+        traj = iterate(V, x0, max_iter=np.int64(7), window=-3)
+        assert (traj.status, traj.iterations, len(traj.points)) == ("budget_exhausted", 7, 8)
+        assert type(traj.iterations) is int
+        assert iterate(V, x0, max_iter=7.0).iterations == 7
+        # a negative window detects convergence only, as window 0 and 1 do
+        swap = op_family(OpFamilySpec(1, 0.5, 0.5, 0.5))
+        start = SimplexPoint([0.7, 0.1, 0.2])
+        assert iterate(swap, start, max_iter=40, window=-1).status == "budget_exhausted"
+        assert iterate(swap, start, max_iter=40).status == "cycle"
 
 
 HETEROCLINIC = from_canonical(
@@ -176,7 +193,185 @@ class TestIterateMatchesReference:
         assert (ref.status, ref.cycle_length, ref.iterations) == ("cycle", 2, t)
 
 
+def dominant_species(m: int, c: float = 0.02) -> QsoTensor:
+    """Volterra operator in which species 1 beats every other species by c.
+
+    From a start with x_1 > 1/2 every coordinate moves monotonically and the
+    step gaps max|x_t - x_{t-1}| fall strictly, so any step can be made the
+    stop step by choosing tol.
+    """
+    a = np.zeros((m, m))
+    a[0, 1:], a[1:, 0] = c, -c
+    return from_canonical(SkewMatrix(m, a))
+
+
+def dominant_start(m: int) -> SimplexPoint:
+    x = np.full(m, 0.4 / (m - 1))
+    x[0] = 0.6
+    return SimplexPoint(x)
+
+
+def stop_tolerances(V, x0, window: int, horizon: int) -> dict:
+    """{t: tol} for the steps t at which ``iterate(..., tol)`` stops.
+
+    D_t, the smallest max-norm distance from x_t to the points within the
+    lag window, stops the orbit at t with tol = D_t when it is below every
+    earlier D_s.
+    """
+    pts = np.array([pt.coords for pt in reference_iterate(V, x0, horizon, 0.0, window=0).points])
+    tols, best = {}, np.inf
+    for t in range(1, len(pts)):
+        back = pts[t - max(1, min(window, t)):t]
+        d = np.abs(back - pts[t]).max(axis=1).min()
+        if 0 < d < best:
+            tols[t] = d
+        best = min(best, d)
+    return tols
+
+
+def assert_same_run(V, x0, budget, tol, window):
+    """iterate and reference_iterate agree bit for bit, or raise the same error."""
+    try:
+        want = reference_iterate(V, x0, budget, tol, window=window)
+    except InvalidPoint as exc:
+        with pytest.raises(InvalidPoint) as got:
+            iterate(V, x0, max_iter=budget, tol=tol, window=window)
+        assert str(got.value) == str(exc)
+        return None
+    got = iterate(V, x0, max_iter=budget, tol=tol, window=window)
+    assert_same_trajectory(got, want)
+    return got
+
+
+def assert_same_trajectory(got, want):
+    assert (got.status, got.cycle_length, got.iterations) == (
+        want.status, want.cycle_length, want.iterations)
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert p.coords.tobytes() == q.coords.tobytes()
+
+
+# chunks of 4, 8, 16, 32, 64, 64, ... steps end at these steps
+CHUNK_EDGES = (4, 12, 28, 60, 124, 188)
+STOP_STEPS = sorted({1, 2} | {e + d for e in CHUNK_EDGES for d in (-1, 0, 1)})
+
+
+class TestChunkedScan:
+    """Stops on, next to and between chunk edges match the per-lag loop."""
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 63, 64, 65, 200])
+    def test_stops_at_chunk_edges(self, window):
+        tols = {}
+        for i, t in enumerate(STOP_STEPS):
+            m = 2 + i % 9
+            V, x0 = dominant_species(m), dominant_start(m)
+            if m not in tols:
+                tols[m] = stop_tolerances(V, x0, window, STOP_STEPS[-1])
+            assert t in tols[m]
+            traj = assert_same_run(V, x0, t + i % 5, tols[m][t], window)
+            assert (traj.status, traj.iterations) == ("converged", t)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 63, 64, 65, 200])
+    def test_budgets_off_the_chunk_grid(self, window):
+        for i, budget in enumerate((1, 2, 3, 5, 11, 13, 29, 61, 126, 190)):
+            m = 2 + i % 9
+            traj = assert_same_run(dominant_species(m), dominant_start(m), budget, 1e-300, window)
+            assert (traj.status, traj.iterations) == ("budget_exhausted", budget)
+
+    def test_cycle_stops(self):
+        rng = np.random.default_rng(87)
+        statuses = set()
+        for family in (1, 4):
+            for _ in range(2):
+                V = op_family(OpFamilySpec(family, *rng.random(3)))
+                x0 = rand_simplex(rng, 3)
+                for window in (2, 65):
+                    for t, tol in stop_tolerances(V, x0, window, 130).items():
+                        if t in STOP_STEPS:
+                            statuses.add(assert_same_run(V, x0, 130, tol, window).status)
+        assert "cycle" in statuses
+
+    def test_small_chunks_match(self, monkeypatch):
+        # a window too wide for a 64-step chunk shrinks the chunk: to one
+        # step, or to 7 steps for window 64
+        for V, x0, budget, tol in reference_cases():
+            for window in (1, 64):
+                want = reference_iterate(V, x0, budget, tol, window=window)
+                for elements in (1, 448):
+                    monkeypatch.setattr(dynamics, "_SCAN_ELEMENTS", elements)
+                    assert_same_trajectory(iterate(V, x0, budget, tol, window=window), want)
+
+    def test_tiny_negative_coefficients_take_the_clamp_path(self):
+        rng = np.random.default_rng(88)
+        for m in range(2, 11):
+            p = from_canonical(rand_skew(rng, m)).p.copy()
+            p[p == 0.0] = -1e-10
+            V = QsoTensor(m, p)
+            x0 = rand_simplex(rng, m, n_zeros=m // 2)
+            traj = assert_same_run(V, x0, 150, 1e-10, 64)
+            # without the clamp the dead coordinates would turn negative
+            assert all(pt.coords.min() >= 0.0 for pt in traj.points)
+            dead = x0.coords == 0.0
+            assert all((pt.coords[dead] == 0.0).all() for pt in traj.points)
+
+    def test_leaving_the_simplex_raises_at_the_same_step(self):
+        rng = np.random.default_rng(89)
+        raised = 0
+        for m in range(2, 11):
+            p = rand_tensor(rng, m).p.copy()
+            i, j = rng.choice(m, 2, replace=False)
+            p[i, j, 0] += 1e-3  # one off-diagonal slice sums past one
+            p[j, i, 0] = p[i, j, 0]
+            x0 = SimplexPoint.vertex(m, int(i) + 1)
+            for budget in (1, 3, 6, 40):
+                raised += assert_same_run(QsoTensor(m, p), x0, budget, 1e-10, 64) is None
+        assert raised
+
+    @staticmethod
+    def _stop_then_leave() -> tuple[QsoTensor, SimplexPoint]:
+        """e1 -> e2 -> (e1 + e2)/2, whose image sums to 1 + 5e-4 at step 3."""
+        p = np.zeros((3, 3, 3))
+        p[0, 0] = [0.0, 1.0, 0.0]
+        p[1, 1] = [0.5, 0.5, 0.0]
+        p[0, 1] = p[1, 0] = [0.5 + 1e-3, 0.5, 0.0]
+        p[2, :] = p[:, 2] = [0.0, 0.0, 1.0]
+        return QsoTensor(3, p), SimplexPoint.vertex(3, 1)
+
+    def test_stop_before_a_failing_step_in_the_same_chunk_wins(self):
+        V, x0 = self._stop_then_leave()
+        traj = assert_same_run(V, x0, 10, 0.9, 64)
+        assert (traj.status, traj.iterations, len(traj.points)) == ("converged", 2, 3)
+        assert assert_same_run(V, x0, 10, 0.1, 64) is None  # no stop first: it raises
+        with pytest.raises(InvalidPoint, match="sums to"):
+            iterate(V, x0, max_iter=10, tol=0.1)
+
+    def test_work_is_bounded_by_twice_the_stop_step(self, monkeypatch):
+        images = []
+        step = dynamics._image
+
+        def counted(*args):
+            images.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, "_image", counted)
+        V, x0 = dominant_species(3), dominant_start(3)
+        for t, tol in stop_tolerances(V, x0, 64, 200).items():
+            images.clear()
+            assert iterate(V, x0, max_iter=10_000, tol=tol).iterations == t
+            assert len(images) <= 2 * t + 8
+        for budget in (1, 5, 13, 100):
+            images.clear()
+            iterate(V, x0, max_iter=budget, tol=1e-300)
+            assert len(images) == budget
+
+
 class TestFixedVertices:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_bad_tolerance_is_a_typed_error(self, tol):
+        V = op_family(OpFamilySpec(1, 0.3, 0.6, 0.9))
+        with pytest.raises(ParameterOutOfRange, match="tol must be positive"):
+            fixed_points_on_vertices(V, tol=tol)
+
     def test_volterra_fixes_all_vertices(self):
         rng = np.random.default_rng(85)
         for m in (2, 3, 4):
