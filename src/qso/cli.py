@@ -81,6 +81,12 @@ def _fmt_point(coords) -> str:
     return "(" + ", ".join(format(c, ".12g") for c in coords) + ")"
 
 
+def _verdict(args, key: str, verdict: bool, label: str | None = None) -> int:
+    """Print ``{key: verdict}`` or ``label: verdict``; the exit code is 0 iff it holds."""
+    _write_or_print(args, {key: verdict}, f"{label or key}: {str(verdict).lower()}")
+    return 0 if verdict else 1
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -131,10 +137,7 @@ def cmd_volterra_canonical(args) -> int:
 
 
 def cmd_volterra_certificate(args) -> int:
-    V = _load_tensor(args)
-    verdict = volterra.volterra_certificate(V)
-    _write_or_print(args, {"certificate": verdict}, f"certificate: {str(verdict).lower()}")
-    return 0 if verdict else 1
+    return _verdict(args, "certificate", volterra.volterra_certificate(_load_tensor(args)))
 
 
 def cmd_op_build(args) -> int:
@@ -145,14 +148,8 @@ def cmd_op_build(args) -> int:
 
 
 def cmd_op_check(args) -> int:
-    V = _load_tensor(args)
-    verdict = orthopreserve.is_orthogonality_preserving(V)
-    _write_or_print(
-        args,
-        {"orthogonality_preserving": verdict},
-        f"orthogonality-preserving: {str(verdict).lower()}",
-    )
-    return 0 if verdict else 1
+    verdict = orthopreserve.is_orthogonality_preserving(_load_tensor(args))
+    return _verdict(args, "orthogonality_preserving", verdict, "orthogonality-preserving")
 
 
 def cmd_op_classify(args) -> int:
@@ -182,10 +179,7 @@ def cmd_op_classes(args) -> int:
 
 
 def cmd_algebra_check(args) -> int:
-    V = _load_tensor(args)
-    verdict = algebra.is_associative(V, eps=args.tol)
-    _write_or_print(args, {"associative": verdict}, f"associative: {str(verdict).lower()}")
-    return 0 if verdict else 1
+    return _verdict(args, "associative", algebra.is_associative(_load_tensor(args), eps=args.tol))
 
 
 def cmd_algebra_residual(args) -> int:
@@ -235,15 +229,13 @@ def cmd_kernel_apply(args) -> int:
     K = serialize.kernel_from_obj(_read_json(args.op))
     mu = kernel.DiscreteMeasure(_parse_floats(args.x0))
     out = kernel.kernel_apply(K, mu)
-    _write_or_print(args, serialize.measure_to_obj(out), f"image: {_fmt_point(out.weights)}")
+    _write_or_print(args, serialize.point_to_obj(out), f"image: {_fmt_point(out.coords)}")
     return 0
 
 
 def cmd_kernel_check(args) -> int:
     K = serialize.kernel_from_obj(_read_json(args.op))
-    verdict = kernel.kernel_is_volterra(K)
-    _write_or_print(args, {"volterra": verdict}, f"volterra: {str(verdict).lower()}")
-    return 0 if verdict else 1
+    return _verdict(args, "volterra", kernel.kernel_is_volterra(K))
 
 
 def cmd_kernel_oracle(args) -> int:
@@ -292,153 +284,90 @@ def cmd_dyn_fixed_points(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="emit deterministic JSON")
-
-
-def _add_op(p, help="operator JSON file ('-' for stdin)"):
-    p.add_argument("--op", required=True, help=help)
+_OP_HELP = "operator JSON file ('-' for stdin)"
+_KERNEL_HELP = "kernel JSON file ('-' for stdin)"
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qso", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    p = sub.add_parser("validate", help="validate a tensor file")
-    _add_op(p)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    def leaf(parent, name, help, func, op=_OP_HELP):
+        """A command parser running ``func``; it requires ``--op`` unless ``op`` is None."""
+        p = parent.add_parser(name, help=help)
+        if op:
+            p.add_argument("--op", required=True, help=op)
+        p.set_defaults(func=func)
+        leaves.append(p)
+        return p
+
+    p = leaf(sub, "validate", "validate a tensor file", cmd_validate)
     p.add_argument("--mode", choices=("strict", "normalize"), default="strict")
-    _add_json(p)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("apply", help="apply an operator to a point")
-    _add_op(p)
+    p = leaf(sub, "apply", "apply an operator to a point", cmd_apply)
     p.add_argument("--x0", required=True, help="comma-separated coordinates")
-    _add_json(p)
-    p.set_defaults(func=cmd_apply)
 
-    vol = sub.add_parser("volterra", help="Volterra detection and canonical form")
-    vsub = vol.add_subparsers(dest="subcommand", required=True)
-
-    p = vsub.add_parser("check", help="entrywise Volterra test")
-    _add_op(p)
+    vsub = group("volterra", "Volterra detection and canonical form")
+    p = leaf(vsub, "check", "entrywise Volterra test", cmd_volterra_check)
     p.add_argument("--samples", type=int, default=0,
                    help="also check V(x) << x on this many random points")
     p.add_argument("--seed", type=int, default=0)
-    _add_json(p)
-    p.set_defaults(func=cmd_volterra_check)
-
-    p = vsub.add_parser("canonical", help="convert between tensor and skew parameters")
+    p = leaf(vsub, "canonical", "convert between tensor and skew parameters",
+             cmd_volterra_canonical, op=None)
     p.add_argument("--op", help="tensor JSON file to convert to skew parameters")
     p.add_argument("--skew", help="skew JSON file to convert to a tensor")
     p.add_argument("--out", help="write result to this file")
-    _add_json(p)
-    p.set_defaults(func=cmd_volterra_canonical)
+    leaf(vsub, "certificate", "finite probe-point Volterra test", cmd_volterra_certificate)
 
-    p = vsub.add_parser("certificate", help="finite probe-point Volterra test")
-    _add_op(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_volterra_certificate)
-
-    op = sub.add_parser("op", help="orthogonality-preserving families")
-    osub = op.add_subparsers(dest="subcommand", required=True)
-
-    p = osub.add_parser("build", help="build a family tensor")
+    osub = group("op", "orthogonality-preserving families")
+    p = leaf(osub, "build", "build a family tensor", cmd_op_build, op=None)
     p.add_argument("--family", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    for name in ("--alpha", "--beta", "--gamma"):
+        p.add_argument(name, type=float, required=True)
     p.add_argument("--out", help="write tensor JSON to this file")
-    _add_json(p)
-    p.set_defaults(func=cmd_op_build)
-
-    p = osub.add_parser("check", help="exact orthogonality-preservation test")
-    _add_op(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_op_check)
-
-    p = osub.add_parser("classify", help="recover (family, alpha, beta, gamma)")
-    _add_op(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_op_classify)
-
-    p = osub.add_parser("conjugate", help="conjugate by a coordinate permutation")
-    _add_op(p)
+    leaf(osub, "check", "exact orthogonality-preservation test", cmd_op_check)
+    leaf(osub, "classify", "recover (family, alpha, beta, gamma)", cmd_op_classify)
+    p = leaf(osub, "conjugate", "conjugate by a coordinate permutation", cmd_op_conjugate)
     p.add_argument("--perm", required=True, help="images of 1..m, e.g. 2,3,1")
     p.add_argument("--out", help="write tensor JSON to this file")
-    _add_json(p)
-    p.set_defaults(func=cmd_op_conjugate)
+    p = leaf(osub, "classes", "conjugacy classes of the six families", cmd_op_classes, op=None)
+    for name, default in (("--alpha", 0.3), ("--beta", 0.6), ("--gamma", 0.9)):
+        p.add_argument(name, type=float, default=default)
 
-    p = osub.add_parser("classes", help="conjugacy classes of the six families")
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--beta", type=float, default=0.6)
-    p.add_argument("--gamma", type=float, default=0.9)
-    _add_json(p)
-    p.set_defaults(func=cmd_op_classes)
-
-    alg = sub.add_parser("algebra", help="induced algebra and associativity")
-    asub = alg.add_subparsers(dest="subcommand", required=True)
-
-    p = asub.add_parser("check", help="associativity on basis triples")
-    _add_op(p)
+    asub = group("algebra", "induced algebra and associativity")
+    p = leaf(asub, "check", "associativity on basis triples", cmd_algebra_check)
     p.add_argument("--tol", type=float, default=algebra.EPS_ASSOC)
-    _add_json(p)
-    p.set_defaults(func=cmd_algebra_check)
-
-    p = asub.add_parser("residual", help="largest associator entry")
-    _add_op(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_algebra_residual)
-
-    p = asub.add_parser("solve-v2", help="associative corners of family 2")
-    _add_json(p)
-    p.set_defaults(func=cmd_algebra_solve_v2)
-
-    p = asub.add_parser("refute", help="grid evidence of non-associativity")
+    leaf(asub, "residual", "largest associator entry", cmd_algebra_residual)
+    leaf(asub, "solve-v2", "associative corners of family 2", cmd_algebra_solve_v2, op=None)
+    p = leaf(asub, "refute", "grid evidence of non-associativity", cmd_algebra_refute, op=None)
     p.add_argument("--family", type=int, required=True, choices=(1, 4))
     p.add_argument("--step", type=float, default=0.05)
-    _add_json(p)
-    p.set_defaults(func=cmd_algebra_refute)
 
-    ker = sub.add_parser("kernel", help="finite measure-kernel operators")
-    ksub = ker.add_subparsers(dest="subcommand", required=True)
-
-    p = ksub.add_parser("apply", help="apply a kernel to a measure")
-    _add_op(p, help="kernel JSON file ('-' for stdin)")
+    ksub = group("kernel", "finite measure-kernel operators")
+    p = leaf(ksub, "apply", "apply a kernel to a measure", cmd_kernel_apply, op=_KERNEL_HELP)
     p.add_argument("--x0", required=True, help="comma-separated weights")
-    _add_json(p)
-    p.set_defaults(func=cmd_kernel_apply)
-
-    p = ksub.add_parser("check", help="entrywise Volterra test for kernels")
-    _add_op(p, help="kernel JSON file ('-' for stdin)")
-    _add_json(p)
-    p.set_defaults(func=cmd_kernel_check)
-
-    p = ksub.add_parser("oracle", help="exhaustive subset Volterra test (n <= 12)")
-    _add_op(p, help="kernel JSON file ('-' for stdin)")
+    leaf(ksub, "check", "entrywise Volterra test for kernels", cmd_kernel_check,
+         op=_KERNEL_HELP)
+    p = leaf(ksub, "oracle", "exhaustive subset Volterra test (n <= 12)", cmd_kernel_oracle,
+             op=_KERNEL_HELP)
     p.add_argument("--measures", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_json(p)
-    p.set_defaults(func=cmd_kernel_oracle)
 
-    dyn = sub.add_parser("dyn", help="trajectory iteration")
-    dsub = dyn.add_subparsers(dest="subcommand", required=True)
-
-    p = dsub.add_parser("iterate", help="iterate from a start point")
-    _add_op(p)
+    dsub = group("dyn", "trajectory iteration")
+    p = leaf(dsub, "iterate", "iterate from a start point", cmd_dyn_iterate)
     p.add_argument("--x0", required=True, help="comma-separated coordinates")
     p.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL)
     p.add_argument("--out", help="write the trajectory CSV to this file")
-    _add_json(p)
-    p.set_defaults(func=cmd_dyn_iterate)
-
-    p = dsub.add_parser("fixed-points", help="vertices fixed by the operator")
-    _add_op(p)
+    p = leaf(dsub, "fixed-points", "vertices fixed by the operator", cmd_dyn_fixed_points)
     p.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL)
-    _add_json(p)
-    p.set_defaults(func=cmd_dyn_fixed_points)
 
+    for p in leaves:  # last, so --json ends every leaf's option list
+        p.add_argument("--json", action="store_true", help="emit deterministic JSON")
     return top
 
 

@@ -4,11 +4,17 @@ Two operators V and W are conjugate when W = T^-1 o V o T for a coordinate
 permutation T. Conjugation amounts to relabeling species, so it preserves
 every structural property studied here (Volterra, orthogonality
 preservation, associativity of the induced algebra).
+
+An OP operator is a vertex permutation sigma applied to a Volterra tensor,
+and conjugating it by T conjugates sigma by T (and relabels the Volterra
+tensor). So two OP families are conjugate iff their permutations are
+conjugate in S_3, i.e. have the same cycle type: the classes are the
+identity {2}, the transpositions {1, 3, 5} and the 3-cycles {4, 6}, read
+off ``FAMILY_VERTEX_IMAGES`` without building a tensor.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,7 +22,7 @@ import numpy as np
 
 from .core import QsoTensor, SimplexPoint, as_integer
 from .errors import DimensionMismatch, InvalidPermutation
-from .orthopreserve import OpFamilySpec, classify_op, op_family
+from .orthopreserve import FAMILY_VERTEX_IMAGES, OpFamilySpec
 
 
 @dataclass(frozen=True)
@@ -87,26 +93,33 @@ def conjugate(V: QsoTensor, perm: Permutation) -> QsoTensor:
     return QsoTensor(V.m, V.p[np.ix_(inv, inv, inv)])
 
 
+def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation with these 1-based images."""
+    lengths, seen = [], set()
+    for start in range(1, len(images) + 1):
+        k, n = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, n = images[k - 1], n + 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths))
+
+
 def conjugacy_classes(
     families: Iterable[int] = range(1, 7),
     params: tuple[float, float, float] = (0.3, 0.6, 0.9),
 ) -> list[frozenset[int]]:
     """Partition the given OP family indices into conjugacy classes.
 
-    Conjugates one member of each family (at ``params``) by all 6
-    coordinate permutations of S_3 and classifies the results; the
-    families reached form the member's orbit, and families with the same
-    orbit form one class. A member's family is read off its vertex
-    permutation alone, and conjugation acts on that permutation by
-    conjugation in S_3, so ``params`` never changes the result.
+    Groups the families by the cycle type of their vertex permutation in
+    ``FAMILY_VERTEX_IMAGES`` (see the module docstring). Each family is
+    still named by ``OpFamilySpec(f, *params)``, so a bad family or
+    parameter raises as it does there; ``params`` never changes the result.
     Classes are returned sorted by their smallest member.
     """
-    classes: dict[frozenset[int], set[int]] = {}
+    classes: dict[tuple[int, ...], set[int]] = {}
     for f in sorted(set(int(f) for f in families)):
-        V = op_family(OpFamilySpec(f, *params))
-        orbit = frozenset(
-            classify_op(conjugate(V, Permutation(sigma))).family
-            for sigma in itertools.permutations(range(3))
-        )
-        classes.setdefault(orbit, set()).add(f)
+        spec = OpFamilySpec(f, *params)
+        classes.setdefault(_cycle_type(FAMILY_VERTEX_IMAGES[spec.family]), set()).add(f)
     return sorted((frozenset(c) for c in classes.values()), key=min)

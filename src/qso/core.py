@@ -81,7 +81,6 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     if abs(total - 1.0) > eps:
         raise InvalidPoint(f"{what} sums to {total!r}, expected 1 within {eps:g}")
     v /= total
-    v.flags.writeable = False
     return v
 
 
@@ -90,15 +89,20 @@ class SimplexPoint:
 
     Construction clamps coordinates in [-eps, 0) to exactly 0 and
     renormalizes the sum, which keeps iterated trajectories inside the
-    simplex under floating-point drift. Instances are immutable.
+    simplex under floating-point drift. Instances are immutable. Error
+    messages name the point by the class's ``_label`` and the repr by the
+    class name, so a subclass only renames.
     """
 
     __slots__ = ("coords",)
 
     coords: np.ndarray
+    _label = "simplex point"
 
     def __init__(self, coords, *, eps: float = EPS_VAL):
-        object.__setattr__(self, "coords", _clean_prob_vector(coords, eps, "simplex point"))
+        coords = _clean_prob_vector(coords, eps, self._label)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def _trusted(cls, coords: np.ndarray) -> "SimplexPoint":
@@ -112,7 +116,7 @@ class SimplexPoint:
         return pt
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SimplexPoint is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def m(self) -> int:
@@ -120,11 +124,14 @@ class SimplexPoint:
 
     @classmethod
     def vertex(cls, m: int, label: int) -> "SimplexPoint":
-        """The vertex e_label of S^{m-1}; ``label`` is 1-based."""
-        if not 1 <= label <= m:
+        """The vertex e_label of S^{m-1}; ``label`` is 1-based and integral."""
+        k = as_integer(label)
+        if k is None:
+            raise DimensionMismatch(f"vertex label must be an integer, got {label!r}")
+        if not 1 <= k <= m:
             raise DimensionMismatch(f"vertex label {label} outside 1..{m}")
         c = np.zeros(m)
-        c[label - 1] = 1.0
+        c[k - 1] = 1.0
         return cls(c)
 
     @classmethod
@@ -133,7 +140,7 @@ class SimplexPoint:
 
     def __repr__(self) -> str:
         inside = ", ".join(format(c, ".6g") for c in self.coords)
-        return f"SimplexPoint([{inside}])"
+        return f"{type(self).__name__}([{inside}])"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -222,12 +229,32 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     return QsoTensor(m, sym)
 
 
+def _image(
+    p: np.ndarray, x: np.ndarray, nonneg: bool = False, eps: float = EPS_VAL,
+    what: str = SimplexPoint._label,
+) -> np.ndarray:
+    """Coordinates of the image of x under the coefficients p, cleaned as a point.
+
+    The one image routine: x'_k = sum_{i,j} p[i, j, k] x_i x_j, then the
+    point check of :class:`SimplexPoint` with label ``what``. With ``nonneg``
+    (every coefficient >= 0, which the caller knows) the image has no
+    negative entry to clamp, so a sum within ``eps`` of one only needs the
+    division, which gives the same bits as the full check.
+    """
+    out = np.einsum("ijk,i,j->k", p, x, x)
+    if nonneg:
+        total = out.sum()
+        if abs(total - 1.0) <= eps:  # false for a non-finite sum
+            out /= total
+            return out
+    return _clean_prob_vector(out, eps, what)
+
+
 def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoint:
     """Image of x under the operator: x'_k = sum_{i,j} p[i, j, k] x_i x_j."""
     if x.m != V.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, operator expects {V.m}")
-    out = np.einsum("ijk,i,j->k", V.p, x.coords, x.coords)
-    return SimplexPoint(out, eps=eps)
+    return SimplexPoint._trusted(_image(V.p, x.coords, False, eps))
 
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:

@@ -14,7 +14,7 @@ from typing import IO, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import EPS_VAL, QsoTensor, SimplexPoint, _clean_prob_vector, apply, as_integer
+from .core import QsoTensor, SimplexPoint, _image, apply, as_integer
 from .errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 DEFAULT_TOL = 1e-10
@@ -63,20 +63,6 @@ def _integer(name: str, value) -> int:
     return n
 
 
-def _image(p: np.ndarray, x: np.ndarray, nonneg: bool) -> np.ndarray:
-    """The coordinates of ``apply`` of x, bit for bit.
-
-    With ``nonneg`` (every coefficient >= 0) the image has no negative entry
-    to clamp, so a finite sum within ``EPS_VAL`` of one only needs the division.
-    """
-    out = np.einsum("ijk,i,j->k", p, x, x)
-    total = out.sum()
-    if nonneg and abs(total - 1.0) <= EPS_VAL:  # false for a non-finite sum
-        out /= total
-        return out
-    return _clean_prob_vector(out, EPS_VAL, "simplex point")
-
-
 def iterate(
     V: QsoTensor,
     x0: SimplexPoint,
@@ -92,13 +78,12 @@ def iterate(
     1 is convergence, and a lag L >= 2 is a cycle of length L. With
     ``window <= 1`` only convergence is detected.
 
-    Every point is ``apply`` of the one before, bit for bit: the same einsum,
-    then the division by its sum. When every coefficient is >= 0 (checked
-    once), every einsum term is >= 0 because points are, so no image has a
-    negative entry to clamp; an image whose sum is non-finite or off by more
-    than ``EPS_VAL``, and every image of an operator with a negative
-    coefficient, goes through the full point check instead, which raises
-    ``InvalidPoint`` at the same step ``apply`` would.
+    Every point is ``apply`` of the one before: both call the one image
+    routine ``core._image``. When every coefficient is >= 0 (checked once)
+    it takes its division-only path, since every einsum term is >= 0
+    because points are; an image that fails it, and every image of an
+    operator with a negative coefficient, gets the full point check, which
+    raises ``InvalidPoint`` at the same step ``apply`` would.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8

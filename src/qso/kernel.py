@@ -15,6 +15,15 @@ measures. The scan gets all 2^n - 1 subset masses q[x, y, A] from one
 (2^n - 1, n) @ (n, n^2) product, i.e. O(2^n * n^3) work and an
 (2^n - 1, n^2) array (4.7 MB at the cap n = 12, hence the small-n
 precondition).
+
+A measure on n atoms is a point of S^{n-1} and a kernel is a QSO on it,
+so this module reuses the core definitions: :class:`DiscreteMeasure` is a
+:class:`~qso.core.SimplexPoint`, :func:`kernel_apply` computes its image
+with the routine behind :func:`~qso.core.apply`, and
+:func:`kernel_is_volterra` reads the forbidden-entry maximum of
+:func:`~qso.volterra.is_volterra`. :class:`FiniteKernel` keeps its own
+validation: it accepts a single atom, which a QSO tensor does not, and
+words its errors for kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, _clean_prob_vector
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _image
 from .errors import (
     DimensionMismatch,
     NegativeCoefficient,
@@ -32,45 +41,37 @@ from .errors import (
     ParameterOutOfRange,
     TooLarge,
 )
+from .volterra import _forbidden_max
 
 _ORACLE_MAX_ATOMS = 12
 # random measures evaluated per batch by the oracle's spot check
 _SPOT_CHUNK = 4096
 
 
-class DiscreteMeasure:
+class DiscreteMeasure(SimplexPoint):
     """A probability measure on n atoms, stored as a weight vector.
 
-    Construction clamps noise-level negatives and renormalizes, exactly
-    like :class:`~qso.core.SimplexPoint`.
+    It is a :class:`~qso.core.SimplexPoint` that only adds the names
+    ``weights`` (its coordinates), ``n`` and ``point_mass``, so ``apply``
+    accepts it too; its errors call it a measure.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    weights: np.ndarray
+    _label = "measure"
 
-    def __init__(self, weights, *, eps: float = EPS_VAL):
-        object.__setattr__(self, "weights", _clean_prob_vector(weights, eps, "measure"))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("DiscreteMeasure is immutable")
+    @property
+    def weights(self) -> np.ndarray:
+        return self.coords
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.coords.size
 
     @classmethod
     def point_mass(cls, n: int, atom: int) -> "DiscreteMeasure":
-        """The delta measure at ``atom`` (1-based)."""
-        if not 1 <= atom <= n:
-            raise DimensionMismatch(f"atom {atom} outside 1..{n}")
-        w = np.zeros(n)
-        w[atom - 1] = 1.0
-        return cls(w)
-
-    def __repr__(self) -> str:
-        inside = ", ".join(format(w, ".6g") for w in self.weights)
-        return f"DiscreteMeasure([{inside}])"
+        """The delta measure at ``atom`` (1-based): the vertex e_atom."""
+        return cls.vertex(n, atom)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -125,14 +126,14 @@ def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Image measure: (V mu)_k = sum_{x,y} q[x, y, k] mu_x mu_y."""
     if mu.n != K.n:
         raise DimensionMismatch(f"measure on {mu.n} atoms, kernel on {K.n}")
-    return DiscreteMeasure(np.einsum("xyk,x,y->k", K.q, mu.weights, mu.weights))
+    # construction clamps every kernel entry to >= 0, as the division-only path needs
+    out = _image(K.q, mu.coords, True, EPS_VAL, DiscreteMeasure._label)
+    return DiscreteMeasure._trusted(out)
 
 
 def kernel_is_volterra(K: FiniteKernel, eps: float = EPS_VAL) -> bool:
     """True iff q[x, y, k] <= eps whenever k is neither x nor y."""
-    x, y, k = np.ogrid[: K.n, : K.n, : K.n]
-    mask = (k != x) & (k != y)
-    return bool(K.q[mask].max(initial=0.0) <= eps)
+    return bool(_forbidden_max(K.q) <= eps)
 
 
 def volterra_violation_witness(

@@ -251,8 +251,8 @@ def point_from_obj(obj: dict) -> SimplexPoint:
     return SimplexPoint(_require(obj, "x", "point"))
 
 
-def measure_to_obj(mu: DiscreteMeasure) -> dict:
-    return {"x": [float(w) for w in mu.weights]}
+# a measure is a simplex point, so it has the point format
+measure_to_obj = point_to_obj
 
 
 def measure_from_obj(obj: dict) -> DiscreteMeasure:

@@ -24,6 +24,7 @@ the vertex image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -32,10 +33,22 @@ from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, abs_continuous, ap
 from .errors import DimensionMismatch, InvalidSkew, NotVolterra, ParameterOutOfRange
 
 
+@lru_cache(maxsize=8)
 def _forbidden_mask(m: int) -> np.ndarray:
-    """Boolean mask of the (i, j, k) triples with k not in {i, j}."""
+    """Read-only mask of the (i, j, k) triples with k not in {i, j}."""
     i, j, k = np.ogrid[:m, :m, :m]
-    return (k != i) & (k != j)
+    mask = (k != i) & (k != j)
+    mask.flags.writeable = False
+    return mask
+
+
+def _forbidden_max(p: np.ndarray) -> float:
+    """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
+
+    The one forbidden-entry test behind ``is_volterra``, ``to_canonical``
+    and ``kernel_is_volterra``.
+    """
+    return p[_forbidden_mask(p.shape[0])].max(initial=0.0)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -71,8 +84,7 @@ class SkewMatrix:
 
 def is_volterra(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     """True iff every coefficient with k outside {i, j} is at most ``eps``."""
-    mask = _forbidden_mask(V.m)
-    return bool(V.p[mask].max(initial=0.0) <= eps)
+    return bool(_forbidden_max(V.p) <= eps)
 
 
 def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
@@ -82,10 +94,9 @@ def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
     their forbidden entries are treated as zero. Raises
     :class:`NotVolterra` otherwise.
     """
-    if not is_volterra(V, eps):
-        raise NotVolterra(
-            f"forbidden mass {V.p[_forbidden_mask(V.m)].max():.3e} exceeds {eps:g}"
-        )
+    worst = _forbidden_max(V.p)
+    if not worst <= eps:
+        raise NotVolterra(f"forbidden mass {worst:.3e} exceeds {eps:g}")
     m = V.m
     a = 2.0 * np.einsum("kik->ki", V.p) - 1.0
     np.fill_diagonal(a, 0.0)

@@ -9,6 +9,8 @@ library output against these independent routes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from qso import (
@@ -18,6 +20,7 @@ from qso import (
     FiniteKernel,
     NotStochastic,
     OpFamilySpec,
+    Permutation,
     QsoError,
     QsoTensor,
     RefutationReport,
@@ -28,6 +31,8 @@ from qso import (
     associator_residual,
     certificate_points,
     check_abs_continuity_property,
+    classify_op,
+    conjugate,
     from_canonical,
     kernel_apply,
     op_family,
@@ -352,3 +357,23 @@ def reference_entries_to_array(m: int, entries, payload: str) -> np.ndarray:
         p[i - 1, j - 1, k - 1] = v
         p[j - 1, i - 1, k - 1] = v
     return p
+
+
+def reference_conjugacy_classes(
+    families=range(1, 7), params=(0.3, 0.6, 0.9)
+) -> list[frozenset[int]]:
+    """Oracle: the OP families grouped by their orbit under conjugation.
+
+    Conjugates one member of each family (at ``params``) by all 6
+    permutations of S_3 and classifies the results; families with the
+    same orbit form one class, sorted by their smallest member.
+    """
+    classes: dict[frozenset[int], set[int]] = {}
+    for f in sorted(set(int(f) for f in families)):
+        V = op_family(OpFamilySpec(f, *params))
+        orbit = frozenset(
+            classify_op(conjugate(V, Permutation(sigma))).family
+            for sigma in itertools.permutations(range(3))
+        )
+        classes.setdefault(orbit, set()).add(f)
+    return sorted((frozenset(c) for c in classes.values()), key=min)

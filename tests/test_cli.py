@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_kernel, rand_volterra_kernel
 from qso import OpFamilySpec, op_family, validate
-from qso.cli import EXIT_BROKEN_PIPE, main
+from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
 
@@ -96,6 +97,44 @@ def test_matrix_covers_the_whole_subcommand_tree(files):
         "kernel apply", "kernel check", "kernel oracle",
         "dyn iterate", "dyn fixed-points",
     ])
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, path=()) -> dict:
+    """Every leaf of the parser tree, keyed by its space-joined command path."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): parser}
+    leaves = {}
+    for name, child in subs[0].choices.items():
+        leaves.update(_leaf_parsers(child, path + (name,)))
+    return leaves
+
+
+def _option(parser: argparse.ArgumentParser, flag: str):
+    return next((a for a in parser._actions if flag in a.option_strings), None)
+
+
+def test_every_leaf_is_built_alike():
+    """The built tree has the matrix's leaves; each takes --json, and --op where it reads one."""
+    leaves = _leaf_parsers(build_parser())
+    assert sorted(leaves) == sorted([
+        "validate", "apply",
+        "volterra check", "volterra canonical", "volterra certificate",
+        "op build", "op check", "op classify", "op conjugate", "op classes",
+        "algebra check", "algebra residual", "algebra solve-v2", "algebra refute",
+        "kernel apply", "kernel check", "kernel oracle",
+        "dyn iterate", "dyn fixed-points",
+    ])
+    for path, leaf in leaves.items():
+        flag = _option(leaf, "--json")
+        assert isinstance(flag, argparse._StoreTrueAction), path
+        assert leaf._actions[-1] is flag, path  # last, as the help text lists it
+        assert leaf.get_default("func") is not None, path
+    reading = {path for path, leaf in leaves.items() if _option(leaf, "--op")}
+    assert len(reading) == 15
+    assert reading == set(leaves) - {"op build", "op classes", "algebra solve-v2", "algebra refute"}
+    required = {path for path in reading if _option(leaves[path], "--op").required}
+    assert required == reading - {"volterra canonical"}  # it takes --op or --skew
 
 
 class TestExitCodes:

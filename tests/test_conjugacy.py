@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import rand_simplex, rand_tensor
+from helpers import rand_simplex, rand_tensor, reference_conjugacy_classes
 from qso import (
+    InvalidFamily,
     InvalidPermutation,
     OpFamilySpec,
     Permutation,
@@ -22,6 +23,7 @@ from qso import (
     op_family,
     permute_point,
 )
+from qso.errors import ParameterOutOfRange
 
 #: T_pi (x, y, z) -> (y, z, x) and T_pi1 (x, y, z) -> (x, z, y)
 PI = Permutation((1, 2, 0))
@@ -144,3 +146,25 @@ class TestClasses:
 
     def test_subset_partition(self):
         assert conjugacy_classes([1, 4, 5, 6]) == [frozenset({1, 5}), frozenset({4, 6})]
+
+    @pytest.mark.parametrize("params", [(0.3, 0.6, 0.9), (0, 0, 0), (1, 1, 1), (0.5, 0, 1)])
+    def test_cycle_types_equal_the_orbit_oracle_on_every_subset(self, params):
+        subsets = [
+            subset
+            for size in range(1, 7)
+            for subset in itertools.combinations(range(1, 7), size)
+        ]
+        assert len(subsets) == 63
+        for subset in subsets:
+            assert conjugacy_classes(subset, params) == reference_conjugacy_classes(subset, params)
+
+    @pytest.mark.parametrize("families,params,error", [
+        ([1, 7], (0.3, 0.6, 0.9), InvalidFamily),
+        ([2], (2.0, 0.6, 0.9), ParameterOutOfRange),
+        ([2, 4], (0.3, -0.1, 0.9), ParameterOutOfRange),
+    ])
+    def test_bad_family_or_parameter_raises_as_the_oracle_does(self, families, params, error):
+        with pytest.raises(error):
+            reference_conjugacy_classes(families, params)
+        with pytest.raises(error):
+            conjugacy_classes(families, params)

@@ -75,6 +75,15 @@ class TestSimplexPoint:
         with pytest.raises(ValueError):
             x.coords[0] = 0.5
 
+    def test_integral_float_vertex_label(self):
+        assert SimplexPoint.vertex(3, 2.0).coords.tolist() == [0.0, 1.0, 0.0]
+        assert SimplexPoint.vertex(3, np.int64(3)).coords.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("label", [1.5, True, False, "2", None, 0, 4, -1])
+    def test_bad_vertex_label_is_a_dimension_error(self, label):
+        with pytest.raises(DimensionMismatch, match="vertex label"):
+            SimplexPoint.vertex(3, label)
+
 
 class TestValidate:
     def test_uniform_kernel_is_valid(self):

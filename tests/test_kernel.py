@@ -21,9 +21,12 @@ from qso import (
     FiniteKernel,
     InvalidPoint,
     ParameterOutOfRange,
+    QsoTensor,
+    SimplexPoint,
     TooLarge,
     apply,
     from_canonical,
+    is_volterra,
     kernel_apply,
     kernel_is_volterra,
     kernel_volterra_oracle,
@@ -53,6 +56,47 @@ class TestDiscreteMeasure:
             DiscreteMeasure([0.5, 0.6])
         with pytest.raises(InvalidPoint):
             DiscreteMeasure([1.2, -0.2])
+
+    def test_point_mass_reads_its_atom_as_an_integer(self):
+        assert DiscreteMeasure.point_mass(3, 2.0).weights.tolist() == [0.0, 1.0, 0.0]
+        for atom in (1.5, True, "2", 0, 4):
+            with pytest.raises(DimensionMismatch):
+                DiscreteMeasure.point_mass(3, atom)
+
+
+class TestMeasureIsAPoint:
+    def test_a_measure_is_a_simplex_point(self):
+        mu = DiscreteMeasure([0.25, 0.75])
+        assert isinstance(mu, SimplexPoint)
+        assert mu.weights is mu.coords
+        assert mu.n == mu.m == 2
+        assert repr(mu).startswith("DiscreteMeasure([")
+        assert repr(SimplexPoint([0.25, 0.75])).startswith("SimplexPoint([")
+
+    def test_errors_call_it_a_measure(self):
+        with pytest.raises(InvalidPoint, match="^measure sums to"):
+            DiscreteMeasure([0.5, 0.6])
+        with pytest.raises(InvalidPoint, match="^simplex point sums to"):
+            SimplexPoint([0.5, 0.6])
+
+    def test_immutable(self):
+        mu = DiscreteMeasure([0.25, 0.75])
+        with pytest.raises(AttributeError):
+            mu.weights = np.array([0.5, 0.5])
+        with pytest.raises(ValueError):
+            mu.weights[0] = 0.5
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_kernel_image_is_apply_bit_for_bit(self, m):
+        rng = np.random.default_rng(900 + m)
+        for _ in range(10):
+            V = rand_tensor(rng, m)
+            mu = rand_measure(rng, m, n_zeros=int(rng.integers(0, m)))
+            image = apply(V, mu)  # apply takes a measure as it takes any point
+            assert type(image) is SimplexPoint
+            got = kernel_apply(FiniteKernel.from_tensor(V), mu)
+            assert type(got) is DiscreteMeasure
+            assert np.array_equal(got.weights, image.coords)
 
 
 class TestFiniteKernel:
@@ -106,6 +150,27 @@ class TestKernelApply:
         K = rand_kernel(np.random.default_rng(0), 3)
         with pytest.raises(DimensionMismatch):
             kernel_apply(K, DiscreteMeasure([0.5, 0.5]))
+
+
+def with_forbidden_entry(value: float) -> QsoTensor:
+    """The identity Volterra operator on 3 species with p[1,2,3] = p[2,1,3] = value."""
+    p = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            p[i, j, i] += 0.5
+            p[i, j, j] += 0.5
+    p[0, 1] = p[1, 0] = [0.5 - value / 2, 0.5 - value / 2, value]
+    return QsoTensor(3, p)
+
+
+class TestSharedForbiddenMask:
+    @pytest.mark.parametrize("value", [0.0, EPS_VAL, np.nextafter(EPS_VAL, 1.0)])
+    @pytest.mark.parametrize("eps", [EPS_VAL, 0.0, float("nan")])
+    def test_tensor_and_kernel_verdicts_agree(self, value, eps):
+        V = with_forbidden_entry(value)
+        verdict = is_volterra(V, eps)
+        assert verdict == (value <= eps)
+        assert kernel_is_volterra(FiniteKernel.from_tensor(V), eps) == verdict
 
 
 class TestVolterraPredicates:

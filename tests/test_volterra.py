@@ -234,3 +234,14 @@ class TestCertificateMatchesReference:
         uniform = validate(np.full((3, 3, 3), 1.0 / 3.0))
         with pytest.raises(ParameterOutOfRange):
             volterra_certificate(uniform, eps)
+
+
+@pytest.mark.parametrize("values", [(0.01, 0.03), (0.03, 0.01), (1e-8, 0.0)])
+def test_not_volterra_message_names_the_largest_forbidden_entry(values):
+    p = from_canonical(SkewMatrix(3, np.zeros((3, 3)))).p.copy()
+    for (i, j, k), v in zip(((0, 1, 2), (0, 2, 1)), values):
+        p[i, j, k] = p[j, i, k] = v
+        p[i, j, i] = p[j, i, i] = p[i, j, i] - v
+    V = QsoTensor(3, p)
+    with pytest.raises(NotVolterra, match=f"^forbidden mass {max(values):.3e} exceeds 1e-09$"):
+        to_canonical(V)
