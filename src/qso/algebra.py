@@ -9,15 +9,21 @@ By multilinearity, associativity holds for all vectors iff it holds on the
 m^3 basis triples, so the decision procedure here is exact up to floating
 point: compare (e_i o e_j) o e_k with e_i o (e_j o e_k) for every triple.
 
-All m^4 left products come from one matrix product,
+All m^4 left products are entries of one matrix product,
 
     L = P(m^2 x m) @ P(m x m^2),    L[i, j, k, u] = ((e_i o e_j) o e_k)_u,
 
 and the right products need no second one: :class:`QsoTensor` keeps p
 exactly symmetric in (i, j), so e_i o (e_j o e_k) = (e_j o e_k) o e_i =
-L[j, k, i, :]. The residual is the largest entry of |L - L[j, k, i, u]|,
-taken one i at a time unless the whole gap is small, so that L is the
-only large array.
+L[j, k, i, :]. The residual is the largest entry of |L - L[j, k, i, u]|.
+A single large tensor never forms L: slab j of it,
+
+    M_j = p[j] @ P(m x m^2),    M_j[i, k, u] = L[j, i, k, u] = L[i, j, k, u],
+
+also holds L[j, k, i, :] = M_j[k, i, :], so the associator of (i, j, k) is
+M_j[i, k, :] - M_j[k, i, :], and one m^3 slab at a time keeps the memory
+at O(m^3). Small tensors and stacks of tensors (the refutation grid) form
+L, whose batched product makes fewer, larger BLAS calls.
 The refutation grid evaluates stacks of family tensors with the same
 kernel in batches of ``_REFUTE_CHUNK`` points, and is capped at
 ``_REFUTE_MAX_AXIS`` values per parameter (a step of at least 0.005).
@@ -65,9 +71,10 @@ _REFUTE_MAX_AXIS = 201
 _REFUTE_CHUNK = 4096
 
 #: Largest gap (elements of 8 bytes) that :func:`_residuals` takes in one
-#: piece. Small tensors skip the per-i loop's call overhead; on larger ones
-#: the strided pass over the whole gap is slower than the loop (one tensor
-#: crosses over between m = 12 and m = 15).
+#: piece. Small tensors skip the per-slab or per-i loop's call overhead; on
+#: larger ones the strided pass over the whole gap is slower than a loop
+#: (one tensor crosses over between m = 12 and m = 15). Above it a single
+#: tensor goes slab by slab and a stack loops over i.
 _WHOLE_GAP_MAX = 1 << 15
 
 
@@ -90,11 +97,25 @@ def _residuals(P: np.ndarray) -> np.ndarray:
     """Associator residual of every tensor in an (n, m, m, m) stack.
 
     Each tensor must be exactly symmetric in its first two indices (see
-    the module docstring). Besides L, the gap to L[j, k, i, u] takes one
-    array: all of it when that fits in ``_WHOLE_GAP_MAX`` elements, else one
-    (n, m, m, m) slice, reused for each i.
+    the module docstring). When the whole gap to L[j, k, i, u] fits in
+    ``_WHOLE_GAP_MAX`` elements it is taken in one piece. Above that, a
+    single tensor takes two (m, m, m) arrays, the slab M_j and its gap,
+    reused for each j; a stack forms L and takes one (n, m, m, m) slice of
+    the gap, reused for each i.
     """
     n, m = P.shape[:2]
+    if n == 1 and m**4 > _WHOLE_GAP_MAX:
+        p = P[0]
+        flat = p.reshape(m, m * m)
+        slab = np.empty((m, m, m))
+        gap = np.empty((m, m, m))
+        worst = np.empty(m)
+        for j in range(m):
+            np.matmul(p[j], flat, out=slab.reshape(m, m * m))
+            np.subtract(slab, slab.transpose(1, 0, 2), out=gap)
+            # gap[k, i] is exactly -gap[i, k], so its max is its largest |entry|
+            worst[j] = gap.max()
+        return worst.max(keepdims=True)
     L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
     if n * m**4 <= _WHOLE_GAP_MAX:
         gap = L - L.transpose(0, 3, 1, 2, 4)

@@ -123,8 +123,17 @@ class SimplexPoint:
         return self.coords.size
 
     @classmethod
+    def _size(cls, m) -> int:
+        """``m`` as a coordinate count: an integer (2.0 is 2) of at least 1."""
+        n = as_integer(m)
+        if n is None or n < 1:
+            raise DimensionMismatch(f"{cls._label} size must be an integer >= 1, got {m!r}")
+        return n
+
+    @classmethod
     def vertex(cls, m: int, label: int) -> "SimplexPoint":
         """The vertex e_label of S^{m-1}; ``label`` is 1-based and integral."""
+        m = cls._size(m)
         k = as_integer(label)
         if k is None:
             raise DimensionMismatch(f"vertex label must be an integer, got {label!r}")
@@ -136,6 +145,8 @@ class SimplexPoint:
 
     @classmethod
     def barycenter(cls, m: int) -> "SimplexPoint":
+        """The barycenter (1/m, ..., 1/m) of S^{m-1}; ``m`` is integral and >= 1."""
+        m = cls._size(m)
         return cls(np.full(m, 1.0 / m))
 
     def __repr__(self) -> str:

@@ -46,9 +46,11 @@ def _forbidden_max(p: np.ndarray) -> float:
     """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
 
     The one forbidden-entry test behind ``is_volterra``, ``to_canonical``
-    and ``kernel_is_volterra``.
+    and ``kernel_is_volterra``. A masked reduction, not a gather: the mask
+    selects all but O(m^2) of the m^3 entries, so a gather would copy nearly
+    all of p.
     """
-    return p[_forbidden_mask(p.shape[0])].max(initial=0.0)
+    return p.max(where=_forbidden_mask(p.shape[0]), initial=0.0)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

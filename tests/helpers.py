@@ -169,6 +169,24 @@ def reference_associator_residual(V: QsoTensor) -> float:
     return float(np.abs(left - right).max())
 
 
+def reference_one_product_residual(V: QsoTensor) -> float:
+    """Oracle: the associator residual through the whole left-product array.
+
+    L = P(m^2 x m) @ P(m x m^2) holds every ((e_i o e_j) o e_k)_u, and the
+    gap to L[j, k, i, u] is taken one i at a time. This is the single-tensor
+    path that the slab-by-slab residual replaced, kept to check it.
+    """
+    m = V.m
+    L = (V.p.reshape(m * m, m) @ V.p.reshape(m, m * m)).reshape(m, m, m, m)
+    return max(float(np.abs(L[i] - L[:, :, i]).max()) for i in range(m))
+
+
+def reference_forbidden_max(p: np.ndarray) -> float:
+    """Oracle: the largest entry p[i, j, k] with k not in {i, j}, by a gather (0 if none)."""
+    i, j, k = np.indices(p.shape)
+    return float(p[(k != i) & (k != j)].max(initial=0.0))
+
+
 def reference_refute(family: int, grid_step: float) -> RefutationReport:
     """Oracle: the refutation scan as one op_family call per grid point.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from helpers import (
     product_loops,
     rand_simplex,
+    rand_skew,
     rand_tensor,
     reference_associator_residual,
+    reference_one_product_residual,
     reference_refute,
 )
 from qso import (
@@ -28,6 +31,7 @@ from qso import (
     assoc_solutions_v2,
     associator_residual,
     conjugate,
+    from_canonical,
     is_associative,
     op_family,
     product,
@@ -238,7 +242,7 @@ class TestSolutionsAndRefutation:
 
 
 class TestBatchedResidualMatchesReference:
-    @pytest.mark.parametrize("m", range(2, 21))
+    @pytest.mark.parametrize("m", [*range(2, 21), 25, 33, 40])
     def test_random_tensors(self, m):
         rng = np.random.default_rng(4900 + m)
         for _ in range(3):
@@ -276,6 +280,35 @@ class TestBatchedResidualMatchesReference:
         want = [reference_associator_residual(V) for V in stack]
         assert np.abs(got - want).max() <= 1e-14
         assert got.tolist() == [associator_residual(V) for V in stack]
+
+
+class TestSlabResidualMatchesOneProduct:
+    # single tensors above the whole-gap size go slab by slab; the oracle
+    # forms the whole left-product array L, as that path did before
+    @pytest.mark.parametrize("m", range(14, 46))
+    def test_random_controls_and_volterra(self, m):
+        assert m**4 > algebra._WHOLE_GAP_MAX
+        rng = np.random.default_rng(5000 + m)
+        c = rng.dirichlet(np.ones(m))
+        for V in (
+            rand_tensor(rng, m),
+            validate(np.broadcast_to(c, (m, m, m))),  # p[i, j, :] = c associates
+            from_canonical(rand_skew(rng, m)),
+        ):
+            assert abs(associator_residual(V) - reference_one_product_residual(V)) <= 1e-15
+
+    def test_peak_memory_is_a_few_slabs(self):
+        # the whole-array path held L, m^4 floats (21 MB at m = 40)
+        m = 40
+        V = rand_tensor(np.random.default_rng(5100), m)
+        associator_residual(V)  # warm up lazy allocations outside the trace
+        tracemalloc.start()
+        try:
+            associator_residual(V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m**3 * 8
 
 
 class TestBatchedRefutation:

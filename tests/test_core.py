@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import product_loops, rand_simplex, rand_tensor
 from qso import (
+    DiscreteMeasure,
     InvalidPoint,
     NegativeCoefficient,
     NotStochastic,
@@ -83,6 +84,20 @@ class TestSimplexPoint:
     def test_bad_vertex_label_is_a_dimension_error(self, label):
         with pytest.raises(DimensionMismatch, match="vertex label"):
             SimplexPoint.vertex(3, label)
+
+    def test_integral_float_size(self):
+        assert SimplexPoint.vertex(2.0, 1).coords.tolist() == [1.0, 0.0]
+        assert SimplexPoint.barycenter(np.int64(2)).coords.tolist() == [0.5, 0.5]
+        assert DiscreteMeasure.point_mass(3.0, 3).weights.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("m", [2.5, True, "3", None, 0, -1])
+    def test_bad_size_is_a_dimension_error(self, m):
+        with pytest.raises(DimensionMismatch, match="simplex point size"):
+            SimplexPoint.vertex(m, 1)
+        with pytest.raises(DimensionMismatch, match="simplex point size"):
+            SimplexPoint.barycenter(m)
+        with pytest.raises(DimensionMismatch, match="measure size"):
+            DiscreteMeasure.point_mass(m, 1)
 
 
 class TestValidate:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from helpers import (
     canonical_image,
+    rand_kernel,
     rand_simplex,
     rand_skew,
     rand_tensor,
+    rand_volterra_kernel,
     rand_volterra_tensor,
     reference_certificate,
+    reference_forbidden_max,
 )
 from qso import (
     EPS_VAL,
@@ -24,12 +29,14 @@ from qso import (
     check_abs_continuity_property,
     from_canonical,
     is_volterra,
+    kernel_is_volterra,
     op_family,
     to_canonical,
     validate,
     volterra_certificate,
 )
 from qso.errors import InvalidSkew, ParameterOutOfRange
+from qso.volterra import _forbidden_max
 
 
 def volterra_like_with_forbidden_mass(value: float) -> QsoTensor:
@@ -245,3 +252,51 @@ def test_not_volterra_message_names_the_largest_forbidden_entry(values):
     V = QsoTensor(3, p)
     with pytest.raises(NotVolterra, match=f"^forbidden mass {max(values):.3e} exceeds 1e-09$"):
         to_canonical(V)
+
+
+def assert_forbidden_max_matches_gather(p: np.ndarray) -> None:
+    """_forbidden_max and every verdict built on it agree with the gather oracle."""
+    want = reference_forbidden_max(p)
+    assert _forbidden_max(p) == want
+    V = QsoTensor(p.shape[0], p)
+    assert is_volterra(V) == (want <= EPS_VAL)
+    if want <= EPS_VAL:  # past the forbidden test; the skew check may still refuse it
+        with contextlib.suppress(InvalidSkew):
+            to_canonical(V)
+    else:
+        with pytest.raises(NotVolterra, match=f"^forbidden mass {want:.3e} exceeds 1e-09$"):
+            to_canonical(V)
+
+
+class TestForbiddenMaxMatchesGather:
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 30])
+    def test_random_volterra_and_near_volterra(self, m):
+        rng = np.random.default_rng(300 + m)
+        for trial in range(6):
+            V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
+            assert_forbidden_max_matches_gather(V.p)
+            if m > 2:  # one forbidden entry just below or above eps
+                p = rand_volterra_tensor(rng, m).p.copy()
+                p[0, 1, 2] = p[1, 0, 2] = EPS_VAL * (0.5 if trial % 2 else 2.0)
+                assert_forbidden_max_matches_gather(p)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, -0.5])
+    def test_unvalidated_entries(self, value):
+        # QsoTensor checks only shape and exact symmetry (which rules out NaN),
+        # so it can hold these
+        p = from_canonical(rand_skew(np.random.default_rng(310), 4)).p.copy()
+        p[0, 1, 2] = p[1, 0, 2] = value
+        assert_forbidden_max_matches_gather(p)
+        p[:] = -1.0  # every forbidden entry negative: the maximum is the initial 0
+        assert_forbidden_max_matches_gather(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_kernels(self, n):
+        # at n = 1 no entry is forbidden; at n = 2 only q[x, x, y] with y != x is
+        rng = np.random.default_rng(320 + n)
+        K = rand_kernel(rng, n)
+        assert kernel_is_volterra(K) == (n == 1)
+        for K in (K, rand_volterra_kernel(rng, n)):
+            want = reference_forbidden_max(K.q)
+            assert _forbidden_max(K.q) == want
+            assert kernel_is_volterra(K) == (want <= EPS_VAL)
