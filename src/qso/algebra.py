@@ -139,7 +139,13 @@ def associator_residual(V: QsoTensor) -> float:
 
 
 def is_associative(V: QsoTensor, eps: float = EPS_ASSOC) -> bool:
-    """True iff all basis triples associate within ``eps``."""
+    """True iff all basis triples associate within ``eps``.
+
+    ``eps`` must be nonnegative (0 asks for exact associativity); NaN or a
+    negative value raises :class:`ParameterOutOfRange` instead of a verdict.
+    """
+    if not eps >= 0:
+        raise ParameterOutOfRange(f"eps must be nonnegative, got {eps!r}")
     return associator_residual(V) <= eps
 
 

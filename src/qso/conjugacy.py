@@ -89,8 +89,13 @@ def conjugate(V: QsoTensor, perm: Permutation) -> QsoTensor:
     """
     if perm.m != V.m:
         raise DimensionMismatch(f"permutation size {perm.m} vs operator size {V.m}")
-    inv = list(perm.inverse().sigma)
-    return QsoTensor(V.m, V.p[np.ix_(inv, inv, inv)])
+    inv = [0] * V.m
+    for k, s in enumerate(perm.sigma):
+        inv[s] = k
+    inv = np.array(inv)
+    # the open mesh np.ix_(inv, inv, inv) builds, without its per-call cost;
+    # the same permutation on i and j keeps the (i, j) symmetry exact
+    return QsoTensor._trusted(V.m, V.p[inv[:, None, None], inv[:, None], inv])
 
 
 def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:

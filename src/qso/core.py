@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,28 @@ class QsoTensor:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
+    @classmethod
+    def _trusted(cls, m: int, p: np.ndarray) -> "QsoTensor":
+        """Wrap an m x m x m float array, m >= 2, exactly symmetric in (i, j), unchecked.
+
+        The twin of :meth:`SimplexPoint._trusted`, for builders whose array
+        is symmetric by construction (the same value written to both
+        halves, the same permutation applied to i and j, or a symmetrized
+        array rescaled by its slice sums). The caller gives up ``p``: it is
+        made read-only, not checked and not copied. Anything else goes
+        through the public constructor, which checks shape and symmetry.
+        """
+        p.flags.writeable = False
+        V = object.__new__(cls)
+        object.__setattr__(V, "m", m)
+        object.__setattr__(V, "p", p)
+        return V
+
+    @cached_property
+    def _nonneg(self) -> bool:
+        """True iff every coefficient is >= 0 (NaN fails), decided once: p is read-only."""
+        return bool(self.p.min() >= 0)
+
     def __repr__(self) -> str:
         return f"QsoTensor(m={self.m})"
 
@@ -237,7 +260,9 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
         sym[(sym < 0.0) & (sym >= -eps)] = 0.0
         sym = sym / sym.sum(axis=2, keepdims=True)
 
-    return QsoTensor(m, sym)
+    # (a + a^T) / 2 is exactly symmetric, and mirrored slices hold the same
+    # values in the same order, so the clamp and the rescaling keep it so
+    return QsoTensor._trusted(m, sym)
 
 
 def _image(
@@ -265,12 +290,12 @@ def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoin
     """Image of x under the operator: x'_k = sum_{i,j} p[i, j, k] x_i x_j."""
     if x.m != V.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, operator expects {V.m}")
-    return SimplexPoint._trusted(_image(V.p, x.coords, False, eps))
+    return SimplexPoint._trusted(_image(V.p, x.coords, V._nonneg, eps))
 
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:
     """Indices (1-based) of the coordinates of x exceeding ``eps_supp``."""
-    if eps_supp <= 0:
+    if not eps_supp > 0:  # NaN too: it would make every support empty
         raise ParameterOutOfRange("eps_supp must be positive")
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > eps_supp)[0])
 

@@ -79,7 +79,7 @@ def iterate(
     ``window <= 1`` only convergence is detected.
 
     Every point is ``apply`` of the one before: both call the one image
-    routine ``core._image``. When every coefficient is >= 0 (checked once)
+    routine ``core._image``. When every coefficient is >= 0 (``V._nonneg``)
     it takes its division-only path, since every einsum term is >= 0
     because points are; an image that fails it, and every image of an
     operator with a negative coefficient, gets the full point check, which
@@ -104,7 +104,7 @@ def iterate(
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
     p = V.p
-    nonneg = p.min() >= 0  # NaN coefficients fail this too
+    nonneg = V._nonneg
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
     # one column per point: columns [0, size) hold the points before the

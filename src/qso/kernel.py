@@ -119,7 +119,7 @@ class FiniteKernel:
     def to_tensor(self) -> QsoTensor:
         if self.n < 2:
             raise DimensionMismatch("a QSO tensor needs at least two species")
-        return QsoTensor(self.n, self.q)
+        return QsoTensor._trusted(self.n, self.q)  # q is read-only and symmetric
 
 
 def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:

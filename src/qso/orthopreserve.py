@@ -74,6 +74,11 @@ FAMILY_VERTEX_IMAGES: dict[int, tuple[int, int, int]] = {
 
 _VERTEX_IMAGES_TO_FAMILY = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}
 
+#: Index of the diagonal slots (k, k), and the vertices e_1, e_2, e_3 as rows.
+_DIAG = np.arange(3)
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 #: The edges (i, j), 0-based, whose Volterra slices carry alpha, beta and gamma.
 _EDGES = ((0, 1), (1, 2), (0, 2))
 
@@ -121,13 +126,9 @@ def _require_s2(V: QsoTensor) -> None:
         raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
 
 
-def op_family(spec: OpFamilySpec) -> QsoTensor:
-    """Build the m = 3 tensor of the named family member.
-
-    Writes the parameters into the edge slices of the Volterra tensor W
-    with the outputs relabeled by the family's vertex permutation, so that
-    p[:, :, sigma] = W, one entry at a time.
-    """
+def _family_array(spec: OpFamilySpec) -> np.ndarray:
+    """The coefficient array of :func:`op_family`, written entry by entry,
+    both halves of each slice; ``classify_op`` compares against it."""
     sigma = [s - 1 for s in FAMILY_VERTEX_IMAGES[spec.family]]
     p = np.zeros((3, 3, 3))
     for k in range(3):
@@ -136,7 +137,27 @@ def op_family(spec: OpFamilySpec) -> QsoTensor:
         own, other = (sigma[i], sigma[j]) if end - 1 == i else (sigma[j], sigma[i])
         p[i, j, own] = p[j, i, own] = t
         p[i, j, other] = p[j, i, other] = 1.0 - t
-    return QsoTensor(3, p)
+    return p
+
+
+def op_family(spec: OpFamilySpec) -> QsoTensor:
+    """Build the m = 3 tensor of the named family member.
+
+    Writes the parameters into the edge slices of the Volterra tensor W
+    with the outputs relabeled by the family's vertex permutation, so that
+    p[:, :, sigma] = W, one entry at a time.
+    """
+    return QsoTensor._trusted(3, _family_array(spec))
+
+
+#: The six pairs of disjoint slots {i, j}, {k, l} of S^2 (the three vertex
+#: pairs, each edge against its opposite vertex) as two index arrays of shape
+#: (2, 6): _S2_ROWS[side, n] and _S2_COLS[side, n] give i, j (side 0) or
+#: k, l (side 1) of pair n.
+_S2_SLOTS = [(i, j) for i in range(3) for j in range(i, 3)]
+_S2_ROWS, _S2_COLS = np.array(
+    [(a, b) for a, b in itertools.combinations(_S2_SLOTS, 2) if not set(a) & set(b)]
+).transpose(2, 1, 0)
 
 
 def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> bool:
@@ -146,18 +167,16 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     p[i, j, :] and p[k, l, :] for every pair of disjoint index sets
     {i, j} and {k, l}; the module docstring shows this is equivalent to
     the definition. On S^2 these are six slice pairs: the three vertex
-    pairs and each edge against its opposite vertex.
+    pairs and each edge against its opposite vertex. They are gathered
+    at once through the precomputed ``_S2_ROWS``/``_S2_COLS``, and one
+    ``any`` over the entrywise support overlap decides. ``eps_supp``
+    must be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
     _require_s2(V)
-    if eps_supp <= 0:
+    if not eps_supp > 0:
         raise ParameterOutOfRange("eps_supp must be positive")
-    supp = V.p > eps_supp
-    slots = [(i, j) for i in range(V.m) for j in range(i, V.m)]
-    return not any(
-        (supp[i, j] & supp[k, l]).any()
-        for (i, j), (k, l) in itertools.combinations(slots, 2)
-        if not {i, j} & {k, l}
-    )
+    supp = V.p[_S2_ROWS, _S2_COLS] > eps_supp  # supp[side, n, :]
+    return not (supp[0] & supp[1]).any()
 
 
 def classify_op(
@@ -170,26 +189,35 @@ def classify_op(
 
     Matches each vertex image p[k, k, :] = V(e_k) to its nearest vertex
     (anything farther than ``vertex_tol`` from every vertex raises
-    :class:`VertexImageNotVertex`), looks the permutation up in
-    ``FAMILY_VERTEX_IMAGES``, undoes it on the outputs and reads the
-    parameters straight from the Volterra entries, so a family member is
-    recovered exactly. The candidate tensor rebuilt from the recovered
-    spec must reproduce the input entrywise within ``eps``; otherwise the
-    input lies outside the six families and
+    :class:`VertexImageNotVertex`, for the first such k), looks the
+    permutation sigma up in ``FAMILY_VERTEX_IMAGES`` and reads the
+    parameters straight from the Volterra entries p[i, j, sigma[e]], so a
+    family member is recovered exactly. The family array rebuilt from the
+    recovered spec must reproduce the input entrywise within ``eps``;
+    otherwise the input lies outside the six families and
     :class:`NotOrthogonalityPreserving` is raised.
+
+    One pass: the three vertex images are one gather, matched by one
+    ``argmax`` and one distance row; no intermediate tensor is built.
+    ``eps`` and ``vertex_tol`` must be nonnegative (0 asks for exact
+    matches); NaN or a negative value raises :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
+    for name, tol in (("eps", eps), ("vertex_tol", vertex_tol)):
+        if not tol >= 0:
+            raise ParameterOutOfRange(f"{name} must be nonnegative, got {tol!r}")
 
-    sigma = []
-    for k in range(3):
-        img = V.p[k, k]
-        nearest = int(np.argmax(img))
-        if np.abs(img - np.eye(3)[nearest]).max() > vertex_tol:
-            raise VertexImageNotVertex(
-                f"image of vertex {k + 1} is {np.round(img, 6).tolist()}, "
-                f"not within {vertex_tol:g} of any vertex"
-            )
-        sigma.append(nearest)
+    p = V.p
+    rows = p[_DIAG, _DIAG]  # rows[k] = p[k, k, :] = V(e_k)
+    nearest = rows.argmax(axis=1)
+    far = np.flatnonzero(np.abs(rows - _EYE3[nearest]).max(axis=1) > vertex_tol)
+    if far.size:
+        k = int(far[0])
+        raise VertexImageNotVertex(
+            f"image of vertex {k + 1} is {np.round(rows[k], 6).tolist()}, "
+            f"not within {vertex_tol:g} of any vertex"
+        )
+    sigma = nearest.tolist()
     images = tuple(s + 1 for s in sigma)
     if len(set(images)) != 3:
         raise NotOrthogonalityPreserving(
@@ -197,15 +225,16 @@ def classify_op(
         )
     family = _VERTEX_IMAGES_TO_FAMILY[images]
 
-    w = V.p[:, :, sigma]
-    values = [float(w[i, j, e - 1]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])]
+    values = [
+        float(p[i, j, sigma[e - 1]]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])
+    ]
     if any(not -eps <= v <= 1.0 + eps for v in values):
         raise NotOrthogonalityPreserving(
             f"recovered parameters {values} fall outside [0, 1]"
         )
     spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
 
-    residual = np.abs(op_family(spec).p - V.p).max()
+    residual = np.abs(_family_array(spec) - p).max()
     if residual > eps:
         raise NotOrthogonalityPreserving(
             f"reconstruction residual {residual:.3e} exceeds {eps:g}; "

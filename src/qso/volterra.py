@@ -112,15 +112,15 @@ def from_canonical(a: SkewMatrix) -> QsoTensor:
     together with its symmetric counterpart; every other entry is zero.
     """
     m = a.m
+    if m < 2:  # a 1 x 1 skew matrix is valid, a one-species QSO is not
+        raise DimensionMismatch("a QSO needs at least two species")
     p = np.zeros((m, m, m))
     half = (1.0 + a.a) / 2.0
-    for k in range(m):
-        p[k, k, k] = 1.0
-        for i in range(m):
-            if i != k:
-                p[k, i, k] = half[k, i]
-                p[i, k, k] = half[k, i]
-    return QsoTensor(m, p)
+    np.fill_diagonal(half, 1.0)  # p[k, k, k] = 1, written by both lines below
+    d = np.arange(m)
+    p[d, :, d] = half  # p[k, i, k] = half[k, i]
+    p[:, d, d] = half.T  # p[i, k, k] = half[k, i]
+    return QsoTensor._trusted(m, p)  # both halves written
 
 
 def certificate_points(m: int) -> list[SimplexPoint]:

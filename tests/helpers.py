@@ -19,7 +19,9 @@ from qso import (
     DiscreteMeasure,
     FiniteKernel,
     NotStochastic,
+    NotOrthogonalityPreserving,
     OpFamilySpec,
+    ParameterOutOfRange,
     Permutation,
     QsoError,
     QsoTensor,
@@ -27,6 +29,7 @@ from qso import (
     SimplexPoint,
     SkewMatrix,
     Trajectory,
+    VertexImageNotVertex,
     apply,
     associator_residual,
     certificate_points,
@@ -40,6 +43,8 @@ from qso import (
     validate,
 )
 from qso.core import as_integer
+from qso.errors import DimensionUnsupported
+from qso.orthopreserve import _EDGES, _PARAM_ENDPOINTS, FAMILY_VERTEX_IMAGES
 
 
 def rand_simplex(rng: np.random.Generator, m: int, n_zeros: int = 0) -> SimplexPoint:
@@ -395,3 +400,88 @@ def reference_conjugacy_classes(
         )
         classes.setdefault(orbit, set()).add(f)
     return sorted((frozenset(c) for c in classes.values()), key=min)
+
+
+def reference_is_op_loop(V: QsoTensor, eps_supp: float = EPS_SUPP) -> bool:
+    """Oracle: the exact OP test as a loop over every pair of disjoint slots.
+
+    The slice-pair criterion of ``qso.orthopreserve`` with one Python
+    comparison per pair of slots {i, j}, {k, l} from ``itertools``. Its
+    guard is written ``eps_supp <= 0``, so a NaN threshold gives a verdict
+    here where the library raises.
+    """
+    if V.m != 3:
+        raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
+    if eps_supp <= 0:
+        raise ParameterOutOfRange("eps_supp must be positive")
+    supp = V.p > eps_supp
+    slots = [(i, j) for i in range(V.m) for j in range(i, V.m)]
+    return not any(
+        (supp[i, j] & supp[k, l]).any()
+        for (i, j), (k, l) in itertools.combinations(slots, 2)
+        if not {i, j} & {k, l}
+    )
+
+
+def reference_classify_op(V: QsoTensor, *, eps: float = EPS_VAL,
+                          vertex_tol: float = 1e-6) -> OpFamilySpec:
+    """Oracle: the classifier one vertex at a time, rebuilding a whole tensor.
+
+    Each vertex image is matched against a fresh identity row, the
+    parameters are read from the relabeled copy p[:, :, sigma], and the
+    residual is taken against ``op_family`` of the recovered spec. It takes
+    the tolerances unchecked: a NaN or negative one gives a verdict or a
+    different error here where the library raises ``ParameterOutOfRange``.
+    """
+    if V.m != 3:
+        raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
+    sigma = []
+    for k in range(3):
+        img = V.p[k, k]
+        nearest = int(np.argmax(img))
+        if np.abs(img - np.eye(3)[nearest]).max() > vertex_tol:
+            raise VertexImageNotVertex(
+                f"image of vertex {k + 1} is {np.round(img, 6).tolist()}, "
+                f"not within {vertex_tol:g} of any vertex"
+            )
+        sigma.append(nearest)
+    images = tuple(s + 1 for s in sigma)
+    if len(set(images)) != 3:
+        raise NotOrthogonalityPreserving(
+            f"vertex images {images} are not mutually orthogonal"
+        )
+    family = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}[images]
+    w = V.p[:, :, sigma]
+    values = [float(w[i, j, e - 1]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])]
+    if any(not -eps <= v <= 1.0 + eps for v in values):
+        raise NotOrthogonalityPreserving(
+            f"recovered parameters {values} fall outside [0, 1]"
+        )
+    spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
+    residual = np.abs(op_family(spec).p - V.p).max()
+    if residual > eps:
+        raise NotOrthogonalityPreserving(
+            f"reconstruction residual {residual:.3e} exceeds {eps:g}; "
+            f"the tensor is outside the six families"
+        )
+    return spec
+
+
+def reference_conjugate(V: QsoTensor, perm: Permutation) -> QsoTensor:
+    """Oracle: conjugation through ``Permutation.inverse`` and the checked constructor."""
+    inv = list(perm.inverse().sigma)
+    return QsoTensor(V.m, V.p[np.ix_(inv, inv, inv)])
+
+
+def reference_from_canonical(a: SkewMatrix) -> QsoTensor:
+    """Oracle: the Volterra tensor of a skew matrix, one entry pair at a time."""
+    m = a.m
+    p = np.zeros((m, m, m))
+    half = (1.0 + a.a) / 2.0
+    for k in range(m):
+        p[k, k, k] = 1.0
+        for i in range(m):
+            if i != k:
+                p[k, i, k] = half[k, i]
+                p[i, k, k] = half[k, i]
+    return QsoTensor(m, p)

@@ -147,6 +147,16 @@ class TestAssociativityDecision:
     def test_family1_never_associative(self, params):
         assert not is_associative(op_family(OpFamilySpec(1, *params)))
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-12, -1.0])
+    def test_nan_or_negative_tolerance_is_a_typed_error(self, eps):
+        # these used to answer False, whatever the residual
+        with pytest.raises(ParameterOutOfRange, match="eps must be nonnegative"):
+            is_associative(op_family(OpFamilySpec(2, 0.0, 0.0, 0.0)), eps=eps)
+
+    def test_zero_tolerance_asks_for_exact_associativity(self):
+        assert is_associative(op_family(OpFamilySpec(2, 0.0, 0.0, 0.0)), eps=0.0)
+        assert not is_associative(op_family(OpFamilySpec(2, 0.5, 0.5, 0.5)), eps=0.0)
+
     def test_residual_invariant_under_conjugation(self):
         rng = np.random.default_rng(47)
         for family in range(1, 7):

@@ -171,6 +171,18 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_algebra_tolerance_is_exit_two(self, files, capsys, value):
+        assert main(["algebra", "check", "--op", files["assoc.json"], "--tol", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
+
+    def test_zero_algebra_tolerance_still_decides(self, files, capsys):
+        assert main(["algebra", "check", "--op", files["assoc.json"], "--tol", "0"]) == 0
+        assert main(["algebra", "check", "--op", files["v2.json"], "--tol", "0"]) == 1
+
     @pytest.mark.parametrize("payload", ['{"m": -1}', '{"m": 2.7}', '{"m": 100000}'])
     def test_bad_tensor_size_is_exit_two(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import rand_simplex, rand_tensor, reference_conjugacy_classes
+from helpers import rand_simplex, rand_tensor, reference_conjugacy_classes, reference_conjugate
 from qso import (
     InvalidFamily,
     InvalidPermutation,
@@ -22,6 +22,7 @@ from qso import (
     is_orthogonality_preserving,
     op_family,
     permute_point,
+    validate,
 )
 from qso.errors import ParameterOutOfRange
 
@@ -76,6 +77,18 @@ class TestConjugate:
     def test_identity_permutation_is_neutral(self):
         V = op_family(OpFamilySpec(3, 0.3, 0.6, 0.9))
         assert np.array_equal(conjugate(V, Permutation.identity(3)).p, V.p)
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_same_bits_as_the_inverse_and_checked_constructor(self, family):
+        rng = np.random.default_rng(300 + family)
+        tensors = [op_family(OpFamilySpec(family, *rng.random(3)))]
+        tensors.append(validate(rng.random((3, 3, 3)), mode="normalize"))
+        for V in tensors:
+            for sigma in itertools.permutations(range(3)):
+                got = conjugate(V, Permutation(sigma))
+                want = reference_conjugate(V, Permutation(sigma))
+                assert got.p.tobytes() == want.p.tobytes()
+                assert not got.p.flags.writeable
 
     def test_functional_correctness(self):
         rng = np.random.default_rng(31)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_loops, rand_simplex, rand_tensor
+from helpers import product_loops, rand_simplex, rand_skew, rand_tensor
 from qso import (
     DiscreteMeasure,
+    FiniteKernel,
     InvalidPoint,
     NegativeCoefficient,
     NotStochastic,
@@ -17,14 +20,18 @@ from qso import (
     OpFamilySpec,
     QsoTensor,
     SimplexPoint,
+    Permutation,
     abs_continuous,
     apply,
+    conjugate,
+    from_canonical,
     op_family,
     orthogonal,
     support,
     validate,
 )
-from qso.core import as_integer
+from qso.core import EPS_VAL, _clean_prob_vector, as_integer
+from qso.serialize import tensor_from_obj, tensor_to_obj
 from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 
@@ -219,6 +226,110 @@ class TestApply:
         )
 
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_same_bits_as_the_full_point_check(self, m):
+        # apply takes the division-only path once V._nonneg holds; the full
+        # check of the einsum image is what it did before, and gives the same bits
+        rng = np.random.default_rng(40 + m)
+        tensors = [rand_tensor(rng, m) for _ in range(5)]
+        if m == 3:
+            tensors += [op_family(OpFamilySpec(f, *rng.random(3))) for f in range(1, 7)]
+        for V in tensors:
+            assert V._nonneg is True
+            for _ in range(20):
+                x = rand_simplex(rng, m, n_zeros=int(rng.integers(0, m)))
+                want = _clean_prob_vector(np.einsum("ijk,i,j->k", V.p, x.coords, x.coords),
+                                          EPS_VAL, "simplex point")
+                assert apply(V, x).coords.tobytes() == want.tobytes()
+
+    def test_nonneg_is_decided_once_per_tensor(self):
+        p = validate(uniform_tensor(3)).p.copy()
+        assert "_nonneg" not in vars(validate(p))
+        V = validate(p)
+        apply(V, SimplexPoint.barycenter(3))
+        assert vars(V)["_nonneg"] is True
+        p[0, 1, 2] = p[1, 0, 2] = -1e-3
+        assert QsoTensor(3, p)._nonneg is False
+        p[0, 1, 2] = p[1, 0, 2] = np.inf
+        assert QsoTensor(3, p)._nonneg is True  # the image check catches inf
+
+    def test_negative_coefficient_still_gets_the_full_check(self):
+        p = np.full((2, 2, 2), 0.5)
+        p[0, 0] = [1.5, -0.5]
+        V = QsoTensor(2, p)
+        assert V._nonneg is False
+        with pytest.raises(InvalidPoint, match="negative entry"):
+            apply(V, SimplexPoint.vertex(2, 1))
+
+
+def assert_trusted(V: QsoTensor) -> None:
+    """A tensor built through ``QsoTensor._trusted`` passes the checked constructor."""
+    assert not V.p.flags.writeable
+    W = QsoTensor(V.m, V.p)
+    assert W.p.tobytes() == V.p.tobytes()
+
+
+class TestTrustedBuilders:
+    """Every builder that skips the constructor's checks gives what they accept."""
+
+    def test_trusted_wraps_without_copying(self):
+        p = np.zeros((2, 2, 2))
+        V = QsoTensor._trusted(2, p)
+        assert V.p is p and not p.flags.writeable and V.m == 2
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 100])
+    def test_validate(self, m):
+        rng = np.random.default_rng(500 + m)
+        raw = rng.random((m, m, m))
+        assert_trusted(validate(raw, mode="normalize"))
+        assert_trusted(validate(np.asfortranarray(raw), mode="normalize"))
+        assert_trusted(validate(raw.transpose(2, 1, 0), mode="normalize"))
+        good = validate(raw, mode="normalize").p
+        noisy = good + 1e-12 * rng.standard_normal(good.shape)  # asymmetric noise within eps
+        assert_trusted(validate(noisy, mode="strict"))
+        assert_trusted(validate(np.asfortranarray(noisy), mode="strict"))
+        assert_trusted(validate(good, mode="strict"))
+
+    def test_validate_clamps_symmetrically(self):
+        p = np.full((3, 3, 3), 1.0 / 3.0)
+        p[0, 1, 2] -= 1e-10
+        p[1, 0, 2] += 1e-10  # asymmetric within eps
+        p[2, 2] = [1.0 + 5e-10, -5e-10, 0.0]
+        for mode in ("strict", "normalize"):
+            assert_trusted(validate(p, mode=mode))
+
+    def test_op_family(self):
+        rng = np.random.default_rng(510)
+        for family in range(1, 7):
+            for params in (rng.random(3), (0.0, 0.5, 1.0)):
+                assert_trusted(op_family(OpFamilySpec(family, *params)))
+
+    def test_conjugate(self):
+        rng = np.random.default_rng(511)
+        for m in (2, 3, 4):
+            V = rand_tensor(rng, m)
+            for sigma in itertools.permutations(range(m)):
+                assert_trusted(conjugate(V, Permutation(sigma)))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 40])
+    def test_from_canonical(self, m):
+        assert_trusted(from_canonical(rand_skew(np.random.default_rng(512 + m), m)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_kernel_to_tensor(self, n):
+        V = rand_tensor(np.random.default_rng(520 + n), n)
+        K = FiniteKernel.from_tensor(V)
+        W = K.to_tensor()
+        assert_trusted(W)
+        assert W.p is K.q  # both read-only, so they can share
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_tensor_from_obj(self, m):
+        V = rand_tensor(np.random.default_rng(530 + m), m)
+        for mode in ("strict", "normalize"):
+            assert_trusted(tensor_from_obj(tensor_to_obj(V), mode=mode))
+
+
 class TestSupportPredicates:
     def test_support_examples(self):
         assert support(SimplexPoint([1, 0, 0])) == {1}
@@ -284,6 +395,14 @@ class TestTypedParameterErrors:
     def test_nonpositive_support_threshold(self, eps_supp):
         with pytest.raises(ParameterOutOfRange, match="eps_supp must be positive"):
             support(SimplexPoint([0.5, 0.5]), eps_supp=eps_supp)
+
+    @pytest.mark.parametrize("eps_supp", [float("nan"), 0.0, -1.0])
+    def test_nan_support_threshold(self, eps_supp):
+        # a NaN threshold used to make every support empty
+        x, y = SimplexPoint([0.5, 0.5]), SimplexPoint([0.25, 0.75])
+        for f in (orthogonal, abs_continuous):
+            with pytest.raises(ParameterOutOfRange, match="eps_supp must be positive"):
+                f(x, y, eps_supp=eps_supp)
 
 
 class TestAsInteger:

@@ -6,8 +6,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import family_polynomial, rand_simplex, reference_is_op_grid
+from helpers import (
+    family_polynomial,
+    rand_simplex,
+    reference_classify_op,
+    reference_conjugate,
+    reference_is_op_grid,
+    reference_is_op_loop,
+)
 from qso import (
     FAMILY_VERTEX_IMAGES,
     Permutation,
@@ -25,6 +34,7 @@ from qso import (
     op_family,
     validate,
 )
+from qso.core import EPS_SUPP, EPS_VAL
 from qso.errors import DimensionUnsupported
 from qso.serialize import dumps, spec_to_obj
 
@@ -278,3 +288,134 @@ class TestExactRoundTrip:
             for sigma in itertools.permutations(range(3)):
                 W = conjugate(V, Permutation(sigma))
                 assert np.abs(op_family(classify_op(W)).p - W.p).max() <= 2.0**-52
+
+
+def outcome(f, *args, **kwargs):
+    """What a call gives, comparable across implementations: the value or
+    (exception type, message). A spec is compared by the bits of its fields."""
+    try:
+        got = f(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    if isinstance(got, OpFamilySpec):
+        return got.family, tuple(v.hex() for v in got.params)
+    return got
+
+
+EPS_CHOICES = (EPS_VAL, 0.0, 1e-6, 0.05)
+VERTEX_TOL_CHOICES = (1e-6, 0.0, 1e-3, 0.4)
+EPS_SUPP_CHOICES = (EPS_SUPP, 1e-9, 1e-3)
+#: relative offsets of a perturbation from a tolerance: just inside, on, just outside
+TOL_OFFSETS = (-(2.0**-20), 0.0, 2.0**-20)
+
+
+@st.composite
+def s2_cases(draw):
+    """An m = 3 QsoTensor with tolerances for the classifier and the OP test.
+
+    Kinds: a family member at random or corner parameters (maybe conjugated),
+    the same with one symmetric entry pair moved by a tolerance times
+    1 - 2^-20, 1 or 1 + 2^-20 (either sign), a random tensor with a random
+    sparsity pattern, and a family member with one entry pair replaced by a
+    negative or infinite value (NaN fails the constructor's symmetry check).
+    """
+    eps = draw(st.sampled_from(EPS_CHOICES))
+    vertex_tol = draw(st.sampled_from(VERTEX_TOL_CHOICES))
+    eps_supp = draw(st.sampled_from(EPS_SUPP_CHOICES))
+    kind = draw(st.sampled_from(("family", "perturbed", "random", "special")))
+    if kind == "random":
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=27, max_size=27))
+        keep = draw(st.lists(st.booleans(), min_size=27, max_size=27))
+        p = np.where(keep, values, 0.0).reshape(3, 3, 3)
+        p = (p + p.transpose(1, 0, 2)) / 2.0
+        if draw(st.booleans()):  # a vertex image that is a vertex, so the classifier goes on
+            for k in range(3):
+                p[k, k] = 0.0
+                p[k, k, draw(st.integers(0, 2))] = 1.0
+        return QsoTensor(3, p), eps, vertex_tol, eps_supp
+    param = st.one_of(st.sampled_from(CORNER_VALUES), st.floats(0.0, 1.0))
+    spec = OpFamilySpec(draw(st.integers(1, 6)), draw(param), draw(param), draw(param))
+    V = op_family(spec)
+    if draw(st.booleans()):
+        V = conjugate(V, Permutation(draw(st.permutations(range(3)))))
+    if kind == "family":
+        return V, eps, vertex_tol, eps_supp
+    p = V.p.copy()
+    i, j, k = (draw(st.integers(0, 2)) for _ in range(3))
+    if kind == "perturbed":
+        tol = draw(st.sampled_from([t for t in (eps, vertex_tol, eps_supp) if t > 0]))
+        delta = tol * (1.0 + draw(st.sampled_from(TOL_OFFSETS)))
+        value = p[i, j, k] + draw(st.sampled_from((delta, -delta)))
+    else:
+        value = draw(st.sampled_from((-1e-3, -EPS_VAL, -1.0, np.inf, -np.inf)))
+    p[i, j, k] = p[j, i, k] = value
+    return QsoTensor(3, p), eps, vertex_tol, eps_supp
+
+
+class TestOnePassMatchesReference:
+    """The one-pass classifier, the gathered OP test and the trusted conjugate
+    give the same bits, verdicts and errors as the code they replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=s2_cases())
+    def test_classify_op_and_op_test(self, case):
+        V, eps, vertex_tol, eps_supp = case
+        assert outcome(classify_op, V, eps=eps, vertex_tol=vertex_tol) == outcome(
+            reference_classify_op, V, eps=eps, vertex_tol=vertex_tol
+        )
+        assert outcome(is_orthogonality_preserving, V, eps_supp=eps_supp) == outcome(
+            reference_is_op_loop, V, eps_supp=eps_supp
+        )
+        assert outcome(classify_op, V) == outcome(reference_classify_op, V)
+        assert outcome(is_orthogonality_preserving, V) == outcome(reference_is_op_loop, V)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=s2_cases(), sigma=st.permutations(range(3)))
+    def test_conjugate_bits(self, case, sigma):
+        V = case[0]
+        got, want = conjugate(V, Permutation(sigma)), reference_conjugate(V, Permutation(sigma))
+        assert got.p.tobytes() == want.p.tobytes()
+
+    def test_all_six_slot_pairs_decide(self):
+        # each disjoint slot pair alone breaks orthogonality preservation
+        base = op_family(OpFamilySpec(2, 1.0, 1.0, 1.0)).p
+        slots = [(i, j) for i in range(3) for j in range(i, 3)]
+        pairs = [(a, b) for a, b in itertools.combinations(slots, 2) if not set(a) & set(b)]
+        assert len(pairs) == 6
+        for (i, j), (k, l) in pairs:
+            p = base.copy()
+            shared = int(np.argmax(p[k, l]))
+            p[i, j, shared] = p[j, i, shared] = 1e-3
+            V = QsoTensor(3, p)
+            assert is_orthogonality_preserving(V) is False
+            assert reference_is_op_loop(V) is False
+
+
+class TestToleranceGuards:
+    """NaN or negative tolerances raise instead of deciding a verdict."""
+
+    @pytest.mark.parametrize("eps_supp", [float("nan"), 0.0, -1e-12])
+    def test_op_test_rejects_nan_and_nonpositive_eps_supp(self, eps_supp):
+        with pytest.raises(ParameterOutOfRange, match="eps_supp must be positive"):
+            is_orthogonality_preserving(uniform_qso(), eps_supp=eps_supp)
+
+    @pytest.mark.parametrize("name", ["eps", "vertex_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), -1e-12, -1.0, -np.inf])
+    def test_classify_rejects_nan_and_negative_tolerances(self, name, value):
+        V = op_family(OpFamilySpec(4, *GENERIC))
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} must be nonnegative"):
+            classify_op(V, **{name: value})
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_zero_tolerances_classify_exact_members(self, family):
+        spec = OpFamilySpec(family, *GENERIC)
+        assert classify_op(op_family(spec), eps=0.0, vertex_tol=0.0) == spec
+
+    def test_dimension_is_checked_before_the_tolerances(self):
+        from helpers import rand_tensor
+
+        V = rand_tensor(np.random.default_rng(3), 4)
+        with pytest.raises(DimensionUnsupported):
+            classify_op(V, eps=float("nan"))
+        with pytest.raises(DimensionUnsupported):
+            is_orthogonality_preserving(V, eps_supp=float("nan"))

@@ -17,6 +17,7 @@ from helpers import (
     rand_volterra_tensor,
     reference_certificate,
     reference_forbidden_max,
+    reference_from_canonical,
 )
 from qso import (
     EPS_VAL,
@@ -35,7 +36,7 @@ from qso import (
     validate,
     volterra_certificate,
 )
-from qso.errors import InvalidSkew, ParameterOutOfRange
+from qso.errors import DimensionMismatch, InvalidSkew, ParameterOutOfRange
 from qso.volterra import _forbidden_max
 
 
@@ -115,6 +116,22 @@ class TestCanonicalForm:
                 assert np.allclose(
                     apply(V, x).coords, canonical_image(a.a, x.coords), atol=1e-10
                 )
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 13, 30])
+    def test_from_canonical_matches_the_loop_bit_for_bit(self, m):
+        rng = np.random.default_rng(90 + m)
+        skews = [rand_skew(rng, m) for _ in range(5)]
+        corners = np.triu(rng.choice([-1.0, 0.0, 1.0], size=(m, m)), 1)
+        skews += [SkewMatrix(m, corners - corners.T), SkewMatrix(m, np.zeros((m, m)))]
+        for a in skews:
+            got, want = from_canonical(a), reference_from_canonical(a)
+            assert got.p.tobytes() == want.p.tobytes()
+            assert not got.p.flags.writeable
+
+    def test_one_species_skew_matrix_is_no_operator(self):
+        a = SkewMatrix(1, np.zeros((1, 1)))
+        with pytest.raises(DimensionMismatch, match="^a QSO needs at least two species$"):
+            from_canonical(a)
 
     def test_from_canonical_always_volterra(self):
         rng = np.random.default_rng(9)
