@@ -16,14 +16,16 @@ All m^4 left products are entries of one matrix product,
 and the right products need no second one: :class:`QsoTensor` keeps p
 exactly symmetric in (i, j), so e_i o (e_j o e_k) = (e_j o e_k) o e_i =
 L[j, k, i, :]. The residual is the largest entry of |L - L[j, k, i, u]|.
-A single large tensor never forms L: slab j of it,
+Only small inputs form L. Anything larger goes slab by slab: slab j,
 
     M_j = p[j] @ P(m x m^2),    M_j[i, k, u] = L[j, i, k, u] = L[i, j, k, u],
 
 also holds L[j, k, i, :] = M_j[k, i, :], so the associator of (i, j, k) is
 M_j[i, k, :] - M_j[k, i, :], and one m^3 slab at a time keeps the memory
-at O(m^3). Small tensors and stacks of tensors (the refutation grid) form
-L, whose batched product makes fewer, larger BLAS calls.
+at O(m^3) per tensor. A stack of tensors (the refutation grid) takes the
+same slabs, one batched product per j. Row (j, i) of p is row (i, j)
+bit for bit, so M_j sums the same products as L and the residual does not
+depend on the path.
 The refutation grid evaluates stacks of family tensors with the same
 kernel in batches of ``_REFUTE_CHUNK`` points, and is capped at
 ``_REFUTE_MAX_AXIS`` values per parameter (a step of at least 0.005).
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, as_integer
+from .core import EPS_VAL, QsoTensor, as_integer, check_tol
 from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
@@ -71,10 +73,10 @@ _REFUTE_MAX_AXIS = 201
 _REFUTE_CHUNK = 4096
 
 #: Largest gap (elements of 8 bytes) that :func:`_residuals` takes in one
-#: piece. Small tensors skip the per-slab or per-i loop's call overhead; on
-#: larger ones the strided pass over the whole gap is slower than a loop
-#: (one tensor crosses over between m = 12 and m = 15). Above it a single
-#: tensor goes slab by slab and a stack loops over i.
+#: piece. Small inputs skip the slab loop's call overhead; on larger ones
+#: the strided pass over the whole gap is slower than the loop (one tensor
+#: crosses over between m = 12 and m = 15). Above it a tensor or a stack
+#: goes slab by slab.
 _WHOLE_GAP_MAX = 1 << 15
 
 
@@ -98,34 +100,25 @@ def _residuals(P: np.ndarray) -> np.ndarray:
 
     Each tensor must be exactly symmetric in its first two indices (see
     the module docstring). When the whole gap to L[j, k, i, u] fits in
-    ``_WHOLE_GAP_MAX`` elements it is taken in one piece. Above that, a
-    single tensor takes two (m, m, m) arrays, the slab M_j and its gap,
-    reused for each j; a stack forms L and takes one (n, m, m, m) slice of
-    the gap, reused for each i.
+    ``_WHOLE_GAP_MAX`` elements it is taken in one piece. Above that the
+    stack takes two (n, m, m, m) arrays, the slabs M_j and their gap,
+    reused for each j, and keeps one maximum per tensor and slab.
     """
     n, m = P.shape[:2]
-    if n == 1 and m**4 > _WHOLE_GAP_MAX:
-        p = P[0]
-        flat = p.reshape(m, m * m)
-        slab = np.empty((m, m, m))
-        gap = np.empty((m, m, m))
-        worst = np.empty(m)
-        for j in range(m):
-            np.matmul(p[j], flat, out=slab.reshape(m, m * m))
-            np.subtract(slab, slab.transpose(1, 0, 2), out=gap)
-            # gap[k, i] is exactly -gap[i, k], so its max is its largest |entry|
-            worst[j] = gap.max()
-        return worst.max(keepdims=True)
-    L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
     if n * m**4 <= _WHOLE_GAP_MAX:
+        L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
         gap = L - L.transpose(0, 3, 1, 2, 4)
         return np.abs(gap, out=gap).reshape(n, -1).max(axis=1)
-    out = np.zeros(n)
+    flat = P.reshape(n, m, m * m)
+    slab = np.empty((n, m, m, m))
     gap = np.empty((n, m, m, m))
-    for i in range(m):
-        np.subtract(L[:, i], L[:, :, :, i], out=gap)
-        np.maximum(out, np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=out)
-    return out
+    worst = np.empty((m, n))
+    for j in range(m):
+        np.matmul(P[:, j], flat, out=slab.reshape(n, m, m * m))
+        np.subtract(slab, slab.transpose(0, 2, 1, 3), out=gap)
+        # gap[k, i] is exactly -gap[i, k], so its max is its largest |entry|
+        gap.reshape(n, -1).max(axis=1, out=worst[j])
+    return worst.max(axis=0)
 
 
 def associator_residual(V: QsoTensor) -> float:
@@ -144,8 +137,7 @@ def is_associative(V: QsoTensor, eps: float = EPS_ASSOC) -> bool:
     ``eps`` must be nonnegative (0 asks for exact associativity); NaN or a
     negative value raises :class:`ParameterOutOfRange` instead of a verdict.
     """
-    if not eps >= 0:
-        raise ParameterOutOfRange(f"eps must be nonnegative, got {eps!r}")
+    check_tol("eps", eps)
     return associator_residual(V) <= eps
 
 
@@ -188,8 +180,10 @@ def assoc_solutions_v2(eps: float = EPS_ASSOC) -> set[tuple[float, float, float]
 
     The parameter corners {0, 1}^3 are the only candidates (the basis
     triples force alpha*(1-alpha), beta*(1-beta) and gamma*(1-gamma) to
-    vanish); each corner is decided by the basis-triple residual.
+    vanish); each corner is decided by the basis-triple residual. ``eps``
+    must be nonnegative, as for :func:`is_associative`.
     """
+    check_tol("eps", eps)
     corners = list(itertools.product((0.0, 1.0), repeat=3))
     res = _residuals(np.stack([op_family(OpFamilySpec(2, *c)).p for c in corners]))
     return {c for c, r in zip(corners, res) if r <= eps}

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, conjugacy, dynamics, kernel, orthopreserve, serialize, volterra
-from .core import SimplexPoint, apply
+from .core import EPS_VAL, SimplexPoint, apply
 from .errors import ParameterOutOfRange, QsoError
 
 EXIT_BROKEN_PIPE = 141
@@ -241,15 +241,13 @@ def cmd_kernel_check(args) -> int:
 def cmd_kernel_oracle(args) -> int:
     K = serialize.kernel_from_obj(_read_json(args.op))
     rng = np.random.default_rng(args.seed)
-    verdict = kernel.kernel_volterra_oracle(K, n_measures=args.measures, rng=rng)
+    verdict, witness = kernel._oracle(K, EPS_VAL, args.measures, rng)
     obj = {"volterra": verdict}
     human = f"volterra (exhaustive): {str(verdict).lower()}"
-    if not verdict:
-        witness = kernel.volterra_violation_witness(K)
-        if witness is not None:
-            subset, x, y = witness
-            obj["witness"] = {"A": list(subset), "x": x, "y": y}
-            human += f"\nwitness: A = {sorted(subset)}, x = {x}, y = {y}"
+    if witness is not None:
+        subset, x, y = witness
+        obj["witness"] = {"A": list(subset), "x": x, "y": y}
+        human += f"\nwitness: A = {sorted(subset)}, x = {x}, y = {y}"
     _write_or_print(args, obj, human)
     return 0 if verdict else 1
 

@@ -60,6 +60,20 @@ def as_integer(value) -> int | None:
     return n
 
 
+def check_tol(name: str, value, *, positive: bool = False) -> None:
+    """Raise :class:`ParameterOutOfRange` unless ``value`` is a usable tolerance.
+
+    The one guard for every tolerance parameter: ``value`` must be >= 0, or
+    > 0 with ``positive``. NaN fails both comparisons, so it raises too
+    instead of turning every later ``<=`` or ``>`` test into a silent verdict.
+    """
+    if positive:
+        if not value > 0:
+            raise ParameterOutOfRange(f"{name} must be positive, got {value!r}")
+    elif not value >= 0:
+        raise ParameterOutOfRange(f"{name} must be nonnegative, got {value!r}")
+
+
 def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     """Clamp noise-level negatives to zero and renormalize the sum to one.
 
@@ -101,6 +115,7 @@ class SimplexPoint:
     _label = "simplex point"
 
     def __init__(self, coords, *, eps: float = EPS_VAL):
+        check_tol("eps", eps)
         coords = _clean_prob_vector(coords, eps, self._label)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -219,10 +234,12 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     and every (i, j) slice is rescaled to sum to one.
 
     Raw entries below -eps raise :class:`NegativeCoefficient` and entries
-    above 1 + eps raise :class:`NotStochastic` in both modes.
+    above 1 + eps raise :class:`NotStochastic` in both modes. ``eps`` must be
+    nonnegative; NaN or a negative value raises :class:`ParameterOutOfRange`.
     """
     if mode not in _VALIDATE_MODES:
         raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
+    check_tol("eps", eps)
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise DimensionMismatch(f"expected a cubic m x m x m array, got shape {arr.shape}")
@@ -253,11 +270,11 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
                 f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {sums[bad]!r}; "
                 f"off by {worst:.3e}"
             )
-        sym[(sym < 0.0) & (sym >= -eps)] = 0.0
-    else:
-        if sums.min() <= 0.0:
-            raise NotStochastic("cannot rescale a slice with non-positive sum")
-        sym[(sym < 0.0) & (sym >= -eps)] = 0.0
+    elif sums.min() <= 0.0:
+        raise NotStochastic("cannot rescale a slice with non-positive sum")
+    # every raw entry is >= -eps, so is every mean of two: only noise is clamped
+    sym[sym < 0.0] = 0.0
+    if mode == "normalize":
         sym = sym / sym.sum(axis=2, keepdims=True)
 
     # (a + a^T) / 2 is exactly symmetric, and mirrored slices hold the same
@@ -288,6 +305,7 @@ def _image(
 
 def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoint:
     """Image of x under the operator: x'_k = sum_{i,j} p[i, j, k] x_i x_j."""
+    check_tol("eps", eps)
     if x.m != V.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, operator expects {V.m}")
     return SimplexPoint._trusted(_image(V.p, x.coords, V._nonneg, eps))
@@ -295,8 +313,7 @@ def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoin
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:
     """Indices (1-based) of the coordinates of x exceeding ``eps_supp``."""
-    if not eps_supp > 0:  # NaN too: it would make every support empty
-        raise ParameterOutOfRange("eps_supp must be positive")
+    check_tol("eps_supp", eps_supp, positive=True)  # NaN would empty every support
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > eps_supp)[0])
 
 

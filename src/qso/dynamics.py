@@ -14,7 +14,7 @@ from typing import IO, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import QsoTensor, SimplexPoint, _image, apply, as_integer
+from .core import QsoTensor, SimplexPoint, _image, apply, as_integer, check_tol
 from .errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 DEFAULT_TOL = 1e-10
@@ -49,11 +49,6 @@ class Trajectory:
         if self.status == STATUS_CYCLE:
             return f"cycle({self.cycle_length})"
         return self.status
-
-
-def _check_tol(tol) -> None:
-    if not tol > 0:
-        raise ParameterOutOfRange(f"tol must be positive, got {tol!r}")
 
 
 def _integer(name: str, value) -> int:
@@ -99,7 +94,7 @@ def iterate(
     if max_iter < 1:
         raise ParameterOutOfRange(f"max_iter must be at least 1, got {max_iter}")
     window = _integer("window", window)
-    _check_tol(tol)
+    check_tol("tol", tol, positive=True)
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
@@ -153,7 +148,7 @@ def iterate(
 
 def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozenset:
     """Labels (1-based) of the vertices fixed by the operator within ``tol``."""
-    _check_tol(tol)
+    check_tol("tol", tol, positive=True)
     fixed = set()
     for k in range(1, V.m + 1):
         e = SimplexPoint.vertex(V.m, k)

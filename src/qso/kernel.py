@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, SimplexPoint, _image
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _image, check_tol
 from .errors import (
     DimensionMismatch,
     NegativeCoefficient,
@@ -132,7 +132,8 @@ def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def kernel_is_volterra(K: FiniteKernel, eps: float = EPS_VAL) -> bool:
-    """True iff q[x, y, k] <= eps whenever k is neither x nor y."""
+    """True iff q[x, y, k] <= eps whenever k is neither x nor y; ``eps`` >= 0."""
+    check_tol("eps", eps)
     return bool(_forbidden_max(K.q) <= eps)
 
 
@@ -157,8 +158,7 @@ def volterra_violation_witness(
     exact mass above |A| * eps, hence an entry above eps and an earlier
     singleton hit. ``eps`` must be nonnegative; 0 asks for exact zeros.
     """
-    if not eps >= 0:
-        raise ParameterOutOfRange(f"eps must be nonnegative, got {eps!r}")
+    check_tol("eps", eps)
     n = K.n
     if n > _ORACLE_MAX_ATOMS:
         raise TooLarge(f"subset enumeration supports n <= {_ORACLE_MAX_ATOMS}, got {n}")
@@ -196,10 +196,22 @@ def kernel_volterra_oracle(
     nonnegative and ``n_measures`` at least 0, else
     :class:`ParameterOutOfRange`.
     """
+    return _oracle(K, eps, n_measures, rng)[0]
+
+
+def _oracle(
+    K: FiniteKernel, eps: float, n_measures: int, rng: np.random.Generator | None
+) -> tuple[bool, tuple[tuple[int, ...], int, int] | None]:
+    """:func:`kernel_volterra_oracle`'s verdict with the subset scan's witness.
+
+    The witness is :func:`volterra_violation_witness`'s, or None when the
+    scan passes (the spot check may still fail); one scan gives both.
+    """
     if n_measures < 0:
         raise ParameterOutOfRange(f"n_measures must be at least 0, got {n_measures}")
-    if volterra_violation_witness(K, eps) is not None:  # also checks eps
-        return False
+    witness = volterra_violation_witness(K, eps)  # also checks eps and n
+    if witness is not None:
+        return False, witness
     if rng is None:
         rng = np.random.default_rng(0)
     n = K.n
@@ -223,5 +235,5 @@ def kernel_volterra_oracle(
         out /= out.sum(axis=1, keepdims=True)
         null_mass = np.where(mu == 0.0, out, 0.0).sum(axis=1)
         if (null_mass > leak_tol).any():
-            return False
-    return True
+            return False, None
+    return True, None

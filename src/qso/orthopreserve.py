@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer
+from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer, check_tol
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
@@ -173,8 +173,7 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     must be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
     _require_s2(V)
-    if not eps_supp > 0:
-        raise ParameterOutOfRange("eps_supp must be positive")
+    check_tol("eps_supp", eps_supp, positive=True)
     supp = V.p[_S2_ROWS, _S2_COLS] > eps_supp  # supp[side, n, :]
     return not (supp[0] & supp[1]).any()
 
@@ -203,9 +202,8 @@ def classify_op(
     matches); NaN or a negative value raises :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
-    for name, tol in (("eps", eps), ("vertex_tol", vertex_tol)):
-        if not tol >= 0:
-            raise ParameterOutOfRange(f"{name} must be nonnegative, got {tol!r}")
+    check_tol("eps", eps)
+    check_tol("vertex_tol", vertex_tol)
 
     p = V.p
     rows = p[_DIAG, _DIAG]  # rows[k] = p[k, k, :] = V(e_k)

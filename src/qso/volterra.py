@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, abs_continuous, apply
+from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, abs_continuous, apply, check_tol
 from .errors import DimensionMismatch, InvalidSkew, NotVolterra, ParameterOutOfRange
 
 
@@ -85,7 +85,8 @@ class SkewMatrix:
 
 
 def is_volterra(V: QsoTensor, eps: float = EPS_VAL) -> bool:
-    """True iff every coefficient with k outside {i, j} is at most ``eps``."""
+    """True iff every coefficient with k outside {i, j} is at most ``eps`` (>= 0)."""
+    check_tol("eps", eps)
     return bool(_forbidden_max(V.p) <= eps)
 
 
@@ -94,8 +95,10 @@ def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
 
     Near-Volterra tensors (forbidden entries at most ``eps``) are accepted;
     their forbidden entries are treated as zero. Raises
-    :class:`NotVolterra` otherwise.
+    :class:`NotVolterra` otherwise; NaN or a negative ``eps`` raises
+    :class:`ParameterOutOfRange`.
     """
+    check_tol("eps", eps)
     worst = _forbidden_max(V.p)
     if not worst <= eps:
         raise NotVolterra(f"forbidden mass {worst:.3e} exceeds {eps:g}")
@@ -163,8 +166,7 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     :func:`check_abs_continuity_property` on :func:`certificate_points`.
     Raises :class:`ParameterOutOfRange` unless ``eps`` is positive (NaN too).
     """
-    if not eps > 0:
-        raise ParameterOutOfRange(f"eps must be positive, got {eps!r}")
+    check_tol("eps", eps, positive=True)
     vertex_images = np.einsum("kkj->kj", V.p)
     images = (vertex_images[:, None, :] + vertex_images[None, :, :] + 2.0 * V.p) / 4.0
     images /= images.sum(axis=2, keepdims=True)

@@ -241,8 +241,9 @@ def _cases() -> list[dict]:
     for f in ("f1.json", "v4.json", "r4.json", "u3.json"):
         ok.append(["volterra", "certificate", "--op", f])
 
-    for fam, a, b, g in ((1, "0.3", "0.6", "0.9"), (2, "0", "1", "0.5"), (3, "0.2", "0.4", "0.6"),
-                         (4, "1", "0", "0.25"), (5, "0.7", "0.1", "0.35"), (6, "0.1", "0.7", "0.2")):
+    for fam, a, b, g in ((1, "0.3", "0.6", "0.9"), (2, "0", "1", "0.5"),
+                         (3, "0.2", "0.4", "0.6"), (4, "1", "0", "0.25"),
+                         (5, "0.7", "0.1", "0.35"), (6, "0.1", "0.7", "0.2")):
         plain.extend(_forms(["op", "build", "--family", str(fam), "--alpha", a, "--beta", b,
                              "--gamma", g], "out.json"))
     for fam, a in (("7", "0.5"), ("0", "0.5"), ("1", "1.5"), ("1", "-0.1"), ("1", "nan"),
@@ -317,7 +318,8 @@ def _cases() -> list[dict]:
                   "--json", "--out", "out.csv"])
     for flag, value in (("--max-iter", "0"), ("--max-iter", "-3"), ("--tol", "0"),
                         ("--tol", "nan"), ("--tol", "-1e-9")):
-        plain.append(["dyn", "iterate", "--op", "f1.json", "--x0", "0.7,0.1,0.2", f"{flag}={value}"])
+        plain.append(["dyn", "iterate", "--op", "f1.json", "--x0", "0.7,0.1,0.2",
+                      f"{flag}={value}"])
 
     for f in ("f1.json", "f2.json", "f4.json", "v4.json", "r4.json"):
         ok.append(["dyn", "fixed-points", "--op", f])

@@ -186,6 +186,37 @@ def reference_one_product_residual(V: QsoTensor) -> float:
     return max(float(np.abs(L[i] - L[:, :, i]).max()) for i in range(m))
 
 
+def reference_residuals(P: np.ndarray, whole_gap_max: int = 1 << 15) -> np.ndarray:
+    """Oracle: the residual kernel with a stack path through the left-product array.
+
+    The three-path kernel the single slab loop replaced: whole gap when
+    n * m^4 fits ``whole_gap_max``; slab by slab for one large tensor; for
+    a large stack, the whole (n, m, m, m, m) array L and a loop over i.
+    """
+    n, m = P.shape[:2]
+    if n == 1 and m**4 > whole_gap_max:
+        p = P[0]
+        flat = p.reshape(m, m * m)
+        slab = np.empty((m, m, m))
+        gap = np.empty((m, m, m))
+        worst = np.empty(m)
+        for j in range(m):
+            np.matmul(p[j], flat, out=slab.reshape(m, m * m))
+            np.subtract(slab, slab.transpose(1, 0, 2), out=gap)
+            worst[j] = gap.max()
+        return worst.max(keepdims=True)
+    L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
+    if n * m**4 <= whole_gap_max:
+        gap = L - L.transpose(0, 3, 1, 2, 4)
+        return np.abs(gap, out=gap).reshape(n, -1).max(axis=1)
+    out = np.zeros(n)
+    gap = np.empty((n, m, m, m))
+    for i in range(m):
+        np.subtract(L[:, i], L[:, :, :, i], out=gap)
+        np.maximum(out, np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=out)
+    return out
+
+
 def reference_forbidden_max(p: np.ndarray) -> float:
     """Oracle: the largest entry p[i, j, k] with k not in {i, j}, by a gather (0 if none)."""
     i, j, k = np.indices(p.shape)

@@ -18,6 +18,7 @@ from helpers import (
     reference_associator_residual,
     reference_one_product_residual,
     reference_refute,
+    reference_residuals,
 )
 from qso import (
     algebra,
@@ -319,6 +320,43 @@ class TestSlabResidualMatchesOneProduct:
         finally:
             tracemalloc.stop()
         assert peak < 4 * m**3 * 8
+
+
+class TestStackSlabs:
+    # a stack above the whole-gap size takes the same slab loop as one
+    # large tensor; the oracle forms the stack's whole array L instead
+
+    @pytest.mark.parametrize("family", [1, 3, 4, 6])
+    def test_family_stack_equals_single_calls_and_oracle(self, family):
+        rng = np.random.default_rng(5200 + family)
+        stack = [op_family(OpFamilySpec(family, *rng.random(3))) for _ in range(4096)]
+        P = np.stack([V.p for V in stack])
+        assert P.shape[0] * 3**4 > algebra._WHOLE_GAP_MAX
+        got = algebra._residuals(P)
+        assert got.tolist() == [associator_residual(V) for V in stack]
+        assert got.tolist() == reference_residuals(P).tolist()
+
+    @pytest.mark.parametrize("m", [2, 4, 5, 9])
+    def test_random_stack_equals_oracle(self, m):
+        rng = np.random.default_rng(5300 + m)
+        P = np.stack([rand_tensor(rng, m).p for _ in range(2 * algebra._WHOLE_GAP_MAX // m**4)])
+        got = algebra._residuals(P)
+        assert got.tolist() == reference_residuals(P).tolist()
+        assert got.tolist() == [associator_residual(validate(p)) for p in P]
+
+    def test_refutation_chunk_holds_a_few_slabs(self):
+        # the parent's stack path held L, n * m^4 floats: 3 slabs at m = 3
+        n, m = algebra._REFUTE_CHUNK, 3
+        rng = np.random.default_rng(5400)
+        P = np.stack([op_family(OpFamilySpec(1, *rng.random(3))).p for _ in range(n)])
+        algebra._residuals(P)  # warm up lazy allocations outside the trace
+        tracemalloc.start()
+        try:
+            algebra._residuals(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * m**3 * 8
 
 
 class TestBatchedRefutation:

@@ -405,6 +405,60 @@ class TestTypedParameterErrors:
                 f(x, y, eps_supp=eps_supp)
 
 
+class TestToleranceGuard:
+    # every tolerance parameter goes through core.check_tol: NaN used to
+    # give a verdict (or an unnormalized tensor) instead of an error
+    @staticmethod
+    def sites():
+        from qso import assoc_solutions_v2, is_volterra, kernel_is_volterra, to_canonical
+
+        V = validate(uniform_tensor(3))
+        K = FiniteKernel(3, uniform_tensor(3))
+        return {
+            "validate": lambda eps: validate(uniform_tensor(3), eps=eps),
+            "validate_normalize": lambda eps: validate(uniform_tensor(3), "normalize", eps=eps),
+            "SimplexPoint": lambda eps: SimplexPoint([-3.0, 2.0], eps=eps),
+            "apply": lambda eps: apply(V, SimplexPoint([0.2, 0.3, 0.5]), eps=eps),
+            "is_volterra": lambda eps: is_volterra(V, eps),
+            "to_canonical": lambda eps: to_canonical(V, eps),
+            "kernel_is_volterra": lambda eps: kernel_is_volterra(K, eps),
+            "assoc_solutions_v2": lambda eps: assoc_solutions_v2(eps),
+        }
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-9, -1.0])
+    @pytest.mark.parametrize(
+        "site",
+        ["validate", "validate_normalize", "SimplexPoint", "apply", "is_volterra",
+         "to_canonical", "kernel_is_volterra", "assoc_solutions_v2"],
+    )
+    def test_nan_and_negative_eps_raise(self, site, eps):
+        with pytest.raises(ParameterOutOfRange, match=r"^eps must be nonnegative, got "):
+            self.sites()[site](eps)
+
+    def test_nan_eps_no_longer_passes_an_unstochastic_tensor(self):
+        p = np.zeros((3, 3, 3))
+        p[:, :, 0] = [[0.95, 1.0, 1.0], [1.0, 1.75, 1.0], [1.0, 1.0, 1.32]]
+        with pytest.raises(ParameterOutOfRange):
+            validate(p, eps=float("nan"))
+        with pytest.raises(NotStochastic):
+            validate(p)
+
+    def test_negative_eps_is_not_a_negative_coefficient(self):
+        with pytest.raises(ParameterOutOfRange, match="eps must be nonnegative, got -0.1"):
+            validate(uniform_tensor(3), eps=-0.1)
+
+    def test_zero_eps_still_decides(self):
+        assert validate(uniform_tensor(3), eps=0.0).m == 3
+        assert SimplexPoint([0.5, 0.5], eps=0.0).m == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_positive_form_keeps_its_message(self, value):
+        from qso.core import check_tol
+
+        with pytest.raises(ParameterOutOfRange, match=rf"^tol must be positive, got {value!r}$"):
+            check_tol("tol", value, positive=True)
+
+
 class TestAsInteger:
     @pytest.mark.parametrize("value,want", [(3, 3), (3.0, 3), (-2, -2), (np.int64(4), 4)])
     def test_integral_values(self, value, want):

@@ -41,13 +41,18 @@ def test_corpus_replays_byte_for_byte(tmp_path):
 
 
 def test_corpus_covers_every_parser_node_and_output_form():
-    argvs = [case["argv"] for case in RECORDED["cases"]]
-    helps = {tuple(a[:-1]) for a in argvs if a[-1:] == ["--help"]}
+    helps = {
+        tuple(case["argv"][:-1]): case["stdout"]
+        for case in RECORDED["cases"] if case["argv"][-1:] == ["--help"]
+    }
     assert len(helps) == 25
-    leaves = {h for h in helps if h and h[0] in ("validate", "apply") or len(h) == 2}
+    leaves = [n for n in helps if n and not any(o[: len(n)] == n != o for o in helps)]
+    assert len(leaves) == 19
     for leaf in leaves:
-        ran = [a for a in argvs if tuple(a[: len(leaf)]) == leaf and "--help" not in a]
-        assert any("--json" in a for a in ran), leaf
-        assert any("--json" not in a and "--out" not in a for a in ran), leaf
-    codes = {case["exit"] for case in RECORDED["cases"]}
-    assert codes == {0, 1, 2}
+        ran = [c for c in RECORDED["cases"]
+               if tuple(c["argv"][: len(leaf)]) == leaf and c["exit"] == 0]
+        assert any("--json" in c["argv"] for c in ran), leaf
+        assert any("--json" not in c["argv"] and c["out"] is None for c in ran), leaf
+        if "--out" in helps[leaf]:
+            assert any(c["out"] is not None for c in ran), leaf
+    assert {case["exit"] for case in RECORDED["cases"]} == {0, 1, 2}

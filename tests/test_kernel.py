@@ -168,6 +168,12 @@ class TestSharedForbiddenMask:
     @pytest.mark.parametrize("eps", [EPS_VAL, 0.0, float("nan")])
     def test_tensor_and_kernel_verdicts_agree(self, value, eps):
         V = with_forbidden_entry(value)
+        if eps != eps:  # NaN is no tolerance: both raise instead of answering False
+            with pytest.raises(ParameterOutOfRange):
+                is_volterra(V, eps)
+            with pytest.raises(ParameterOutOfRange):
+                kernel_is_volterra(FiniteKernel.from_tensor(V), eps)
+            return
         verdict = is_volterra(V, eps)
         assert verdict == (value <= eps)
         assert kernel_is_volterra(FiniteKernel.from_tensor(V), eps) == verdict
@@ -362,3 +368,46 @@ class TestEpsAndCountChecks:
     def test_negative_measure_count_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             kernel_volterra_oracle(diagonal_kernel(3), n_measures=-5)
+
+
+class TestOracleScansOnce:
+    def test_cli_scans_the_subsets_once(self, monkeypatch, tmp_path, capsys):
+        from qso.cli import main
+        from qso.serialize import dumps, kernel_to_obj
+
+        K = kernel_with_forbidden(np.random.default_rng(760), 8, 0.3)
+        want = volterra_violation_witness(K)
+        assert want is not None
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return want
+
+        monkeypatch.setattr(kernel_module, "volterra_violation_witness", counted)
+        path = tmp_path / "k.json"
+        path.write_text(dumps(kernel_to_obj(K)), encoding="utf-8")
+        assert main(["kernel", "oracle", "--op", str(path), "--json"]) == 1
+        assert len(calls) == 1
+        subset, x, y = want
+        assert capsys.readouterr().out == dumps(
+            {"volterra": False, "witness": {"A": list(subset), "x": x, "y": y}}
+        ) + "\n"
+
+    def test_errors_keep_their_order(self):
+        big = diagonal_kernel(13)
+        with pytest.raises(ParameterOutOfRange, match="n_measures"):
+            kernel_module._oracle(big, float("nan"), -1, None)
+        with pytest.raises(ParameterOutOfRange, match="eps must be nonnegative"):
+            kernel_module._oracle(big, float("nan"), 0, None)
+        with pytest.raises(TooLarge):
+            kernel_module._oracle(big, EPS_VAL, 0, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_verdict_and_witness_match_the_public_calls(self, seed):
+        rng = np.random.default_rng(770 + seed)
+        K = kernel_with_forbidden(rng, 6, 0.1 * seed)
+        verdict, witness = kernel_module._oracle(K, EPS_VAL, 50, np.random.default_rng(seed))
+        assert verdict == kernel_volterra_oracle(K, n_measures=50,
+                                                 rng=np.random.default_rng(seed))
+        assert witness == volterra_violation_witness(K)
