@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -286,7 +287,9 @@ _OP_HELP = "operator JSON file ('-' for stdin)"
 _KERNEL_HELP = "kernel JSON file ('-' for stdin)"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qso`` argument parser, built once per process: ``main`` reuses it."""
     top = argparse.ArgumentParser(prog="qso", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
     leaves = []

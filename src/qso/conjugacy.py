@@ -124,7 +124,6 @@ def conjugacy_classes(
     Classes are returned sorted by their smallest member.
     """
     classes: dict[tuple[int, ...], set[int]] = {}
-    for f in sorted(set(int(f) for f in families)):
-        spec = OpFamilySpec(f, *params)
-        classes.setdefault(_cycle_type(FAMILY_VERTEX_IMAGES[spec.family]), set()).add(f)
+    for f in {OpFamilySpec(f, *params).family for f in families}:
+        classes.setdefault(_cycle_type(FAMILY_VERTEX_IMAGES[f]), set()).add(f)
     return sorted((frozenset(c) for c in classes.values()), key=min)

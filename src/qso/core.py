@@ -60,6 +60,20 @@ def as_integer(value) -> int | None:
     return n
 
 
+def _integer(name: str, value, error: type[Exception] = ParameterOutOfRange) -> int:
+    """``value`` as an int by :func:`as_integer`, else ``error`` naming ``name``.
+
+    The one guard for integer arguments and size fields: 2.0 gives 2, while
+    2.5, True, NaN or "3" raise instead of failing later in a numpy call.
+    """
+    if type(value) is int:
+        return value
+    n = as_integer(value)
+    if n is None:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 def check_tol(name: str, value, *, positive: bool = False) -> None:
     """Raise :class:`ParameterOutOfRange` unless ``value`` is a usable tolerance.
 
@@ -94,7 +108,7 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
         v[v < 0.0] = 0.0
         total = v.sum()
     if abs(total - 1.0) > eps:
-        raise InvalidPoint(f"{what} sums to {total!r}, expected 1 within {eps:g}")
+        raise InvalidPoint(f"{what} sums to {float(total)!r}, expected 1 within {eps:g}")
     v /= total
     return v
 
@@ -183,6 +197,7 @@ class QsoTensor:
     p: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("operator size", self.m, DimensionMismatch))
         p = np.asarray(self.p, dtype=float)
         if p.shape != (self.m, self.m, self.m):
             raise DimensionMismatch(
@@ -267,7 +282,7 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
         if worst > eps:
             bad = np.unravel_index(np.abs(sums - 1.0).argmax(), sums.shape)
             raise NotStochastic(
-                f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {sums[bad]!r}; "
+                f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {float(sums[bad])!r}; "
                 f"off by {worst:.3e}"
             )
     elif sums.min() <= 0.0:

@@ -14,7 +14,7 @@ from typing import IO, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import QsoTensor, SimplexPoint, _image, apply, as_integer, check_tol
+from .core import QsoTensor, SimplexPoint, _image, _integer, apply, check_tol
 from .errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 DEFAULT_TOL = 1e-10
@@ -49,13 +49,6 @@ class Trajectory:
         if self.status == STATUS_CYCLE:
             return f"cycle({self.cycle_length})"
         return self.status
-
-
-def _integer(name: str, value) -> int:
-    n = as_integer(value)
-    if n is None:
-        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
-    return n
 
 
 def iterate(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, SimplexPoint, _image, check_tol
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _image, _integer, check_tol
 from .errors import (
     DimensionMismatch,
     NegativeCoefficient,
@@ -87,6 +87,7 @@ class FiniteKernel:
     q: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("kernel size", self.n, DimensionMismatch))
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.n, self.n, self.n):
             raise DimensionMismatch(f"expected a {self.n}^3 array, got {q.shape}")
@@ -193,7 +194,7 @@ def kernel_volterra_oracle(
     zeroed supports (seeded deterministically unless ``rng`` is given).
     Each measure draws from ``rng`` exactly as a one-at-a-time loop would;
     they are evaluated ``_SPOT_CHUNK`` at a time. ``eps`` must be
-    nonnegative and ``n_measures`` at least 0, else
+    nonnegative and ``n_measures`` an integer of at least 0 (2.0 is 2), else
     :class:`ParameterOutOfRange`.
     """
     return _oracle(K, eps, n_measures, rng)[0]
@@ -207,6 +208,7 @@ def _oracle(
     The witness is :func:`volterra_violation_witness`'s, or None when the
     scan passes (the spot check may still fail); one scan gives both.
     """
+    n_measures = _integer("n_measures", n_measures)
     if n_measures < 0:
         raise ParameterOutOfRange(f"n_measures must be at least 0, got {n_measures}")
     witness = volterra_violation_witness(K, eps)  # also checks eps and n

@@ -32,11 +32,13 @@ coordinates (x, y, z are the input coordinates) are:
 with a, b, g (alpha, beta, gamma) in [0, 1].
 
 Each family is a vertex permutation sigma (``FAMILY_VERTEX_IMAGES``; the
-six are exactly S_3) applied to the outputs of a Volterra tensor W:
-p[:, :, sigma] = W, where W[k, k, k] = 1 and the edge slice (i, j) of W
-holds one parameter t at one endpoint and 1 - t at the other
-(``_PARAM_ENDPOINTS``). The family is read off the diagonal slices
-p[k, k, :] = V(e_k); undoing sigma leaves the parameters as plain entries.
+six are exactly S_3) applied to the outputs of a Volterra tensor:
+p[k, k, sigma(k)] = 1, and the edge slice (i, j) carries alpha, beta and
+gamma for the edges (1, 2), (2, 3) and (1, 3). One rule places every
+parameter t, so sigma alone fixes the family: p[i, j, min(sigma(i),
+sigma(j))] = t and p[i, j, max(sigma(i), sigma(j))] = 1 - t. The family is
+read off the diagonal slices p[k, k, :] = V(e_k), and the parameters are
+then plain entries.
 
 Orthogonality preservation is decided exactly. Coefficients are
 nonnegative, so supp V(x) is the union of supp p[i, j, :] over i, j in
@@ -79,20 +81,8 @@ _DIAG = np.arange(3)
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
-#: The edges (i, j), 0-based, whose Volterra slices carry alpha, beta and gamma.
+#: The edges (i, j), 0-based, whose slices carry alpha, beta and gamma.
 _EDGES = ((0, 1), (1, 2), (0, 2))
-
-#: Per family, the endpoint (1-based) of each edge in ``_EDGES`` whose entry
-#: W[i, j, endpoint] holds alpha, beta and gamma; the other endpoint holds
-#: one minus that parameter.
-_PARAM_ENDPOINTS: dict[int, tuple[int, int, int]] = {
-    1: (2, 3, 3),
-    2: (1, 2, 1),
-    3: (1, 3, 1),
-    4: (2, 2, 3),
-    5: (2, 2, 1),
-    6: (1, 3, 3),
-}
 
 
 @dataclass(frozen=True)
@@ -133,19 +123,19 @@ def _family_array(spec: OpFamilySpec) -> np.ndarray:
     p = np.zeros((3, 3, 3))
     for k in range(3):
         p[k, k, sigma[k]] = 1.0
-    for (i, j), end, t in zip(_EDGES, _PARAM_ENDPOINTS[spec.family], spec.params):
-        own, other = (sigma[i], sigma[j]) if end - 1 == i else (sigma[j], sigma[i])
-        p[i, j, own] = p[j, i, own] = t
-        p[i, j, other] = p[j, i, other] = 1.0 - t
+    for (i, j), t in zip(_EDGES, spec.params):
+        lo, hi = (sigma[i], sigma[j]) if sigma[i] < sigma[j] else (sigma[j], sigma[i])
+        p[i, j, lo] = p[j, i, lo] = t
+        p[i, j, hi] = p[j, i, hi] = 1.0 - t
     return p
 
 
 def op_family(spec: OpFamilySpec) -> QsoTensor:
     """Build the m = 3 tensor of the named family member.
 
-    Writes the parameters into the edge slices of the Volterra tensor W
-    with the outputs relabeled by the family's vertex permutation, so that
-    p[:, :, sigma] = W, one entry at a time.
+    Writes 1 at p[k, k, sigma(k)] and each parameter t into its edge slice
+    (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other
+    output, one entry at a time.
     """
     return QsoTensor._trusted(3, _family_array(spec))
 
@@ -189,9 +179,9 @@ def classify_op(
     Matches each vertex image p[k, k, :] = V(e_k) to its nearest vertex
     (anything farther than ``vertex_tol`` from every vertex raises
     :class:`VertexImageNotVertex`, for the first such k), looks the
-    permutation sigma up in ``FAMILY_VERTEX_IMAGES`` and reads the
-    parameters straight from the Volterra entries p[i, j, sigma[e]], so a
-    family member is recovered exactly. The family array rebuilt from the
+    permutation sigma up in ``FAMILY_VERTEX_IMAGES`` and reads each
+    parameter straight from its entry p[i, j, min(sigma[i], sigma[j])], so
+    a family member is recovered exactly. The family array rebuilt from the
     recovered spec must reproduce the input entrywise within ``eps``;
     otherwise the input lies outside the six families and
     :class:`NotOrthogonalityPreserving` is raised.
@@ -221,15 +211,12 @@ def classify_op(
         raise NotOrthogonalityPreserving(
             f"vertex images {images} are not mutually orthogonal"
         )
-    family = _VERTEX_IMAGES_TO_FAMILY[images]
-
-    values = [
-        float(p[i, j, sigma[e - 1]]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])
-    ]
+    values = [float(p[i, j, min(sigma[i], sigma[j])]) for i, j in _EDGES]
     if any(not -eps <= v <= 1.0 + eps for v in values):
         raise NotOrthogonalityPreserving(
             f"recovered parameters {values} fall outside [0, 1]"
         )
+    family = _VERTEX_IMAGES_TO_FAMILY[images]
     spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
 
     residual = np.abs(_family_array(spec) - p).max()

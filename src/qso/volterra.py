@@ -29,7 +29,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, SimplexPoint, abs_continuous, apply, check_tol
+from .core import (
+    EPS_SUPP,
+    EPS_VAL,
+    QsoTensor,
+    SimplexPoint,
+    _integer,
+    abs_continuous,
+    apply,
+    check_tol,
+)
 from .errors import DimensionMismatch, InvalidSkew, NotVolterra, ParameterOutOfRange
 
 
@@ -66,9 +75,12 @@ class SkewMatrix:
     a: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("skew matrix size", self.m, DimensionMismatch))
         a = np.asarray(self.a, dtype=float)
         if a.shape != (self.m, self.m):
             raise DimensionMismatch(f"expected a {self.m}x{self.m} matrix, got {a.shape}")
+        if self.m < 1:
+            raise DimensionMismatch("a skew matrix needs at least one species")
         if not np.all(np.isfinite(a)):
             raise InvalidSkew("matrix contains non-finite entries")
         dev = np.abs(a + a.T).max() / 2.0

@@ -44,7 +44,23 @@ from qso import (
 )
 from qso.core import as_integer
 from qso.errors import DimensionUnsupported
-from qso.orthopreserve import _EDGES, _PARAM_ENDPOINTS, FAMILY_VERTEX_IMAGES
+from qso.orthopreserve import FAMILY_VERTEX_IMAGES
+
+#: The edges (i, j), 0-based, of S^2 that carry alpha, beta and gamma.
+FAMILY_EDGES = ((0, 1), (1, 2), (0, 2))
+
+#: The paper's family table: per family, the endpoint (1-based) of each edge
+#: in ``FAMILY_EDGES`` at which the Volterra entry W[i, j, endpoint] holds
+#: alpha, beta and gamma, where p[:, :, sigma] = W. The other endpoint holds
+#: one minus that parameter.
+FAMILY_PARAM_ENDPOINTS: dict[int, tuple[int, int, int]] = {
+    1: (2, 3, 3),
+    2: (1, 2, 1),
+    3: (1, 3, 1),
+    4: (2, 2, 3),
+    5: (2, 2, 1),
+    6: (1, 3, 3),
+}
 
 
 def rand_simplex(rng: np.random.Generator, m: int, n_zeros: int = 0) -> SimplexPoint:
@@ -147,6 +163,24 @@ def family_polynomial(family: int, a: float, b: float, g: float, v) -> np.ndarra
             y * y + 2 * (1 - a) * x * y + 2 * (1 - b) * y * z,
         ])
     raise ValueError(family)
+
+
+def reference_family_array(spec: OpFamilySpec) -> np.ndarray:
+    """Oracle: a family's coefficient array, written from the paper's table.
+
+    The table-driven writer that the min(sigma(i), sigma(j)) rule of
+    ``qso.orthopreserve`` replaced: each parameter goes to the endpoint
+    ``FAMILY_PARAM_ENDPOINTS`` names, relabeled by the family's sigma.
+    """
+    sigma = [s - 1 for s in FAMILY_VERTEX_IMAGES[spec.family]]
+    p = np.zeros((3, 3, 3))
+    for k in range(3):
+        p[k, k, sigma[k]] = 1.0
+    for (i, j), end, t in zip(FAMILY_EDGES, FAMILY_PARAM_ENDPOINTS[spec.family], spec.params):
+        own, other = (sigma[i], sigma[j]) if end - 1 == i else (sigma[j], sigma[i])
+        p[i, j, own] = p[j, i, own] = t
+        p[i, j, other] = p[j, i, other] = 1.0 - t
+    return p
 
 
 def product_loops(p: np.ndarray, x, y) -> np.ndarray:
@@ -423,7 +457,7 @@ def reference_conjugacy_classes(
     same orbit form one class, sorted by their smallest member.
     """
     classes: dict[frozenset[int], set[int]] = {}
-    for f in sorted(set(int(f) for f in families)):
+    for f in sorted({OpFamilySpec(f, *params).family for f in families}):
         V = op_family(OpFamilySpec(f, *params))
         orbit = frozenset(
             classify_op(conjugate(V, Permutation(sigma))).family
@@ -459,8 +493,9 @@ def reference_classify_op(V: QsoTensor, *, eps: float = EPS_VAL,
     """Oracle: the classifier one vertex at a time, rebuilding a whole tensor.
 
     Each vertex image is matched against a fresh identity row, the
-    parameters are read from the relabeled copy p[:, :, sigma], and the
-    residual is taken against ``op_family`` of the recovered spec. It takes
+    parameters are read from the relabeled copy p[:, :, sigma] at the
+    endpoints of the paper's table, and the residual is taken against
+    :func:`reference_family_array` of the recovered spec. It takes
     the tolerances unchecked: a NaN or negative one gives a verdict or a
     different error here where the library raises ``ParameterOutOfRange``.
     """
@@ -483,13 +518,16 @@ def reference_classify_op(V: QsoTensor, *, eps: float = EPS_VAL,
         )
     family = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}[images]
     w = V.p[:, :, sigma]
-    values = [float(w[i, j, e - 1]) for (i, j), e in zip(_EDGES, _PARAM_ENDPOINTS[family])]
+    values = [
+        float(w[i, j, e - 1])
+        for (i, j), e in zip(FAMILY_EDGES, FAMILY_PARAM_ENDPOINTS[family])
+    ]
     if any(not -eps <= v <= 1.0 + eps for v in values):
         raise NotOrthogonalityPreserving(
             f"recovered parameters {values} fall outside [0, 1]"
         )
     spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
-    residual = np.abs(op_family(spec).p - V.p).max()
+    residual = np.abs(reference_family_array(spec) - V.p).max()
     if residual > eps:
         raise NotOrthogonalityPreserving(
             f"reconstruction residual {residual:.3e} exceeds {eps:g}; "

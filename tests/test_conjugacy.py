@@ -173,6 +173,8 @@ class TestClasses:
 
     @pytest.mark.parametrize("families,params,error", [
         ([1, 7], (0.3, 0.6, 0.9), InvalidFamily),
+        ([1.5], (0.3, 0.6, 0.9), InvalidFamily),  # not truncated to 1
+        ([True], (0.3, 0.6, 0.9), InvalidFamily),
         ([2], (2.0, 0.6, 0.9), ParameterOutOfRange),
         ([2, 4], (0.3, -0.1, 0.9), ParameterOutOfRange),
     ])
@@ -181,3 +183,9 @@ class TestClasses:
             reference_conjugacy_classes(families, params)
         with pytest.raises(error):
             conjugacy_classes(families, params)
+
+    def test_integral_family_groups_as_the_int(self):
+        for classes in (conjugacy_classes, reference_conjugacy_classes):
+            assert classes([2.0]) == [frozenset({2})]
+            assert classes([np.int64(2), 2, 4.0]) == [frozenset({2}), frozenset({4})]
+            assert all(type(f) is int for c in classes([2.0, np.int64(5)]) for f in c)

@@ -107,6 +107,18 @@ class TestSimplexPoint:
             DiscreteMeasure.point_mass(m, 1)
 
 
+class TestQsoTensorSize:
+    def test_integral_size_stored_as_int(self):
+        for m in (2.0, np.int64(2)):
+            V = QsoTensor(m, np.full((2, 2, 2), 0.5))
+            assert type(V.m) is int and V.m == 2
+
+    @pytest.mark.parametrize("m", [2.5, True, float("nan"), "2", None])
+    def test_non_integral_size_is_a_dimension_error(self, m):
+        with pytest.raises(DimensionMismatch, match="operator size must be an integer"):
+            QsoTensor(m, np.full((2, 2, 2), 0.5))
+
+
 class TestValidate:
     def test_uniform_kernel_is_valid(self):
         V = validate(uniform_tensor(3))

@@ -40,6 +40,12 @@ def test_corpus_replays_byte_for_byte(tmp_path):
     )
 
 
+def test_no_recorded_output_prints_a_numpy_repr():
+    leaks = [case["argv"] for case in RECORDED["cases"]
+             if "np." in case["stdout"] or "np." in case["stderr"]]
+    assert not leaks
+
+
 def test_corpus_covers_every_parser_node_and_output_form():
     helps = {
         tuple(case["argv"][:-1]): case["stdout"]

@@ -113,6 +113,15 @@ class TestFiniteKernel:
         with pytest.raises(NotStochastic):
             FiniteKernel(2, q)
 
+    def test_size_is_an_integer(self):
+        q = np.full((2, 2, 2), 0.5)
+        for n in (2.0, np.int64(2)):
+            K = FiniteKernel(n, q)
+            assert type(K.n) is int and K.n == 2
+        for n in (2.5, True, float("nan"), "2"):
+            with pytest.raises(DimensionMismatch, match="kernel size must be an integer"):
+                FiniteKernel(n, q)
+
     def test_tensor_round_trip(self):
         V = rand_tensor(np.random.default_rng(1), 3)
         K = FiniteKernel.from_tensor(V)
@@ -368,6 +377,15 @@ class TestEpsAndCountChecks:
     def test_negative_measure_count_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             kernel_volterra_oracle(diagonal_kernel(3), n_measures=-5)
+
+    @pytest.mark.parametrize("n_measures", [2.5, float("nan"), True, "3", None])
+    def test_non_integral_measure_count_rejected(self, n_measures):
+        with pytest.raises(ParameterOutOfRange, match="n_measures must be an integer"):
+            kernel_volterra_oracle(diagonal_kernel(3), n_measures=n_measures)
+
+    def test_integral_measure_count_is_the_int_count(self):
+        K = rand_volterra_kernel(np.random.default_rng(31), 3)
+        assert kernel_volterra_oracle(K, n_measures=3.0) == kernel_volterra_oracle(K, n_measures=3)
 
 
 class TestOracleScansOnce:

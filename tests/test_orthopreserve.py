@@ -14,6 +14,7 @@ from helpers import (
     rand_simplex,
     reference_classify_op,
     reference_conjugate,
+    reference_family_array,
     reference_is_op_grid,
     reference_is_op_loop,
 )
@@ -58,6 +59,16 @@ class TestOpFamily:
                 family_polynomial(family, a, b, g, x.coords),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_min_sigma_rule_writes_the_paper_table(self, family):
+        """Each parameter sits at output min(sigma(i), sigma(j)) of its edge
+        exactly where the paper's table puts it, bit for bit."""
+        rng = np.random.default_rng(80 + family)
+        triples = list(itertools.product((0.0, 0.5, 1.0), repeat=3)) + rng.random((200, 3)).tolist()
+        for a, b, g in triples:
+            spec = OpFamilySpec(family, a, b, g)
+            assert op_family(spec).p.tobytes() == reference_family_array(spec).tobytes()
 
     def test_family1_table_entries(self):
         a, b, g = GENERIC

@@ -133,6 +133,17 @@ class TestCanonicalForm:
         with pytest.raises(DimensionMismatch, match="^a QSO needs at least two species$"):
             from_canonical(a)
 
+    def test_skew_size_is_an_integer(self):
+        a = SkewMatrix(2.0, np.zeros((2, 2)))
+        assert type(a.m) is int and a.m == 2
+        same = from_canonical(SkewMatrix(2, np.zeros((2, 2))))
+        assert from_canonical(a).p.tobytes() == same.p.tobytes()
+        for m in (2.5, True, float("nan"), "2"):
+            with pytest.raises(DimensionMismatch, match="skew matrix size must be an integer"):
+                SkewMatrix(m, np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch, match="at least one species"):
+            SkewMatrix(0, np.zeros((0, 0)))
+
     def test_from_canonical_always_volterra(self):
         rng = np.random.default_rng(9)
         for m in (2, 3, 5):
