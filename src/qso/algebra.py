@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, as_integer, check_tol
+from .core import QsoTensor, as_integer, check_tol, check_unit
 from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
@@ -158,10 +158,7 @@ def v2_condition_system(alpha: float, beta: float, gamma: float) -> np.ndarray:
     member but not necessary: see the module docstring for the one corner
     where the split expressions 4 and 6 over-reject.
     """
-    a, b, g = float(alpha), float(beta), float(gamma)
-    for name, v in (("alpha", a), ("beta", b), ("gamma", g)):
-        if not -EPS_VAL <= v <= 1.0 + EPS_VAL:
-            raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
+    a, b, g = check_unit("alpha", alpha), check_unit("beta", beta), check_unit("gamma", gamma)
     return np.array(
         [
             b * (1 - b),

@@ -197,15 +197,12 @@ def cmd_algebra_solve_v2(args) -> int:
         by_system = bool(np.abs(algebra.v2_condition_system(*corner)).max() <= algebra.EPS_ASSOC)
         if by_system != (corner in solutions):
             disagreements.append(corner)
-    if args.json:
-        print(serialize.dumps([list(s) for s in solutions]))
-    else:
-        print("associative family-2 corners:")
-        for s in solutions:
-            print(f"  alpha={s[0]:g} beta={s[1]:g} gamma={s[2]:g}")
-        if disagreements:
-            joined = ", ".join(str(tuple(map(float, d))) for d in disagreements)
-            print(f"reduced-system disagreements (see algebra module docs): {joined}")
+    lines = ["associative family-2 corners:"]
+    lines += [f"  alpha={a:g} beta={b:g} gamma={g:g}" for a, b, g in solutions]
+    if disagreements:
+        joined = ", ".join(str(tuple(map(float, d))) for d in disagreements)
+        lines.append(f"reduced-system disagreements (see algebra module docs): {joined}")
+    _write_or_print(args, [list(s) for s in solutions], "\n".join(lines))
     return 0
 
 

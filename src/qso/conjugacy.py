@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import QsoTensor, SimplexPoint, as_integer
+from .core import QsoTensor, SimplexPoint, _integer, as_integer
 from .errors import DimensionMismatch, InvalidPermutation
 from .orthopreserve import FAMILY_VERTEX_IMAGES, OpFamilySpec
 
@@ -36,10 +36,10 @@ class Permutation:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        m = len(self.sigma)
-        if sorted(self.sigma) != list(range(m)):
-            raise InvalidPermutation(f"{self.sigma} is not a bijection of 0..{m - 1}")
-        object.__setattr__(self, "sigma", tuple(int(s) for s in self.sigma))
+        sigma = tuple(_integer("permutation image", s, InvalidPermutation) for s in self.sigma)
+        if sorted(sigma) != list(range(len(sigma))):
+            raise InvalidPermutation(f"{sigma} is not a bijection of 0..{len(sigma) - 1}")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def m(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,17 +59,24 @@ def as_integer(value) -> int | None:
     return n
 
 
-def _integer(name: str, value, error: type[Exception] = ParameterOutOfRange) -> int:
-    """``value`` as an int by :func:`as_integer`, else ``error`` naming ``name``.
+def _plain(value):
+    """``value`` with a numpy scalar read out as its Python twin, for messages."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _integer(
+    name: str, value, error: type[Exception] = ParameterOutOfRange, low: int | None = None
+) -> int:
+    """``value`` as an int by :func:`as_integer`, at least ``low`` if given, else ``error``.
 
     The one guard for integer arguments and size fields: 2.0 gives 2, while
     2.5, True, NaN or "3" raise instead of failing later in a numpy call.
     """
-    if type(value) is int:
-        return value
-    n = as_integer(value)
+    n = value if type(value) is int else as_integer(value)
     if n is None:
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_plain(value)!r}")
+    if low is not None and n < low:
+        raise error(f"{name} must be at least {low}, got {n}")
     return n
 
 
@@ -83,9 +89,21 @@ def check_tol(name: str, value, *, positive: bool = False) -> None:
     """
     if positive:
         if not value > 0:
-            raise ParameterOutOfRange(f"{name} must be positive, got {value!r}")
+            raise ParameterOutOfRange(f"{name} must be positive, got {_plain(value)!r}")
     elif not value >= 0:
-        raise ParameterOutOfRange(f"{name} must be nonnegative, got {value!r}")
+        raise ParameterOutOfRange(f"{name} must be nonnegative, got {_plain(value)!r}")
+
+
+def check_unit(name: str, value) -> float:
+    """``value`` as a float in [0, 1] within ``EPS_VAL``, unclamped.
+
+    The one guard for the OP family parameters; NaN raises
+    :class:`ParameterOutOfRange` like any value outside the interval.
+    """
+    v = float(value)
+    if not -EPS_VAL <= v <= 1.0 + EPS_VAL:
+        raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
+    return v
 
 
 def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
@@ -153,20 +171,10 @@ class SimplexPoint:
         return self.coords.size
 
     @classmethod
-    def _size(cls, m) -> int:
-        """``m`` as a coordinate count: an integer (2.0 is 2) of at least 1."""
-        n = as_integer(m)
-        if n is None or n < 1:
-            raise DimensionMismatch(f"{cls._label} size must be an integer >= 1, got {m!r}")
-        return n
-
-    @classmethod
     def vertex(cls, m: int, label: int) -> "SimplexPoint":
         """The vertex e_label of S^{m-1}; ``label`` is 1-based and integral."""
-        m = cls._size(m)
-        k = as_integer(label)
-        if k is None:
-            raise DimensionMismatch(f"vertex label must be an integer, got {label!r}")
+        m = _integer(f"{cls._label} size", m, DimensionMismatch, low=1)
+        k = _integer("vertex label", label, DimensionMismatch)
         if not 1 <= k <= m:
             raise DimensionMismatch(f"vertex label {label} outside 1..{m}")
         c = np.zeros(m)
@@ -176,7 +184,7 @@ class SimplexPoint:
     @classmethod
     def barycenter(cls, m: int) -> "SimplexPoint":
         """The barycenter (1/m, ..., 1/m) of S^{m-1}; ``m`` is integral and >= 1."""
-        m = cls._size(m)
+        m = _integer(f"{cls._label} size", m, DimensionMismatch, low=1)
         return cls(np.full(m, 1.0 / m))
 
     def __repr__(self) -> str:
@@ -231,11 +239,6 @@ class QsoTensor:
         object.__setattr__(V, "p", p)
         return V
 
-    @cached_property
-    def _nonneg(self) -> bool:
-        """True iff every coefficient is >= 0 (NaN fails), decided once: p is read-only."""
-        return bool(self.p.min() >= 0)
-
     def __repr__(self) -> str:
         return f"QsoTensor(m={self.m})"
 
@@ -261,14 +264,14 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     m = arr.shape[0]
     if m < 2:
         raise DimensionMismatch("a QSO needs at least two species")
-    if not np.all(np.isfinite(arr)):
+    lo, hi = arr.min(), arr.max()
+    # NaN and +-inf always reach an extreme, so these two decide finiteness
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NotStochastic("tensor contains non-finite entries")
-    if arr.min() < -eps:
-        raise NegativeCoefficient(
-            f"coefficient below zero: min entry = {arr.min():.3e}"
-        )
-    if arr.max() > 1.0 + eps:
-        raise NotStochastic(f"coefficient above one: max entry = {arr.max():.6g}")
+    if lo < -eps:
+        raise NegativeCoefficient(f"coefficient below zero: min entry = {lo:.3e}")
+    if hi > 1.0 + eps:
+        raise NotStochastic(f"coefficient above one: max entry = {hi:.6g}")
 
     if mode == "strict":
         asym = np.abs(arr - arr.transpose(1, 0, 2)).max()
@@ -323,7 +326,7 @@ def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoin
     check_tol("eps", eps)
     if x.m != V.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, operator expects {V.m}")
-    return SimplexPoint._trusted(_image(V.p, x.coords, V._nonneg, eps))
+    return SimplexPoint._trusted(_image(V.p, x.coords, eps=eps))
 
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:

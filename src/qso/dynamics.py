@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import QsoTensor, SimplexPoint, _image, _integer, apply, check_tol
-from .errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
+from .errors import DimensionMismatch, InvalidPoint
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -67,11 +67,11 @@ def iterate(
     ``window <= 1`` only convergence is detected.
 
     Every point is ``apply`` of the one before: both call the one image
-    routine ``core._image``. When every coefficient is >= 0 (``V._nonneg``)
-    it takes its division-only path, since every einsum term is >= 0
-    because points are; an image that fails it, and every image of an
-    operator with a negative coefficient, gets the full point check, which
-    raises ``InvalidPoint`` at the same step ``apply`` would.
+    routine ``core._image``. When every coefficient is >= 0 (one
+    ``p.min()`` per orbit) it takes its division-only path, since every
+    einsum term is >= 0 because points are; an image that fails it, and
+    every image of an operator with a negative coefficient, gets the full
+    point check, which raises ``InvalidPoint`` where ``apply`` would.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
@@ -83,16 +83,14 @@ def iterate(
     the cycle length, and the images past it are dropped. An error inside
     a chunk is raised only if no step before it stops.
     """
-    max_iter = _integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ParameterOutOfRange(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
     check_tol("tol", tol, positive=True)
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
     p = V.p
-    nonneg = V._nonneg
+    nonneg = bool(p.min() >= 0)
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
     # one column per point: columns [0, size) hold the points before the

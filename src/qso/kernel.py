@@ -38,7 +38,6 @@ from .errors import (
     NegativeCoefficient,
     NotStochastic,
     NotSymmetric,
-    ParameterOutOfRange,
     TooLarge,
 )
 from .volterra import _forbidden_max
@@ -208,9 +207,7 @@ def _oracle(
     The witness is :func:`volterra_violation_witness`'s, or None when the
     scan passes (the spot check may still fail); one scan gives both.
     """
-    n_measures = _integer("n_measures", n_measures)
-    if n_measures < 0:
-        raise ParameterOutOfRange(f"n_measures must be at least 0, got {n_measures}")
+    n_measures = _integer("n_measures", n_measures, low=0)
     witness = volterra_violation_witness(K, eps)  # also checks eps and n
     if witness is not None:
         return False, witness

@@ -54,12 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer, check_tol
+from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer, check_tol, check_unit
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
     NotOrthogonalityPreserving,
-    ParameterOutOfRange,
     VertexImageNotVertex,
 )
 
@@ -101,9 +100,7 @@ class OpFamilySpec:
         if self.family not in FAMILY_VERTEX_IMAGES:
             raise InvalidFamily(f"family must be an integer in 1..6, got {family!r}")
         for name in ("alpha", "beta", "gamma"):
-            v = float(getattr(self, name))
-            if not -EPS_VAL <= v <= 1.0 + EPS_VAL:
-                raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
+            v = check_unit(name, getattr(self, name))
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
     @property

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .conjugacy import Permutation
-from .core import QsoTensor, SimplexPoint, as_integer, validate
+from .core import QsoTensor, SimplexPoint, _integer, as_integer, validate
 from .errors import DimensionMismatch, InvalidSkew, NotStochastic, QsoError
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
@@ -128,12 +128,8 @@ def _require(obj: dict, key: str, payload: str):
 
 
 def _dimension(obj: dict, key: str, payload: str) -> int:
-    """The nonnegative integer size field ``key`` of a payload."""
-    value = _require(obj, key, payload)
-    m = as_integer(value)
-    if m is None or m < 0:
-        raise DimensionMismatch(f"{payload} {key} must be a nonnegative integer, got {value!r}")
-    return m
+    """The size field ``key`` of a payload: an integer of at least 0."""
+    return _integer(f"{payload} {key}", _require(obj, key, payload), DimensionMismatch, low=0)
 
 
 # entry lists shorter than this are read by the per-entry loop: below it the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import product_loops, rand_simplex, rand_skew, rand_tensor
 from qso import (
     DiscreteMeasure,
     FiniteKernel,
+    InvalidPermutation,
     InvalidPoint,
     NegativeCoefficient,
     NotStochastic,
@@ -20,18 +22,22 @@ from qso import (
     OpFamilySpec,
     QsoTensor,
     SimplexPoint,
+    SkewMatrix,
     Permutation,
     abs_continuous,
     apply,
     conjugate,
     from_canonical,
+    iterate,
+    kernel_volterra_oracle,
     op_family,
     orthogonal,
     support,
+    v2_condition_system,
     validate,
 )
-from qso.core import EPS_VAL, _clean_prob_vector, as_integer
-from qso.serialize import tensor_from_obj, tensor_to_obj
+from qso.core import EPS_VAL, _clean_prob_vector, _image, as_integer, check_unit
+from qso.serialize import kernel_from_obj, skew_from_obj, tensor_from_obj, tensor_to_obj
 from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 
@@ -124,6 +130,25 @@ class TestValidate:
         V = validate(uniform_tensor(3))
         assert V.m == 3
         assert np.allclose(V.p.sum(axis=2), 1.0)
+
+    @pytest.mark.parametrize("m", [2, 100])
+    @pytest.mark.parametrize(
+        "value,error,message",
+        [
+            (float("nan"), NotStochastic, "tensor contains non-finite entries"),
+            (float("inf"), NotStochastic, "tensor contains non-finite entries"),
+            (float("-inf"), NotStochastic, "tensor contains non-finite entries"),
+            (1e308, NotStochastic, "coefficient above one: max entry = 1e+308"),
+            (-1e308, NegativeCoefficient, "coefficient below zero: min entry = -1.000e+308"),
+        ],
+    )
+    def test_extremes_decide_finiteness_and_bounds(self, m, value, error, message):
+        # validate reads finiteness from min and max: NaN and +-inf reach one of them
+        p = uniform_tensor(m).copy()
+        p[m - 1, 0, m // 2] = value
+        for mode in ("strict", "normalize"):
+            with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+                validate(p, mode=mode)
 
     def test_entry_above_one_rejected_in_both_modes(self):
         p = uniform_tensor(3).copy()
@@ -240,36 +265,24 @@ class TestApply:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_same_bits_as_the_full_point_check(self, m):
-        # apply takes the division-only path once V._nonneg holds; the full
-        # check of the einsum image is what it did before, and gives the same bits
+        # apply takes the full check of the einsum image; iterate and kernel_apply
+        # take the division-only path for nonnegative coefficients, with the same bits
         rng = np.random.default_rng(40 + m)
         tensors = [rand_tensor(rng, m) for _ in range(5)]
         if m == 3:
             tensors += [op_family(OpFamilySpec(f, *rng.random(3))) for f in range(1, 7)]
         for V in tensors:
-            assert V._nonneg is True
             for _ in range(20):
                 x = rand_simplex(rng, m, n_zeros=int(rng.integers(0, m)))
                 want = _clean_prob_vector(np.einsum("ijk,i,j->k", V.p, x.coords, x.coords),
                                           EPS_VAL, "simplex point")
                 assert apply(V, x).coords.tobytes() == want.tobytes()
-
-    def test_nonneg_is_decided_once_per_tensor(self):
-        p = validate(uniform_tensor(3)).p.copy()
-        assert "_nonneg" not in vars(validate(p))
-        V = validate(p)
-        apply(V, SimplexPoint.barycenter(3))
-        assert vars(V)["_nonneg"] is True
-        p[0, 1, 2] = p[1, 0, 2] = -1e-3
-        assert QsoTensor(3, p)._nonneg is False
-        p[0, 1, 2] = p[1, 0, 2] = np.inf
-        assert QsoTensor(3, p)._nonneg is True  # the image check catches inf
+                assert _image(V.p, x.coords, True).tobytes() == want.tobytes()
 
     def test_negative_coefficient_still_gets_the_full_check(self):
         p = np.full((2, 2, 2), 0.5)
         p[0, 0] = [1.5, -0.5]
         V = QsoTensor(2, p)
-        assert V._nonneg is False
         with pytest.raises(InvalidPoint, match="negative entry"):
             apply(V, SimplexPoint.vertex(2, 1))
 
@@ -481,3 +494,88 @@ class TestAsInteger:
     )
     def test_non_integral_values(self, value):
         assert as_integer(value) is None
+
+
+_V2 = QsoTensor(2, np.full((2, 2, 2), 0.5))
+_K2 = FiniteKernel(2, np.full((2, 2, 2), 0.5))
+
+# each integer argument site: its call, its typed error, and a value below its
+# bound (None where the argument has no bound)
+_INTEGER_SITES = {
+    "simplex point size, vertex": (lambda v: SimplexPoint.vertex(v, 1), DimensionMismatch, 0),
+    "simplex point size, barycenter": (SimplexPoint.barycenter, DimensionMismatch, 0),
+    "measure size": (lambda v: DiscreteMeasure.point_mass(v, 1), DimensionMismatch, 0),
+    "vertex label": (lambda v: SimplexPoint.vertex(3, v), DimensionMismatch, 0),
+    "operator size": (lambda v: QsoTensor(v, _V2.p), DimensionMismatch, 1),
+    "skew matrix size": (lambda v: SkewMatrix(v, np.zeros((2, 2))), DimensionMismatch, 0),
+    "kernel size": (lambda v: FiniteKernel(v, _K2.q), DimensionMismatch, 0),
+    "permutation image": (lambda v: Permutation((v, 0)), InvalidPermutation, -1),
+    "max_iter": (lambda v: iterate(_V2, SimplexPoint.barycenter(2), max_iter=v),
+                 ParameterOutOfRange, 0),
+    "window": (lambda v: iterate(_V2, SimplexPoint.barycenter(2), window=v),
+               ParameterOutOfRange, None),
+    "n_measures": (lambda v: kernel_volterra_oracle(_K2, n_measures=v), ParameterOutOfRange, -1),
+    "tensor m": (lambda v: tensor_from_obj({"m": v, "entries": []}), DimensionMismatch, -1),
+    "kernel n": (lambda v: kernel_from_obj({"n": v, "q": []}), DimensionMismatch, -1),
+    "skew matrix m": (lambda v: skew_from_obj({"m": v, "a": []}), DimensionMismatch, -1),
+}
+_NON_INTEGERS = [True, 2.5, float("nan"), "3", np.float64(2.5)]
+
+_UNIT_SITES = {
+    "OpFamilySpec": lambda v: OpFamilySpec(1, v, 0.5, 0.5),
+    "v2_condition_system": lambda v: v2_condition_system(v, 0.5, 0.5),
+}
+
+
+class TestArgumentGuards:
+    """Every integer and [0, 1] argument goes through the one guard for its rule."""
+
+    @pytest.mark.parametrize(
+        "site,value,integral",
+        [(site, v, False) for site in _INTEGER_SITES for v in _NON_INTEGERS]
+        + [(site, low, True) for site, (_, _, low) in _INTEGER_SITES.items() if low is not None],
+        ids=repr,
+    )
+    def test_integer_sites(self, site, value, integral):
+        call, error, _ = _INTEGER_SITES[site]
+        with pytest.raises(error) as info:
+            call(value)
+        message = str(info.value)
+        assert "np." not in message
+        assert integral or "must be an integer, got " in message
+
+    @pytest.mark.parametrize("site", sorted(_UNIT_SITES))
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), np.float64(2.0)], ids=repr)
+    def test_unit_sites(self, site, value):
+        with pytest.raises(ParameterOutOfRange, match=r"^alpha = .+ outside \[0, 1\]$") as info:
+            _UNIT_SITES[site](value)
+        assert "np." not in str(info.value)
+
+    def test_bool_permutation_images_raise(self):
+        for images in ((True, False), (False, True), (np.True_, 0)):
+            with pytest.raises(InvalidPermutation, match="permutation image must be an integer"):
+                Permutation(images)
+
+    def test_integral_permutation_images_are_stored_as_ints(self):
+        perm = Permutation((np.int64(1), 0.0, 2))
+        assert perm.sigma == (1, 0, 2) and all(type(s) is int for s in perm.sigma)
+        with pytest.raises(InvalidPermutation, match=r"^\(1, 1\) is not a bijection of 0..1$"):
+            Permutation((np.int64(1), 1.0))
+
+    def test_lower_bound_message(self):
+        with pytest.raises(ParameterOutOfRange, match="^max_iter must be at least 1, got 0$"):
+            iterate(_V2, SimplexPoint.barycenter(2), max_iter=0.0)
+        message = "^simplex point size must be at least 1, got 0$"
+        with pytest.raises(DimensionMismatch, match=message):
+            SimplexPoint.barycenter(np.int64(0))
+
+    def test_numpy_scalars_print_as_python_values(self):
+        with pytest.raises(ParameterOutOfRange, match="^eps must be nonnegative, got -1.0$"):
+            SimplexPoint([0.5, 0.5], eps=np.float64(-1))
+        with pytest.raises(ParameterOutOfRange, match="^max_iter must be an integer, got 2.5$"):
+            iterate(_V2, SimplexPoint.barycenter(2), max_iter=np.float64(2.5))
+
+    def test_unit_values_are_returned_unclamped(self):
+        for v in (-EPS_VAL, 0.25, 1.0 + EPS_VAL, np.float64(0.5)):
+            assert check_unit("alpha", v) == v and type(check_unit("alpha", v)) is float
+        assert OpFamilySpec(1, 1.0 + EPS_VAL, -EPS_VAL, 0.5).params == (1.0, 0.0, 0.5)

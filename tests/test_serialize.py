@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -348,12 +349,14 @@ class TestPayloadSizeChecks:
 
     @pytest.mark.parametrize("m", [-1, 2.7, "3", True, None, float("inf")])
     def test_bad_tensor_m_rejected(self, m):
-        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+        want = "at least 0, got -1" if m == -1 else f"an integer, got {m!r}"
+        with pytest.raises(DimensionMismatch, match=f"^tensor m must be {re.escape(want)}$"):
             tensor_from_obj({"m": m, "entries": []})
 
     @pytest.mark.parametrize("n", [-1, 2.7])
     def test_bad_kernel_n_rejected(self, n):
-        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+        want = "at least 0, got -1" if n == -1 else f"an integer, got {n!r}"
+        with pytest.raises(DimensionMismatch, match=f"^kernel n must be {re.escape(want)}$"):
             kernel_from_obj({"n": n, "q": []})
 
     def test_integral_float_size_accepted(self):
@@ -391,7 +394,7 @@ class TestPayloadSizeChecks:
             skew_from_obj({"m": 2, "a": a})
 
     def test_skew_m_must_be_integral(self):
-        with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+        with pytest.raises(DimensionMismatch, match="^skew matrix m must be an integer, got 2.5$"):
             skew_from_obj({"m": 2.5, "a": [[0.0, 1.0], [-1.0, 0.0]]})
 
 
