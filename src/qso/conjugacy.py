@@ -47,7 +47,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
+        """The identity of {0, ..., m-1}; ``m`` is integral and >= 0."""
+        return cls(tuple(range(_integer("permutation size", m, DimensionMismatch, low=0))))
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> "Permutation":

@@ -97,10 +97,14 @@ def check_tol(name: str, value, *, positive: bool = False) -> None:
 def check_unit(name: str, value) -> float:
     """``value`` as a float in [0, 1] within ``EPS_VAL``, unclamped.
 
-    The one guard for the OP family parameters; NaN raises
-    :class:`ParameterOutOfRange` like any value outside the interval.
+    The one guard for the OP family parameters; NaN, and anything ``float()``
+    cannot read, raises :class:`ParameterOutOfRange` like any value outside
+    the interval.
     """
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterOutOfRange(f"{name} = {_plain(value)!r} outside [0, 1]") from None
     if not -EPS_VAL <= v <= 1.0 + EPS_VAL:
         raise ParameterOutOfRange(f"{name} = {v!r} outside [0, 1]")
     return v

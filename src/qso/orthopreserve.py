@@ -40,6 +40,14 @@ sigma(j))] = t and p[i, j, max(sigma(i), sigma(j))] = 1 - t. The family is
 read off the diagonal slices p[k, k, :] = V(e_k), and the parameters are
 then plain entries.
 
+Both directions read one table, built at import from
+``FAMILY_VERTEX_IMAGES`` by that rule: per family, a code for each of the
+27 entries p[i, j, k] saying whether it holds 0, 1, t or 1 - t, and for
+which parameter t. ``op_family`` writes its array from the codes, and
+``classify_op`` reads the tensor once as 27 floats, matches the vertex
+images, reads the parameters at their slots and compares every entry
+with the value its code gives.
+
 Orthogonality preservation is decided exactly. Coefficients are
 nonnegative, so supp V(x) is the union of supp p[i, j, :] over i, j in
 supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -75,13 +84,44 @@ FAMILY_VERTEX_IMAGES: dict[int, tuple[int, int, int]] = {
 
 _VERTEX_IMAGES_TO_FAMILY = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}
 
-#: Index of the diagonal slots (k, k), and the vertices e_1, e_2, e_3 as rows.
-_DIAG = np.arange(3)
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
 #: The edges (i, j), 0-based, whose slices carry alpha, beta and gamma.
 _EDGES = ((0, 1), (1, 2), (0, 2))
+
+#: Entry codes: the entry of code c is ``_fills(a, b, g)[c]``, that is 0, 1,
+#: the parameter t of edge e (code _T + e) or 1 - t (code _ONE_MINUS_T + e).
+_ONE, _T, _ONE_MINUS_T = 1, 2, 5
+
+
+def _fills(a: float, b: float, g: float) -> tuple[float, ...]:
+    return (0.0, 1.0, a, b, g, 1.0 - a, 1.0 - b, 1.0 - g)
+
+
+def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, tuple[int, ...]]:
+    """The slot table row of the family with vertex images ``images``.
+
+    The codes of its 27 entries p[i, j, k] (flat index 9 i + 3 j + k), as a
+    getter that maps ``_fills(a, b, g)`` to the entries in that order, and
+    the flat slot of each parameter t. The codes: 1 at p[k, k, sigma(k)]; on
+    edge (i, j) t at output min(sigma(i), sigma(j)) and 1 - t at the other,
+    in both halves of the slice; 0 elsewhere.
+    """
+    sigma = [s - 1 for s in images]
+    codes = [0] * 27
+    for k in range(3):
+        codes[12 * k + sigma[k]] = _ONE
+    for e, (i, j) in enumerate(_EDGES):
+        lo, hi = sorted((sigma[i], sigma[j]))
+        for n in (9 * i + 3 * j, 9 * j + 3 * i):
+            codes[n + lo] = _T + e
+            codes[n + hi] = _ONE_MINUS_T + e
+    return itemgetter(*codes), tuple(codes.index(_T + e) for e in range(3))
+
+
+#: Per family, the entry getter and parameter slots of :func:`_slot_row`.
+_SLOTS = {f: _slot_row(images) for f, images in FAMILY_VERTEX_IMAGES.items()}
+
+#: The vertices e_1, e_2, e_3 as rows of floats.
+_VERTICES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -103,6 +143,19 @@ class OpFamilySpec:
             v = check_unit(name, getattr(self, name))
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
+    @classmethod
+    def _trusted(cls, family: int, alpha: float, beta: float, gamma: float) -> "OpFamilySpec":
+        """A spec from an int family in 1..6 and floats in [0, 1], unchecked.
+
+        The twin of :meth:`QsoTensor._trusted`, for ``classify_op``: its family
+        comes from a table lookup and its parameters are clamped into [0, 1],
+        so the checked constructor could not fail. Anything else goes through
+        the constructor.
+        """
+        spec = object.__new__(cls)
+        vars(spec).update(family=family, alpha=alpha, beta=beta, gamma=gamma)
+        return spec
+
     @property
     def params(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -113,28 +166,17 @@ def _require_s2(V: QsoTensor) -> None:
         raise DimensionUnsupported(f"classification is defined for m = 3, got m = {V.m}")
 
 
-def _family_array(spec: OpFamilySpec) -> np.ndarray:
-    """The coefficient array of :func:`op_family`, written entry by entry,
-    both halves of each slice; ``classify_op`` compares against it."""
-    sigma = [s - 1 for s in FAMILY_VERTEX_IMAGES[spec.family]]
-    p = np.zeros((3, 3, 3))
-    for k in range(3):
-        p[k, k, sigma[k]] = 1.0
-    for (i, j), t in zip(_EDGES, spec.params):
-        lo, hi = (sigma[i], sigma[j]) if sigma[i] < sigma[j] else (sigma[j], sigma[i])
-        p[i, j, lo] = p[j, i, lo] = t
-        p[i, j, hi] = p[j, i, hi] = 1.0 - t
-    return p
-
-
 def op_family(spec: OpFamilySpec) -> QsoTensor:
     """Build the m = 3 tensor of the named family member.
 
-    Writes 1 at p[k, k, sigma(k)] and each parameter t into its edge slice
-    (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other
-    output, one entry at a time.
+    Each entry is the 0, 1, t or 1 - t its code in the family's slot table
+    names: 1 at p[k, k, sigma(k)] and each parameter t in its edge slice
+    (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other output.
     """
-    return QsoTensor._trusted(3, _family_array(spec))
+    entries, _ = _SLOTS[spec.family]
+    p = np.empty((3, 3, 3))
+    p.flat = entries(_fills(*spec.params))
+    return QsoTensor._trusted(3, p)
 
 
 #: The six pairs of disjoint slots {i, j}, {k, l} of S^2 (the three vertex
@@ -173,53 +215,55 @@ def classify_op(
 ) -> OpFamilySpec:
     """Recover (family, alpha, beta, gamma) from an OP tensor.
 
-    Matches each vertex image p[k, k, :] = V(e_k) to its nearest vertex
-    (anything farther than ``vertex_tol`` from every vertex raises
+    Matches each vertex image p[k, k, :] = V(e_k) to the vertex at its
+    first maximum (one farther than ``vertex_tol`` from it raises
     :class:`VertexImageNotVertex`, for the first such k), looks the
     permutation sigma up in ``FAMILY_VERTEX_IMAGES`` and reads each
-    parameter straight from its entry p[i, j, min(sigma[i], sigma[j])], so
-    a family member is recovered exactly. The family array rebuilt from the
-    recovered spec must reproduce the input entrywise within ``eps``;
-    otherwise the input lies outside the six families and
-    :class:`NotOrthogonalityPreserving` is raised.
+    parameter straight from its slot p[i, j, min(sigma[i], sigma[j])], so
+    a family member is recovered exactly. Every entry must then lie within
+    ``eps`` of the 0, 1, t or 1 - t that the family's slot table (the one
+    :func:`op_family` writes from) puts there; otherwise the input lies
+    outside the six families and :class:`NotOrthogonalityPreserving` is
+    raised.
 
-    One pass: the three vertex images are one gather, matched by one
-    ``argmax`` and one distance row; no intermediate tensor is built.
-    ``eps`` and ``vertex_tol`` must be nonnegative (0 asks for exact
-    matches); NaN or a negative value raises :class:`ParameterOutOfRange`.
+    One pass over the 27 entries read once as Python floats; numpy only
+    words the vertex error. ``eps`` and ``vertex_tol`` must be nonnegative
+    (0 asks for exact matches); NaN or a negative value raises
+    :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
     check_tol("eps", eps)
     check_tol("vertex_tol", vertex_tol)
 
-    p = V.p
-    rows = p[_DIAG, _DIAG]  # rows[k] = p[k, k, :] = V(e_k)
-    nearest = rows.argmax(axis=1)
-    far = np.flatnonzero(np.abs(rows - _EYE3[nearest]).max(axis=1) > vertex_tol)
-    if far.size:
-        k = int(far[0])
-        raise VertexImageNotVertex(
-            f"image of vertex {k + 1} is {np.round(rows[k], 6).tolist()}, "
-            f"not within {vertex_tol:g} of any vertex"
-        )
-    sigma = nearest.tolist()
-    images = tuple(s + 1 for s in sigma)
+    q = V.p.ravel().tolist()  # q[9 i + 3 j + k] = p[i, j, k]
+    images = []
+    for k in range(3):
+        row = q[12 * k:12 * k + 3]  # p[k, k, :] = V(e_k)
+        nearest = row.index(max(row))  # the first maximum, as argmax picks it
+        if max(map(abs, map(sub, row, _VERTICES[nearest]))) > vertex_tol:
+            raise VertexImageNotVertex(
+                f"image of vertex {k + 1} is {np.round(V.p[k, k], 6).tolist()}, "
+                f"not within {vertex_tol:g} of any vertex"
+            )
+        images.append(nearest + 1)
+    images = tuple(images)
     if len(set(images)) != 3:
         raise NotOrthogonalityPreserving(
             f"vertex images {images} are not mutually orthogonal"
         )
-    values = [float(p[i, j, min(sigma[i], sigma[j])]) for i, j in _EDGES]
+    family = _VERTEX_IMAGES_TO_FAMILY[images]
+    entries, slots = _SLOTS[family]
+    values = [q[n] for n in slots]
     if any(not -eps <= v <= 1.0 + eps for v in values):
         raise NotOrthogonalityPreserving(
             f"recovered parameters {values} fall outside [0, 1]"
         )
-    family = _VERTEX_IMAGES_TO_FAMILY[images]
-    spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
+    a, b, g = [min(max(v, 0.0), 1.0) for v in values]
 
-    residual = np.abs(_family_array(spec) - p).max()
+    residual = max(map(abs, map(sub, entries(_fills(a, b, g)), q)))
     if residual > eps:
         raise NotOrthogonalityPreserving(
             f"reconstruction residual {residual:.3e} exceeds {eps:g}; "
             f"the tensor is outside the six families"
         )
-    return spec
+    return OpFamilySpec._trusted(family, a, b, g)

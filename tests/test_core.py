@@ -510,6 +510,7 @@ _INTEGER_SITES = {
     "skew matrix size": (lambda v: SkewMatrix(v, np.zeros((2, 2))), DimensionMismatch, 0),
     "kernel size": (lambda v: FiniteKernel(v, _K2.q), DimensionMismatch, 0),
     "permutation image": (lambda v: Permutation((v, 0)), InvalidPermutation, -1),
+    "permutation size": (Permutation.identity, DimensionMismatch, -1),
     "max_iter": (lambda v: iterate(_V2, SimplexPoint.barycenter(2), max_iter=v),
                  ParameterOutOfRange, 0),
     "window": (lambda v: iterate(_V2, SimplexPoint.barycenter(2), window=v),
@@ -545,11 +546,19 @@ class TestArgumentGuards:
         assert integral or "must be an integer, got " in message
 
     @pytest.mark.parametrize("site", sorted(_UNIT_SITES))
-    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "value",
+        [-0.1, 1.5, float("nan"), np.float64(2.0), "x", None, pytest.param(10**400, id="10**400"), 1j],
+        ids=repr,
+    )
     def test_unit_sites(self, site, value):
         with pytest.raises(ParameterOutOfRange, match=r"^alpha = .+ outside \[0, 1\]$") as info:
             _UNIT_SITES[site](value)
         assert "np." not in str(info.value)
+
+    def test_integral_identity_sizes_are_accepted(self):
+        assert Permutation.identity(3.0).sigma == (0, 1, 2)
+        assert Permutation.identity(np.int64(0)).sigma == ()
 
     def test_bool_permutation_images_raise(self):
         for images in ((True, False), (False, True), (np.True_, 0)):

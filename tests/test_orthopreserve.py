@@ -196,6 +196,14 @@ class TestClassify:
         with pytest.raises(DimensionUnsupported):
             classify_op(rand_tensor(np.random.default_rng(2), 4))
 
+    def test_tied_vertex_image_goes_to_its_first_maximum(self):
+        # V(e_1) = (1/2, 1/2, 0) is within 1/2 of e_1 and of e_2; argmax picks e_1
+        p = op_family(OpFamilySpec(2, *GENERIC)).p.copy()
+        p[0, 0] = [0.5, 0.5, 0.0]
+        V = QsoTensor(3, p)
+        got = classify_op(V, eps=0.5, vertex_tol=0.5)
+        assert got == reference_classify_op(V, eps=0.5, vertex_tol=0.5) == OpFamilySpec(2, *GENERIC)
+
     def test_completeness_random_search(self):
         # random tensors conditioned on vertex-images-being-vertices: any
         # that pass the OP certificate must classify into the six families
@@ -329,6 +337,7 @@ def s2_cases(draw):
     1 - 2^-20, 1 or 1 + 2^-20 (either sign), a random tensor with a random
     sparsity pattern, and a family member with one entry pair replaced by a
     negative or infinite value (NaN fails the constructor's symmetry check).
+    The corner parameters include -0.0, which a spec keeps as it is.
     """
     eps = draw(st.sampled_from(EPS_CHOICES))
     vertex_tol = draw(st.sampled_from(VERTEX_TOL_CHOICES))
@@ -344,7 +353,7 @@ def s2_cases(draw):
                 p[k, k] = 0.0
                 p[k, k, draw(st.integers(0, 2))] = 1.0
         return QsoTensor(3, p), eps, vertex_tol, eps_supp
-    param = st.one_of(st.sampled_from(CORNER_VALUES), st.floats(0.0, 1.0))
+    param = st.one_of(st.sampled_from(CORNER_VALUES + (-0.0,)), st.floats(0.0, 1.0))
     spec = OpFamilySpec(draw(st.integers(1, 6)), draw(param), draw(param), draw(param))
     V = op_family(spec)
     if draw(st.booleans()):
@@ -400,6 +409,42 @@ class TestOnePassMatchesReference:
             V = QsoTensor(3, p)
             assert is_orthogonality_preserving(V) is False
             assert reference_is_op_loop(V) is False
+
+
+def field_bits(spec: OpFamilySpec) -> tuple:
+    return type(spec.family), spec.family, tuple(v.hex() for v in spec.params)
+
+
+class TestTrustedSpec:
+    """``classify_op`` builds its spec unchecked; it must equal the checked one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=s2_cases())
+    def test_equals_the_checked_spec(self, case):
+        V, eps, vertex_tol, _ = case
+        try:
+            got = classify_op(V, eps=eps, vertex_tol=vertex_tol)
+        except (NotOrthogonalityPreserving, VertexImageNotVertex):
+            return
+        want = OpFamilySpec(got.family, *got.params)
+        assert got == want and hash(got) == hash(want)
+        assert field_bits(got) == field_bits(want)
+        assert type(got.family) is int and all(type(v) is float for v in got.params)
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_negative_zero_corner_keeps_its_sign(self, family):
+        spec = OpFamilySpec(family, -0.0, 0.5, -0.0)
+        got = classify_op(op_family(spec))
+        zero = (-0.0).hex()
+        assert field_bits(got) == field_bits(spec) == (int, family, (zero, (0.5).hex(), zero))
+        assert got == spec and hash(got) == hash(spec)
+
+    def test_is_immutable(self):
+        got = classify_op(op_family(OpFamilySpec(3, *GENERIC)))
+        for name in ("family", "alpha", "beta", "gamma"):
+            with pytest.raises(AttributeError):
+                setattr(got, name, 0)
+        assert got.params == GENERIC
 
 
 class TestToleranceGuards:
