@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, conjugacy, dynamics, kernel, orthopreserve, serialize, volterra
-from .core import EPS_VAL, SimplexPoint, apply
+from .core import EPS_VAL, SimplexPoint, _integer, apply
 from .errors import ParameterOutOfRange, QsoError
 
 EXIT_BROKEN_PIPE = 141
@@ -105,16 +105,31 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _random_support_weights(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Exponential weights, each zeroed with probability 1/2, one kept if all would go.
+
+    A point with full support cannot expose a forbidden entry, since V(x) << x
+    then holds for every operator; a random support can.
+    """
+    w = rng.exponential(size=m)
+    kill = rng.random(m) < 0.5
+    if kill.all():
+        kill[rng.integers(m)] = False
+    w[kill] = 0.0
+    return w / w.sum()
+
+
 def cmd_volterra_check(args) -> int:
     V = _load_tensor(args)
     if args.samples < 0:
         raise ParameterOutOfRange(f"--samples must be nonnegative, got {args.samples}")
+    seed = _integer("--seed", args.seed, low=0)
     verdict = volterra.is_volterra(V)
     obj = {"volterra": verdict}
     human = f"volterra: {str(verdict).lower()}"
     if args.samples:
-        rng = np.random.default_rng(args.seed)
-        pts = [SimplexPoint(rng.dirichlet(np.ones(V.m))) for _ in range(args.samples)]
+        rng = np.random.default_rng(seed)
+        pts = [SimplexPoint(_random_support_weights(rng, V.m)) for _ in range(args.samples)]
         prop = volterra.check_abs_continuity_property(V, pts)
         verdict = verdict and prop
         obj["abs_continuity"] = prop
@@ -238,8 +253,10 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_kernel_oracle(args) -> int:
     K = serialize.kernel_from_obj(_read_json(args.op))
-    rng = np.random.default_rng(args.seed)
-    verdict, witness = kernel._oracle(K, EPS_VAL, args.measures, rng)
+    _integer("--seed", args.seed, low=0)
+    _integer("n_measures", args.measures, low=0)  # both kept only for old command lines
+    witness = kernel.volterra_violation_witness(K, EPS_VAL)
+    verdict = witness is None
     obj = {"volterra": verdict}
     human = f"volterra (exhaustive): {str(verdict).lower()}"
     if witness is not None:

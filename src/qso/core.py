@@ -97,11 +97,14 @@ def check_tol(name: str, value, *, positive: bool = False) -> None:
 def check_unit(name: str, value) -> float:
     """``value`` as a float in [0, 1] within ``EPS_VAL``, unclamped.
 
-    The one guard for the OP family parameters; NaN, and anything ``float()``
-    cannot read, raises :class:`ParameterOutOfRange` like any value outside
-    the interval.
+    The one guard for the OP family parameters. NaN, text such as "0.5" or
+    b"0.5" (which ``float()`` would parse; :func:`_integer` likewise refuses
+    "3") and anything ``float()`` cannot read raise
+    :class:`ParameterOutOfRange` like any value outside the interval.
     """
     try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterOutOfRange(f"{name} = {_plain(value)!r} outside [0, 1]") from None

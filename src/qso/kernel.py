@@ -8,13 +8,15 @@ vectors, symmetric in (x, y):
 
 The kernel is Volterra exactly when q[x, y, A] vanishes for every subset A
 avoiding both x and y, which on atoms reduces to q[x, y, k] == 0 for
-k outside {x, y}. :func:`kernel_volterra_oracle` keeps the subset form as
-an exhaustive cross-check and additionally spot-checks the defining
-property V(mu) absolutely continuous w.r.t. mu on randomly supported
-measures. The scan gets all 2^n - 1 subset masses q[x, y, A] from one
+k outside {x, y}. :func:`volterra_violation_witness` decides the subset
+form exhaustively, and :func:`kernel_volterra_oracle` is its verdict. The
+scan gets all 2^n - 1 subset masses q[x, y, A] from one
 (2^n - 1, n) @ (n, n^2) product, i.e. O(2^n * n^3) work and an
 (2^n - 1, n^2) array (4.7 MB at the cap n = 12, hence the small-n
-precondition).
+precondition). The measure form, V(mu) absolutely continuous w.r.t. mu,
+needs no random spot check on top: an atom outside the support of mu gets
+mass only through forbidden entries, so once the scan has passed each
+such atom gets at most eps.
 
 A measure on n atoms is a point of S^{n-1} and a kernel is a QSO on it,
 so this module reuses the core definitions: :class:`DiscreteMeasure` is a
@@ -43,8 +45,6 @@ from .errors import (
 from .volterra import _forbidden_max
 
 _ORACLE_MAX_ATOMS = 12
-# random measures evaluated per batch by the oracle's spot check
-_SPOT_CHUNK = 4096
 
 
 class DiscreteMeasure(SimplexPoint):
@@ -188,51 +188,12 @@ def kernel_volterra_oracle(
 ) -> bool:
     """Exhaustive subset decision of the Volterra property (n <= 12 only).
 
-    When the subset scan passes, additionally verifies absolute continuity
-    of V(mu) w.r.t. mu on ``n_measures`` random measures with randomly
-    zeroed supports (seeded deterministically unless ``rng`` is given).
-    Each measure draws from ``rng`` exactly as a one-at-a-time loop would;
-    they are evaluated ``_SPOT_CHUNK`` at a time. ``eps`` must be
-    nonnegative and ``n_measures`` an integer of at least 0 (2.0 is 2), else
-    :class:`ParameterOutOfRange`.
+    True iff :func:`volterra_violation_witness` finds no violation, which
+    is exactly :func:`kernel_is_volterra`; no random measure is drawn.
+    ``n_measures`` and ``rng`` are accepted only so that callers which pass
+    them keep working: ``rng`` is not read, and ``n_measures`` must still
+    be an integer of at least 0 (2.0 is 2), checked before ``eps``, else
+    :class:`ParameterOutOfRange`. ``eps`` must be nonnegative.
     """
-    return _oracle(K, eps, n_measures, rng)[0]
-
-
-def _oracle(
-    K: FiniteKernel, eps: float, n_measures: int, rng: np.random.Generator | None
-) -> tuple[bool, tuple[tuple[int, ...], int, int] | None]:
-    """:func:`kernel_volterra_oracle`'s verdict with the subset scan's witness.
-
-    The witness is :func:`volterra_violation_witness`'s, or None when the
-    scan passes (the spot check may still fail); one scan gives both.
-    """
-    n_measures = _integer("n_measures", n_measures, low=0)
-    witness = volterra_violation_witness(K, eps)  # also checks eps and n
-    if witness is not None:
-        return False, witness
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = K.n
-    # Forbidden entries up to eps each can leak at most n * eps of mass
-    # onto a null set, so the spot check uses that bound to stay coherent
-    # with the entrywise predicate. After the subset scan passed every
-    # forbidden entry is at most eps, so only rounding could exceed it.
-    leak_tol = n * eps
-    flat_q = K.q.reshape(n, n * n)
-    for start in range(0, n_measures, _SPOT_CHUNK):
-        w = np.empty((min(_SPOT_CHUNK, n_measures - start), n))
-        for row in w:
-            row[:] = rng.exponential(size=n)
-            if n > 1:
-                kill = rng.random(n) < 0.5
-                if kill.all():
-                    kill[rng.integers(n)] = False
-                row[kill] = 0.0
-        mu = w / w.sum(axis=1, keepdims=True)
-        out = np.einsum("cyk,cy->ck", (mu @ flat_q).reshape(-1, n, n), mu)
-        out /= out.sum(axis=1, keepdims=True)
-        null_mass = np.where(mu == 0.0, out, 0.0).sum(axis=1)
-        if (null_mass > leak_tol).any():
-            return False, None
-    return True, None
+    _integer("n_measures", n_measures, low=0)
+    return volterra_violation_witness(K, eps) is None

@@ -227,6 +227,7 @@ def _cases() -> list[dict]:
     ok.append(["volterra", "check", "--op", "r3.json", "--samples", "4"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "-1"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "2.5"])
+    plain.append(["volterra", "check", "--op", "f2.json", "--samples", "3", "--seed", "-1"])
     plain.append(["volterra", "check", "--op", "sk3.json"])
 
     canon = [["volterra", "canonical", "--op", f] for f in ("v4.json", "f2.json", "v3.json")]
@@ -308,6 +309,7 @@ def _cases() -> list[dict]:
     ok.append(["kernel", "oracle", "--op", "kv8.json", "--measures", "300", "--seed", "5"])
     plain.append(["kernel", "oracle", "--op", "kv5.json", "--measures", "-1"])
     plain.append(["kernel", "oracle", "--op", "k4.json", "--measures", "-1"])
+    plain.append(["kernel", "oracle", "--op", "kv5.json", "--seed", "-1"])
 
     for f, x0, n in (("f1.json", "0.7,0.1,0.2", "200"), ("f2.json", "0.2,0.3,0.5", "500"),
                      ("f2c.json", "0.2,0.3,0.5", "100"), ("v4.json", "0.4,0.3,0.2,0.1", "300"),

@@ -37,7 +37,6 @@ from qso import (
     classify_op,
     conjugate,
     from_canonical,
-    kernel_apply,
     op_family,
     support,
     validate,
@@ -113,6 +112,17 @@ def rand_volterra_kernel(rng: np.random.Generator, n: int) -> FiniteKernel:
                     q[x, y, k] = 0.0
     q /= q.sum(axis=2, keepdims=True)
     return FiniteKernel(n, q)
+
+
+def with_forbidden_entry(value: float) -> QsoTensor:
+    """The identity Volterra operator on 3 species with p[1,2,3] = p[2,1,3] = value."""
+    p = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            p[i, j, i] += 0.5
+            p[i, j, j] += 0.5
+    p[0, 1] = p[1, 0] = [0.5 - value / 2, 0.5 - value / 2, value]
+    return QsoTensor(3, p)
 
 
 def rand_measure(rng: np.random.Generator, n: int, n_zeros: int = 0) -> DiscreteMeasure:
@@ -348,30 +358,6 @@ def reference_violation_witness(K: FiniteKernel, eps: float = EPS_VAL):
                 if mass[x, y] > threshold:
                     return (tuple(int(a) + 1 for a in inside), int(x) + 1, int(y) + 1)
     return None
-
-
-def reference_kernel_oracle(K: FiniteKernel, eps: float = EPS_VAL, *, n_measures: int = 100,
-                            rng: np.random.Generator | None = None) -> bool:
-    """Oracle: the kernel oracle with one measure drawn and applied at a time."""
-    if reference_violation_witness(K, eps) is not None:
-        return False
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = K.n
-    leak_tol = n * eps
-    for _ in range(n_measures):
-        w = rng.exponential(size=n)
-        if n > 1:
-            kill = rng.random(n) < 0.5
-            if kill.all():
-                kill[rng.integers(n)] = False
-            w[kill] = 0.0
-        mu = DiscreteMeasure(w / w.sum())
-        out = kernel_apply(K, mu)
-        null_mass = out.weights[mu.weights == 0.0].sum()
-        if null_mass > leak_tol:
-            return False
-    return True
 
 
 def reference_dumps(obj) -> str:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_kernel, rand_volterra_kernel
+from helpers import rand_kernel, rand_volterra_kernel, with_forbidden_entry
 from qso import OpFamilySpec, op_family, validate
 from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
@@ -38,6 +38,7 @@ def files(tmp_path):
     write("kernel_generic.json", kernel_to_obj(rand_kernel(np.random.default_rng(8), 4)))
     write("skew.json", {"m": 2, "a": [[0.0, 1.0], [-1.0, 0.0]]})
     write("garbage.json", {"m": 3, "entries": [{"i": 1, "j": 1, "k": 1, "p": 2.0}]})
+    write("leaky.json", tensor_to_obj(with_forbidden_entry(5e-10)))  # is_volterra holds
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -54,6 +55,8 @@ MATRIX = [
     (lambda f: ["validate", "--op", f["v2.json"]], 0),
     (lambda f: ["apply", "--op", f["v2.json"], "--x0", "0.2,0.3,0.5"], 0),
     (lambda f: ["volterra", "check", "--op", f["v2.json"], "--samples", "20"], 0),
+    # entrywise Volterra within EPS_VAL, so only abs_continuity: false can exit 1
+    (lambda f: ["volterra", "check", "--op", f["leaky.json"], "--samples", "20"], 1),
     (lambda f: ["volterra", "canonical", "--op", f["v2.json"]], 0),
     (lambda f: ["volterra", "certificate", "--op", f["v2.json"]], 0),
     (lambda f: ["op", "build", "--family", "3", "--alpha", "0.2",
@@ -83,7 +86,8 @@ def test_subcommand_matrix(files, capsys, argv_builder, expected):
 
 
 def test_matrix_covers_the_whole_subcommand_tree(files):
-    """Every leaf of the command tree appears exactly once in the matrix."""
+    """Every leaf of the command tree appears exactly once in the matrix, ``volterra check``
+    twice (a sampled check that holds and one that fails)."""
     covered = []
     for builder, _ in MATRIX:
         argv = builder(files)
@@ -91,7 +95,7 @@ def test_matrix_covers_the_whole_subcommand_tree(files):
     covered.sort()
     assert covered == sorted([
         "validate", "apply",
-        "volterra check", "volterra canonical", "volterra certificate",
+        "volterra check", "volterra check", "volterra canonical", "volterra certificate",
         "op build", "op check", "op classify", "op conjugate", "op classes",
         "algebra check", "algebra residual", "algebra solve-v2", "algebra refute",
         "kernel apply", "kernel check", "kernel oracle",
@@ -209,6 +213,13 @@ class TestExitCodes:
             main(["volterra", "canonical", "--op", files["v2.json"],
                   "--skew", files["skew.json"]])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name,volterra", [("v1.json", False), ("leaky.json", True)])
+    def test_sampled_check_finds_forbidden_mass(self, files, capsys, name, volterra):
+        assert main(["volterra", "check", "--op", files[name], "--samples", "20", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "abs_continuity": False, "samples": 20, "volterra": volterra,
+        }
 
     def test_negative_oracle_measures_is_exit_two(self, files, capsys):
         assert main(["kernel", "oracle", "--op", files["kernel_volterra.json"],
@@ -387,7 +398,7 @@ def _run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _valid_samples(text: str) -> bool:
+def _nonnegative_int(text: str) -> bool:
     try:
         return int(text) >= 0
     except ValueError:
@@ -407,7 +418,7 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _SAMPLES = st.one_of(_NUMBERS.map(str), st.text(max_size=12)).filter(
-    lambda s: not _valid_samples(s))
+    lambda s: not _nonnegative_int(s))
 _PERMS = st.one_of(
     st.lists(_NUMBERS, max_size=5).map(lambda vs: ",".join(map(str, vs))),
     st.text(max_size=12),
@@ -424,17 +435,30 @@ def v1_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def kernel_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "kernel.json"
+    path.write_text(dumps(kernel_to_obj(rand_volterra_kernel(np.random.default_rng(7), 4))))
+    return str(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(
     st.tuples(st.just("samples"), _SAMPLES),
+    st.tuples(st.just("seed"), _SAMPLES),
     st.tuples(st.just("perm"), _PERMS),
     st.tuples(st.sampled_from("ijk"), _INDICES),
 ))
-def test_fuzz_malformed_integer_arguments(v1_file, case):
-    """A malformed --samples, --perm or entry index exits 2 with one error line."""
+def test_fuzz_malformed_integer_arguments(v1_file, kernel_file, case):
+    """A malformed --samples, --seed, --perm or entry index exits 2 with one error line."""
     kind, value = case
     if kind == "samples":
         code, err = _run(["volterra", "check", "--op", v1_file, f"--samples={value}"])
+    elif kind == "seed":
+        code, err = _run(["kernel", "oracle", "--op", kernel_file, f"--seed={value}"])
+        assert code == 2 and one_error_line(err), (case, err)
+        code, err = _run(["volterra", "check", "--op", v1_file, "--samples", "3",
+                          f"--seed={value}"])
     elif kind == "perm":
         code, err = _run(["op", "conjugate", "--op", v1_file, f"--perm={value}"])
     else:

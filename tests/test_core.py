@@ -548,7 +548,8 @@ class TestArgumentGuards:
     @pytest.mark.parametrize("site", sorted(_UNIT_SITES))
     @pytest.mark.parametrize(
         "value",
-        [-0.1, 1.5, float("nan"), np.float64(2.0), "x", None, pytest.param(10**400, id="10**400"), 1j],
+        [-0.1, 1.5, float("nan"), np.float64(2.0), "x", None, pytest.param(10**400, id="10**400"), 1j,
+         "0.5", b"0.25", bytearray(b"1")],
         ids=repr,
     )
     def test_unit_sites(self, site, value):

@@ -12,8 +12,8 @@ from helpers import (
     rand_skew,
     rand_tensor,
     rand_volterra_kernel,
-    reference_kernel_oracle,
     reference_violation_witness,
+    with_forbidden_entry,
 )
 from qso import (
     EPS_VAL,
@@ -21,7 +21,6 @@ from qso import (
     FiniteKernel,
     InvalidPoint,
     ParameterOutOfRange,
-    QsoTensor,
     SimplexPoint,
     TooLarge,
     apply,
@@ -161,17 +160,6 @@ class TestKernelApply:
             kernel_apply(K, DiscreteMeasure([0.5, 0.5]))
 
 
-def with_forbidden_entry(value: float) -> QsoTensor:
-    """The identity Volterra operator on 3 species with p[1,2,3] = p[2,1,3] = value."""
-    p = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            p[i, j, i] += 0.5
-            p[i, j, j] += 0.5
-    p[0, 1] = p[1, 0] = [0.5 - value / 2, 0.5 - value / 2, value]
-    return QsoTensor(3, p)
-
-
 class TestSharedForbiddenMask:
     @pytest.mark.parametrize("value", [0.0, EPS_VAL, np.nextafter(EPS_VAL, 1.0)])
     @pytest.mark.parametrize("eps", [EPS_VAL, 0.0, float("nan")])
@@ -212,12 +200,25 @@ class TestVolterraPredicates:
         assert kernel_is_volterra(diagonal_kernel(5))
         assert kernel_volterra_oracle(diagonal_kernel(5))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_oracle_equals_fast_predicate(self, n):
         rng = np.random.default_rng(70 + n)
-        for trial in range(12):
-            K = rand_volterra_kernel(rng, n) if trial % 2 else rand_kernel(rng, n)
-            assert kernel_volterra_oracle(K, rng=rng) == kernel_is_volterra(K)
+        cases = [(rand_volterra_kernel(rng, n) if trial % 2 else rand_kernel(rng, n), EPS_VAL)
+                 for trial in range(12)]
+        for eps in (0.0, EPS_VAL, 5e-324):  # 5e-324 is the smallest subnormal
+            near = (eps / 2, eps, np.nextafter(eps, 1.0), 2 * eps)
+            cases += [(kernel_with_forbidden(rng, n, rate, near), eps) for rate in (0.1, 0.5, 1.0)]
+        verdicts = set()
+        for K, eps in cases:
+            want = kernel_is_volterra(K, eps)
+            verdicts.add(want)
+            assert kernel_volterra_oracle(K, eps) == want
+            for n_measures in (0, 1, 300):
+                spare = np.random.default_rng(n_measures)
+                state = spare.bit_generator.state
+                assert kernel_volterra_oracle(K, eps, n_measures=n_measures, rng=spare) == want
+                assert spare.bit_generator.state == state  # the oracle draws nothing
+        assert len(verdicts) == (2 if n > 1 else 1)  # one atom has no forbidden entry
 
     def test_single_atom_space_is_trivially_volterra(self):
         K = FiniteKernel(1, np.ones((1, 1, 1)))
@@ -319,43 +320,6 @@ class TestWitnessAgreesWithEntrywiseTest:
         assert not kernel_volterra_oracle(K)
 
 
-class TestSpotCheckMatchesReference:
-    @staticmethod
-    def both(K, seed, **kw):
-        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = kernel_volterra_oracle(K, rng=r1, **kw)
-        want = reference_kernel_oracle(K, rng=r2, **kw)
-        return got, want, r1.bit_generator.state, r2.bit_generator.state
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_verdict_and_rng_state(self, n):
-        rng = np.random.default_rng(730 + n)
-        for trial in range(6):
-            K = rand_volterra_kernel(rng, n) if trial % 3 else rand_kernel(rng, n)
-            for n_measures in (0, 1, 100):
-                got, want, s1, s2 = self.both(K, trial, n_measures=n_measures)
-                assert got == want
-                assert s1 == s2
-
-    def test_chunks_draw_like_one_loop(self, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_SPOT_CHUNK", 7)
-        K = rand_volterra_kernel(np.random.default_rng(740), 5)
-        for n_measures in (6, 7, 8, 20, 21):
-            got, want, s1, s2 = self.both(K, n_measures, n_measures=n_measures)
-            assert got is want is True
-            assert s1 == s2
-
-    def test_leaking_kernel_that_passes_the_scan(self):
-        # forbidden entries at most eps pass the scan and leak up to n * eps
-        # onto null sets, which the spot check must tolerate
-        rng = np.random.default_rng(741)
-        for n in (3, 5, 8):
-            K = kernel_with_forbidden(rng, n, 1.0, values=(EPS_VAL / 2, EPS_VAL))
-            got, want, s1, s2 = self.both(K, n)
-            assert got is want is True
-            assert s1 == s2
-
-
 class TestEpsAndCountChecks:
     @pytest.mark.parametrize("eps", [float("nan"), -1e-9, -1.0])
     def test_witness_rejects_nan_and_negative_eps(self, eps):
@@ -412,20 +376,41 @@ class TestOracleScansOnce:
             {"volterra": False, "witness": {"A": list(subset), "x": x, "y": y}}
         ) + "\n"
 
-    def test_errors_keep_their_order(self):
+    def test_errors_keep_their_order(self, tmp_path, capsys):
+        from qso.cli import main
+        from qso.serialize import dumps, kernel_to_obj
+
         big = diagonal_kernel(13)
         with pytest.raises(ParameterOutOfRange, match="n_measures"):
-            kernel_module._oracle(big, float("nan"), -1, None)
+            kernel_volterra_oracle(big, float("nan"), n_measures=-1)
         with pytest.raises(ParameterOutOfRange, match="eps must be nonnegative"):
-            kernel_module._oracle(big, float("nan"), 0, None)
+            kernel_volterra_oracle(big, float("nan"), n_measures=0)
         with pytest.raises(TooLarge):
-            kernel_module._oracle(big, EPS_VAL, 0, None)
+            kernel_volterra_oracle(big, EPS_VAL, n_measures=0)
+        path = tmp_path / "big.json"
+        path.write_text(dumps(kernel_to_obj(big)), encoding="utf-8")
+        for flags, error in ((["--seed", "-1", "--measures", "-1"], "ParameterOutOfRange: --seed"),
+                             (["--measures", "-1"], "ParameterOutOfRange: n_measures"),
+                             ([], "TooLarge")):
+            assert main(["kernel", "oracle", "--op", str(path)] + flags) == 2
+            assert capsys.readouterr().err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_verdict_and_witness_match_the_public_calls(self, seed):
-        rng = np.random.default_rng(770 + seed)
-        K = kernel_with_forbidden(rng, 6, 0.1 * seed)
-        verdict, witness = kernel_module._oracle(K, EPS_VAL, 50, np.random.default_rng(seed))
-        assert verdict == kernel_volterra_oracle(K, n_measures=50,
-                                                 rng=np.random.default_rng(seed))
-        assert witness == volterra_violation_witness(K)
+    def test_verdict_and_witness_match_the_public_calls(self, seed, tmp_path, capsys):
+        from qso.cli import main
+        from qso.serialize import dumps, kernel_to_obj
+
+        K = kernel_with_forbidden(np.random.default_rng(770 + seed), 6, 0.1 * seed)
+        path = tmp_path / "k.json"
+        path.write_text(dumps(kernel_to_obj(K)), encoding="utf-8")
+        argv = ["kernel", "oracle", "--op", str(path), "--measures", "50", "--seed", str(seed)]
+        code = main(argv + ["--json"])
+        verdict = kernel_volterra_oracle(K, n_measures=50, rng=np.random.default_rng(seed))
+        want = {"volterra": verdict}
+        witness = volterra_violation_witness(K)
+        if witness is not None:
+            subset, x, y = witness
+            want["witness"] = {"A": list(subset), "x": x, "y": y}
+        assert (witness is None) == verdict
+        assert code == (0 if verdict else 1)
+        assert capsys.readouterr().out == dumps(want) + "\n"
