@@ -253,8 +253,6 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_kernel_oracle(args) -> int:
     K = serialize.kernel_from_obj(_read_json(args.op))
-    _integer("--seed", args.seed, low=0)
-    _integer("n_measures", args.measures, low=0)  # both kept only for old command lines
     witness = kernel.volterra_violation_witness(K, EPS_VAL)
     verdict = witness is None
     obj = {"volterra": verdict}
@@ -367,10 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="comma-separated weights")
     leaf(ksub, "check", "entrywise Volterra test for kernels", cmd_kernel_check,
          op=_KERNEL_HELP)
-    p = leaf(ksub, "oracle", "exhaustive subset Volterra test (n <= 12)", cmd_kernel_oracle,
-             op=_KERNEL_HELP)
-    p.add_argument("--measures", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    leaf(ksub, "oracle", "exhaustive subset Volterra test (n <= 12)", cmd_kernel_oracle,
+         op=_KERNEL_HELP)
 
     dsub = group("dyn", "trajectory iteration")
     p = leaf(dsub, "iterate", "iterate from a start point", cmd_dyn_iterate)

@@ -305,11 +305,6 @@ def _cases() -> list[dict]:
 
     for f in ("kv5.json", "kv8.json", "k4.json", "kx8.json", "k1.json"):
         ok.append(["kernel", "oracle", "--op", f])
-    ok.append(["kernel", "oracle", "--op", "kv5.json", "--measures", "0"])
-    ok.append(["kernel", "oracle", "--op", "kv8.json", "--measures", "300", "--seed", "5"])
-    plain.append(["kernel", "oracle", "--op", "kv5.json", "--measures", "-1"])
-    plain.append(["kernel", "oracle", "--op", "k4.json", "--measures", "-1"])
-    plain.append(["kernel", "oracle", "--op", "kv5.json", "--seed", "-1"])
 
     for f, x0, n in (("f1.json", "0.7,0.1,0.2", "200"), ("f2.json", "0.2,0.3,0.5", "500"),
                      ("f2c.json", "0.2,0.3,0.5", "100"), ("v4.json", "0.4,0.3,0.2,0.1", "300"),

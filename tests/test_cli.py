@@ -55,8 +55,6 @@ MATRIX = [
     (lambda f: ["validate", "--op", f["v2.json"]], 0),
     (lambda f: ["apply", "--op", f["v2.json"], "--x0", "0.2,0.3,0.5"], 0),
     (lambda f: ["volterra", "check", "--op", f["v2.json"], "--samples", "20"], 0),
-    # entrywise Volterra within EPS_VAL, so only abs_continuity: false can exit 1
-    (lambda f: ["volterra", "check", "--op", f["leaky.json"], "--samples", "20"], 1),
     (lambda f: ["volterra", "canonical", "--op", f["v2.json"]], 0),
     (lambda f: ["volterra", "certificate", "--op", f["v2.json"]], 0),
     (lambda f: ["op", "build", "--family", "3", "--alpha", "0.2",
@@ -86,8 +84,7 @@ def test_subcommand_matrix(files, capsys, argv_builder, expected):
 
 
 def test_matrix_covers_the_whole_subcommand_tree(files):
-    """Every leaf of the command tree appears exactly once in the matrix, ``volterra check``
-    twice (a sampled check that holds and one that fails)."""
+    """Every leaf of the command tree appears exactly once in the matrix."""
     covered = []
     for builder, _ in MATRIX:
         argv = builder(files)
@@ -95,7 +92,7 @@ def test_matrix_covers_the_whole_subcommand_tree(files):
     covered.sort()
     assert covered == sorted([
         "validate", "apply",
-        "volterra check", "volterra check", "volterra canonical", "volterra certificate",
+        "volterra check", "volterra canonical", "volterra certificate",
         "op build", "op check", "op classify", "op conjugate", "op classes",
         "algebra check", "algebra residual", "algebra solve-v2", "algebra refute",
         "kernel apply", "kernel check", "kernel oracle",
@@ -220,13 +217,6 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out) == {
             "abs_continuity": False, "samples": 20, "volterra": volterra,
         }
-
-    def test_negative_oracle_measures_is_exit_two(self, files, capsys):
-        assert main(["kernel", "oracle", "--op", files["kernel_volterra.json"],
-                     "--measures", "-5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ParameterOutOfRange:")
 
     def test_oracle_reports_witness(self, files, capsys):
         assert main(["kernel", "oracle", "--op", files["kernel_generic.json"], "--json"]) == 1
@@ -435,13 +425,6 @@ def v1_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def kernel_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "kernel.json"
-    path.write_text(dumps(kernel_to_obj(rand_volterra_kernel(np.random.default_rng(7), 4))))
-    return str(path)
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(
     st.tuples(st.just("samples"), _SAMPLES),
@@ -449,14 +432,12 @@ def kernel_file(tmp_path_factory):
     st.tuples(st.just("perm"), _PERMS),
     st.tuples(st.sampled_from("ijk"), _INDICES),
 ))
-def test_fuzz_malformed_integer_arguments(v1_file, kernel_file, case):
+def test_fuzz_malformed_integer_arguments(v1_file, case):
     """A malformed --samples, --seed, --perm or entry index exits 2 with one error line."""
     kind, value = case
     if kind == "samples":
         code, err = _run(["volterra", "check", "--op", v1_file, f"--samples={value}"])
     elif kind == "seed":
-        code, err = _run(["kernel", "oracle", "--op", kernel_file, f"--seed={value}"])
-        assert code == 2 and one_error_line(err), (case, err)
         code, err = _run(["volterra", "check", "--op", v1_file, "--samples", "3",
                           f"--seed={value}"])
     elif kind == "perm":
