@@ -129,7 +129,7 @@ def cmd_volterra_check(args) -> int:
     human = f"volterra: {str(verdict).lower()}"
     if args.samples:
         rng = np.random.default_rng(seed)
-        pts = [SimplexPoint(_random_support_weights(rng, V.m)) for _ in range(args.samples)]
+        pts = (SimplexPoint(_random_support_weights(rng, V.m)) for _ in range(args.samples))
         prop = volterra.check_abs_continuity_property(V, pts)
         verdict = verdict and prop
         obj["abs_continuity"] = prop
@@ -187,7 +187,7 @@ def cmd_op_conjugate(args) -> int:
 
 
 def cmd_op_classes(args) -> int:
-    classes = conjugacy.conjugacy_classes(params=(args.alpha, args.beta, args.gamma))
+    classes = conjugacy.conjugacy_classes()
     as_lists = [sorted(c) for c in classes]
     human = "classes: " + " | ".join("{" + ",".join(map(str, c)) + "}" for c in as_lists)
     _write_or_print(args, as_lists, human)
@@ -347,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(osub, "conjugate", "conjugate by a coordinate permutation", cmd_op_conjugate)
     p.add_argument("--perm", required=True, help="images of 1..m, e.g. 2,3,1")
     p.add_argument("--out", help="write tensor JSON to this file")
-    p = leaf(osub, "classes", "conjugacy classes of the six families", cmd_op_classes, op=None)
-    for name, default in (("--alpha", 0.3), ("--beta", 0.6), ("--gamma", 0.9)):
-        p.add_argument(name, type=float, default=default)
+    leaf(osub, "classes", "conjugacy classes of the six families", cmd_op_classes, op=None)
 
     asub = group("algebra", "induced algebra and associativity")
     p = leaf(asub, "check", "associativity on basis triples", cmd_algebra_check)

@@ -98,12 +98,12 @@ def check_unit(name: str, value) -> float:
     """``value`` as a float in [0, 1] within ``EPS_VAL``, unclamped.
 
     The one guard for the OP family parameters. NaN, text such as "0.5" or
-    b"0.5" (which ``float()`` would parse; :func:`_integer` likewise refuses
-    "3") and anything ``float()`` cannot read raise
-    :class:`ParameterOutOfRange` like any value outside the interval.
+    b"0.5" and bools (which ``float()`` would read; :func:`_integer`
+    likewise refuses "3" and True) and anything ``float()`` cannot read
+    raise :class:`ParameterOutOfRange` like any value outside the interval.
     """
     try:
-        if isinstance(value, (str, bytes, bytearray)):
+        if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
             raise TypeError
         v = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -52,12 +52,13 @@ Orthogonality preservation is decided exactly. Coefficients are
 nonnegative, so supp V(x) is the union of supp p[i, j, :] over i, j in
 supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
 supp p[k, l, :] are disjoint whenever {i, j} and {k, l} are (necessary
-because (e_i + e_j)/2 and (e_k + e_l)/2 are orthogonal points).
+because (e_i + e_j)/2 and (e_k + e_l)/2 are orthogonal points). On S^2
+one of two disjoint index sets is a vertex {k}, so no slot (i, j) may share
+an output with V(e_k) = p[k, k, :], k outside {i, j}: the forbidden mask.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter, sub
 
@@ -70,6 +71,7 @@ from .errors import (
     NotOrthogonalityPreserving,
     VertexImageNotVertex,
 )
+from .volterra import _forbidden_mask
 
 #: Vertex image permutation per family: entry f gives (image of e_1, e_2, e_3),
 #: 1-based. The six tuples exhaust S_3, so the lookup is unambiguous.
@@ -179,32 +181,22 @@ def op_family(spec: OpFamilySpec) -> QsoTensor:
     return QsoTensor._trusted(3, p)
 
 
-#: The six pairs of disjoint slots {i, j}, {k, l} of S^2 (the three vertex
-#: pairs, each edge against its opposite vertex) as two index arrays of shape
-#: (2, 6): _S2_ROWS[side, n] and _S2_COLS[side, n] give i, j (side 0) or
-#: k, l (side 1) of pair n.
-_S2_SLOTS = [(i, j) for i in range(3) for j in range(i, 3)]
-_S2_ROWS, _S2_COLS = np.array(
-    [(a, b) for a, b in itertools.combinations(_S2_SLOTS, 2) if not set(a) & set(b)]
-).transpose(2, 1, 0)
-
-
 def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> bool:
     """Exact test of orthogonality preservation on S^2.
 
-    Compares the supports (entries above ``eps_supp``) of the slices
-    p[i, j, :] and p[k, l, :] for every pair of disjoint index sets
-    {i, j} and {k, l}; the module docstring shows this is equivalent to
-    the definition. On S^2 these are six slice pairs: the three vertex
-    pairs and each edge against its opposite vertex. They are gathered
-    at once through the precomputed ``_S2_ROWS``/``_S2_COLS``, and one
-    ``any`` over the entrywise support overlap decides. ``eps_supp``
-    must be positive; NaN raises :class:`ParameterOutOfRange` too.
+    No slot p[i, j, :] may share a support entry (one above ``eps_supp``)
+    with V(e_k) = p[k, k, :] for a vertex k outside {i, j}: the module's
+    slice-pair rule, exact on S^2 since of two disjoint index sets one is a
+    vertex. One boolean product of ``volterra._forbidden_mask(3)`` with the
+    vertex supports gives what each slot must not reach. ``eps_supp`` must
+    be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
     _require_s2(V)
     check_tol("eps_supp", eps_supp, positive=True)
-    supp = V.p[_S2_ROWS, _S2_COLS] > eps_supp  # supp[side, n, :]
-    return not (supp[0] & supp[1]).any()
+    supp = V.p > eps_supp
+    # reached[i, j] = union of supp[k, k, :] (row k of diagonal().T) over k not in {i, j}
+    reached = _forbidden_mask(3) @ supp.diagonal().T
+    return not (supp & reached).any()
 
 
 def classify_op(

@@ -114,8 +114,7 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return _fmt_str(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -281,9 +280,9 @@ def spec_to_obj(spec: OpFamilySpec) -> dict:
 def spec_from_obj(obj: dict) -> OpFamilySpec:
     return OpFamilySpec(
         _require(obj, "family", "family spec"),
-        float(_require(obj, "alpha", "family spec")),
-        float(_require(obj, "beta", "family spec")),
-        float(_require(obj, "gamma", "family spec")),
+        _require(obj, "alpha", "family spec"),
+        _require(obj, "beta", "family spec"),
+        _require(obj, "gamma", "family spec"),
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -105,8 +106,9 @@ def is_volterra(V: QsoTensor, eps: float = EPS_VAL) -> bool:
 def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
     """Skew-symmetric parameters of a Volterra operator.
 
-    Near-Volterra tensors (forbidden entries at most ``eps``) are accepted;
-    their forbidden entries are treated as zero. Raises
+    Near-Volterra tensors (forbidden entries at most ``eps``) are accepted:
+    the result is the skew part of 2 p[k, i, k] - 1, which drops the up to
+    (m - 2) eps that forbidden mass adds to a[k, i] + a[i, k]. Raises
     :class:`NotVolterra` otherwise; NaN or a negative ``eps`` raises
     :class:`ParameterOutOfRange`.
     """
@@ -114,10 +116,8 @@ def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
     worst = _forbidden_max(V.p)
     if not worst <= eps:
         raise NotVolterra(f"forbidden mass {worst:.3e} exceeds {eps:g}")
-    m = V.m
     a = 2.0 * np.einsum("kik->ki", V.p) - 1.0
-    np.fill_diagonal(a, 0.0)
-    return SkewMatrix(m, a)
+    return SkewMatrix(V.m, (a - a.T) / 2.0)  # its diagonal is exactly 0 for finite p
 
 
 def from_canonical(a: SkewMatrix) -> QsoTensor:
@@ -154,11 +154,16 @@ def check_abs_continuity_property(
     samples: Iterable[SimplexPoint],
     eps_supp: float = EPS_SUPP,
 ) -> bool:
-    """True iff V(x) is absolutely continuous w.r.t. x for every sample."""
-    samples = list(samples)
-    if not samples:
-        raise ParameterOutOfRange("samples must be nonempty")
-    return all(abs_continuous(apply(V, x), x, eps_supp) for x in samples)
+    """True iff V(x) is absolutely continuous w.r.t. x for every sample.
+
+    ``samples`` is read once, lazily, and only up to the first failure.
+    """
+    samples = iter(samples)
+    try:
+        first = next(samples)
+    except StopIteration:
+        raise ParameterOutOfRange("samples must be nonempty") from None
+    return all(abs_continuous(apply(V, x), x, eps_supp) for x in chain([first], samples))
 
 
 def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:

@@ -127,6 +127,15 @@ def _input_objects() -> dict:
     big = uniform.copy()
     big[0, 0, 0] = 1.5
     kv8 = _volterra_array(8, 11)
+    nv5 = _volterra_array(5, 15)  # forbidden mass 1e-9 = EPS_VAL at 3 outputs of slice (1, 2)
+    for k in (2, 3, 4):
+        nv5 = _with_forbidden(nv5, 0, 1, k, 1e-9)
+    zero_slice = _entries(np.full((2, 2, 2), 0.5))
+    for ent in zero_slice:
+        if ent["i"] != ent["j"]:
+            ent["p"] = 0.0
+    kernel_nan = _kernel(np.full((2, 2, 2), 0.5))
+    kernel_nan["q"][2]["p"] = float("nan")
     objs = {f"f{k}.json": _family(k, 0.3, 0.6, 0.9) for k in range(1, 7)}
     objs.update({
         "f2c.json": _family(2, 0.0, 0.0, 0.0),
@@ -140,6 +149,7 @@ def _input_objects() -> dict:
         "v3.json": _tensor(_volterra_array(3, 5)),
         "v4.json": _tensor(_volterra_array(4, 6)),
         "v6.json": _tensor(_volterra_array(6, 7)),
+        "nv5.json": _tensor(nv5),
         "sk3.json": _skew(3, 8),
         "sk5.json": _skew(5, 9),
         "k4.json": _kernel(_random_array(4, 10)),
@@ -147,6 +157,7 @@ def _input_objects() -> dict:
         "kv8.json": _kernel(kv8),
         "kx8.json": _kernel(_with_forbidden(kv8, 1, 2, 6, 1e-3)),
         "k1.json": {"n": 1, "q": [{"i": 1, "j": 1, "k": 1, "p": 1.0}]},
+        "zero_slice.json": {"m": 2, "entries": zero_slice},  # fails only in normalize mode
         # malformed payloads
         "bad_syntax.json": "{\"m\": 3, \"entries\": [",
         "bad_list.json": [1, 2, 3],
@@ -163,11 +174,15 @@ def _input_objects() -> dict:
         "bad_m_frac.json": {"m": 2.7, "entries": []},
         "bad_m_big.json": {"m": 100000, "entries": []},
         "bad_m_str.json": {"m": "3", "entries": []},
+        "bad_m_one.json": {"m": 1, "entries": [{"i": 1, "j": 1, "k": 1, "p": 1.0}]},
         "bad_entries.json": {"m": 2, "entries": 5},
         "bad_nokey.json": {"entries": []},
         "bad_skew.json": {"m": 2, "a": [[0.0, 0.5], [0.5, 0.0]]},
         "bad_skew_ragged.json": {"m": 2, "a": [[0.0, 0.5], [-0.5]]},
+        "bad_skew_inf.json": {"m": 2, "a": [[0.0, float("inf")], [float("-inf"), 0.0]]},
         "bad_kernel.json": _kernel(_random_array(3, 14, normalize=False)),
+        "bad_kernel_empty.json": {"n": 0, "q": []},
+        "bad_kernel_nan.json": kernel_nan,
     })
     return objs
 
@@ -210,6 +225,7 @@ def _cases() -> list[dict]:
         plain.append(["validate", "--op", bad])
     plain.append(["validate", "--op", "bad_big.json", "--json"])
     plain.append(["validate", "--op", "bad_neg.json", "--mode", "normalize"])
+    plain.append(["validate", "--op", "zero_slice.json", "--mode", "normalize"])
     plain.append(["validate", "--op", "missing.json"])
     plain.append(["validate", "--op", "bad_syntax.json", "--json"])
 
@@ -234,8 +250,10 @@ def _cases() -> list[dict]:
     canon += [["volterra", "canonical", "--skew", f] for f in ("sk3.json", "sk5.json")]
     for argv in canon:
         plain.extend(_forms(argv, "out.json"))
+    plain.extend(_forms(["volterra", "canonical", "--op", "nv5.json"]))
     for argv in (["--op", "r4.json"], ["--op", "f1.json"], ["--skew", "bad_skew.json"],
-                 ["--skew", "bad_skew_ragged.json"], ["--skew", "f1.json"], [],
+                 ["--skew", "bad_skew_ragged.json"], ["--skew", "bad_skew_inf.json"],
+                 ["--skew", "f1.json"], [],
                  ["--op", "v4.json", "--skew", "sk3.json"]):
         plain.append(["volterra", "canonical"] + argv)
 
@@ -252,6 +270,8 @@ def _cases() -> list[dict]:
         plain.append(["op", "build", "--family", fam, "--alpha", a, "--beta", "0.5",
                       "--gamma", "0.5"])
     plain.append(["op", "build", "--family", "1", "--alpha", "0.5"])
+    plain.append(["op", "build", "--family", "1", "--alpha", "0.3", "--beta", "0.6", "--gamma",
+                  "0.9", "--out", "missing/x.json"])
 
     for f in _FAMILIES + ["u3.json", "r3.json", "v3.json", "f2x.json"]:
         ok.append(["op", "check", "--op", f])
@@ -269,8 +289,6 @@ def _cases() -> list[dict]:
         plain.append(["op", "conjugate", "--op", "f1.json", "--perm", perm])
 
     ok.append(["op", "classes"])
-    ok.append(["op", "classes", "--alpha", "0", "--beta", "0.5", "--gamma", "1"])
-    plain.append(["op", "classes", "--alpha", "x"])
 
     for f in ("f2c.json", "f2x.json", "v4.json", "r4.json"):
         ok.append(["algebra", "check", "--op", f])
@@ -300,7 +318,7 @@ def _cases() -> list[dict]:
 
     for f in ("k4.json", "kv5.json", "kv8.json", "kx8.json", "k1.json"):
         ok.append(["kernel", "check", "--op", f])
-    for f in ("bad_kernel.json", "f1.json"):
+    for f in ("bad_kernel.json", "bad_kernel_empty.json", "bad_kernel_nan.json", "f1.json"):
         plain.append(["kernel", "check", "--op", f])
 
     for f in ("kv5.json", "kv8.json", "k4.json", "kx8.json", "k1.json"):

@@ -147,6 +147,15 @@ class TestExitCodes:
         assert main(["kernel", "check", "--op", files["kernel_generic.json"]]) == 1
         assert main(["volterra", "certificate", "--op", files["uniform.json"]]) == 1
 
+    def test_unwritable_out_file_is_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        argv = ["op", "build", "--family", "1", "--alpha", "0.3", "--beta", "0.6", "--gamma",
+                "0.9", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err) and err.startswith("error: [Errno 2] No such file")
+        assert not out.exists()
+
     def test_validation_error_is_exit_two(self, files, capsys):
         assert main(["validate", "--op", files["garbage.json"]]) == 2
         assert "error:" in capsys.readouterr().err

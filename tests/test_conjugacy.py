@@ -24,7 +24,7 @@ from qso import (
     permute_point,
     validate,
 )
-from qso.errors import ParameterOutOfRange
+from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 #: T_pi (x, y, z) -> (y, z, x) and T_pi1 (x, y, z) -> (x, z, y)
 PI = Permutation((1, 2, 0))
@@ -56,6 +56,12 @@ class TestPermutation:
     def test_inverse(self):
         p = Permutation((1, 2, 0))
         assert p.compose(p.inverse()) == Permutation.identity(3)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^size mismatch: 3 vs 2$"):
+            PI.compose(Permutation((1, 0)))
+        with pytest.raises(DimensionMismatch, match="^permutation size 3 vs point size 2$"):
+            permute_point(PI, SimplexPoint([0.5, 0.5]))
 
     def test_permute_point_vertex(self):
         out = permute_point(PI, SimplexPoint([1, 0, 0]))

@@ -37,7 +37,13 @@ from qso import (
     validate,
 )
 from qso.core import EPS_VAL, _clean_prob_vector, _image, as_integer, check_unit
-from qso.serialize import kernel_from_obj, skew_from_obj, tensor_from_obj, tensor_to_obj
+from qso.serialize import (
+    kernel_from_obj,
+    skew_from_obj,
+    spec_from_obj,
+    tensor_from_obj,
+    tensor_to_obj,
+)
 from qso.errors import DimensionMismatch, ParameterOutOfRange
 
 
@@ -62,6 +68,11 @@ class TestSimplexPoint:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidPoint):
             SimplexPoint([0.5, 0.6])
+
+    @pytest.mark.parametrize("coords", [[], [[0.5, 0.5]], 1.0])
+    def test_rejects_empty_or_non_vector_coordinates(self, coords):
+        with pytest.raises(InvalidPoint, match="^simplex point must be a nonempty 1-d vector$"):
+            SimplexPoint(coords)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -124,6 +135,10 @@ class TestQsoTensorSize:
         with pytest.raises(DimensionMismatch, match="operator size must be an integer"):
             QsoTensor(m, np.full((2, 2, 2), 0.5))
 
+    def test_one_species_is_no_operator(self):
+        with pytest.raises(DimensionMismatch, match="^a QSO needs at least two species$"):
+            QsoTensor(1, np.ones((1, 1, 1)))
+
 
 class TestValidate:
     def test_uniform_kernel_is_valid(self):
@@ -149,6 +164,17 @@ class TestValidate:
         for mode in ("strict", "normalize"):
             with pytest.raises(error, match=rf"^{re.escape(message)}$"):
                 validate(p, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["strict", "normalize"])
+    def test_one_species_is_no_operator(self, mode):
+        with pytest.raises(DimensionMismatch, match="^a QSO needs at least two species$"):
+            validate(np.ones((1, 1, 1)), mode=mode)
+
+    def test_normalize_rejects_an_empty_slice(self):
+        p = uniform_tensor(3).copy()
+        p[0, 2, :] = p[2, 0, :] = 0.0
+        with pytest.raises(NotStochastic, match="^cannot rescale a slice with non-positive sum$"):
+            validate(p, mode="normalize")
 
     def test_entry_above_one_rejected_in_both_modes(self):
         p = uniform_tensor(3).copy()
@@ -525,6 +551,7 @@ _NON_INTEGERS = [True, 2.5, float("nan"), "3", np.float64(2.5)]
 _UNIT_SITES = {
     "OpFamilySpec": lambda v: OpFamilySpec(1, v, 0.5, 0.5),
     "v2_condition_system": lambda v: v2_condition_system(v, 0.5, 0.5),
+    "spec_from_obj": lambda v: spec_from_obj({"family": 1, "alpha": v, "beta": 0.5, "gamma": 0.5}),
 }
 
 
@@ -549,7 +576,7 @@ class TestArgumentGuards:
     @pytest.mark.parametrize(
         "value",
         [-0.1, 1.5, float("nan"), np.float64(2.0), "x", None, pytest.param(10**400, id="10**400"), 1j,
-         "0.5", b"0.25", bytearray(b"1")],
+         "0.5", b"0.25", bytearray(b"1"), True, False, np.True_, [0.3]],
         ids=repr,
     )
     def test_unit_sites(self, site, value):

@@ -32,7 +32,7 @@ from qso import (
     volterra_violation_witness,
 )
 from qso import kernel as kernel_module
-from qso.errors import DimensionMismatch, NotStochastic, NotSymmetric
+from qso.errors import DimensionMismatch, NegativeCoefficient, NotStochastic, NotSymmetric
 
 
 def diagonal_kernel(n: int) -> FiniteKernel:
@@ -120,6 +120,28 @@ class TestFiniteKernel:
         for n in (2.5, True, float("nan"), "2"):
             with pytest.raises(DimensionMismatch, match="kernel size must be an integer"):
                 FiniteKernel(n, q)
+
+    def test_rejects_no_atoms(self):
+        with pytest.raises(DimensionMismatch, match="^a kernel needs at least one atom$"):
+            FiniteKernel(0, np.zeros((0, 0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        q = np.full((2, 2, 2), 0.5)
+        q[0, 1, 0] = q[1, 0, 0] = bad
+        with pytest.raises(NotStochastic, match="^kernel contains non-finite entries$"):
+            FiniteKernel(2, q)
+
+    def test_rejects_negative_entries(self):
+        q = np.full((2, 2, 2), 0.5)
+        q[0, 1] = q[1, 0] = (1.5, -0.5)
+        with pytest.raises(NegativeCoefficient, match="^kernel entry below zero: -5.000e-01$"):
+            FiniteKernel(2, q)
+
+    def test_one_atom_kernel_is_no_tensor(self):
+        K = FiniteKernel(1, np.ones((1, 1, 1)))
+        with pytest.raises(DimensionMismatch, match="^a QSO tensor needs at least two species$"):
+            K.to_tensor()
 
     def test_tensor_round_trip(self):
         V = rand_tensor(np.random.default_rng(1), 3)

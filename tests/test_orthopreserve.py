@@ -323,7 +323,8 @@ def outcome(f, *args, **kwargs):
 
 EPS_CHOICES = (EPS_VAL, 0.0, 1e-6, 0.05)
 VERTEX_TOL_CHOICES = (1e-6, 0.0, 1e-3, 0.4)
-EPS_SUPP_CHOICES = (EPS_SUPP, 1e-9, 1e-3)
+#: the last four leave a vertex support empty or holding several outputs
+EPS_SUPP_CHOICES = (EPS_SUPP, 1e-9, 1e-3, 0.2, 1 / 3, 0.5, 2.0)
 #: relative offsets of a perturbation from a tolerance: just inside, on, just outside
 TOL_OFFSETS = (-(2.0**-20), 0.0, 2.0**-20)
 
@@ -373,8 +374,8 @@ def s2_cases(draw):
 
 
 class TestOnePassMatchesReference:
-    """The one-pass classifier, the gathered OP test and the trusted conjugate
-    give the same bits, verdicts and errors as the code they replaced."""
+    """The one-pass classifier, the forbidden-mask OP test and the trusted
+    conjugate give the same bits, verdicts and errors as the code they replaced."""
 
     @settings(max_examples=600, deadline=None)
     @given(case=s2_cases())

@@ -66,6 +66,11 @@ class TestDumps:
         assert dumps(1 / 3) == "0.33333333333333331"
         assert dumps({"p": 0.1}) == '{"p":0.10000000000000001}'
 
+    def test_str_subclass_is_escaped_like_str(self):
+        text = np.str_('say "a\\b"')
+        assert dumps(text) == dumps(str(text)) == '"say \\"a\\\\b\\""'
+        assert json.loads(dumps([text])) == [str(text)]
+
     def test_output_is_valid_json_and_round_trips_floats(self):
         values = [1 / 3, 0.1, 1e-17, 123456.789]
         parsed = json.loads(dumps(values))

@@ -159,7 +159,26 @@ class TestCanonicalForm:
         skew = to_canonical(V)
         assert np.allclose(skew.a, -skew.a.T)
 
+    def test_to_canonical_accepts_what_is_volterra_accepts(self):
+        # forbidden mass eps at three outputs of slice (1, 2) moves
+        # a[0, 1] + a[1, 0] off zero by 6 eps, beyond SkewMatrix's tolerance
+        p = from_canonical(rand_skew(np.random.default_rng(14), 5)).p.copy()
+        for k in (2, 3, 4):
+            p[0, 1, k] = p[1, 0, k] = EPS_VAL
+        p[0, 1, 0] -= 3 * EPS_VAL
+        p[1, 0, 0] -= 3 * EPS_VAL
+        V = validate(p)
+        assert is_volterra(V)
+        raw = 2.0 * np.einsum("kik->ki", V.p) - 1.0
+        assert np.abs(raw + raw.T).max() / 2.0 > EPS_VAL
+        a = to_canonical(V).a
+        assert np.array_equal(a, (raw - raw.T) / 2.0)
+        assert np.array_equal(a, -a.T)
+
     def test_invalid_skew_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidSkew, match="^matrix contains non-finite entries$"):
+                SkewMatrix(2, np.array([[0.0, bad], [-bad, 0.0]]))
         with pytest.raises(InvalidSkew):
             SkewMatrix(2, np.array([[0.0, 0.5], [0.5, 0.0]]))
         with pytest.raises(InvalidSkew):
