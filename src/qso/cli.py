@@ -19,6 +19,11 @@ or validation errors, 141 when the reader closes standard output early
 (as ``| head`` does; 128 + SIGPIPE, what a shell reports for a writer
 killed by that signal). With ``--json`` all output is deterministic: keys
 sorted, floats at 17 significant digits.
+
+Two counts are capped, and a larger one exits 2 with ``TooLarge``:
+``volterra check --samples`` at ``MAX_SAMPLES`` and ``dyn iterate
+--max-iter`` at ``MAX_ITER``. The library functions behind them take any
+count.
 """
 
 from __future__ import annotations
@@ -35,9 +40,20 @@ import numpy as np
 
 from . import algebra, conjugacy, dynamics, kernel, orthopreserve, serialize, volterra
 from .core import EPS_VAL, SimplexPoint, _integer, apply
-from .errors import ParameterOutOfRange, QsoError
+from .errors import ParameterOutOfRange, QsoError, TooLarge
 
 EXIT_BROKEN_PIPE = 141
+
+#: Most random points ``volterra check --samples`` tests. Each costs one
+#: ``apply`` and two support sets: ~34 us at m = 3 and ~42 us at m = 10 on
+#: one core of a 2-core x86-64 VM, so the cap runs for 0.7-0.9 s there. At
+#: m = 100 the m^3 einsum makes a sample ~1.4 ms.
+MAX_SAMPLES = 20_000
+
+#: Largest ``dyn iterate --max-iter``. The orbit keeps every point, ~186 B
+#: each at m = 3 and ~243 B at m = 10 (tracemalloc), so an orbit that never
+#: stops holds ~190-250 MB at the cap and runs ~4 s at m = 3 (README).
+MAX_ITER = 1_000_000
 
 
 def _read_json(path: str):
@@ -123,6 +139,8 @@ def cmd_volterra_check(args) -> int:
     V = _load_tensor(args)
     if args.samples < 0:
         raise ParameterOutOfRange(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise TooLarge(f"--samples is capped at {MAX_SAMPLES}, got {args.samples}")
     seed = _integer("--seed", args.seed, low=0)
     verdict = volterra.is_volterra(V)
     obj = {"volterra": verdict}
@@ -268,6 +286,8 @@ def cmd_kernel_oracle(args) -> int:
 def cmd_dyn_iterate(args) -> int:
     V = _load_tensor(args)
     x0 = SimplexPoint(_parse_floats(args.x0))
+    if args.max_iter > MAX_ITER:
+        raise TooLarge(f"--max-iter is capped at {MAX_ITER}, got {args.max_iter}")
     traj = dynamics.iterate(V, x0, max_iter=args.max_iter, tol=args.tol)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -68,5 +68,6 @@ class InvalidPermutation(QsoError):
 
 class TooLarge(QsoError):
     """A request exceeds a documented size cap: more atoms than the
-    exhaustive kernel oracle enumerates, or a refutation grid step below
-    its smallest allowed value."""
+    exhaustive kernel oracle enumerates, a refutation grid step below its
+    smallest allowed value, or more ``volterra check --samples`` or ``dyn
+    iterate --max-iter`` steps than the CLI takes."""

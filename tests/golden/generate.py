@@ -212,6 +212,8 @@ def _forms(argv: list[str], out: str | None = None) -> list[list[str]]:
 
 
 def _cases() -> list[dict]:
+    from qso.cli import MAX_ITER, MAX_SAMPLES
+
     ok: list[list[str]] = []  # each in human and --json form
     plain: list[list[str]] = []  # errors and one-off forms, as written
 
@@ -244,6 +246,7 @@ def _cases() -> list[dict]:
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "-1"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "2.5"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "3", "--seed", "-1"])
+    plain.append(["volterra", "check", "--op", "f2.json", "--samples", str(MAX_SAMPLES + 1)])
     plain.append(["volterra", "check", "--op", "sk3.json"])
 
     canon = [["volterra", "canonical", "--op", f] for f in ("v4.json", "f2.json", "v3.json")]
@@ -335,6 +338,9 @@ def _cases() -> list[dict]:
                         ("--tol", "nan"), ("--tol", "-1e-9")):
         plain.append(["dyn", "iterate", "--op", "f1.json", "--x0", "0.7,0.1,0.2",
                       f"{flag}={value}"])
+    for n in (MAX_ITER, MAX_ITER + 1):  # the cap runs: f1 stops on a 2-cycle at once
+        plain.append(["dyn", "iterate", "--op", "f1.json", "--x0", "0.7,0.1,0.2", "--max-iter",
+                      str(n)])
 
     for f in ("f1.json", "f2.json", "f4.json", "v4.json", "r4.json"):
         ok.append(["dyn", "fixed-points", "--op", f])

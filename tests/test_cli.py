@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_kernel, rand_volterra_kernel, with_forbidden_entry
-from qso import OpFamilySpec, op_family, validate
+from qso import OpFamilySpec, SimplexPoint, cli, iterate, op_family, validate
 from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
@@ -357,6 +357,34 @@ def test_bad_refute_step_is_exit_two(capsys, step, error):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and one_error_line(captured.err)
     assert captured.err.startswith(f"error: {error}:")
+
+
+class TestCountCaps:
+    """``--samples`` and ``--max-iter`` take their cap and exit 2 with TooLarge above it."""
+
+    @staticmethod
+    def _argv(files, flag: str, n: int) -> list[str]:
+        if flag == "--samples":
+            return ["volterra", "check", "--op", files["v2.json"], "--samples", str(n)]
+        return ["dyn", "iterate", "--op", files["v2.json"], "--x0", "0.2,0.3,0.5",
+                "--max-iter", str(n)]
+
+    @pytest.mark.parametrize("flag,cap", [("--samples", "MAX_SAMPLES"), ("--max-iter", "MAX_ITER")])
+    def test_the_cap_runs_and_one_more_is_exit_two(self, files, capsys, monkeypatch, flag, cap):
+        monkeypatch.setattr(cli, cap, 5)
+        assert main(self._argv(files, flag, 5)) == 0
+        capsys.readouterr()
+        assert main(self._argv(files, flag, 6)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: TooLarge: {flag} is capped at 5, got 6\n"
+
+    def test_the_library_takes_any_budget(self):
+        # the golden corpus holds the CLI at and past the documented caps;
+        # this orbit stops on a 2-cycle at once
+        V = op_family(OpFamilySpec(1, 0.5, 0.5, 0.5))
+        traj = iterate(V, SimplexPoint([0.7, 0.1, 0.2]), max_iter=cli.MAX_ITER + 1)
+        assert traj.status == "cycle"
 
 
 class _ClosedStdout(io.StringIO):

@@ -143,8 +143,33 @@ HETEROCLINIC = from_canonical(
 )
 
 
+def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
+    """An m-species operator, built by the public constructor, on its first coordinates.
+
+    Each slice (i, j) with i, j < ``support`` splits its mass over
+    ``outputs(i, j)`` random outputs below ``support``; every other slice is
+    zero. An orbit from a start on those coordinates stays on them.
+    """
+    p = np.zeros((m, m, m))
+    for i in range(support):
+        for j in range(i, support):
+            ks = rng.choice(support, outputs(i, j), replace=False)
+            w = rng.exponential(size=ks.size)
+            p[i, j, ks] = p[j, i, ks] = w / w.sum()
+    return QsoTensor(m, p)
+
+
+def start_on(rng, m: int, support: int) -> SimplexPoint:
+    return SimplexPoint(np.r_[rand_simplex(rng, support).coords, np.zeros(m - support)])
+
+
 def reference_cases():
-    """(operator, start, budget, tol) covering convergence, cycles and budget runs."""
+    """(operator, start, budget, tol) covering convergence, cycles and budget runs.
+
+    They cover both sides of the rule for ``iterate``'s float step (at most
+    7 species and 32 nonzero coefficients, C order): see
+    ``test_cases_cover_both_sides_of_the_float_rule``.
+    """
     rng = np.random.default_rng(86)
     cases = []
     for family in (1, 2, 4):
@@ -157,6 +182,27 @@ def reference_cases():
         cases.append((from_canonical(rand_skew(rng, 10)), rand_simplex(rng, 10), 150, 1e-10))
         m = int(rng.integers(2, 6))
         cases.append((rand_tensor(rng, m), rand_simplex(rng, m), 150, 1e-10))
+    # every family at its corners: coefficients and starts full of exact 0s and 1s
+    starts = ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.25, 0.0, 0.75])
+    corners = itertools.product(range(1, 7), itertools.product((0.0, 1.0), repeat=3))
+    for n, (family, params) in enumerate(corners):
+        cases.append((op_family(OpFamilySpec(family, *params)), SimplexPoint(starts[n % 3]), 60,
+                      1e-10))
+    # 30 coefficients on 5 coordinates: float steps at m = 6 and 7, einsum at m = 8,
+    # where numpy sums the 8 image coordinates pairwise
+    for m in (6, 7, 8):
+        V = sparse_operator(rng, m, 5, lambda i, j: 2 if i == j else 1)
+        cases.append((V, start_on(rng, m, 5), 150, 1e-10))
+        cases.append((rand_tensor(rng, m), rand_simplex(rng, m), 150, 1e-10))
+    # 32 coefficients step on floats, 33 on the einsum
+    for extra in (0, 1):
+        V = sparse_operator(rng, 4, 4, lambda i, j: 2 + extra * (i == j == 0))
+        cases.append((V, rand_simplex(rng, 4), 150, 1e-10))
+    # the constructor copies a Fortran-ordered array to C order; validate keeps
+    # a layout that is not C-contiguous, which takes the einsum
+    p = np.asfortranarray(rand_tensor(rng, 3).p)
+    cases.append((QsoTensor(3, p), rand_simplex(rng, 3), 150, 1e-10))
+    cases.append((validate(p), rand_simplex(rng, 3), 150, 1e-10))
     # at step 3 both lag 2 and lag 3 are within tol; the smallest lag must win
     multi = (op_family(OpFamilySpec(4, 0.02, 0.92, 0.6)), SimplexPoint([0.3, 0.36, 0.34]), 10, 0.077)
     cases.append(multi)
@@ -180,6 +226,14 @@ class TestIterateMatchesReference:
             statuses.add(got.status)
         expected = {"converged", "budget_exhausted"} | ({"cycle"} if window >= 2 else set())
         assert statuses == expected
+
+    def test_cases_cover_both_sides_of_the_float_rule(self):
+        sides = {(V.m, int(np.count_nonzero(V.p)), V.p.flags.c_contiguous,
+                  dynamics._float_terms(V.p) is not None) for V, *_ in reference_cases()}
+        assert {(6, 30, True, True), (7, 30, True, True), (8, 30, True, False),
+                (6, 216, True, False), (7, 343, True, False),
+                (4, 32, True, True), (4, 33, True, False),
+                (3, 27, True, True), (3, 27, False, False)} <= sides
 
     def test_smallest_matching_lag_wins(self):
         V, x0, budget, tol = reference_cases()[-1]
@@ -346,23 +400,26 @@ class TestChunkedScan:
             iterate(V, x0, max_iter=10, tol=0.1)
 
     def test_work_is_bounded_by_twice_the_stop_step(self, monkeypatch):
+        # images counts the calls of either image routine by name: m = 3
+        # steps on floats, m = 8 on the einsum
         images = []
-        step = dynamics._image
+        for name in ("_image", "_float_image"):
+            def counted(*args, step=getattr(dynamics, name), name=name):
+                images.append(name)
+                return step(*args)
 
-        def counted(*args):
-            images.append(None)
-            return step(*args)
-
-        monkeypatch.setattr(dynamics, "_image", counted)
-        V, x0 = dominant_species(3), dominant_start(3)
-        for t, tol in stop_tolerances(V, x0, 64, 200).items():
-            images.clear()
-            assert iterate(V, x0, max_iter=10_000, tol=tol).iterations == t
-            assert len(images) <= 2 * t + 8
-        for budget in (1, 5, 13, 100):
-            images.clear()
-            iterate(V, x0, max_iter=budget, tol=1e-300)
-            assert len(images) == budget
+            monkeypatch.setattr(dynamics, name, counted)
+        for m, name in ((3, "_float_image"), (8, "_image")):
+            V, x0 = dominant_species(m), dominant_start(m)
+            for t, tol in stop_tolerances(V, x0, 64, 200).items():
+                images.clear()
+                assert iterate(V, x0, max_iter=10_000, tol=tol).iterations == t
+                assert len(images) <= 2 * t + 8
+                assert set(images) == {name}
+            for budget in (1, 5, 13, 100):
+                images.clear()
+                iterate(V, x0, max_iter=budget, tol=1e-300)
+                assert images == [name] * budget
 
 
 class TestFixedVertices:
