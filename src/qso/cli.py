@@ -22,8 +22,9 @@ sorted, floats at 17 significant digits.
 
 Two counts are capped, and a larger one exits 2 with ``TooLarge``:
 ``volterra check --samples`` at ``MAX_SAMPLES`` and ``dyn iterate
---max-iter`` at ``MAX_ITER``. The library functions behind them take any
-count.
+--max-iter`` at ``MAX_ITER``. ``volterra check`` also caps its work, the
+samples times m^3, at ``MAX_SAMPLE_WORK``. The library functions behind
+them take any count.
 """
 
 from __future__ import annotations
@@ -45,14 +46,21 @@ from .errors import ParameterOutOfRange, QsoError, TooLarge
 EXIT_BROKEN_PIPE = 141
 
 #: Most random points ``volterra check --samples`` tests. Each costs one
-#: ``apply`` and two support sets: ~34 us at m = 3 and ~42 us at m = 10 on
-#: one core of a 2-core x86-64 VM, so the cap runs for 0.7-0.9 s there. At
-#: m = 100 the m^3 einsum makes a sample ~1.4 ms.
+#: ``apply`` and two support sets, about 30 us plus 1 ns per m^3 (the
+#: einsum of ``apply``): ~33 us at m = 3, ~96 us at m = 40 and ~1.0 ms at
+#: m = 100, on one core of a 2-core x86-64 VM. The cap runs ~0.7 s at m <= 10.
 MAX_SAMPLES = 20_000
 
-#: Largest ``dyn iterate --max-iter``. The orbit keeps every point, ~186 B
+#: Largest samples * m^3 of ``volterra check --samples``, so that the
+#: m^3 part of a call stays near 0.5 s at any m: 500 samples at m = 100.
+#: With ``MAX_SAMPLES`` a call runs at most ~1.1 s (m = 30, where both
+#: caps meet).
+MAX_SAMPLE_WORK = 500_000_000
+
+#: Largest ``dyn iterate --max-iter``. The orbit keeps every point, ~187 B
 #: each at m = 3 and ~243 B at m = 10 (tracemalloc), so an orbit that never
-#: stops holds ~190-250 MB at the cap and runs ~4 s at m = 3 (README).
+#: stops holds ~190-250 MB at the cap; at m = 3 such a call runs ~2.8 s
+#: with a peak RSS of ~231 MB (README).
 MAX_ITER = 1_000_000
 
 
@@ -141,6 +149,10 @@ def cmd_volterra_check(args) -> int:
         raise ParameterOutOfRange(f"--samples must be nonnegative, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise TooLarge(f"--samples is capped at {MAX_SAMPLES}, got {args.samples}")
+    work = args.samples * V.m**3
+    if work > MAX_SAMPLE_WORK:
+        raise TooLarge(f"--samples * m^3 is capped at {MAX_SAMPLE_WORK}, "
+                       f"got {args.samples} * {V.m}^3 = {work}")
     seed = _integer("--seed", args.seed, low=0)
     verdict = volterra.is_volterra(V)
     obj = {"volterra": verdict}

@@ -170,6 +170,22 @@ class SimplexPoint:
         object.__setattr__(pt, "coords", coords)
         return pt
 
+    @classmethod
+    def _trusted_rows(cls, rows: np.ndarray) -> list["SimplexPoint"]:
+        """:meth:`_trusted` of each row of a 2-d float array, in one pass.
+
+        The caller gives up ``rows``: it is made read-only once, and each
+        point holds a view of its row.
+        """
+        rows.flags.writeable = False
+        new, put = object.__new__, cls.coords.__set__  # the slot, past __setattr__
+        points = []
+        for row in rows:
+            pt = new(cls)
+            put(pt, row)
+            points.append(pt)
+        return points
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 

@@ -8,6 +8,7 @@ step budget.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -35,9 +36,13 @@ _CHUNK_FIRST = 4
 _CHUNK_MAX = 64
 _SCAN_ELEMENTS = 1 << 16
 # operators with at most this many species and nonzero coefficients step on
-# Python floats (see _float_image); numpy sums 8 or more doubles pairwise
+# Python floats (see _step_maker); numpy sums 8 or more doubles pairwise,
+# and past ~56 terms a 200-step orbit that compiles a fresh pattern is no
+# longer faster than the einsum
 _FLOAT_MAX_M = 7
-_FLOAT_MAX_TERMS = 32
+_FLOAT_MAX_TERMS = 56
+# compiled float steps kept, one per nonzero pattern, size and sign
+_STEP_CACHE_SIZE = 64
 
 STATUS_CONVERGED = "converged"
 STATUS_CYCLE = "cycle"
@@ -64,39 +69,64 @@ class Trajectory:
         return self.status
 
 
-def _float_terms(p: np.ndarray) -> list[tuple[int, int, int, float]] | None:
-    """The terms (i, j, k, p[i, j, k]) of the nonzero coefficients in C order.
+def _float_fallback(out: list[float]) -> list[float]:
+    """The full point check of an image on Python floats, as ``core._image`` makes it."""
+    return _clean_prob_vector(np.array(out), EPS_VAL, SimplexPoint._label).tolist()
 
-    None unless the array is small enough for :func:`_float_image` (at most
-    ``_FLOAT_MAX_M`` species and ``_FLOAT_MAX_TERMS`` terms) and
-    C-contiguous, the layout on which einsum adds in (i, j) order.
+
+@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _step_maker(flat: tuple[int, ...], m: int, nonneg: bool):
+    """Compile ``make(c0, c1, ...)``, which returns the float step of one orbit.
+
+    ``flat`` holds the C-order flat indices i*m*m + j*m + k of the nonzero
+    coefficients, and ``make`` takes their values in that order. The step
+    maps x (m floats) to ``core._image`` of x, bit for bit: on a
+    C-contiguous array einsum adds (p[i, j, k] * x_i) * x_j into a zeroed
+    output in (i, j) order, and skipping an exact-zero coefficient only
+    skips adding +0.0; numpy sums fewer than 8 doubles left to right, as
+    ``t`` does. An image that fails the division-only path (every image
+    unless ``nonneg``) gets the full point check, which raises
+    ``InvalidPoint`` as ``_image`` would. The source holds only indices and
+    fixed names; coefficient values reach the step only through ``make``'s
+    arguments, so no cached function carries another operator's values.
+    """
+    sums = [["0.0"] for _ in range(m)]
+    for n, f in enumerate(flat):
+        i, jk = divmod(f, m * m)
+        j, k = divmod(jk, m)
+        sums[k].append(f"c{n} * x{i} * x{j}")
+    out = [f"o{k}" for k in range(m)]
+    lines = [
+        f"def make({', '.join(f'c{n}' for n in range(len(flat)))}):",
+        "    def step(x):",
+        f"        {', '.join(f'x{i}' for i in range(m))} = x",
+        *(f"        o{k} = {' + '.join(terms)}" for k, terms in enumerate(sums)),
+        f"        t = 0.0 + {' + '.join(out)}",
+    ]
+    if nonneg:
+        lines += [
+            "        if abs(t - 1.0) <= EPS_VAL:  # false for a non-finite sum",
+            f"            return [{', '.join(f'{o} / t' for o in out)}]",
+        ]
+    lines += [f"        return fallback([{', '.join(out)}])", "    return step"]
+    namespace = {"EPS_VAL": EPS_VAL, "fallback": _float_fallback}
+    exec(compile("\n".join(lines), "<qso float step>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _float_step(p: np.ndarray, nonneg: bool):
+    """The compiled float step of the coefficients p (see :func:`_step_maker`), or None.
+
+    None unless the array is small enough (at most ``_FLOAT_MAX_M`` species
+    and ``_FLOAT_MAX_TERMS`` nonzero coefficients) and C-contiguous, the
+    layout on which einsum adds in (i, j) order.
     """
     if p.shape[0] > _FLOAT_MAX_M or not p.flags.c_contiguous:
         return None
-    nz = np.nonzero(p)
-    if nz[0].size > _FLOAT_MAX_TERMS:
+    flat = np.flatnonzero(p)
+    if flat.size > _FLOAT_MAX_TERMS:
         return None
-    return list(zip(*(a.tolist() for a in nz), p[nz].tolist()))
-
-
-def _float_image(terms: list, x: list[float], nonneg: bool) -> list[float]:
-    """``core._image`` of the coefficients ``terms`` at x, on Python floats, bit for bit.
-
-    On a C-contiguous array einsum adds (p[i, j, k] * x_i) * x_j into a
-    zeroed output in (i, j) order; skipping an exact-zero coefficient only
-    skips adding +0.0. numpy sums fewer than 8 doubles left to right, as
-    the loop below does. An image that fails the division-only path gets
-    the full point check, which raises ``InvalidPoint`` as ``_image`` would.
-    """
-    out = [0.0] * len(x)
-    for i, j, k, v in terms:
-        out[k] += v * x[i] * x[j]
-    total = 0.0
-    for c in out:
-        total += c
-    if nonneg and abs(total - 1.0) <= EPS_VAL:  # false for a non-finite sum
-        return [c / total for c in out]
-    return _clean_prob_vector(np.array(out), EPS_VAL, SimplexPoint._label).tolist()
+    return _step_maker(tuple(flat.tolist()), p.shape[0], nonneg)(*p.take(flat).tolist())
 
 
 def iterate(
@@ -115,14 +145,18 @@ def iterate(
     ``window <= 1`` only convergence is detected.
 
     Every point is bit for bit ``apply`` of the one before. An operator
-    with at most 7 species and 32 nonzero coefficients, stored in C order,
-    steps on Python floats (``_float_image``, which reproduces the
-    einsum's order of operations); every other one calls ``apply``'s image
-    routine ``core._image``. When every coefficient is >= 0 (one
-    ``p.min()`` per orbit) both take a division-only path, since every term
-    is >= 0 because points are; an image that fails it, and every image of
-    an operator with a negative coefficient, gets the full point check,
-    which raises ``InvalidPoint`` where ``apply`` would.
+    with at most 7 species and 56 nonzero coefficients, stored in C order,
+    steps on Python floats; every other one calls ``apply``'s image routine
+    ``core._image``. The float step is straight-line code that
+    ``_step_maker`` compiles once per (nonzero pattern, m, sign) and keeps
+    in a bounded cache; this orbit's coefficient values are bound to it as
+    arguments, never written into its source. It performs the einsum's
+    additions in the einsum's order, so its bits are the einsum's. When
+    every coefficient is >= 0 (one ``p.min()`` per orbit) both steps take
+    a division-only path, since every term is >= 0 because points are; an
+    image that fails it, and every image of an operator with a negative
+    coefficient, gets the full point check, which raises ``InvalidPoint``
+    where ``apply`` would.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
@@ -132,8 +166,9 @@ def iterate(
     up with its lags. The (step, lag) match table is built one coordinate
     at a time and left early once no pair is within ``tol``. Its first row
     with a match is the stop, its smallest lag there the cycle length, and
-    the images past it are dropped. An error inside a chunk is raised only
-    if no step before it stops.
+    the images past it are dropped; the rows kept become points in one
+    pass (``SimplexPoint._trusted_rows``). An error inside a chunk is
+    raised only if no step before it stops.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -143,7 +178,7 @@ def iterate(
 
     p = V.p
     nonneg = bool(p.min() >= 0)
-    terms = _float_terms(p)
+    step = _float_step(p, nonneg)
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
     # one column per point: columns [0, size) hold the points before the
@@ -153,13 +188,16 @@ def iterate(
     # back[k, r, q] is coordinate k of the point size - q steps before chunk column r
     back = sliding_window_view(buf, size, axis=1)
     points = [x0]
-    x = x0.coords if terms is None else x0.coords.tolist()
+    if step is None:
+        step, x = functools.partial(_image, p, nonneg=nonneg), x0.coords
+    else:
+        x = x0.coords.tolist()
     t0, chunk = 1, min(_CHUNK_FIRST, cap)
     while t0 <= max_iter:
         new, error = [], None
         for _ in range(min(chunk, max_iter - t0 + 1)):
             try:
-                x = _image(p, x, nonneg) if terms is None else _float_image(terms, x, nonneg)
+                x = step(x)
             except InvalidPoint as exc:
                 error = exc
                 break
@@ -177,14 +215,14 @@ def iterate(
         hits = np.flatnonzero(near.any(axis=1))
         if hits.size:
             r = int(hits[0])
-            points.extend(map(SimplexPoint._trusted, rows[: r + 1]))
+            points.extend(SimplexPoint._trusted_rows(rows[: r + 1]))
             lag = size - int(np.flatnonzero(near[r])[-1])
             if lag == 1:
                 return Trajectory(points, STATUS_CONVERGED, None, t0 + r)
             return Trajectory(points, STATUS_CYCLE, lag, t0 + r)
         if error is not None:
             raise error
-        points.extend(map(SimplexPoint._trusted, rows))
+        points.extend(SimplexPoint._trusted_rows(rows))
         buf[:, :size] = buf[:, n:n + size]
         t0 += n
         chunk = min(2 * chunk, cap)

@@ -13,8 +13,9 @@ does not depend on the terminal. The input files are built by
 :func:`qso.op_family` for the family tensors); the corpus records their
 SHA-256 so that a changed input shows up as such, not as a changed output.
 Payloads stay small (m <= 6, n <= 8, refutation steps >= 0.05) so that no
-BLAS call is large enough to use more than one thread, and argparse's help
-text ties the corpus to one Python minor version.
+BLAS call is large enough to use more than one thread (``v30.json`` is
+only read, for a ``--samples`` request refused before any work), and
+argparse's help text ties the corpus to one Python minor version.
 
 Rule: regenerate the file only for an output change that CHANGES.md names
 (which commands, which bytes, and why). Never regenerate it to make a
@@ -149,6 +150,7 @@ def _input_objects() -> dict:
         "v3.json": _tensor(_volterra_array(3, 5)),
         "v4.json": _tensor(_volterra_array(4, 6)),
         "v6.json": _tensor(_volterra_array(6, 7)),
+        "v30.json": _tensor(_volterra_array(30, 16)),  # read, then refused before any sample
         "nv5.json": _tensor(nv5),
         "sk3.json": _skew(3, 8),
         "sk5.json": _skew(5, 9),
@@ -212,7 +214,7 @@ def _forms(argv: list[str], out: str | None = None) -> list[list[str]]:
 
 
 def _cases() -> list[dict]:
-    from qso.cli import MAX_ITER, MAX_SAMPLES
+    from qso.cli import MAX_ITER, MAX_SAMPLE_WORK, MAX_SAMPLES
 
     ok: list[list[str]] = []  # each in human and --json form
     plain: list[list[str]] = []  # errors and one-off forms, as written
@@ -247,6 +249,9 @@ def _cases() -> list[dict]:
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "2.5"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", "3", "--seed", "-1"])
     plain.append(["volterra", "check", "--op", "f2.json", "--samples", str(MAX_SAMPLES + 1)])
+    # within MAX_SAMPLES, but one sample past MAX_SAMPLE_WORK at m = 30
+    plain.append(["volterra", "check", "--op", "v30.json", "--samples",
+                  str(MAX_SAMPLE_WORK // 30**3 + 1)])
     plain.append(["volterra", "check", "--op", "sk3.json"])
 
     canon = [["volterra", "canonical", "--op", f] for f in ("v4.json", "f2.json", "v3.json")]

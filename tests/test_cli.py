@@ -379,6 +379,16 @@ class TestCountCaps:
         assert captured.out == ""
         assert captured.err == f"error: TooLarge: {flag} is capped at 5, got 6\n"
 
+    def test_samples_times_m_cubed_is_capped(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLE_WORK", 5 * 3**3)
+        assert main(self._argv(files, "--samples", 5)) == 0
+        capsys.readouterr()
+        assert main(self._argv(files, "--samples", 6)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: TooLarge: --samples * m^3 is capped at 135, got 6 * 3^3 = 162\n")
+
     def test_the_library_takes_any_budget(self):
         # the golden corpus holds the CLI at and past the documented caps;
         # this orbit stops on a 2-cycle at once

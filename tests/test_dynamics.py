@@ -29,9 +29,11 @@ from qso import dynamics
 from qso.errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
 
 
+RPS_SKEW = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+
+
 def rock_paper_scissors() -> np.ndarray:
-    a = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
-    return from_canonical(SkewMatrix(3, a))
+    return from_canonical(SkewMatrix(3, RPS_SKEW))
 
 
 class TestIterate:
@@ -138,9 +140,7 @@ class TestIterate:
         assert iterate(swap, start, max_iter=40).status == "cycle"
 
 
-HETEROCLINIC = from_canonical(
-    SkewMatrix(3, 0.05 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]))
-)
+HETEROCLINIC = from_canonical(SkewMatrix(3, 0.05 * RPS_SKEW))
 
 
 def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
@@ -167,7 +167,7 @@ def reference_cases():
     """(operator, start, budget, tol) covering convergence, cycles and budget runs.
 
     They cover both sides of the rule for ``iterate``'s float step (at most
-    7 species and 32 nonzero coefficients, C order): see
+    7 species and 56 nonzero coefficients, C order): see
     ``test_cases_cover_both_sides_of_the_float_rule``.
     """
     rng = np.random.default_rng(86)
@@ -194,9 +194,9 @@ def reference_cases():
         V = sparse_operator(rng, m, 5, lambda i, j: 2 if i == j else 1)
         cases.append((V, start_on(rng, m, 5), 150, 1e-10))
         cases.append((rand_tensor(rng, m), rand_simplex(rng, m), 150, 1e-10))
-    # 32 coefficients step on floats, 33 on the einsum
+    # 56 coefficients step on floats, 57 on the einsum
     for extra in (0, 1):
-        V = sparse_operator(rng, 4, 4, lambda i, j: 2 + extra * (i == j == 0))
+        V = sparse_operator(rng, 4, 4, lambda i, j: 4 if i != j else 2 + extra * (i == 0))
         cases.append((V, rand_simplex(rng, 4), 150, 1e-10))
     # the constructor copies a Fortran-ordered array to C order; validate keeps
     # a layout that is not C-contiguous, which takes the einsum
@@ -229,10 +229,10 @@ class TestIterateMatchesReference:
 
     def test_cases_cover_both_sides_of_the_float_rule(self):
         sides = {(V.m, int(np.count_nonzero(V.p)), V.p.flags.c_contiguous,
-                  dynamics._float_terms(V.p) is not None) for V, *_ in reference_cases()}
+                  dynamics._float_step(V.p, True) is not None) for V, *_ in reference_cases()}
         assert {(6, 30, True, True), (7, 30, True, True), (8, 30, True, False),
                 (6, 216, True, False), (7, 343, True, False),
-                (4, 32, True, True), (4, 33, True, False),
+                (4, 56, True, True), (4, 57, True, False),
                 (3, 27, True, True), (3, 27, False, False)} <= sides
 
     def test_smallest_matching_lag_wins(self):
@@ -400,16 +400,29 @@ class TestChunkedScan:
             iterate(V, x0, max_iter=10, tol=0.1)
 
     def test_work_is_bounded_by_twice_the_stop_step(self, monkeypatch):
-        # images counts the calls of either image routine by name: m = 3
-        # steps on floats, m = 8 on the einsum
+        # images counts the calls of either image routine: m = 3 steps on
+        # the compiled float step, m = 8 on the einsum
         images = []
-        for name in ("_image", "_float_image"):
-            def counted(*args, step=getattr(dynamics, name), name=name):
-                images.append(name)
-                return step(*args)
 
-            monkeypatch.setattr(dynamics, name, counted)
-        for m, name in ((3, "_float_image"), (8, "_image")):
+        def counted_image(*args, image=dynamics._image, **kwargs):
+            images.append("_image")
+            return image(*args, **kwargs)
+
+        def counted_maker(*key, maker=dynamics._step_maker):
+            def make(*coeffs):
+                step = maker(*key)(*coeffs)
+
+                def counted(x):
+                    images.append("float step")
+                    return step(x)
+
+                return counted
+
+            return make
+
+        monkeypatch.setattr(dynamics, "_image", counted_image)
+        monkeypatch.setattr(dynamics, "_step_maker", counted_maker)
+        for m, name in ((3, "float step"), (8, "_image")):
             V, x0 = dominant_species(m), dominant_start(m)
             for t, tol in stop_tolerances(V, x0, 64, 200).items():
                 images.clear()
@@ -420,6 +433,75 @@ class TestChunkedScan:
                 images.clear()
                 iterate(V, x0, max_iter=budget, tol=1e-300)
                 assert images == [name] * budget
+
+
+def float_constants(code) -> set:
+    """Every float constant of a code object and of the code objects inside it."""
+    found = set()
+    for c in code.co_consts:
+        if isinstance(c, float):
+            found.add(c)
+        elif hasattr(c, "co_consts"):
+            found |= float_constants(c)
+    return found
+
+
+def edge_leak(sign: float) -> QsoTensor:
+    """The heteroclinic operator with ``sign`` * 1e-10 of slice (1, 2) moved from output 1 to 3."""
+    p = HETEROCLINIC.p.copy()
+    for i, j in ((0, 1), (1, 0)):
+        p[i, j, 2] = sign * 1e-10
+        p[i, j, 0] -= sign * 1e-10
+    return QsoTensor(3, p)
+
+
+class TestCompiledStep:
+    """The float step is compiled per coefficient pattern and holds no coefficient values."""
+
+    def test_operators_sharing_a_pattern_get_their_own_values(self):
+        rng = np.random.default_rng(90)
+        pairs = [
+            (op_family(OpFamilySpec(1, 0.2, 0.7, 0.4)), op_family(OpFamilySpec(1, 0.9, 0.1, 0.6))),
+            (HETEROCLINIC, from_canonical(SkewMatrix(3, 0.15 * RPS_SKEW))),
+            (edge_leak(1.0), edge_leak(-1.0)),  # the second has a negative coefficient
+        ]
+        dynamics._step_maker.cache_clear()
+        for a, b in pairs:
+            assert np.array_equal(np.flatnonzero(a.p), np.flatnonzero(b.p))
+            assert not np.array_equal(a.p, b.p)
+        assert [bool(b.p.min() >= 0) for _, b in pairs] == [True, True, False]
+        starts = [rand_simplex(rng, 3) for _ in range(2)] + [SimplexPoint([0.5, 0.5, 0.0])]
+        for _ in range(2):
+            for (a, b), x0 in zip(pairs, starts):
+                for V in (a, b):
+                    assert dynamics._float_step(V.p, bool(V.p.min() >= 0)) is not None
+                    want = reference_iterate(V, x0, 150, 1e-10)
+                    assert_same_trajectory(iterate(V, x0, max_iter=150), want)
+        info = dynamics._step_maker.cache_info()
+        # one compile per (pattern, sign): family 1, heteroclinic, edge leak >= 0 and < 0
+        assert info.misses == 4 and info.hits > 0
+        assert info.maxsize == dynamics._STEP_CACHE_SIZE > 0
+
+    def test_compiled_code_holds_no_coefficient(self):
+        V = op_family(OpFamilySpec(2, 0.3, 0.6, 0.9))
+        flat = np.flatnonzero(V.p)
+        for nonneg in (True, False):
+            make = dynamics._step_maker(tuple(flat.tolist()), 3, nonneg)
+            assert float_constants(make.__code__) <= {0.0, 1.0}
+
+
+class TestPointsStayImmutable:
+    @pytest.mark.parametrize(
+        "V", [HETEROCLINIC, from_canonical(rand_skew(np.random.default_rng(91), 10))],
+        ids=["float step", "einsum"])
+    def test_every_point_is_read_only(self, V):
+        x0 = rand_simplex(np.random.default_rng(92), V.m)
+        traj = iterate(V, x0, max_iter=100)
+        assert traj.iterations == 100 and len(traj.points) == 101
+        for pt in traj.points:
+            assert not pt.coords.flags.writeable
+            with pytest.raises(ValueError):
+                pt.coords[0] = 0.5
 
 
 class TestFixedVertices:
