@@ -22,7 +22,6 @@ from .core import (
     EPS_VAL,
     QsoTensor,
     SimplexPoint,
-    SupportSet,
     abs_continuous,
     apply,
     orthogonal,
@@ -105,7 +104,6 @@ __all__ = [
     "RefutationReport",
     "SimplexPoint",
     "SkewMatrix",
-    "SupportSet",
     "TooLarge",
     "Trajectory",
     "VertexImageNotVertex",

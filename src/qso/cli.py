@@ -4,7 +4,7 @@ Usage examples:
 
     qso validate --op tensor.json
     qso apply --op tensor.json --x0 0.2,0.3,0.5
-    qso volterra check --op tensor.json --samples 100
+    qso volterra check --op tensor.json
     qso volterra canonical --op tensor.json --out skew.json
     qso op build --family 1 --alpha 0.3 --beta 0.6 --gamma 0.9 --out v1.json
     qso op classify --op v1.json --json
@@ -20,11 +20,8 @@ or validation errors, 141 when the reader closes standard output early
 killed by that signal). With ``--json`` all output is deterministic: keys
 sorted, floats at 17 significant digits.
 
-Two counts are capped, and a larger one exits 2 with ``TooLarge``:
-``volterra check --samples`` at ``MAX_SAMPLES`` and ``dyn iterate
---max-iter`` at ``MAX_ITER``. ``volterra check`` also caps its work, the
-samples times m^3, at ``MAX_SAMPLE_WORK``. The library functions behind
-them take any count.
+``dyn iterate --max-iter`` is capped at ``MAX_ITER``, and a larger count
+exits 2 with ``TooLarge``; the library's ``iterate`` takes any count.
 """
 
 from __future__ import annotations
@@ -40,22 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, conjugacy, dynamics, kernel, orthopreserve, serialize, volterra
-from .core import EPS_VAL, SimplexPoint, _integer, apply
-from .errors import ParameterOutOfRange, QsoError, TooLarge
+from .core import EPS_VAL, SimplexPoint, apply
+from .errors import QsoError, TooLarge
 
 EXIT_BROKEN_PIPE = 141
-
-#: Most random points ``volterra check --samples`` tests. Each costs one
-#: ``apply`` and two support sets, about 30 us plus 1 ns per m^3 (the
-#: einsum of ``apply``): ~33 us at m = 3, ~96 us at m = 40 and ~1.0 ms at
-#: m = 100, on one core of a 2-core x86-64 VM. The cap runs ~0.7 s at m <= 10.
-MAX_SAMPLES = 20_000
-
-#: Largest samples * m^3 of ``volterra check --samples``, so that the
-#: m^3 part of a call stays near 0.5 s at any m: 500 samples at m = 100.
-#: With ``MAX_SAMPLES`` a call runs at most ~1.1 s (m = 30, where both
-#: caps meet).
-MAX_SAMPLE_WORK = 500_000_000
 
 #: Largest ``dyn iterate --max-iter``. The orbit keeps every point, ~187 B
 #: each at m = 3 and ~243 B at m = 10 (tracemalloc), so an orbit that never
@@ -129,44 +114,8 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _random_support_weights(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Exponential weights, each zeroed with probability 1/2, one kept if all would go.
-
-    A point with full support cannot expose a forbidden entry, since V(x) << x
-    then holds for every operator; a random support can.
-    """
-    w = rng.exponential(size=m)
-    kill = rng.random(m) < 0.5
-    if kill.all():
-        kill[rng.integers(m)] = False
-    w[kill] = 0.0
-    return w / w.sum()
-
-
 def cmd_volterra_check(args) -> int:
-    V = _load_tensor(args)
-    if args.samples < 0:
-        raise ParameterOutOfRange(f"--samples must be nonnegative, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise TooLarge(f"--samples is capped at {MAX_SAMPLES}, got {args.samples}")
-    work = args.samples * V.m**3
-    if work > MAX_SAMPLE_WORK:
-        raise TooLarge(f"--samples * m^3 is capped at {MAX_SAMPLE_WORK}, "
-                       f"got {args.samples} * {V.m}^3 = {work}")
-    seed = _integer("--seed", args.seed, low=0)
-    verdict = volterra.is_volterra(V)
-    obj = {"volterra": verdict}
-    human = f"volterra: {str(verdict).lower()}"
-    if args.samples:
-        rng = np.random.default_rng(seed)
-        pts = (SimplexPoint(_random_support_weights(rng, V.m)) for _ in range(args.samples))
-        prop = volterra.check_abs_continuity_property(V, pts)
-        verdict = verdict and prop
-        obj["abs_continuity"] = prop
-        obj["samples"] = args.samples
-        human += f"\nabs-continuity on {args.samples} samples: {str(prop).lower()}"
-    _write_or_print(args, obj, human)
-    return 0 if verdict else 1
+    return _verdict(args, "volterra", volterra.is_volterra(_load_tensor(args)))
 
 
 def cmd_volterra_canonical(args) -> int:
@@ -357,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="comma-separated coordinates")
 
     vsub = group("volterra", "Volterra detection and canonical form")
-    p = leaf(vsub, "check", "entrywise Volterra test", cmd_volterra_check)
-    p.add_argument("--samples", type=int, default=0,
-                   help="also check V(x) << x on this many random points")
-    p.add_argument("--seed", type=int, default=0)
+    leaf(vsub, "check", "entrywise Volterra test", cmd_volterra_check)
     p = leaf(vsub, "canonical", "convert between tensor and skew parameters",
              cmd_volterra_canonical, op=None)
     p.add_argument("--op", help="tensor JSON file to convert to skew parameters")

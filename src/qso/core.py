@@ -39,9 +39,6 @@ from .errors import (
 EPS_VAL = 1e-9
 EPS_SUPP = 1e-12
 
-# A support is a frozen set of 1-based coordinate indices.
-SupportSet = frozenset
-
 _VALIDATE_MODES = ("strict", "normalize")
 
 
@@ -352,7 +349,7 @@ def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoin
     return SimplexPoint._trusted(_image(V.p, x.coords, eps=eps))
 
 
-def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> SupportSet:
+def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> frozenset[int]:
     """Indices (1-based) of the coordinates of x exceeding ``eps_supp``."""
     check_tol("eps_supp", eps_supp, positive=True)  # NaN would empty every support
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > eps_supp)[0])

@@ -31,7 +31,7 @@ import numpy as np
 
 from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, _integer, as_integer, validate
-from .errors import DimensionMismatch, InvalidSkew, NotStochastic, QsoError
+from .errors import DimensionMismatch, InvalidSkew, NotStochastic, QsoError, TooLarge
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -131,6 +131,20 @@ def _dimension(obj: dict, key: str, payload: str) -> int:
     return _integer(f"{payload} {key}", _require(obj, key, payload), DimensionMismatch, low=0)
 
 
+#: Largest size m (or n) a tensor, kernel or skew payload decodes to. Each
+#: becomes an m^3 array while the file grows only as m^2: one ``qso volterra
+#: check`` process on a Volterra payload peaked at ~55 MB RSS at m = 100,
+#: ~224 MB at m = 200 and ~675 MB at m = 300 (2-core x86-64 VM). A larger
+#: size raises :class:`TooLarge` before the array is allocated, once the
+#: payload lists enough entries to be read; the value types take any size.
+MAX_DIMENSION = 200
+
+
+def _check_dimension(m: int, payload: str) -> None:
+    if m > MAX_DIMENSION:
+        raise TooLarge(f"{payload} size is capped at {MAX_DIMENSION}, got {m}")
+
+
 # entry lists shorter than this are read by the per-entry loop: below it the
 # bulk path's fixed numpy cost outweighs what it saves per entry
 _BULK_MIN_ENTRIES = 64
@@ -173,6 +187,8 @@ def _bulk_entries_to_array(m: int, entries) -> np.ndarray | None:
 def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     if not isinstance(entries, (list, tuple)):
         raise QsoError(f"{payload} entries must be a list, got {type(entries).__name__}")
+    if len(entries) >= m * (m + 1) // 2:  # shorter lists fail the slice count below
+        _check_dimension(m, payload)
     p = _bulk_entries_to_array(m, entries)
     if p is not None:
         return p
@@ -265,7 +281,9 @@ def skew_from_obj(obj: dict) -> SkewMatrix:
         a = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSkew(f"skew matrix a must be a matrix of numbers: {exc}") from exc
-    return SkewMatrix(m, a)
+    skew = SkewMatrix(m, a)
+    _check_dimension(m, "skew matrix")  # from_canonical makes it an m^3 tensor
+    return skew
 
 
 def spec_to_obj(spec: OpFamilySpec) -> dict:

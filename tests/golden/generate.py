@@ -13,9 +13,10 @@ does not depend on the terminal. The input files are built by
 :func:`qso.op_family` for the family tensors); the corpus records their
 SHA-256 so that a changed input shows up as such, not as a changed output.
 Payloads stay small (m <= 6, n <= 8, refutation steps >= 0.05) so that no
-BLAS call is large enough to use more than one thread (``v30.json`` is
-only read, for a ``--samples`` request refused before any work), and
-argparse's help text ties the corpus to one Python minor version.
+BLAS call is large enough to use more than one thread (``bad_m_cap.json``,
+one past the size cap, is only read: it is refused before its array is
+allocated), and argparse's help text ties the corpus to one Python minor
+version.
 
 Rule: regenerate the file only for an output change that CHANGES.md names
 (which commands, which bytes, and why). Never regenerate it to make a
@@ -114,6 +115,8 @@ def _with_forbidden(p: np.ndarray, i: int, j: int, k: int, value: float) -> np.n
 
 def _input_objects() -> dict:
     """File name -> JSON object (or raw text) of every corpus input."""
+    from qso.serialize import MAX_DIMENSION
+
     uniform = np.full((3, 3, 3), 1.0 / 3.0)
     huge = {"m": 2, "entries": _entries(np.full((2, 2, 2), 0.5))}
     huge["entries"][-1]["p"] = 10**400
@@ -150,7 +153,6 @@ def _input_objects() -> dict:
         "v3.json": _tensor(_volterra_array(3, 5)),
         "v4.json": _tensor(_volterra_array(4, 6)),
         "v6.json": _tensor(_volterra_array(6, 7)),
-        "v30.json": _tensor(_volterra_array(30, 16)),  # read, then refused before any sample
         "nv5.json": _tensor(nv5),
         "sk3.json": _skew(3, 8),
         "sk5.json": _skew(5, 9),
@@ -176,6 +178,9 @@ def _input_objects() -> dict:
         "bad_m_frac.json": {"m": 2.7, "entries": []},
         "bad_m_big.json": {"m": 100000, "entries": []},
         "bad_m_str.json": {"m": "3", "entries": []},
+        "bad_m_cap.json": {"m": MAX_DIMENSION + 1, "entries": [  # p[i, j, i] = 1: Volterra
+            {"i": i, "j": j, "k": i, "p": 1.0}
+            for i in range(1, MAX_DIMENSION + 2) for j in range(i, MAX_DIMENSION + 2)]},
         "bad_m_one.json": {"m": 1, "entries": [{"i": 1, "j": 1, "k": 1, "p": 1.0}]},
         "bad_entries.json": {"m": 2, "entries": 5},
         "bad_nokey.json": {"entries": []},
@@ -214,7 +219,7 @@ def _forms(argv: list[str], out: str | None = None) -> list[list[str]]:
 
 
 def _cases() -> list[dict]:
-    from qso.cli import MAX_ITER, MAX_SAMPLE_WORK, MAX_SAMPLES
+    from qso.cli import MAX_ITER
 
     ok: list[list[str]] = []  # each in human and --json form
     plain: list[list[str]] = []  # errors and one-off forms, as written
@@ -242,16 +247,8 @@ def _cases() -> list[dict]:
 
     for f in ("f1.json", "f2.json", "v4.json", "r4.json", "v3.json"):
         ok.append(["volterra", "check", "--op", f])
-    ok.append(["volterra", "check", "--op", "v4.json", "--samples", "10", "--seed", "3"])
-    ok.append(["volterra", "check", "--op", "f2.json", "--samples", "5"])
-    ok.append(["volterra", "check", "--op", "r3.json", "--samples", "4"])
-    plain.append(["volterra", "check", "--op", "f2.json", "--samples", "-1"])
-    plain.append(["volterra", "check", "--op", "f2.json", "--samples", "2.5"])
-    plain.append(["volterra", "check", "--op", "f2.json", "--samples", "3", "--seed", "-1"])
-    plain.append(["volterra", "check", "--op", "f2.json", "--samples", str(MAX_SAMPLES + 1)])
-    # within MAX_SAMPLES, but one sample past MAX_SAMPLE_WORK at m = 30
-    plain.append(["volterra", "check", "--op", "v30.json", "--samples",
-                  str(MAX_SAMPLE_WORK // 30**3 + 1)])
+    for removed in (["--samples", "5"], ["--seed", "3"]):  # options that are gone: argparse
+        plain.append(["volterra", "check", "--op", "f2.json"] + removed)
     plain.append(["volterra", "check", "--op", "sk3.json"])
 
     canon = [["volterra", "canonical", "--op", f] for f in ("v4.json", "f2.json", "v3.json")]

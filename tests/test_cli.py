@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_kernel, rand_volterra_kernel, with_forbidden_entry
-from qso import OpFamilySpec, SimplexPoint, cli, iterate, op_family, validate
+from qso import OpFamilySpec, SimplexPoint, cli, iterate, op_family, serialize, validate
 from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
@@ -54,7 +54,7 @@ def _entries_with_huge_p(m: int) -> list[dict]:
 MATRIX = [
     (lambda f: ["validate", "--op", f["v2.json"]], 0),
     (lambda f: ["apply", "--op", f["v2.json"], "--x0", "0.2,0.3,0.5"], 0),
-    (lambda f: ["volterra", "check", "--op", f["v2.json"], "--samples", "20"], 0),
+    (lambda f: ["volterra", "check", "--op", f["v2.json"]], 0),
     (lambda f: ["volterra", "canonical", "--op", f["v2.json"]], 0),
     (lambda f: ["volterra", "certificate", "--op", f["v2.json"]], 0),
     (lambda f: ["op", "build", "--family", "3", "--alpha", "0.2",
@@ -220,12 +220,14 @@ class TestExitCodes:
                   "--skew", files["skew.json"]])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("name,volterra", [("v1.json", False), ("leaky.json", True)])
-    def test_sampled_check_finds_forbidden_mass(self, files, capsys, name, volterra):
-        assert main(["volterra", "check", "--op", files[name], "--samples", "20", "--json"]) == 1
-        assert json.loads(capsys.readouterr().out) == {
-            "abs_continuity": False, "samples": 20, "volterra": volterra,
-        }
+    @pytest.mark.parametrize("name,leaves,code", [
+        ("leaky.json", ("check", "certificate", "canonical"), 0),  # forbidden 5e-10 <= EPS_VAL
+        ("v1.json", ("check", "certificate"), 1),
+    ])
+    def test_every_volterra_verdict_takes_eps_val(self, files, capsys, name, leaves, code):
+        for leaf in leaves:
+            assert main(["volterra", leaf, "--op", files[name]]) == code, leaf
+        assert capsys.readouterr().err == ""
 
     def test_oracle_reports_witness(self, files, capsys):
         assert main(["kernel", "oracle", "--op", files["kernel_generic.json"], "--json"]) == 1
@@ -301,13 +303,6 @@ def one_error_line(err: str) -> bool:
 
 
 class TestMalformedIntegers:
-    def test_negative_samples_is_exit_two(self, files, capsys):
-        assert main(["volterra", "check", "--op", files["v2.json"], "--samples", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ParameterOutOfRange:")
-
     def test_non_integral_perm_is_exit_two(self, files, capsys):
         argv = ["op", "conjugate", "--op", files["v1.json"], "--perm", "2.9,3.2,1.7"]
         assert main(argv) == 2
@@ -360,34 +355,45 @@ def test_bad_refute_step_is_exit_two(capsys, step, error):
 
 
 class TestCountCaps:
-    """``--samples`` and ``--max-iter`` take their cap and exit 2 with TooLarge above it."""
+    """``--max-iter`` and the payload size take their cap and exit 2 with TooLarge above it."""
+
+    def test_the_cap_runs_and_one_more_is_exit_two(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ITER", 5)
+        argv = ["dyn", "iterate", "--op", files["v2.json"], "--x0", "0.2,0.3,0.5", "--max-iter"]
+        assert main(argv + ["5"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TooLarge: --max-iter is capped at 5, got 6\n"
 
     @staticmethod
-    def _argv(files, flag: str, n: int) -> list[str]:
-        if flag == "--samples":
-            return ["volterra", "check", "--op", files["v2.json"], "--samples", str(n)]
-        return ["dyn", "iterate", "--op", files["v2.json"], "--x0", "0.2,0.3,0.5",
-                "--max-iter", str(n)]
+    def _payload(kind: str, m: int) -> tuple[list[str], dict]:
+        """A size-m payload and the leaf that reads it; "loop" lists fewer than 64 entries."""
+        if kind == "skew":
+            return ["volterra", "canonical", "--skew"], {"m": m, "a": np.zeros((m, m)).tolist()}
+        if kind == "bulk":
+            entries = tensor_to_obj(validate(np.ones((m, m, m)), mode="normalize"))["entries"]
+        else:  # p[i, j, i] = 1: one entry per slice, a Volterra operator
+            entries = [{"i": i, "j": j, "k": i, "p": 1.0}
+                       for i in range(1, m + 1) for j in range(i, m + 1)]
+        if kind == "kernel":
+            return ["kernel", "check", "--op"], {"n": m, "q": entries}
+        return ["validate", "--op"], {"m": m, "entries": entries}
 
-    @pytest.mark.parametrize("flag,cap", [("--samples", "MAX_SAMPLES"), ("--max-iter", "MAX_ITER")])
-    def test_the_cap_runs_and_one_more_is_exit_two(self, files, capsys, monkeypatch, flag, cap):
-        monkeypatch.setattr(cli, cap, 5)
-        assert main(self._argv(files, flag, 5)) == 0
-        capsys.readouterr()
-        assert main(self._argv(files, flag, 6)) == 2
+    @pytest.mark.parametrize("kind,payload", [
+        ("bulk", "tensor"), ("loop", "tensor"), ("kernel", "kernel"), ("skew", "skew matrix"),
+    ])
+    def test_payload_size_cap_runs_and_one_more_is_exit_two(
+            self, tmp_path, capsys, monkeypatch, kind, payload):
+        monkeypatch.setattr(serialize, "MAX_DIMENSION", 9)
+        path = tmp_path / "op.json"
+        for m, code in ((9, 0), (10, 2)):
+            argv, obj = self._payload(kind, m)
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            assert main(argv + [str(path)]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: TooLarge: {flag} is capped at 5, got 6\n"
-
-    def test_samples_times_m_cubed_is_capped(self, files, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SAMPLE_WORK", 5 * 3**3)
-        assert main(self._argv(files, "--samples", 5)) == 0
-        capsys.readouterr()
-        assert main(self._argv(files, "--samples", 6)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: TooLarge: --samples * m^3 is capped at 135, got 6 * 3^3 = 162\n")
+        assert captured.err == f"error: TooLarge: {payload} size is capped at 9, got 10\n"
 
     def test_the_library_takes_any_budget(self):
         # the golden corpus holds the CLI at and past the documented caps;
@@ -435,13 +441,6 @@ def _run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _nonnegative_int(text: str) -> bool:
-    try:
-        return int(text) >= 0
-    except ValueError:
-        return False
-
-
 def _valid_perm(text: str) -> bool:
     try:
         values = [float(v) for v in text.split(",")]
@@ -454,8 +453,6 @@ _NUMBERS = st.one_of(
     st.integers(-10**20, 10**20),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-_SAMPLES = st.one_of(_NUMBERS.map(str), st.text(max_size=12)).filter(
-    lambda s: not _nonnegative_int(s))
 _PERMS = st.one_of(
     st.lists(_NUMBERS, max_size=5).map(lambda vs: ",".join(map(str, vs))),
     st.text(max_size=12),
@@ -474,20 +471,13 @@ def v1_file(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(
-    st.tuples(st.just("samples"), _SAMPLES),
-    st.tuples(st.just("seed"), _SAMPLES),
     st.tuples(st.just("perm"), _PERMS),
     st.tuples(st.sampled_from("ijk"), _INDICES),
 ))
 def test_fuzz_malformed_integer_arguments(v1_file, case):
-    """A malformed --samples, --seed, --perm or entry index exits 2 with one error line."""
+    """A malformed --perm or entry index exits 2 with one error line."""
     kind, value = case
-    if kind == "samples":
-        code, err = _run(["volterra", "check", "--op", v1_file, f"--samples={value}"])
-    elif kind == "seed":
-        code, err = _run(["volterra", "check", "--op", v1_file, "--samples", "3",
-                          f"--seed={value}"])
-    elif kind == "perm":
+    if kind == "perm":
         code, err = _run(["op", "conjugate", "--op", v1_file, f"--perm={value}"])
     else:
         obj = tensor_to_obj(op_family(OpFamilySpec(2, 0.3, 0.6, 0.9)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import re
 
 from golden.generate import CORPUS, build_inputs, run_case
 
@@ -61,4 +62,7 @@ def test_corpus_covers_every_parser_node_and_output_form():
         assert any("--json" not in c["argv"] and c["out"] is None for c in ran), leaf
         if "--out" in helps[leaf]:
             assert any(c["out"] is not None for c in ran), leaf
+        recorded = {arg.split("=")[0] for c in RECORDED["cases"]
+                    if tuple(c["argv"][: len(leaf)]) == leaf for arg in c["argv"]}
+        assert set(re.findall(r"--[a-z][-a-z0-9]*", helps[leaf])) <= recorded, leaf
     assert {case["exit"] for case in RECORDED["cases"]} == {0, 1, 2}

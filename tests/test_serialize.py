@@ -31,6 +31,8 @@ from qso import (
     QsoError,
     QsoTensor,
     SimplexPoint,
+    TooLarge,
+    serialize,
 )
 from qso.kernel import DiscreteMeasure
 from qso.serialize import (
@@ -375,6 +377,18 @@ class TestPayloadSizeChecks:
             tensor_from_obj({"m": 100000})
         with pytest.raises(NotStochastic, match="fewer than"):
             kernel_from_obj({"n": 100000, "q": []})
+
+    def test_size_cap_applies_once_every_slice_can_be_listed(self, monkeypatch):
+        monkeypatch.setattr(serialize, "MAX_DIMENSION", 2)
+        entries = [{"i": i, "j": j, "k": i, "p": 1.0} for i in (1, 2, 3) for j in range(i, 4)]
+        with pytest.raises(NotStochastic, match="5 entries, fewer than the 6 slices"):
+            tensor_from_obj({"m": 3, "entries": entries[:-1]})
+        with pytest.raises(TooLarge, match="^tensor size is capped at 2, got 3$"):
+            tensor_from_obj({"m": 3, "entries": entries})
+        with pytest.raises(DimensionMismatch):  # a malformed skew matrix keeps its error
+            skew_from_obj({"m": 3, "a": [[0.0]]})
+        with pytest.raises(TooLarge, match="^skew matrix size is capped at 2, got 3$"):
+            skew_from_obj({"m": 3, "a": np.zeros((3, 3)).tolist()})
 
     def test_entry_list_shorter_than_slice_count_rejected(self):
         # m = 2 has three slices (1,1), (1,2), (2,2); two entries cannot cover them
