@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QsoTensor, as_integer, check_tol, check_unit
+from .core import QsoTensor, _is_real, as_integer, check_tol, check_unit
 from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
@@ -224,7 +224,7 @@ def refute_associativity(family: int, grid_step: float = 0.05) -> RefutationRepo
     if fam not in (1, 4):
         raise InvalidFamily(f"refutation covers families 1 and 4, got {family!r}")
     family = fam
-    if not 0.0 < grid_step <= 0.1:
+    if not (_is_real(grid_step) and 0.0 < grid_step <= 0.1):
         raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step}")
     if 1.0 / grid_step > _REFUTE_MAX_AXIS - 1:
         raise TooLarge(

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +78,21 @@ def _integer(
     return n
 
 
+def _is_real(value) -> bool:
+    """True for an int or a float, numpy's too; False for bools, text, None and containers."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_tol(name: str, value, *, positive: bool = False) -> None:
     """Raise :class:`ParameterOutOfRange` unless ``value`` is a usable tolerance.
 
-    The one guard for every tolerance parameter: ``value`` must be >= 0, or
-    > 0 with ``positive``. NaN fails both comparisons, so it raises too
+    The one guard for every tolerance: ``value`` must be a real number >= 0,
+    or > 0 with ``positive``. NaN fails both comparisons, so it raises too
     instead of turning every later ``<=`` or ``>`` test into a silent verdict.
     """
-    if positive:
-        if not value > 0:
-            raise ParameterOutOfRange(f"{name} must be positive, got {_plain(value)!r}")
-    elif not value >= 0:
-        raise ParameterOutOfRange(f"{name} must be nonnegative, got {_plain(value)!r}")
+    if not (_is_real(value) and (value > 0 if positive else value >= 0)):
+        rule = "positive" if positive else "nonnegative"
+        raise ParameterOutOfRange(f"{name} must be {rule}, got {_plain(value)!r}")
 
 
 def check_unit(name: str, value) -> float:
@@ -216,9 +220,9 @@ class SimplexPoint:
 class QsoTensor:
     """Dense cubic array of heredity coefficients for an m-species QSO.
 
-    The array is exactly symmetric in its first two indices; construct
-    instances through :func:`validate` (or the builders elsewhere in the
-    package), which establish the bound and stochasticity invariants.
+    The array is exactly symmetric in its first two indices and >= 0 (the
+    constructor checks both, in that order); :func:`validate` and the
+    package's builders also establish stochasticity.
     """
 
     m: int
@@ -238,20 +242,22 @@ class QsoTensor:
                 "coefficients must satisfy p[i, j, k] == p[j, i, k] exactly; "
                 "use validate() to symmetrize raw data"
             )
+        if not p.min() >= 0:  # NaN already failed the symmetry check
+            raise NegativeCoefficient(f"coefficient below zero: min entry = {p.min():.3e}")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
     @classmethod
     def _trusted(cls, m: int, p: np.ndarray) -> "QsoTensor":
-        """Wrap an m x m x m float array, m >= 2, exactly symmetric in (i, j), unchecked.
+        """Wrap an m x m x m float array, m >= 2, symmetric in (i, j) and >= 0, unchecked.
 
         The twin of :meth:`SimplexPoint._trusted`, for builders whose array
-        is symmetric by construction (the same value written to both
-        halves, the same permutation applied to i and j, or a symmetrized
-        array rescaled by its slice sums). The caller gives up ``p``: it is
-        made read-only, not checked and not copied. Anything else goes
-        through the public constructor, which checks shape and symmetry.
+        is both by construction (the same value >= 0 written to both halves,
+        the same permutation applied to i and j, or a symmetrized array
+        clamped at 0 and rescaled by its slice sums). The caller gives up
+        ``p``: it is made read-only, not checked and not copied. Anything
+        else goes through the public constructor, which checks all three.
         """
         p.flags.writeable = False
         V = object.__new__(cls)
@@ -321,23 +327,21 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
 
 
 def _image(
-    p: np.ndarray, x: np.ndarray, nonneg: bool = False, eps: float = EPS_VAL,
-    what: str = SimplexPoint._label,
+    p: np.ndarray, x: np.ndarray, eps: float = EPS_VAL, what: str = SimplexPoint._label
 ) -> np.ndarray:
     """Coordinates of the image of x under the coefficients p, cleaned as a point.
 
     The one image routine: x'_k = sum_{i,j} p[i, j, k] x_i x_j, then the
-    point check of :class:`SimplexPoint` with label ``what``. With ``nonneg``
-    (every coefficient >= 0, which the caller knows) the image has no
-    negative entry to clamp, so a sum within ``eps`` of one only needs the
-    division, which gives the same bits as the full check.
+    point check of :class:`SimplexPoint` with label ``what``. Coefficients
+    and coordinates are >= 0, so a sum within ``eps`` of one only needs the
+    division, the same bits as the full check; any other image gets the
+    full check only to word the :class:`InvalidPoint` it raises.
     """
     out = np.einsum("ijk,i,j->k", p, x, x)
-    if nonneg:
-        total = out.sum()
-        if abs(total - 1.0) <= eps:  # false for a non-finite sum
-            out /= total
-            return out
+    total = out.sum()
+    if abs(total - 1.0) <= eps:  # false for a non-finite sum
+        out /= total
+        return out
     return _clean_prob_vector(out, eps, what)
 
 

@@ -41,7 +41,7 @@ _SCAN_ELEMENTS = 1 << 16
 # longer faster than the einsum
 _FLOAT_MAX_M = 7
 _FLOAT_MAX_TERMS = 56
-# compiled float steps kept, one per nonzero pattern, size and sign
+# compiled float steps kept, one per nonzero pattern and size
 _STEP_CACHE_SIZE = 64
 
 STATUS_CONVERGED = "converged"
@@ -75,7 +75,7 @@ def _float_fallback(out: list[float]) -> list[float]:
 
 
 @functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
-def _step_maker(flat: tuple[int, ...], m: int, nonneg: bool):
+def _step_maker(flat: tuple[int, ...], m: int):
     """Compile ``make(c0, c1, ...)``, which returns the float step of one orbit.
 
     ``flat`` holds the C-order flat indices i*m*m + j*m + k of the nonzero
@@ -84,11 +84,11 @@ def _step_maker(flat: tuple[int, ...], m: int, nonneg: bool):
     C-contiguous array einsum adds (p[i, j, k] * x_i) * x_j into a zeroed
     output in (i, j) order, and skipping an exact-zero coefficient only
     skips adding +0.0; numpy sums fewer than 8 doubles left to right, as
-    ``t`` does. An image that fails the division-only path (every image
-    unless ``nonneg``) gets the full point check, which raises
-    ``InvalidPoint`` as ``_image`` would. The source holds only indices and
-    fixed names; coefficient values reach the step only through ``make``'s
-    arguments, so no cached function carries another operator's values.
+    ``t`` does. An image that fails the division-only path gets the full
+    point check, which raises ``InvalidPoint`` as ``_image`` would. The
+    source holds only indices and fixed names; coefficient values reach the
+    step only through ``make``'s arguments, so no cached function carries
+    another operator's values.
     """
     sums = [["0.0"] for _ in range(m)]
     for n, f in enumerate(flat):
@@ -102,19 +102,17 @@ def _step_maker(flat: tuple[int, ...], m: int, nonneg: bool):
         f"        {', '.join(f'x{i}' for i in range(m))} = x",
         *(f"        o{k} = {' + '.join(terms)}" for k, terms in enumerate(sums)),
         f"        t = 0.0 + {' + '.join(out)}",
+        "        if abs(t - 1.0) <= EPS_VAL:  # false for a non-finite sum",
+        f"            return [{', '.join(f'{o} / t' for o in out)}]",
+        f"        return fallback([{', '.join(out)}])",
+        "    return step",
     ]
-    if nonneg:
-        lines += [
-            "        if abs(t - 1.0) <= EPS_VAL:  # false for a non-finite sum",
-            f"            return [{', '.join(f'{o} / t' for o in out)}]",
-        ]
-    lines += [f"        return fallback([{', '.join(out)}])", "    return step"]
     namespace = {"EPS_VAL": EPS_VAL, "fallback": _float_fallback}
     exec(compile("\n".join(lines), "<qso float step>", "exec"), namespace)
     return namespace["make"]
 
 
-def _float_step(p: np.ndarray, nonneg: bool):
+def _float_step(p: np.ndarray):
     """The compiled float step of the coefficients p (see :func:`_step_maker`), or None.
 
     None unless the array is small enough (at most ``_FLOAT_MAX_M`` species
@@ -126,7 +124,7 @@ def _float_step(p: np.ndarray, nonneg: bool):
     flat = np.flatnonzero(p)
     if flat.size > _FLOAT_MAX_TERMS:
         return None
-    return _step_maker(tuple(flat.tolist()), p.shape[0], nonneg)(*p.take(flat).tolist())
+    return _step_maker(tuple(flat.tolist()), p.shape[0])(*p.take(flat).tolist())
 
 
 def iterate(
@@ -148,15 +146,13 @@ def iterate(
     with at most 7 species and 56 nonzero coefficients, stored in C order,
     steps on Python floats; every other one calls ``apply``'s image routine
     ``core._image``. The float step is straight-line code that
-    ``_step_maker`` compiles once per (nonzero pattern, m, sign) and keeps
-    in a bounded cache; this orbit's coefficient values are bound to it as
+    ``_step_maker`` compiles once per (nonzero pattern, m) and keeps in a
+    bounded cache; this orbit's coefficient values are bound to it as
     arguments, never written into its source. It performs the einsum's
-    additions in the einsum's order, so its bits are the einsum's. When
-    every coefficient is >= 0 (one ``p.min()`` per orbit) both steps take
-    a division-only path, since every term is >= 0 because points are; an
-    image that fails it, and every image of an operator with a negative
-    coefficient, gets the full point check, which raises ``InvalidPoint``
-    where ``apply`` would.
+    additions in the einsum's order, so its bits are the einsum's. Both
+    steps take a division-only path, since coefficients and points are
+    >= 0 and so is every term; an image that fails it gets the full point
+    check, which raises ``InvalidPoint`` where ``apply`` would.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
@@ -177,8 +173,7 @@ def iterate(
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
     p = V.p
-    nonneg = bool(p.min() >= 0)
-    step = _float_step(p, nonneg)
+    step = _float_step(p)
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
     # one column per point: columns [0, size) hold the points before the
@@ -189,7 +184,7 @@ def iterate(
     back = sliding_window_view(buf, size, axis=1)
     points = [x0]
     if step is None:
-        step, x = functools.partial(_image, p, nonneg=nonneg), x0.coords
+        step, x = functools.partial(_image, p), x0.coords
     else:
         x = x0.coords.tolist()
     t0, chunk = 1, min(_CHUNK_FIRST, cap)

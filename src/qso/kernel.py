@@ -119,15 +119,14 @@ class FiniteKernel:
     def to_tensor(self) -> QsoTensor:
         if self.n < 2:
             raise DimensionMismatch("a QSO tensor needs at least two species")
-        return QsoTensor._trusted(self.n, self.q)  # q is read-only and symmetric
+        return QsoTensor._trusted(self.n, self.q)  # q is read-only, symmetric and >= 0
 
 
 def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Image measure: (V mu)_k = sum_{x,y} q[x, y, k] mu_x mu_y."""
     if mu.n != K.n:
         raise DimensionMismatch(f"measure on {mu.n} atoms, kernel on {K.n}")
-    # construction clamps every kernel entry to >= 0, as the division-only path needs
-    out = _image(K.q, mu.coords, True, EPS_VAL, DiscreteMeasure._label)
+    out = _image(K.q, mu.coords, EPS_VAL, DiscreteMeasure._label)
     return DiscreteMeasure._trusted(out)
 
 

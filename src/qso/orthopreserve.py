@@ -48,9 +48,9 @@ which parameter t. ``op_family`` writes its array from the codes, and
 images, reads the parameters at their slots and compares every entry
 with the value its code gives.
 
-Orthogonality preservation is decided exactly. Coefficients are
-nonnegative, so supp V(x) is the union of supp p[i, j, :] over i, j in
-supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
+Orthogonality preservation is decided exactly. Every QsoTensor holds
+coefficients >= 0, so supp V(x) is the union of supp p[i, j, :] over i,
+j in supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
 supp p[k, l, :] are disjoint whenever {i, j} and {k, l} are (necessary
 because (e_i + e_j)/2 and (e_k + e_l)/2 are orthogonal points). On S^2
 one of two disjoint index sets is a vertex {k}, so no slot (i, j) may share

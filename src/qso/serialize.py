@@ -145,6 +145,10 @@ def _check_dimension(m: int, payload: str) -> None:
         raise TooLarge(f"{payload} size is capped at {MAX_DIMENSION}, got {m}")
 
 
+# the types of a JSON number; a coefficient of any other type (a bool, a
+# string) is refused, though ``float`` would read it
+_NUMBER_TYPES = frozenset((int, float))
+
 # entry lists shorter than this are read by the per-entry loop: below it the
 # bulk path's fixed numpy cost outweighs what it saves per entry
 _BULK_MIN_ENTRIES = 64
@@ -154,21 +158,23 @@ def _bulk_entries_to_array(m: int, entries) -> np.ndarray | None:
     """The array of a well-formed entry list, or None to leave it to the loop.
 
     Well formed means: exact-int indices with 1 <= i <= j <= m and
-    1 <= k <= m, values that ``float`` takes, no (i, j, k) twice, and at
-    least one entry per slice i <= j. The loop judges everything else and
-    words every error, so an error names the first bad entry in list order.
-    Lists shorter than ``_BULK_MIN_ENTRIES`` go to the loop, which is the
-    faster of the two there.
+    1 <= k <= m, int or float values that ``float`` takes, no (i, j, k)
+    twice, and at least one entry per slice i <= j. The loop judges
+    everything else and words every error, so an error names the first bad
+    entry in list order. Lists shorter than ``_BULK_MIN_ENTRIES`` go to the
+    loop, which is the faster of the two there.
     """
     n = len(entries)
     if n < max(m * (m + 1) // 2, _BULK_MIN_ENTRIES):
         return None
     try:
-        columns = [list(map(itemgetter(key), entries)) for key in "ijk"]
-        if any(set(map(type, column)) != {int} for column in columns):
+        columns = [list(map(itemgetter(key), entries)) for key in "ijkp"]
+        if any(set(map(type, column)) != {int} for column in columns[:3]):
             return None
-        i, j, k = (np.array(column, dtype=np.int64) - 1 for column in columns)
-        values = np.fromiter(map(float, map(itemgetter("p"), entries)), dtype=float, count=n)
+        if not set(map(type, columns[3])) <= _NUMBER_TYPES:
+            return None
+        i, j, k = (np.fromiter(column, np.int64, n) - 1 for column in columns[:3])
+        values = np.fromiter(columns[3], float, n)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     # with i <= j throughout, min(i) >= 1 and max(j) <= m bound i and j
@@ -195,8 +201,11 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     values = {}
     for ent in entries:
         try:
-            i, j, k, v = ent["i"], ent["j"], ent["k"], float(ent["p"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            i, j, k, v = ent["i"], ent["j"], ent["k"], ent["p"]
+            if type(v) not in _NUMBER_TYPES:
+                raise TypeError(f"p must be a number, got {type(v).__name__}")
+            v = float(v)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
         if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
             i, j, k = as_integer(i), as_integer(j), as_integer(k)
@@ -281,6 +290,9 @@ def skew_from_obj(obj: dict) -> SkewMatrix:
         a = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSkew(f"skew matrix a must be a matrix of numbers: {exc}") from exc
+    # asarray also reads "0" and false as numbers; every element must be a JSON number
+    if not set(map(type, np.asarray(rows, dtype=object).flat)) <= _NUMBER_TYPES:
+        raise InvalidSkew("skew matrix a must be a matrix of numbers")
     skew = SkewMatrix(m, a)
     _check_dimension(m, "skew matrix")  # from_canonical makes it an m^3 tensor
     return skew

@@ -9,9 +9,10 @@ written coordinate-wise as
 with a skew-symmetric matrix a whose entries lie in [-1, 1]. The map
 between the two representations is a[k, i] = 2 * p[k, i, k] - 1.
 
-Being Volterra is equivalent to V(x) being absolutely continuous with
-respect to x for every simplex point x, and that equivalence can be
-decided on a finite set of probe points: the m vertices plus the
+Every QsoTensor holds coefficients >= 0, so no negative entry can cancel
+forbidden mass, and being Volterra is equivalent to V(x) being absolutely
+continuous with respect to x for every simplex point x. That equivalence
+can be decided on a finite set of probe points: the m vertices plus the
 C(m, 2) edge midpoints (:func:`volterra_certificate`). Their images have
 closed forms, V(e_k) = p[k, k, :] and
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -156,14 +156,12 @@ def check_abs_continuity_property(
 ) -> bool:
     """True iff V(x) is absolutely continuous w.r.t. x for every sample.
 
-    ``samples`` is read once, lazily, and only up to the first failure.
+    The samples are checked in order, up to the first failure.
     """
-    samples = iter(samples)
-    try:
-        first = next(samples)
-    except StopIteration:
-        raise ParameterOutOfRange("samples must be nonempty") from None
-    return all(abs_continuous(apply(V, x), x, eps_supp) for x in chain([first], samples))
+    samples = list(samples)
+    if not samples:
+        raise ParameterOutOfRange("samples must be nonempty")
+    return all(abs_continuous(apply(V, x), x, eps_supp) for x in samples)
 
 
 def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:

@@ -406,8 +406,11 @@ def reference_entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     values = {}
     for ent in entries:
         try:
-            i, j, k, v = ent["i"], ent["j"], ent["k"], float(ent["p"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            i, j, k, v = ent["i"], ent["j"], ent["k"], ent["p"]
+            if type(v) is not int and type(v) is not float:  # only a JSON number
+                raise TypeError(f"p must be a number, got {type(v).__name__}")
+            v = float(v)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
         if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
             i, j, k = as_integer(i), as_integer(j), as_integer(k)

@@ -341,6 +341,23 @@ class TestMalformedIntegers:
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}")
         assert "int too large to convert to float" in lines[0]
 
+    @pytest.mark.parametrize("argv,payload,error", [
+        (["validate", "--op"], {"m": 2, "entries": [
+            {"i": 1, "j": 1, "k": 1, "p": "1"}, {"i": 1, "j": 2, "k": 1, "p": True},
+            {"i": 2, "j": 2, "k": 2, "p": "1e0"}]},
+         "QsoError: bad tensor entry {'i': 1, 'j': 1, 'k': 1, 'p': '1'}: "
+         "p must be a number, got str"),
+        (["volterra", "canonical", "--skew"], {"m": 2, "a": [[0, "0"], [False, 0]]},
+         "InvalidSkew: skew matrix a must be a matrix of numbers"),
+    ], ids=["tensor", "skew"])
+    def test_non_number_coefficient_is_exit_two(self, tmp_path, capsys, argv, payload, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(argv + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
 
 @pytest.mark.parametrize("step,error", [
     ("1e-300", "TooLarge"), ("1e-6", "TooLarge"),

@@ -140,6 +140,41 @@ class TestQsoTensorSize:
             QsoTensor(1, np.ones((1, 1, 1)))
 
 
+class TestQsoTensorSign:
+    """Every coefficient of a QsoTensor is >= 0; the constructor refuses the rest."""
+
+    @pytest.mark.parametrize("value", [-0.5, -1e-300, -np.inf])
+    def test_negative_coefficient_is_refused_at_construction(self, value):
+        p = np.full((2, 2, 2), 0.5)
+        p[0, 0] = [1.0 - value, value]
+        message = f"^coefficient below zero: min entry = {value:.3e}$"
+        with pytest.raises(NegativeCoefficient, match=message):
+            QsoTensor(2, p)
+
+    def test_contradictory_volterra_tensor_is_refused(self):
+        # p[k, k, k] = 1 and, on edge (i, j) with third vertex k, 0.6 at i, 0.5
+        # at j and -0.1 at k: its forbidden entries are negative, so the support
+        # predicates called it Volterra and OP while its images left the simplex
+        p = np.zeros((3, 3, 3))
+        for k in range(3):
+            p[k, k, k] = 1.0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+            p[i, j, [i, j, k]] = p[j, i, [i, j, k]] = [0.6, 0.5, -0.1]
+        assert np.allclose(p.sum(axis=2), 1.0)  # stochastic and symmetric
+        with pytest.raises(NegativeCoefficient, match="min entry = -1.000e-01"):
+            QsoTensor(3, p)
+        with pytest.raises(NegativeCoefficient):
+            validate(p)
+
+    def test_negative_zero_and_nan(self):
+        p = np.full((2, 2, 2), 0.5)
+        p[0, 1, 0] = p[1, 0, 0] = -0.0
+        assert QsoTensor(2, p).p[0, 1, 0].hex() == (-0.0).hex()
+        p[0, 1, 0] = p[1, 0, 0] = np.nan  # NaN != NaN: the symmetry check speaks first
+        with pytest.raises(NotSymmetric):
+            QsoTensor(2, p)
+
+
 class TestValidate:
     def test_uniform_kernel_is_valid(self):
         V = validate(uniform_tensor(3))
@@ -291,8 +326,8 @@ class TestApply:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_same_bits_as_the_full_point_check(self, m):
-        # apply takes the full check of the einsum image; iterate and kernel_apply
-        # take the division-only path for nonnegative coefficients, with the same bits
+        # apply, iterate and kernel_apply take the division-only path, which
+        # gives the bits of the full check of the einsum image
         rng = np.random.default_rng(40 + m)
         tensors = [rand_tensor(rng, m) for _ in range(5)]
         if m == 3:
@@ -303,14 +338,7 @@ class TestApply:
                 want = _clean_prob_vector(np.einsum("ijk,i,j->k", V.p, x.coords, x.coords),
                                           EPS_VAL, "simplex point")
                 assert apply(V, x).coords.tobytes() == want.tobytes()
-                assert _image(V.p, x.coords, True).tobytes() == want.tobytes()
-
-    def test_negative_coefficient_still_gets_the_full_check(self):
-        p = np.full((2, 2, 2), 0.5)
-        p[0, 0] = [1.5, -0.5]
-        V = QsoTensor(2, p)
-        with pytest.raises(InvalidPoint, match="negative entry"):
-            apply(V, SimplexPoint.vertex(2, 1))
+                assert _image(V.p, x.coords).tobytes() == want.tobytes()
 
 
 def assert_trusted(V: QsoTensor) -> None:
@@ -373,6 +401,12 @@ class TestTrustedBuilders:
         W = K.to_tensor()
         assert_trusted(W)
         assert W.p is K.q  # both read-only, so they can share
+        # the kernel constructor clamps entries in [-EPS_VAL, 0) to 0, so its
+        # tensor passes the constructor's sign check too
+        q = from_canonical(rand_skew(np.random.default_rng(525 + n), n)).p.copy()
+        q[0, 0, 1] = -5e-10  # a zero entry of the vertex image e_1
+        q[0, 0, 0] += 5e-10
+        assert_trusted(FiniteKernel(n, q).to_tensor())
 
     @pytest.mark.parametrize("m", [2, 3, 6])
     def test_tensor_from_obj(self, m):
@@ -501,6 +535,46 @@ class TestToleranceGuard:
     def test_zero_eps_still_decides(self):
         assert validate(uniform_tensor(3), eps=0.0).m == 3
         assert SimplexPoint([0.5, 0.5], eps=0.0).m == 2
+
+    @pytest.mark.parametrize(
+        "site,value,message",
+        [
+            ("is_volterra", "1e-9", r"eps must be nonnegative, got '1e-9'"),
+            ("iterate", None, r"tol must be positive, got None"),
+            ("is_associative", [1], r"eps must be nonnegative, got \[1\]"),
+            ("apply", "0", r"eps must be nonnegative, got '0'"),
+            ("volterra_certificate", None, r"eps must be positive, got None"),
+            ("refute_associativity", "0.05", r"grid_step must be in \(0, 0.1\], got 0.05"),
+            ("is_volterra", True, r"eps must be nonnegative, got True"),
+            ("is_volterra", np.True_, r"eps must be nonnegative, got True"),
+            ("is_volterra", b"0", r"eps must be nonnegative, got b'0'"),
+            ("is_volterra", (1e-9,), r"eps must be nonnegative, got \(1e-09,\)"),
+            ("is_volterra", np.array([1e-9]), r"eps must be nonnegative, got array"),
+        ],
+        ids=["volterra-text", "iterate-None", "associative-list", "apply-text",
+             "certificate-None", "refute-text", "bool", "numpy-bool", "bytes", "tuple", "array"],
+    )
+    def test_non_numbers_are_parameter_errors(self, site, value, message):
+        # a non-number used to escape as a bare TypeError from the comparison
+        from qso import is_associative, is_volterra, refute_associativity, volterra_certificate
+
+        V, x = validate(uniform_tensor(3)), SimplexPoint.barycenter(3)
+        call = {
+            "is_volterra": lambda: is_volterra(V, value),
+            "iterate": lambda: iterate(V, x, tol=value),
+            "is_associative": lambda: is_associative(V, value),
+            "apply": lambda: apply(V, x, eps=value),
+            "volterra_certificate": lambda: volterra_certificate(V, value),
+            "refute_associativity": lambda: refute_associativity(1, value),
+        }[site]
+        with pytest.raises(ParameterOutOfRange, match=f"^{message}"):
+            call()
+
+    @pytest.mark.parametrize("value", [0, 1e-9, np.float32(1e-3), np.int64(0), np.float64(0.5)])
+    def test_numpy_and_int_tolerances_still_pass(self, value):
+        from qso.core import check_tol
+
+        check_tol("eps", value)
 
     @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
     def test_positive_form_keeps_its_message(self, value):

@@ -26,7 +26,7 @@ from qso import (
     write_trajectory_csv,
 )
 from qso import dynamics
-from qso.errors import DimensionMismatch, InvalidPoint, ParameterOutOfRange
+from qso.errors import DimensionMismatch, InvalidPoint, NegativeCoefficient, ParameterOutOfRange
 
 
 RPS_SKEW = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
@@ -229,7 +229,7 @@ class TestIterateMatchesReference:
 
     def test_cases_cover_both_sides_of_the_float_rule(self):
         sides = {(V.m, int(np.count_nonzero(V.p)), V.p.flags.c_contiguous,
-                  dynamics._float_step(V.p, True) is not None) for V, *_ in reference_cases()}
+                  dynamics._float_step(V.p) is not None) for V, *_ in reference_cases()}
         assert {(6, 30, True, True), (7, 30, True, True), (8, 30, True, False),
                 (6, 216, True, False), (7, 343, True, False),
                 (4, 56, True, True), (4, 57, True, False),
@@ -355,15 +355,19 @@ class TestChunkedScan:
                     monkeypatch.setattr(dynamics, "_SCAN_ELEMENTS", elements)
                     assert_same_trajectory(iterate(V, x0, budget, tol, window=window), want)
 
-    def test_tiny_negative_coefficients_take_the_clamp_path(self):
+    def test_tiny_negative_coefficients_are_clamped_by_validate(self):
+        # the constructor refuses them; validate clamps them to exact zeros,
+        # so the dead coordinates of a Volterra orbit stay exactly zero
         rng = np.random.default_rng(88)
         for m in range(2, 11):
             p = from_canonical(rand_skew(rng, m)).p.copy()
             p[p == 0.0] = -1e-10
-            V = QsoTensor(m, p)
+            with pytest.raises(NegativeCoefficient):
+                QsoTensor(m, p)
+            V = validate(p)
+            assert V.p.min() == 0.0
             x0 = rand_simplex(rng, m, n_zeros=m // 2)
             traj = assert_same_run(V, x0, 150, 1e-10, 64)
-            # without the clamp the dead coordinates would turn negative
             assert all(pt.coords.min() >= 0.0 for pt in traj.points)
             dead = x0.coords == 0.0
             assert all((pt.coords[dead] == 0.0).all() for pt in traj.points)
@@ -446,12 +450,12 @@ def float_constants(code) -> set:
     return found
 
 
-def edge_leak(sign: float) -> QsoTensor:
-    """The heteroclinic operator with ``sign`` * 1e-10 of slice (1, 2) moved from output 1 to 3."""
+def edge_leak(amount: float) -> QsoTensor:
+    """The heteroclinic operator with ``amount`` of slice (1, 2) moved from output 1 to 3."""
     p = HETEROCLINIC.p.copy()
     for i, j in ((0, 1), (1, 0)):
-        p[i, j, 2] = sign * 1e-10
-        p[i, j, 0] -= sign * 1e-10
+        p[i, j, 2] = amount
+        p[i, j, 0] -= amount
     return QsoTensor(3, p)
 
 
@@ -463,31 +467,28 @@ class TestCompiledStep:
         pairs = [
             (op_family(OpFamilySpec(1, 0.2, 0.7, 0.4)), op_family(OpFamilySpec(1, 0.9, 0.1, 0.6))),
             (HETEROCLINIC, from_canonical(SkewMatrix(3, 0.15 * RPS_SKEW))),
-            (edge_leak(1.0), edge_leak(-1.0)),  # the second has a negative coefficient
+            (edge_leak(1e-10), edge_leak(0.25)),
         ]
         dynamics._step_maker.cache_clear()
         for a, b in pairs:
             assert np.array_equal(np.flatnonzero(a.p), np.flatnonzero(b.p))
             assert not np.array_equal(a.p, b.p)
-        assert [bool(b.p.min() >= 0) for _, b in pairs] == [True, True, False]
         starts = [rand_simplex(rng, 3) for _ in range(2)] + [SimplexPoint([0.5, 0.5, 0.0])]
         for _ in range(2):
             for (a, b), x0 in zip(pairs, starts):
                 for V in (a, b):
-                    assert dynamics._float_step(V.p, bool(V.p.min() >= 0)) is not None
+                    assert dynamics._float_step(V.p) is not None
                     want = reference_iterate(V, x0, 150, 1e-10)
                     assert_same_trajectory(iterate(V, x0, max_iter=150), want)
         info = dynamics._step_maker.cache_info()
-        # one compile per (pattern, sign): family 1, heteroclinic, edge leak >= 0 and < 0
-        assert info.misses == 4 and info.hits > 0
+        # one compile per pattern: family 1, heteroclinic, edge leak
+        assert info.misses == 3 and info.hits > 0
         assert info.maxsize == dynamics._STEP_CACHE_SIZE > 0
 
     def test_compiled_code_holds_no_coefficient(self):
         V = op_family(OpFamilySpec(2, 0.3, 0.6, 0.9))
-        flat = np.flatnonzero(V.p)
-        for nonneg in (True, False):
-            make = dynamics._step_maker(tuple(flat.tolist()), 3, nonneg)
-            assert float_constants(make.__code__) <= {0.0, 1.0}
+        make = dynamics._step_maker(tuple(np.flatnonzero(V.p).tolist()), 3)
+        assert float_constants(make.__code__) <= {0.0, 1.0}
 
 
 class TestPointsStayImmutable:

@@ -22,6 +22,7 @@ from qso import (
     FAMILY_VERTEX_IMAGES,
     Permutation,
     InvalidFamily,
+    NegativeCoefficient,
     NotOrthogonalityPreserving,
     OpFamilySpec,
     ParameterOutOfRange,
@@ -331,14 +332,16 @@ TOL_OFFSETS = (-(2.0**-20), 0.0, 2.0**-20)
 
 @st.composite
 def s2_cases(draw):
-    """An m = 3 QsoTensor with tolerances for the classifier and the OP test.
+    """An m = 3 coefficient array with tolerances for the classifier and the OP test.
 
     Kinds: a family member at random or corner parameters (maybe conjugated),
     the same with one symmetric entry pair moved by a tolerance times
     1 - 2^-20, 1 or 1 + 2^-20 (either sign), a random tensor with a random
     sparsity pattern, and a family member with one entry pair replaced by a
     negative or infinite value (NaN fails the constructor's symmetry check).
-    The corner parameters include -0.0, which a spec keeps as it is.
+    The corner parameters include -0.0, which a spec keeps as it is. The
+    array is symmetric; :func:`s2_tensor` makes it a tensor, or sees the
+    constructor refuse a negative entry.
     """
     eps = draw(st.sampled_from(EPS_CHOICES))
     vertex_tol = draw(st.sampled_from(VERTEX_TOL_CHOICES))
@@ -353,14 +356,14 @@ def s2_cases(draw):
             for k in range(3):
                 p[k, k] = 0.0
                 p[k, k, draw(st.integers(0, 2))] = 1.0
-        return QsoTensor(3, p), eps, vertex_tol, eps_supp
+        return p, eps, vertex_tol, eps_supp
     param = st.one_of(st.sampled_from(CORNER_VALUES + (-0.0,)), st.floats(0.0, 1.0))
     spec = OpFamilySpec(draw(st.integers(1, 6)), draw(param), draw(param), draw(param))
     V = op_family(spec)
     if draw(st.booleans()):
         V = conjugate(V, Permutation(draw(st.permutations(range(3)))))
     if kind == "family":
-        return V, eps, vertex_tol, eps_supp
+        return V.p, eps, vertex_tol, eps_supp
     p = V.p.copy()
     i, j, k = (draw(st.integers(0, 2)) for _ in range(3))
     if kind == "perturbed":
@@ -370,7 +373,16 @@ def s2_cases(draw):
     else:
         value = draw(st.sampled_from((-1e-3, -EPS_VAL, -1.0, np.inf, -np.inf)))
     p[i, j, k] = p[j, i, k] = value
-    return QsoTensor(3, p), eps, vertex_tol, eps_supp
+    return p, eps, vertex_tol, eps_supp
+
+
+def s2_tensor(p: np.ndarray) -> QsoTensor | None:
+    """``QsoTensor(3, p)``, or None once the constructor refuses a negative entry of p."""
+    if p.min() < 0:
+        with pytest.raises(NegativeCoefficient, match="^coefficient below zero"):
+            QsoTensor(3, p)
+        return None
+    return QsoTensor(3, p)
 
 
 class TestOnePassMatchesReference:
@@ -380,7 +392,9 @@ class TestOnePassMatchesReference:
     @settings(max_examples=600, deadline=None)
     @given(case=s2_cases())
     def test_classify_op_and_op_test(self, case):
-        V, eps, vertex_tol, eps_supp = case
+        p, eps, vertex_tol, eps_supp = case
+        if (V := s2_tensor(p)) is None:
+            return
         assert outcome(classify_op, V, eps=eps, vertex_tol=vertex_tol) == outcome(
             reference_classify_op, V, eps=eps, vertex_tol=vertex_tol
         )
@@ -393,7 +407,8 @@ class TestOnePassMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(case=s2_cases(), sigma=st.permutations(range(3)))
     def test_conjugate_bits(self, case, sigma):
-        V = case[0]
+        if (V := s2_tensor(case[0])) is None:
+            return
         got, want = conjugate(V, Permutation(sigma)), reference_conjugate(V, Permutation(sigma))
         assert got.p.tobytes() == want.p.tobytes()
 
@@ -422,7 +437,9 @@ class TestTrustedSpec:
     @settings(max_examples=300, deadline=None)
     @given(case=s2_cases())
     def test_equals_the_checked_spec(self, case):
-        V, eps, vertex_tol, _ = case
+        p, eps, vertex_tol, _ = case
+        if (V := s2_tensor(p)) is None:
+            return
         try:
             got = classify_op(V, eps=eps, vertex_tol=vertex_tol)
         except (NotOrthogonalityPreserving, VertexImageNotVertex):

@@ -264,6 +264,8 @@ _ENTRY_EDITS = {
     "p None": lambda e: e[6].update(p=None),
     "p text": lambda e: e[6].update(p="x"),
     "p numeric text": lambda e: e[6].update(p="0.5"),
+    "p bool": lambda e: e[6].update(p=True),
+    "p integer": lambda e: e[6].update(p=0),
     "p huge": lambda e: e[6].update(p=10**400),
     "not a dict": lambda e: e.__setitem__(6, [1, 2, 1, 0.5]),
 }
@@ -301,6 +303,55 @@ class TestBulkEntries:
                 tensor_from_obj(obj)
             with pytest.raises(QsoError, match="int too large to convert to float"):
                 kernel_from_obj({"n": m, "q": obj["entries"]})
+
+
+class TestCoefficientsAreNumbers:
+    """A coefficient is a JSON number: a bool or a string is refused, though float() reads it."""
+
+    def test_text_and_bool_coefficients_are_refused(self):
+        obj = {"m": 2, "entries": [
+            {"i": 1, "j": 1, "k": 1, "p": "1"},
+            {"i": 1, "j": 2, "k": 1, "p": True},
+            {"i": 2, "j": 2, "k": 2, "p": "1e0"},
+        ]}
+        with pytest.raises(QsoError, match=r"^bad tensor entry .*'p': '1'}: p must be a num"):
+            tensor_from_obj(obj)
+        obj["entries"][0]["p"] = 1
+        with pytest.raises(QsoError, match=r"'p': True}: p must be a number, got bool$"):
+            tensor_from_obj(obj)
+        with pytest.raises(QsoError, match=r"^bad kernel entry .*p must be a number, got bool$"):
+            kernel_from_obj({"n": 2, "q": obj["entries"]})
+        obj["entries"][1]["p"] = 0.0
+        with pytest.raises(QsoError, match=r"'p': '1e0'}: p must be a number, got str$"):
+            tensor_from_obj(obj)
+        obj["entries"][1]["p"] = 1.0
+        obj["entries"][2]["p"] = 1
+        want = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]
+        assert tensor_from_obj(obj).p.tolist() == want
+
+    @pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5]])
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_bulk_path_leaves_them_to_the_loop(self, m, value):
+        V = rand_tensor(np.random.default_rng(m), m)
+        entries = json.loads(dumps(tensor_to_obj(V)))["entries"]
+        assert _bulk_entries_to_array(m, entries) is not None
+        entries[-1]["p"] = value
+        assert _bulk_entries_to_array(m, entries) is None
+        want = f"p must be a number, got {type(value).__name__}$"
+        with pytest.raises(QsoError, match=rf"^bad tensor entry .*: {want}"):
+            tensor_from_obj({"m": m, "entries": entries})
+        with pytest.raises(QsoError, match=rf"^bad kernel entry .*: {want}"):
+            kernel_from_obj({"n": m, "q": entries})
+
+    @pytest.mark.parametrize("a", [[[0, "0"], ["0", 0]], [[0, False], [False, 0]],
+                                   [[0.0, 0.5], [-0.5, None]], "00"])
+    def test_skew_rows_must_hold_numbers(self, a):
+        with pytest.raises(InvalidSkew, match="^skew matrix a must be a matrix of numbers$"):
+            skew_from_obj({"m": 2, "a": a})
+
+    def test_integer_and_float_skew_entries_still_read(self):
+        a = skew_from_obj({"m": 2, "a": [[0, 1], [-1, 0.0]]}).a
+        assert a.tolist() == [[0.0, 1.0], [-1.0, 0.0]]
 
 
 class TestTensorFormat:

@@ -36,7 +36,7 @@ from qso import (
     validate,
     volterra_certificate,
 )
-from qso.errors import DimensionMismatch, InvalidSkew, ParameterOutOfRange
+from qso.errors import DimensionMismatch, InvalidSkew, NegativeCoefficient, ParameterOutOfRange
 from qso.volterra import _forbidden_max
 
 
@@ -204,6 +204,14 @@ class TestAbsContinuityProperty:
         V = op_family(OpFamilySpec(1, 0.4, 0.5, 0.6))
         assert not check_abs_continuity_property(V, [SimplexPoint.vertex(3, 1)])
 
+    def test_stops_at_the_first_failure(self):
+        # the second sample has the wrong size: reading it would raise
+        V = op_family(OpFamilySpec(1, 0.4, 0.5, 0.6))
+        samples = (x for x in [SimplexPoint.vertex(3, 1), SimplexPoint.vertex(2, 1)])
+        assert not check_abs_continuity_property(V, samples)
+        with pytest.raises(DimensionMismatch):
+            check_abs_continuity_property(V, [SimplexPoint.vertex(3, 2), SimplexPoint.vertex(2, 1)])
+
     def test_full_support_samples_never_violate(self):
         rng = np.random.default_rng(13)
         V = rand_tensor(rng, 3)
@@ -305,6 +313,10 @@ def assert_forbidden_max_matches_gather(p: np.ndarray) -> None:
     """_forbidden_max and every verdict built on it agree with the gather oracle."""
     want = reference_forbidden_max(p)
     assert _forbidden_max(p) == want
+    if p.min() < 0:  # no tensor holds it, so no verdict reads it
+        with pytest.raises(NegativeCoefficient):
+            QsoTensor(p.shape[0], p)
+        return
     V = QsoTensor(p.shape[0], p)
     assert is_volterra(V) == (want <= EPS_VAL)
     if want <= EPS_VAL:  # past the forbidden test; the skew check may still refuse it
@@ -329,8 +341,8 @@ class TestForbiddenMaxMatchesGather:
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, -0.5])
     def test_unvalidated_entries(self, value):
-        # QsoTensor checks only shape and exact symmetry (which rules out NaN),
-        # so it can hold these
+        # _forbidden_max reads raw arrays; of these a QsoTensor holds only +inf
+        # (its constructor refuses NaN as asymmetric and negatives by sign)
         p = from_canonical(rand_skew(np.random.default_rng(310), 4)).p.copy()
         p[0, 1, 2] = p[1, 0, 2] = value
         assert_forbidden_max_matches_gather(p)
