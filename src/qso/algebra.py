@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QsoTensor, _is_real, as_integer, check_tol, check_unit
+from .core import QsoTensor, _is_real, _plain, as_integer, check_tol, check_unit
 from .errors import DimensionMismatch, InvalidFamily, ParameterOutOfRange, TooLarge
 from .orthopreserve import OpFamilySpec, op_family
 
@@ -225,7 +225,7 @@ def refute_associativity(family: int, grid_step: float = 0.05) -> RefutationRepo
         raise InvalidFamily(f"refutation covers families 1 and 4, got {family!r}")
     family = fam
     if not (_is_real(grid_step) and 0.0 < grid_step <= 0.1):
-        raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {grid_step}")
+        raise ParameterOutOfRange(f"grid_step must be in (0, 0.1], got {_plain(grid_step)!r}")
     if 1.0 / grid_step > _REFUTE_MAX_AXIS - 1:
         raise TooLarge(
             f"grid_step {grid_step!r} gives more than {_REFUTE_MAX_AXIS} values per "

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     EPS_VAL,
@@ -156,15 +155,21 @@ def iterate(
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
-    images. A chunk's points become the rows of one array, written in one
-    go after the last ``window`` points of a buffer that holds one column
-    per point; a sliding-window view of it lines every step of the chunk
-    up with its lags. The (step, lag) match table is built one coordinate
-    at a time and left early once no pair is within ``tol``. Its first row
-    with a match is the stop, its smallest lag there the cycle length, and
-    the images past it are dropped; the rows kept become points in one
-    pass (``SimplexPoint._trusted_rows``). An error inside a chunk is
-    raised only if no step before it stops.
+    images. A chunk's images are collected in one list (the float step's
+    coordinates end to end) and become the rows of one array, written in
+    one go after the last ``window`` points of a buffer that holds one
+    column per point. A read-only strided view of that buffer, built once
+    per orbit, lines every step of the chunk up with its lags. First a
+    sorted-gap reject: each coordinate's values over the window and the
+    chunk are sorted, and if some coordinate has no two adjacent values
+    within ``tol``, no (step, lag) pair can match and the chunk has no
+    stop. The test is exact, since rounding is monotone: for a <= b <= c,
+    fl(c - a) >= fl(b - a). Otherwise the (step, lag) match table is built
+    one coordinate at a time and left early once no pair is within
+    ``tol``. Its first row with a match is the stop, its smallest lag
+    there the cycle length, and the images past it are dropped; the rows
+    kept become points in one pass (``SimplexPoint._trusted_rows``). An
+    error inside a chunk is raised only if no step before it stops.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -172,49 +177,63 @@ def iterate(
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
-    p = V.p
+    p, m = V.p, V.m
     step = _float_step(p)
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
     # one column per point: columns [0, size) hold the points before the
     # chunk, oldest first; NaN columns stand for steps before 0 and never match
-    buf = np.full((V.m, size + cap), np.nan)
+    buf = np.full((m, size + cap), np.nan)
     buf[:, size - 1] = x0.coords
-    # back[k, r, q] is coordinate k of the point size - q steps before chunk column r
-    back = sliding_window_view(buf, size, axis=1)
+    # back[k, r, q] is coordinate k of the point size - q steps before chunk
+    # column r: the windows of length size along buf's rows, read-only
+    col = buf.strides[1]
+    back = np.ndarray((m, cap + 1, size), float, buf, 0, (buf.strides[0], col, col))
+    back.flags.writeable = False
     points = [x0]
+    # a chunk's images in one list: the float step's coordinates end to end,
+    # the einsum's arrays one per step
+    new = []
     if step is None:
-        step, x = functools.partial(_image, p), x0.coords
+        step, x, push = functools.partial(_image, p), x0.coords, new.append
     else:
-        x = x0.coords.tolist()
+        x, push = x0.coords.tolist(), new.extend
     t0, chunk = 1, min(_CHUNK_FIRST, cap)
     while t0 <= max_iter:
-        new, error = [], None
+        error = None
         for _ in range(min(chunk, max_iter - t0 + 1)):
             try:
                 x = step(x)
             except InvalidPoint as exc:
                 error = exc
                 break
-            new.append(x)
-        n = len(new)
-        rows = np.array(new).reshape(n, V.m)
+            push(x)
+        rows = np.array(new).reshape(-1, m)
+        new.clear()
+        n = rows.shape[0]
         buf[:, size:size + n] = rows.T
-        # |x_t - x_{t-L}| <= tol in max norm, one coordinate at a time,
-        # stopping early once no (step, lag) pair is left
-        near = np.abs(back[0, :n] - buf[0, size:size + n, None]) <= tol
-        for k in range(1, V.m):
-            if not near.any():
-                break
-            near &= np.abs(back[k, :n] - buf[k, size:size + n, None]) <= tol
-        hits = np.flatnonzero(near.any(axis=1))
-        if hits.size:
-            r = int(hits[0])
-            points.extend(SimplexPoint._trusted_rows(rows[: r + 1]))
-            lag = size - int(np.flatnonzero(near[r])[-1])
-            if lag == 1:
-                return Trajectory(points, STATUS_CONVERGED, None, t0 + r)
-            return Trajectory(points, STATUS_CYCLE, lag, t0 + r)
+        # a coordinate whose sorted values over the window and the chunk have
+        # no adjacent pair within tol has no pair within tol at all (rounding
+        # is monotone, so fl(c - a) >= fl(b - a) for a <= b <= c), and then no
+        # (step, lag) pair can match; NaN columns sort last and never match
+        seen = buf[:, :size + n].copy()
+        seen.sort(axis=1)
+        if ((seen[:, 1:] - seen[:, :-1]) <= tol).any(axis=1).all():
+            # |x_t - x_{t-L}| <= tol in max norm, one coordinate at a time,
+            # stopping early once no (step, lag) pair is left
+            near = np.abs(back[0, :n] - buf[0, size:size + n, None]) <= tol
+            for k in range(1, m):
+                if not near.any():
+                    break
+                near &= np.abs(back[k, :n] - buf[k, size:size + n, None]) <= tol
+            hits = np.flatnonzero(near.any(axis=1))
+            if hits.size:
+                r = int(hits[0])
+                points.extend(SimplexPoint._trusted_rows(rows[: r + 1]))
+                lag = size - int(np.flatnonzero(near[r])[-1])
+                if lag == 1:
+                    return Trajectory(points, STATUS_CONVERGED, None, t0 + r)
+                return Trajectory(points, STATUS_CYCLE, lag, t0 + r)
         if error is not None:
             raise error
         points.extend(SimplexPoint._trusted_rows(rows))

@@ -31,7 +31,14 @@ import numpy as np
 
 from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, _integer, as_integer, validate
-from .errors import DimensionMismatch, InvalidSkew, NotStochastic, QsoError, TooLarge
+from .errors import (
+    DimensionMismatch,
+    InvalidPoint,
+    InvalidSkew,
+    NotStochastic,
+    QsoError,
+    TooLarge,
+)
 from .kernel import DiscreteMeasure, FiniteKernel
 from .orthopreserve import OpFamilySpec
 from .volterra import SkewMatrix
@@ -145,8 +152,8 @@ def _check_dimension(m: int, payload: str) -> None:
         raise TooLarge(f"{payload} size is capped at {MAX_DIMENSION}, got {m}")
 
 
-# the types of a JSON number; a coefficient of any other type (a bool, a
-# string) is refused, though ``float`` would read it
+# the types of a JSON number; a coefficient or coordinate of any other type
+# (a bool, a string) is refused, though ``float`` would read it
 _NUMBER_TYPES = frozenset((int, float))
 
 # entry lists shorter than this are read by the per-entry loop: below it the
@@ -267,8 +274,24 @@ def point_to_obj(x: SimplexPoint) -> dict:
     return {"x": [float(c) for c in x.coords]}
 
 
+def _coords_from_obj(obj: dict, payload: str) -> list[float]:
+    """The "x" field of a point or measure payload, read as tensor coefficients are."""
+    x = _require(obj, "x", payload)
+    if not isinstance(x, (list, tuple)):
+        raise InvalidPoint(f"{payload} x must be a list, got {type(x).__name__}")
+    coords = []
+    for v in x:
+        try:
+            if type(v) not in _NUMBER_TYPES:
+                raise TypeError(f"x must hold numbers, got {type(v).__name__}")
+            coords.append(float(v))
+        except (TypeError, OverflowError) as exc:
+            raise InvalidPoint(f"bad {payload} coordinate {v!r}: {exc}") from exc
+    return coords
+
+
 def point_from_obj(obj: dict) -> SimplexPoint:
-    return SimplexPoint(_require(obj, "x", "point"))
+    return SimplexPoint(_coords_from_obj(obj, "point"))
 
 
 # a measure is a simplex point, so it has the point format
@@ -276,7 +299,7 @@ measure_to_obj = point_to_obj
 
 
 def measure_from_obj(obj: dict) -> DiscreteMeasure:
-    return DiscreteMeasure(_require(obj, "x", "measure"))
+    return DiscreteMeasure(_coords_from_obj(obj, "measure"))
 
 
 def skew_to_obj(a: SkewMatrix) -> dict:

@@ -75,6 +75,22 @@ def rand_tensor(rng: np.random.Generator, m: int) -> QsoTensor:
     return validate(rng.random((m, m, m)), mode="normalize")
 
 
+def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
+    """An m-species operator, built by the public constructor, on its first coordinates.
+
+    Each slice (i, j) with i, j < ``support`` splits its mass over
+    ``outputs(i, j)`` random outputs below ``support``; every other slice is
+    zero. An orbit from a start on those coordinates stays on them.
+    """
+    p = np.zeros((m, m, m))
+    for i in range(support):
+        for j in range(i, support):
+            ks = rng.choice(support, outputs(i, j), replace=False)
+            w = rng.exponential(size=ks.size)
+            p[i, j, ks] = p[j, i, ks] = w / w.sum()
+    return QsoTensor(m, p)
+
+
 def rand_skew(rng: np.random.Generator, m: int) -> SkewMatrix:
     r = rng.uniform(-1.0, 1.0, (m, m))
     return SkewMatrix(m, (r - r.T) / 2.0)

@@ -245,6 +245,15 @@ class TestSolutionsAndRefutation:
         with pytest.raises(ParameterOutOfRange):
             refute_associativity(1, 0.5)
 
+    @pytest.mark.parametrize("step, shown", [
+        ("0.05", "'0.05'"), (0.5, "0.5"), (np.float64(0.25), "0.25"), (float("nan"), "nan"),
+    ])
+    def test_bad_step_is_quoted_as_given(self, step, shown):
+        # text keeps its quotes, so "0.05" does not read like an in-range number
+        with pytest.raises(ParameterOutOfRange) as exc:
+            refute_associativity(1, step)
+        assert str(exc.value) == f"grid_step must be in (0, 0.1], got {shown}"
+
     @pytest.mark.parametrize("family", [3, 5, 6])
     def test_remaining_families_inherit_nonassociativity(self, family):
         rng = np.random.default_rng(48)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_loops, rand_simplex, rand_skew, rand_tensor
+from helpers import product_loops, rand_simplex, rand_skew, rand_tensor, sparse_operator
 from qso import (
     DiscreteMeasure,
     FiniteKernel,
@@ -36,6 +39,8 @@ from qso import (
     v2_condition_system,
     validate,
 )
+import qso
+from qso import core
 from qso.core import EPS_VAL, _clean_prob_vector, _image, as_integer, check_unit
 from qso.serialize import (
     kernel_from_obj,
@@ -341,6 +346,68 @@ class TestApply:
                 assert _image(V.p, x.coords).tobytes() == want.tobytes()
 
 
+def public_image(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The image as the public calls give it: ``np.einsum``, ``.sum()``, the division."""
+    out = np.einsum("ijk,i,j->k", p, x, x)
+    total = out.sum()
+    if abs(total - 1.0) <= EPS_VAL:
+        return out / total
+    return _clean_prob_vector(out, EPS_VAL, "simplex point")
+
+
+def image_cases(m: int):
+    """(p, x) pairs on random dense and sparse operators, some x holding -0.0."""
+    rng = np.random.default_rng(4200 + m)
+    sparse = sparse_operator(rng, m, m, lambda i, j: int(rng.integers(1, 3)))
+    for V in (rand_tensor(rng, m), sparse, from_canonical(rand_skew(rng, m))):
+        yield V.p, rand_simplex(rng, m).coords
+        x = rand_simplex(rng, m, n_zeros=m // 2).coords
+        yield V.p, x
+        yield V.p, np.where(x == 0.0, -0.0, x)
+
+
+class TestImageBits:
+    """``_image`` calls the einsum past numpy's dispatch: the bits do not move."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_same_bytes_as_the_public_calls(self, m):
+        cases = list(image_cases(m))
+        assert any(np.signbit(x).any() for _, x in cases)
+        for p, x in cases:
+            assert _image(p, x).tobytes() == public_image(p, x).tobytes()
+
+    def test_a_public_einsum_without_implementation_gives_the_same_bytes(self):
+        # a numpy whose einsum has no ``_implementation`` makes _image call
+        # the public function; the module reads it once, at import
+        child = (
+            "import sys, numpy as np\n"
+            "einsum = np.einsum\n"
+            "np.einsum = lambda *args, **kwargs: einsum(*args, **kwargs)\n"
+            "import qso.core as core\n"
+            "assert core._einsum is np.einsum\n"
+            "for m in range(2, 13):\n"
+            "    rng = np.random.default_rng(m)\n"
+            "    p = core.validate(rng.random((m, m, m)), mode='normalize').p\n"
+            "    x = rng.dirichlet(np.ones(m))\n"
+            "    x[0] = -0.0\n"
+            "    sys.stdout.write(core._image(p, x / x.sum()).tobytes().hex() + '\\n')\n"
+        )
+        src = os.path.dirname(os.path.dirname(qso.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        want = []
+        for m in range(2, 13):
+            rng = np.random.default_rng(m)
+            p = validate(rng.random((m, m, m)), mode="normalize").p
+            x = rng.dirichlet(np.ones(m))
+            x[0] = -0.0
+            want.append(public_image(p, x / x.sum()).tobytes().hex())
+        assert out == want
+        if hasattr(np.einsum, "_implementation"):
+            assert core._einsum is np.einsum._implementation
+
+
 def assert_trusted(V: QsoTensor) -> None:
     """A tensor built through ``QsoTensor._trusted`` passes the checked constructor."""
     assert not V.p.flags.writeable
@@ -544,7 +611,7 @@ class TestToleranceGuard:
             ("is_associative", [1], r"eps must be nonnegative, got \[1\]"),
             ("apply", "0", r"eps must be nonnegative, got '0'"),
             ("volterra_certificate", None, r"eps must be positive, got None"),
-            ("refute_associativity", "0.05", r"grid_step must be in \(0, 0.1\], got 0.05"),
+            ("refute_associativity", "0.05", r"grid_step must be in \(0, 0.1\], got '0.05'"),
             ("is_volterra", True, r"eps must be nonnegative, got True"),
             ("is_volterra", np.True_, r"eps must be nonnegative, got True"),
             ("is_volterra", b"0", r"eps must be nonnegative, got b'0'"),

@@ -8,7 +8,14 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import rand_simplex, rand_skew, rand_tensor, rand_volterra_tensor, reference_iterate
+from helpers import (
+    rand_simplex,
+    rand_skew,
+    rand_tensor,
+    rand_volterra_tensor,
+    reference_iterate,
+    sparse_operator,
+)
 from qso import (
     OpFamilySpec,
     Permutation,
@@ -141,22 +148,6 @@ class TestIterate:
 
 
 HETEROCLINIC = from_canonical(SkewMatrix(3, 0.05 * RPS_SKEW))
-
-
-def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
-    """An m-species operator, built by the public constructor, on its first coordinates.
-
-    Each slice (i, j) with i, j < ``support`` splits its mass over
-    ``outputs(i, j)`` random outputs below ``support``; every other slice is
-    zero. An orbit from a start on those coordinates stays on them.
-    """
-    p = np.zeros((m, m, m))
-    for i in range(support):
-        for j in range(i, support):
-            ks = rng.choice(support, outputs(i, j), replace=False)
-            w = rng.exponential(size=ks.size)
-            p[i, j, ks] = p[j, i, ks] = w / w.sum()
-    return QsoTensor(m, p)
 
 
 def start_on(rng, m: int, support: int) -> SimplexPoint:
@@ -437,6 +428,70 @@ class TestChunkedScan:
                 images.clear()
                 iterate(V, x0, max_iter=budget, tol=1e-300)
                 assert images == [name] * budget
+
+
+def shift_operator(L: int) -> QsoTensor:
+    """The linear operator x'_k = x_{k-1} (indices mod L): every orbit has period L.
+
+    p[i, j, k] is 1/2 for k = i + 1 and 1/2 for k = j + 1, so x'_k is
+    x_{k-1} times the coordinate sum: exact at a vertex, within rounding
+    elsewhere, so x_t and x_{t-L} match within any tol above it.
+    """
+    p = np.zeros((L, L, L))
+    for i in range(L):
+        p[i, :, (i + 1) % L] += 0.5
+        p[:, i, (i + 1) % L] += 0.5
+    return QsoTensor(L, p)
+
+
+class TestSortedGapReject:
+    """The scan skips a chunk's table only when no pair can match."""
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 8, 9])
+    def test_close_pairs_beyond_the_window_are_no_stop(self, L):
+        # every coordinate repeats at lag L, so every sorted coordinate has a
+        # close pair and the table runs; with window L - 1 it finds nothing
+        rng = np.random.default_rng(95)
+        V = shift_operator(L)
+        for x0 in (SimplexPoint.vertex(L, 1), rand_simplex(rng, L), rand_simplex(rng, L)):
+            traj = assert_same_run(V, x0, 150, 1e-10, L - 1)
+            assert (traj.status, traj.iterations) == ("budget_exhausted", 150)
+            assert assert_same_run(V, x0, 150, 1e-10, L).status_label == f"cycle({L})"
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 8, 9])
+    def test_a_match_at_lag_window_stops(self, L):
+        rng = np.random.default_rng(96)
+        V = shift_operator(L)
+        for x0 in (SimplexPoint.vertex(L, 2), rand_simplex(rng, L)):
+            for window in (L, L + 1, 64):
+                traj = assert_same_run(V, x0, 150, 1e-10, window)
+                assert (traj.status, traj.cycle_length, traj.iterations) == ("cycle", L, L)
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 64, 200])
+    def test_stops_in_the_nan_padded_first_chunks(self, window):
+        # until step window - 1 some columns before x0 are NaN
+        for m in (3, 8):
+            V, x0 = dominant_species(m), dominant_start(m)
+            tols = stop_tolerances(V, x0, window, 8)
+            for t in (1, 2, 3, 4):
+                traj = assert_same_run(V, x0, 100, tols[t], window)
+                assert (traj.status, traj.iterations) == ("converged", t)
+        rng = np.random.default_rng(97)
+        for L in range(2, min(window, 4) + 1):
+            traj = assert_same_run(shift_operator(L), rand_simplex(rng, L), 100, 1e-10, window)
+            assert (traj.status, traj.cycle_length, traj.iterations) == ("cycle", L, L)
+
+    @pytest.mark.parametrize("window", [-3, 0, 1])
+    def test_window_at_most_one_finds_only_convergence(self, window):
+        rng = np.random.default_rng(98)
+        for L in (2, 3, 5):
+            traj = assert_same_run(shift_operator(L), rand_simplex(rng, L), 70, 1e-10, window)
+            assert (traj.status, traj.iterations) == ("budget_exhausted", 70)
+        for m in (3, 8):
+            V, x0 = dominant_species(m), dominant_start(m)
+            for t, tol in stop_tolerances(V, x0, 1, 70).items():
+                traj = assert_same_run(V, x0, 100, tol, window)
+                assert (traj.status, traj.iterations) == ("converged", t)
 
 
 def float_constants(code) -> set:

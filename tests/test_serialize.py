@@ -24,6 +24,7 @@ from qso import (
     DimensionMismatch,
     InvalidFamily,
     InvalidPermutation,
+    InvalidPoint,
     InvalidSkew,
     NotStochastic,
     OpFamilySpec,
@@ -476,6 +477,38 @@ class TestOtherFormats:
     def test_measure_round_trip(self):
         mu = DiscreteMeasure([0.25, 0.75])
         assert np.array_equal(measure_from_obj(measure_to_obj(mu)).weights, mu.weights)
+
+    @pytest.mark.parametrize("bad, kind", [
+        ("0.5", "str"), (True, "bool"), (False, "bool"), (None, "NoneType"), ([0.5], "list"),
+    ])
+    @pytest.mark.parametrize("read, payload", [
+        (point_from_obj, "point"), (measure_from_obj, "measure"),
+    ])
+    def test_coordinates_must_be_numbers(self, read, payload, bad, kind):
+        # float() would read "0.5" and True; a coordinate is a JSON number or refused
+        for x in ([bad, 0.5], [0.5, bad], [bad]):
+            with pytest.raises(InvalidPoint) as exc:
+                read({"x": x})
+            assert str(exc.value) == (
+                f"bad {payload} coordinate {bad!r}: x must hold numbers, got {kind}")
+
+    @pytest.mark.parametrize("read, payload", [
+        (point_from_obj, "point"), (measure_from_obj, "measure"),
+    ])
+    def test_coordinate_list_shapes_are_typed_errors(self, read, payload):
+        with pytest.raises(InvalidPoint, match=f"^{payload} x must be a list, got str$"):
+            read({"x": "0.5, 0.5"})
+        with pytest.raises(InvalidPoint, match=f"^{payload} x must be a list, got dict$"):
+            read({"x": {"a": 1}})
+        with pytest.raises(InvalidPoint, match="too large to convert to float"):
+            read({"x": [10**400, 0]})
+        with pytest.raises(InvalidPoint, match="nonempty 1-d vector"):
+            read({"x": []})
+
+    def test_integer_and_float_coordinates_read_as_before(self):
+        assert point_from_obj({"x": [1, 0]}).coords.tolist() == [1.0, 0.0]
+        assert point_from_obj({"x": (0.25, 0.75)}).coords.tolist() == [0.25, 0.75]
+        assert measure_from_obj({"x": [0, 1, 0.0]}).weights.tolist() == [0.0, 1.0, 0.0]
 
     def test_skew_round_trip_emits_full_matrix(self):
         a = rand_skew(np.random.default_rng(3), 3)
