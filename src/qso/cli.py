@@ -15,10 +15,11 @@ Usage examples:
 
 ``-`` as a file argument reads from standard input. Exit codes: 0 for
 success (and for checks that hold), 1 for checks that fail, 2 for input
-or validation errors, 141 when the reader closes standard output early
-(as ``| head`` does; 128 + SIGPIPE, what a shell reports for a writer
-killed by that signal). With ``--json`` all output is deterministic: keys
-sorted, floats at 17 significant digits.
+or validation errors, unreadable or undecodable payloads included, 141
+when the reader closes standard output early (as ``| head`` does; 128 +
+SIGPIPE, what a shell reports for a writer killed by that signal). With
+``--json`` all output is deterministic: keys sorted, floats at 17
+significant digits.
 
 ``dyn iterate --max-iter`` is capped at ``MAX_ITER``, and a larger count
 exits 2 with ``TooLarge``; the library's ``iterate`` takes any count.
@@ -54,7 +55,8 @@ def _read_json(path: str):
         if path == "-":
             return json.load(sys.stdin)
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8 and over-long integers are ValueErrors
         raise QsoError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise QsoError(f"cannot read {path}: {exc}") from exc

@@ -255,14 +255,14 @@ class QsoTensor:
 
     @classmethod
     def _trusted(cls, m: int, p: np.ndarray) -> "QsoTensor":
-        """Wrap an m x m x m float array, m >= 2, symmetric in (i, j) and >= 0, unchecked.
+        """Wrap a C-ordered m x m x m float array, m >= 2, symmetric in (i, j) and >= 0.
 
         The twin of :meth:`SimplexPoint._trusted`, for builders whose array
-        is both by construction (the same value >= 0 written to both halves,
-        the same permutation applied to i and j, or a symmetrized array
-        clamped at 0 and rescaled by its slice sums). The caller gives up
-        ``p``: it is made read-only, not checked and not copied. Anything
-        else goes through the public constructor, which checks all three.
+        is all three by construction (a fresh array with the same value >= 0
+        in both halves, the same permutation applied to i and j, or a
+        symmetrized C-ordered array clamped at 0 and rescaled by its slice
+        sums). The caller gives up ``p``: it is made read-only, not checked
+        and not copied. Anything else goes through the public constructor.
         """
         p.flags.writeable = False
         V = object.__new__(cls)
@@ -280,7 +280,8 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     In ``strict`` mode the input must already satisfy the invariants within
     ``eps``; it is symmetrized exactly but otherwise untouched. In
     ``normalize`` mode the array is symmetrized via (p[i,j,k]+p[j,i,k])/2
-    and every (i, j) slice is rescaled to sum to one.
+    and every (i, j) slice is rescaled to sum to one. The input is read in
+    C order, so the result depends only on its values, not on their layout.
 
     Raw entries below -eps raise :class:`NegativeCoefficient` and entries
     above 1 + eps raise :class:`NotStochastic` in both modes. ``eps`` must be
@@ -289,7 +290,7 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     if mode not in _VALIDATE_MODES:
         raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
     check_tol("eps", eps)
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p, dtype=float, order="C")
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise DimensionMismatch(f"expected a cubic m x m x m array, got shape {arr.shape}")
     m = arr.shape[0]

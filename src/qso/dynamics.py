@@ -30,7 +30,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 CYCLE_WINDOW = 64
 # stop-scan chunks grow from _CHUNK_FIRST to _CHUNK_MAX steps; one chunk's
-# (step, lag) table holds at most _SCAN_ELEMENTS entries
+# (step, lag) table holds at most _SCAN_ELEMENTS entries per coordinate
 _CHUNK_FIRST = 4
 _CHUNK_MAX = 64
 _SCAN_ELEMENTS = 1 << 16
@@ -79,9 +79,9 @@ def _step_maker(flat: tuple[int, ...], m: int):
 
     ``flat`` holds the C-order flat indices i*m*m + j*m + k of the nonzero
     coefficients, and ``make`` takes their values in that order. The step
-    maps x (m floats) to ``core._image`` of x, bit for bit: on a
-    C-contiguous array einsum adds (p[i, j, k] * x_i) * x_j into a zeroed
-    output in (i, j) order, and skipping an exact-zero coefficient only
+    maps x (m floats) to ``core._image`` of x, bit for bit: on an operator
+    array, which is C-ordered, einsum adds (p[i, j, k] * x_i) * x_j into a
+    zeroed output in (i, j) order, and skipping an exact-zero coefficient only
     skips adding +0.0; numpy sums fewer than 8 doubles left to right, as
     ``t`` does. An image that fails the division-only path gets the full
     point check, which raises ``InvalidPoint`` as ``_image`` would. The
@@ -114,11 +114,11 @@ def _step_maker(flat: tuple[int, ...], m: int):
 def _float_step(p: np.ndarray):
     """The compiled float step of the coefficients p (see :func:`_step_maker`), or None.
 
-    None unless the array is small enough (at most ``_FLOAT_MAX_M`` species
-    and ``_FLOAT_MAX_TERMS`` nonzero coefficients) and C-contiguous, the
-    layout on which einsum adds in (i, j) order.
+    None unless the operator is small enough: at most ``_FLOAT_MAX_M``
+    species and ``_FLOAT_MAX_TERMS`` nonzero coefficients. Operator arrays
+    are C-ordered (``QsoTensor``), so the size decides alone.
     """
-    if p.shape[0] > _FLOAT_MAX_M or not p.flags.c_contiguous:
+    if p.shape[0] > _FLOAT_MAX_M:
         return None
     flat = np.flatnonzero(p)
     if flat.size > _FLOAT_MAX_TERMS:
@@ -142,8 +142,8 @@ def iterate(
     ``window <= 1`` only convergence is detected.
 
     Every point is bit for bit ``apply`` of the one before. An operator
-    with at most 7 species and 56 nonzero coefficients, stored in C order,
-    steps on Python floats; every other one calls ``apply``'s image routine
+    with at most 7 species and 56 nonzero coefficients steps on Python
+    floats; every other one calls ``apply``'s image routine
     ``core._image``. The float step is straight-line code that
     ``_step_maker`` compiles once per (nonzero pattern, m) and keeps in a
     bounded cache; this orbit's coefficient values are bound to it as
@@ -164,12 +164,12 @@ def iterate(
     chunk are sorted, and if some coordinate has no two adjacent values
     within ``tol``, no (step, lag) pair can match and the chunk has no
     stop. The test is exact, since rounding is monotone: for a <= b <= c,
-    fl(c - a) >= fl(b - a). Otherwise the (step, lag) match table is built
-    one coordinate at a time and left early once no pair is within
-    ``tol``. Its first row with a match is the stop, its smallest lag
-    there the cycle length, and the images past it are dropped; the rows
-    kept become points in one pass (``SimplexPoint._trusted_rows``). An
-    error inside a chunk is raised only if no step before it stops.
+    fl(c - a) >= fl(b - a). Otherwise the (step, lag) match table is one
+    array expression over all coordinates. Its first row with a match is
+    the stop, its smallest lag there the cycle length, and the images past
+    it are dropped; the rows kept become points in one pass
+    (``SimplexPoint._trusted_rows``). An error inside a chunk is raised
+    only if no step before it stops.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -216,16 +216,10 @@ def iterate(
         # no adjacent pair within tol has no pair within tol at all (rounding
         # is monotone, so fl(c - a) >= fl(b - a) for a <= b <= c), and then no
         # (step, lag) pair can match; NaN columns sort last and never match
-        seen = buf[:, :size + n].copy()
-        seen.sort(axis=1)
+        seen = np.sort(buf[:, :size + n], axis=1)
         if ((seen[:, 1:] - seen[:, :-1]) <= tol).any(axis=1).all():
-            # |x_t - x_{t-L}| <= tol in max norm, one coordinate at a time,
-            # stopping early once no (step, lag) pair is left
-            near = np.abs(back[0, :n] - buf[0, size:size + n, None]) <= tol
-            for k in range(1, m):
-                if not near.any():
-                    break
-                near &= np.abs(back[k, :n] - buf[k, size:size + n, None]) <= tol
+            # near[r, q]: chunk step r is within tol of the point size - q steps back
+            near = (np.abs(back[:, :n] - buf[:, size:size + n, None]) <= tol).all(axis=0)
             hits = np.flatnonzero(near.any(axis=1))
             if hits.size:
                 r = int(hits[0])

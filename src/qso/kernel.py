@@ -79,7 +79,8 @@ class FiniteKernel:
 
     Construction symmetrizes in the first two indices (deviations beyond
     the tolerance raise), clamps noise-level negatives, and requires each
-    q[x, y, :] to sum to one within tolerance.
+    q[x, y, :] to sum to one within tolerance. The input is read in C
+    order, so ``q`` is C-ordered and depends only on the input's values.
     """
 
     n: int
@@ -87,7 +88,7 @@ class FiniteKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer("kernel size", self.n, DimensionMismatch))
-        q = np.asarray(self.q, dtype=float)
+        q = np.asarray(self.q, dtype=float, order="C")
         if q.shape != (self.n, self.n, self.n):
             raise DimensionMismatch(f"expected a {self.n}^3 array, got {q.shape}")
         if self.n < 1:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 
 import numpy as np
@@ -210,6 +211,47 @@ class TestExitCodes:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--op", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @staticmethod
+    def _exit_two(capsys, argv, error: str) -> None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: QsoError: {error}"), lines
+
+    def test_deeply_nested_json_is_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        self._exit_two(capsys, ["validate", "--op", str(bad)], f"invalid JSON in {bad}")
+
+    def test_non_utf8_json_is_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"m": 2}'.encode("utf-16-le"))
+        self._exit_two(capsys, ["validate", "--op", str(bad)], f"invalid JSON in {bad}")
+
+    @pytest.mark.parametrize("limit", ["default", "none"])
+    def test_over_long_integer_literal_is_exit_two(self, tmp_path, capsys, limit):
+        bad = tmp_path / "digits.json"
+        huge = "1" + "0" * 4999
+        bad.write_text(f'{{"m": 2, "entries": [{{"i": 1, "j": 1, "k": 1, "p": {huge}}}]}}',
+                       encoding="utf-8")
+        argv = ["validate", "--op", str(bad)]
+        if limit == "default":  # the digit limit, on by default since Python 3.11
+            if not hasattr(sys, "get_int_max_str_digits"):
+                pytest.skip("this Python has no integer digit limit")
+            self._exit_two(capsys, argv, f"invalid JSON in {bad}")
+            return
+        # no digit limit, as on Python 3.10: the literal decodes and the
+        # entry cannot be read as a float
+        old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if old is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            self._exit_two(capsys, argv, "bad tensor entry")
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
 
     def test_canonical_needs_exactly_one_input(self, files):
         with pytest.raises(SystemExit) as exc:
@@ -447,15 +489,15 @@ def test_closed_stdout_is_not_an_input_error(files, monkeypatch, on):
     assert err.getvalue() == ""
 
 
-def _run(argv) -> tuple[int, str]:
-    """Exit code and stderr of an in-process call, argparse exits included."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an in-process call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _valid_perm(text: str) -> bool:
@@ -495,12 +537,92 @@ def test_fuzz_malformed_integer_arguments(v1_file, case):
     """A malformed --perm or entry index exits 2 with one error line."""
     kind, value = case
     if kind == "perm":
-        code, err = _run(["op", "conjugate", "--op", v1_file, f"--perm={value}"])
+        code, _, err = _run(["op", "conjugate", "--op", v1_file, f"--perm={value}"])
     else:
         obj = tensor_to_obj(op_family(OpFamilySpec(2, 0.3, 0.6, 0.9)))
         obj["entries"][1][kind] = value
         with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
             fh.write(json.dumps(obj))
             fh.flush()
-            code, err = _run(["validate", "--op", fh.name])
+            code, _, err = _run(["validate", "--op", fh.name])
     assert code == 2 and one_error_line(err), (case, err)
+
+
+# every leaf that reads a payload, with the other arguments it needs; the
+# orbit is kept short, as any payload that decodes may iterate
+_PAYLOAD_LEAVES = [
+    ["validate"], ["validate", "--mode", "normalize"], ["apply", "--x0", "0.2,0.3,0.5"],
+    ["volterra", "check"], ["volterra", "canonical"], ["volterra", "certificate"],
+    ["op", "check"], ["op", "classify"], ["op", "conjugate", "--perm", "2,3,1"],
+    ["algebra", "check"], ["algebra", "residual"],
+    ["kernel", "apply", "--x0", "0.5,0.5"], ["kernel", "check"], ["kernel", "oracle"],
+    ["dyn", "iterate", "--x0", "0.2,0.3,0.5", "--max-iter", "20"], ["dyn", "fixed-points"],
+]
+
+_SCALARS = st.one_of(
+    st.integers(-10, 10), st.sampled_from([10**20, -(10**40), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none(),
+    st.text(max_size=4),
+)
+_KEYS = st.one_of(st.sampled_from(["m", "n", "entries", "q", "a", "i", "j", "k", "p", "x"]),
+                  st.text(max_size=3))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12,
+)
+_SIZES = st.one_of(st.integers(0, 8), _SCALARS)
+_ENTRY = st.fixed_dictionaries(
+    {key: st.one_of(st.integers(0, 9), _SCALARS) for key in "ijk"} | {"p": _SCALARS})
+_ENTRIES = st.one_of(st.lists(_ENTRY, max_size=40), _DOCS)
+
+
+@st.composite
+def _payloads(draw):
+    """A tensor, kernel or skew document, or any JSON document at all.
+
+    A "valid" document is an operator or kernel with one entry p = 1 per
+    slice i <= j, at most one field of which is then replaced by any value.
+    """
+    kind = draw(st.sampled_from(["valid", "tensor", "kernel", "skew", "any"]))
+    if kind == "valid":
+        m = draw(st.integers(1, 8))
+        size, key = draw(st.sampled_from([("m", "entries"), ("n", "q")]))
+        entries = [{"i": i, "j": j, "k": draw(st.integers(1, m)), "p": 1.0}
+                   for i in range(1, m + 1) for j in range(i, m + 1)]
+        if draw(st.booleans()):
+            entry = draw(st.sampled_from(entries))
+            entry[draw(st.sampled_from("ijkp"))] = draw(_SCALARS)
+        return {size: m, key: entries}
+    if kind == "tensor":
+        return {"m": draw(_SIZES), "entries": draw(_ENTRIES)}
+    if kind == "kernel":
+        return {"n": draw(_SIZES), "q": draw(_ENTRIES)}
+    if kind == "skew":
+        m = draw(st.integers(0, 8))
+        row = st.lists(st.one_of(st.floats(-1, 1), _SCALARS), min_size=m, max_size=m)
+        return {"m": draw(_SIZES), "a": draw(st.one_of(st.lists(row, min_size=m, max_size=m),
+                                                       _DOCS))}
+    return draw(_DOCS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_payloads())
+def test_fuzz_whole_payloads(doc):
+    """Any JSON payload, to every leaf that reads one, exits 0, 1 or 2 without a traceback.
+
+    Exit 2 prints nothing on stdout and exactly one ``error:`` line.
+    """
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+        fh.write(json.dumps(doc))
+        fh.flush()
+        runs = [leaf + ["--op", fh.name] for leaf in _PAYLOAD_LEAVES]
+        runs.append(["volterra", "canonical", "--skew", fh.name])
+        for argv in runs:
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, doc, err)
+            if code == 2:
+                lines = err.splitlines()
+                assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (
+                    argv, doc, err)

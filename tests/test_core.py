@@ -482,6 +482,44 @@ class TestTrustedBuilders:
             assert_trusted(tensor_from_obj(tensor_to_obj(V), mode=mode))
 
 
+def other_layouts(a: np.ndarray) -> list[np.ndarray]:
+    """The values of the C-ordered cube ``a`` in a Fortran and an axis-permuted layout."""
+    return [np.asfortranarray(a), np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)]
+
+
+class TestOneLayout:
+    """Operator arrays are C-ordered: what a builder returns depends on the values alone."""
+
+    @staticmethod
+    def assert_same(build, c_input, others) -> None:
+        want = build(c_input)
+        assert want.flags.c_contiguous
+        for a in others:
+            assert not a.flags.c_contiguous and np.array_equal(a, c_input)
+            got = build(a)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    # m = 12: the slice sums of a Fortran-ordered array, read as it lies,
+    # round differently, which changed the bits of nearly every such array
+    @pytest.mark.parametrize("m", [2, 3, 7, 12])
+    def test_any_layout_gives_the_c_bytes(self, m):
+        rng = np.random.default_rng(900 + m)
+        raw = rng.random((m, m, m))
+        good = validate(raw, mode="normalize").p
+        row = rng.dirichlet(np.ones(m))
+        flat = np.ascontiguousarray(np.broadcast_to(row, (m, m, m)))
+        builders = {
+            "normalize": lambda a: validate(a, mode="normalize").p,
+            "strict": lambda a: validate(a, mode="strict").p,
+            "kernel": lambda a: FiniteKernel(m, a).q,
+            "tensor": lambda a: QsoTensor(m, a).p,
+        }
+        self.assert_same(builders["normalize"], raw, other_layouts(raw))
+        for build in builders.values():
+            self.assert_same(build, good, other_layouts(good))
+            self.assert_same(build, flat, [np.broadcast_to(row, (m, m, m))])
+
+
 class TestSupportPredicates:
     def test_support_examples(self):
         assert support(SimplexPoint([1, 0, 0])) == {1}

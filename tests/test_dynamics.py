@@ -17,6 +17,7 @@ from helpers import (
     sparse_operator,
 )
 from qso import (
+    FiniteKernel,
     OpFamilySpec,
     Permutation,
     QsoTensor,
@@ -189,8 +190,7 @@ def reference_cases():
     for extra in (0, 1):
         V = sparse_operator(rng, 4, 4, lambda i, j: 4 if i != j else 2 + extra * (i == 0))
         cases.append((V, rand_simplex(rng, 4), 150, 1e-10))
-    # the constructor copies a Fortran-ordered array to C order; validate keeps
-    # a layout that is not C-contiguous, which takes the einsum
+    # the constructor and validate both read a Fortran-ordered array in C order
     p = np.asfortranarray(rand_tensor(rng, 3).p)
     cases.append((QsoTensor(3, p), rand_simplex(rng, 3), 150, 1e-10))
     cases.append((validate(p), rand_simplex(rng, 3), 150, 1e-10))
@@ -219,12 +219,26 @@ class TestIterateMatchesReference:
         assert statuses == expected
 
     def test_cases_cover_both_sides_of_the_float_rule(self):
-        sides = {(V.m, int(np.count_nonzero(V.p)), V.p.flags.c_contiguous,
-                  dynamics._float_step(V.p) is not None) for V, *_ in reference_cases()}
-        assert {(6, 30, True, True), (7, 30, True, True), (8, 30, True, False),
-                (6, 216, True, False), (7, 343, True, False),
-                (4, 56, True, True), (4, 57, True, False),
-                (3, 27, True, True), (3, 27, False, False)} <= sides
+        sides = {(V.m, int(np.count_nonzero(V.p)), dynamics._float_step(V.p) is not None)
+                 for V, *_ in reference_cases()}
+        assert {(6, 30, True), (7, 30, True), (8, 30, False),
+                (6, 216, False), (7, 343, False),
+                (4, 56, True), (4, 57, False), (3, 27, True)} <= sides
+
+    def test_fortran_ordered_input_steps_on_floats(self):
+        rng = np.random.default_rng(24)
+        V = rand_tensor(rng, 3)
+        x0 = rand_simplex(rng, 3)
+        want = iterate(V, x0, max_iter=150)
+        for W in (validate(np.asfortranarray(V.p)),
+                  FiniteKernel(3, np.asfortranarray(V.p)).to_tensor()):
+            assert W.p.flags.c_contiguous and dynamics._float_step(W.p) is not None
+            got = iterate(W, x0, max_iter=150)
+            for other in (want, reference_iterate(W, x0, 150, dynamics.DEFAULT_TOL)):
+                assert (got.status, got.cycle_length, got.iterations) == (
+                    other.status, other.cycle_length, other.iterations)
+                assert [p.coords.tobytes() for p in got.points] == [
+                    p.coords.tobytes() for p in other.points]
 
     def test_smallest_matching_lag_wins(self):
         V, x0, budget, tol = reference_cases()[-1]
