@@ -119,10 +119,12 @@ def conjugacy_classes(
     """Partition the given OP family indices into conjugacy classes.
 
     Groups the families by the cycle type of their vertex permutation in
-    ``FAMILY_VERTEX_IMAGES`` (see the module docstring). Each family is
-    still named by ``OpFamilySpec(f, *params)``, so a bad family or
-    parameter raises as it does there; ``params`` never changes the result.
-    Classes are returned sorted by their smallest member.
+    ``FAMILY_VERTEX_IMAGES`` (see the module docstring). ``params`` is
+    validated and otherwise ignored: each family is named by
+    ``OpFamilySpec(f, *params)`` only so that a bad family or parameter
+    raises as it does there, and the classes never depend on it. It is kept
+    for callers that pass it. Classes are returned sorted by their smallest
+    member.
     """
     classes: dict[tuple[int, ...], set[int]] = {}
     for f in {OpFamilySpec(f, *params).family for f in families}:

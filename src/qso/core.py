@@ -286,6 +286,10 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     Raw entries below -eps raise :class:`NegativeCoefficient` and entries
     above 1 + eps raise :class:`NotStochastic` in both modes. ``eps`` must be
     nonnegative; NaN or a negative value raises :class:`ParameterOutOfRange`.
+
+    The result is the only m^3 array made: the strict asymmetry is measured
+    in it, then it is overwritten with the symmetrized input, clamped at
+    zero only when the raw minimum is negative, and rescaled in place.
     """
     if mode not in _VALIDATE_MODES:
         raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
@@ -305,11 +309,16 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     if hi > 1.0 + eps:
         raise NotStochastic(f"coefficient above one: max entry = {hi:.6g}")
 
+    arr_t = arr.transpose(1, 0, 2)
     if mode == "strict":
-        asym = np.abs(arr - arr.transpose(1, 0, 2)).max()
+        sym = np.subtract(arr, arr_t)
+        asym = np.abs(sym, out=sym).max()
         if asym > eps:
             raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {eps:g}")
-    sym = (arr + arr.transpose(1, 0, 2)) / 2.0
+        np.add(arr, arr_t, out=sym)
+    else:
+        sym = np.add(arr, arr_t)
+    sym /= 2.0
 
     sums = sym.sum(axis=2)
     if mode == "strict":
@@ -322,10 +331,14 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
             )
     elif sums.min() <= 0.0:
         raise NotStochastic("cannot rescale a slice with non-positive sum")
-    # every raw entry is >= -eps, so is every mean of two: only noise is clamped
-    sym[sym < 0.0] = 0.0
+    # every raw entry is >= -eps, so is every mean of two: only noise is
+    # clamped, and a mean of two entries >= 0 is >= 0 (or -0.0, kept)
+    if lo < 0.0:
+        sym[sym < 0.0] = 0.0
+        if mode == "normalize":
+            sums = sym.sum(axis=2)
     if mode == "normalize":
-        sym = sym / sym.sum(axis=2, keepdims=True)
+        sym /= sums[:, :, None]
 
     # (a + a^T) / 2 is exactly symmetric, and mirrored slices hold the same
     # values in the same order, so the clamp and the rescaling keep it so

@@ -30,7 +30,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 CYCLE_WINDOW = 64
 # stop-scan chunks grow from _CHUNK_FIRST to _CHUNK_MAX steps; one chunk's
-# (step, lag) table holds at most _SCAN_ELEMENTS entries per coordinate
+# (step, lag) table over all m coordinates holds at most _SCAN_ELEMENTS
+# entries, or one step's worth if a single step has more
 _CHUNK_FIRST = 4
 _CHUNK_MAX = 64
 _SCAN_ELEMENTS = 1 << 16
@@ -155,21 +156,23 @@ def iterate(
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
-    images. A chunk's images are collected in one list (the float step's
-    coordinates end to end) and become the rows of one array, written in
-    one go after the last ``window`` points of a buffer that holds one
-    column per point. A read-only strided view of that buffer, built once
-    per orbit, lines every step of the chunk up with its lags. First a
-    sorted-gap reject: each coordinate's values over the window and the
-    chunk are sorted, and if some coordinate has no two adjacent values
-    within ``tol``, no (step, lag) pair can match and the chunk has no
-    stop. The test is exact, since rounding is monotone: for a <= b <= c,
-    fl(c - a) >= fl(b - a). Otherwise the (step, lag) match table is one
-    array expression over all coordinates. Its first row with a match is
-    the stop, its smallest lag there the cycle length, and the images past
-    it are dropped; the rows kept become points in one pass
-    (``SimplexPoint._trusted_rows``). An error inside a chunk is raised
-    only if no step before it stops.
+    images; a long window shortens them, so that one chunk's table over
+    all m coordinates holds at most 2^16 entries (one step's if a single
+    step has more). A chunk's images are collected in one list (the float
+    step's coordinates end to end) and become the rows of one array,
+    written in one go after the last ``window`` points of a buffer that
+    holds one column per point. A read-only strided view of that buffer,
+    built once per orbit, lines every step of the chunk up with its lags.
+    First a sorted-gap reject: each coordinate's values over the window
+    and the chunk are sorted, and if some coordinate has no two adjacent
+    values within ``tol``, no (step, lag) pair can match and the chunk has
+    no stop. The test is exact, since rounding is monotone: for
+    a <= b <= c, fl(c - a) >= fl(b - a). Otherwise the (step, lag) match
+    table is one array expression over all coordinates, its differences
+    taken in place. Its first row with a match is the stop, its smallest
+    lag there the cycle length, and the images past it are dropped; the
+    rows kept become points in one pass (``SimplexPoint._trusted_rows``).
+    An error inside a chunk is raised only if no step before it stops.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -180,7 +183,7 @@ def iterate(
     p, m = V.p, V.m
     step = _float_step(p)
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
-    cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // size))
+    cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // (m * size)))
     # one column per point: columns [0, size) hold the points before the
     # chunk, oldest first; NaN columns stand for steps before 0 and never match
     buf = np.full((m, size + cap), np.nan)
@@ -219,7 +222,8 @@ def iterate(
         seen = np.sort(buf[:, :size + n], axis=1)
         if ((seen[:, 1:] - seen[:, :-1]) <= tol).any(axis=1).all():
             # near[r, q]: chunk step r is within tol of the point size - q steps back
-            near = (np.abs(back[:, :n] - buf[:, size:size + n, None]) <= tol).all(axis=0)
+            gap = back[:, :n] - buf[:, size:size + n, None]
+            near = (np.abs(gap, out=gap) <= tol).all(axis=0)
             hits = np.flatnonzero(near.any(axis=1))
             if hits.size:
                 r = int(hits[0])

@@ -113,8 +113,34 @@ class FiniteKernel:
         return f"FiniteKernel(n={self.n})"
 
     @classmethod
+    def _trusted(cls, n: int, q: np.ndarray) -> "FiniteKernel":
+        """Wrap a C-ordered n x n x n float array the constructor would keep as it is.
+
+        The twin of :meth:`QsoTensor._trusted`: ``q`` is finite, exactly
+        symmetric in (x, y), >= 0 and its rows sum to one within
+        ``EPS_VAL``. The caller gives up ``q``: it is made read-only, not
+        checked and not copied.
+        """
+        q.flags.writeable = False
+        K = object.__new__(cls)
+        object.__setattr__(K, "n", n)
+        object.__setattr__(K, "q", q)
+        return K
+
+    @classmethod
     def from_tensor(cls, V: QsoTensor) -> "FiniteKernel":
-        """View an m-species operator as a kernel on m atoms."""
+        """View an m-species operator as a kernel on m atoms, sharing its array.
+
+        ``V.p`` is C-ordered, exactly symmetric and >= 0, so the
+        constructor's symmetrization and clamp would return its bits
+        unchanged; only the row sums are checked. A tensor whose rows miss
+        one by more than ``EPS_VAL`` (a public ``QsoTensor`` that holds inf
+        or is not stochastic, or one from ``validate`` with a large
+        ``eps``) goes through the constructor, which raises as it would for
+        the same array.
+        """
+        if np.abs(V.p.sum(axis=2) - 1.0).max() <= EPS_VAL:  # false for inf
+            return cls._trusted(V.m, V.p)
         return cls(V.m, V.p)
 
     def to_tensor(self) -> QsoTensor:

@@ -23,6 +23,7 @@ for anything its bulk checks refuse.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Any
@@ -59,32 +60,50 @@ def _fmt_str(s: str) -> str:
 _COLUMN_FORMATS = {int: "%d", float: "%.17g"}
 
 
+@lru_cache(maxsize=64)
+def _row_template(keys: tuple[str, ...], types: tuple[type, ...]) -> str | None:
+    """The ``%`` template of one record with these sorted keys and column types.
+
+    Keys are escaped and their ``%`` doubled; None if a type has no format.
+    """
+    fields = []
+    for key, t in zip(keys, types):
+        if (spec := _COLUMN_FORMATS.get(t)) is None:
+            return None
+        fields.append(_fmt_str(key).replace("%", "%%") + ":" + spec)
+    return "{" + ",".join(fields) + "}"
+
+
 def _dumps_records(rows: list) -> str | None:
     """A list of records in one ``%`` format, or None if it is not one.
 
     A record list is non-empty, its items are exact dicts with the same
     exact-str keys, and each key's values are all exact ints or all exact
-    floats. One row template (keys sorted and escaped, ``%`` doubled) is
-    repeated and filled from the flattened columns.
+    floats. One row template (keys sorted and escaped, ``%`` doubled; built
+    once per key and type set) is repeated and filled from the flattened
+    columns.
     """
     if not rows or set(map(type, rows)) != {dict}:
         return None
     first = rows[0]
     if not all(type(k) is str for k in first) or set(map(len, rows)) != {len(first)}:
         return None
-    fields = []
+    keys = tuple(sorted(first))
+    types = []
     columns = []
     try:
-        for key in sorted(first):
+        for key in keys:
             column = list(map(itemgetter(key), rows))
-            types = set(map(type, column))
-            if len(types) != 1 or (spec := _COLUMN_FORMATS.get(types.pop())) is None:
+            column_types = set(map(type, column))
+            if len(column_types) != 1:
                 return None
-            fields.append(_fmt_str(key).replace("%", "%%") + ":" + spec)
+            types.append(column_types.pop())
             columns.append(column)
     except KeyError:  # a row lacks a key of the first row
         return None
-    row = "{" + ",".join(fields) + "}"
+    row = _row_template(keys, tuple(types))
+    if row is None:
+        return None
     text = ",".join([row] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
     return "[" + text + "]"
 
@@ -240,11 +259,17 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=8)
+def _upper_mask(m: int) -> np.ndarray:
+    """Read-only (m, m, 1) mask of the slices i <= j."""
+    mask = np.arange(m)[:, None, None] <= np.arange(m)[None, :, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def _array_to_entries(p: np.ndarray) -> list[dict]:
     """Nonzero entries with i <= j, in (i, j, k) order, as 1-based dicts."""
-    m = p.shape[0]
-    upper = np.arange(m)[:, None, None] <= np.arange(m)[None, :, None]
-    i, j, k = np.nonzero((p != 0.0) & upper)
+    i, j, k = np.nonzero((p != 0.0) & _upper_mask(p.shape[0]))
     return [
         {"i": a, "j": b, "k": c, "p": v}
         for a, b, c, v in zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),

@@ -52,6 +52,22 @@ def _forbidden_mask(m: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=8)
+def _probe_mask(m: int, level: float) -> np.ndarray:
+    """Read-only mask of the probe coordinates (e_i + e_j)[k] / 2 at most ``level``.
+
+    Probe coordinates are exactly 0, 1/2 or 1, so ``level`` is the largest
+    of these at most eps and the mask is ``probes <= eps``. At level 0 it is
+    :func:`_forbidden_mask`.
+    """
+    if level == 0.0:
+        return _forbidden_mask(m)
+    eye = np.eye(m)
+    mask = (eye[:, None, :] + eye[None, :, :]) / 2.0 <= level
+    mask.flags.writeable = False
+    return mask
+
+
 def _forbidden_max(p: np.ndarray) -> float:
     """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
 
@@ -179,12 +195,15 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     exactly. Each image is divided by its own sum, as :class:`SimplexPoint`
     does, and compared against the probe point's support; this is
     :func:`check_abs_continuity_property` on :func:`certificate_points`.
-    Raises :class:`ParameterOutOfRange` unless ``eps`` is positive (NaN too).
+    The coordinates outside a probe's support at ``eps`` depend only on m
+    and on where eps lies against 1/2 and 1, so that mask is cached per
+    size (below 1/2 it is the forbidden-entry mask) and read by a masked
+    maximum. Raises :class:`ParameterOutOfRange` unless ``eps`` is positive
+    (NaN too).
     """
     check_tol("eps", eps, positive=True)
-    vertex_images = np.einsum("kkj->kj", V.p)
+    vertex_images = V.p.diagonal(0, 0, 1).T  # [k, j] = p[k, k, j], a view
     images = (vertex_images[:, None, :] + vertex_images[None, :, :] + 2.0 * V.p) / 4.0
     images /= images.sum(axis=2, keepdims=True)
-    eye = np.eye(V.m)
-    probes = (eye[:, None, :] + eye[None, :, :]) / 2.0  # probes[i, j] = (e_i + e_j) / 2
-    return bool(images[probes <= eps].max(initial=0.0) <= eps)
+    outside = _probe_mask(V.m, 0.0 if eps < 0.5 else 0.5 if eps < 1.0 else 1.0)
+    return bool(images.max(where=outside, initial=0.0) <= eps)

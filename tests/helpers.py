@@ -10,6 +10,7 @@ library output against these independent routes.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -41,8 +42,13 @@ from qso import (
     support,
     validate,
 )
-from qso.core import as_integer
-from qso.errors import DimensionUnsupported
+from qso.core import _VALIDATE_MODES, as_integer, check_tol
+from qso.errors import (
+    DimensionMismatch,
+    DimensionUnsupported,
+    NegativeCoefficient,
+    NotSymmetric,
+)
 from qso.orthopreserve import FAMILY_VERTEX_IMAGES
 
 #: The edges (i, j), 0-based, of S^2 that carry alpha, beta and gamma.
@@ -312,6 +318,66 @@ def reference_refute(family: int, grid_step: float) -> RefutationReport:
         for g in (0.0, 1.0)
     )
     return RefutationReport(family, float(grid_step), float(best), argbest, float(corner_min))
+
+
+def reference_validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
+    """Oracle: ``validate`` as it was before it worked in place, verbatim.
+
+    Check (and optionally repair) a raw cubic array of coefficients.
+
+    In ``strict`` mode the input must already satisfy the invariants within
+    ``eps``; it is symmetrized exactly but otherwise untouched. In
+    ``normalize`` mode the array is symmetrized via (p[i,j,k]+p[j,i,k])/2
+    and every (i, j) slice is rescaled to sum to one. The input is read in
+    C order, so the result depends only on its values, not on their layout.
+
+    Raw entries below -eps raise :class:`NegativeCoefficient` and entries
+    above 1 + eps raise :class:`NotStochastic` in both modes. ``eps`` must be
+    nonnegative; NaN or a negative value raises :class:`ParameterOutOfRange`.
+    """
+    if mode not in _VALIDATE_MODES:
+        raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
+    check_tol("eps", eps)
+    arr = np.asarray(p, dtype=float, order="C")
+    if arr.ndim != 3 or len(set(arr.shape)) != 1:
+        raise DimensionMismatch(f"expected a cubic m x m x m array, got shape {arr.shape}")
+    m = arr.shape[0]
+    if m < 2:
+        raise DimensionMismatch("a QSO needs at least two species")
+    lo, hi = arr.min(), arr.max()
+    # NaN and +-inf always reach an extreme, so these two decide finiteness
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NotStochastic("tensor contains non-finite entries")
+    if lo < -eps:
+        raise NegativeCoefficient(f"coefficient below zero: min entry = {lo:.3e}")
+    if hi > 1.0 + eps:
+        raise NotStochastic(f"coefficient above one: max entry = {hi:.6g}")
+
+    if mode == "strict":
+        asym = np.abs(arr - arr.transpose(1, 0, 2)).max()
+        if asym > eps:
+            raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {eps:g}")
+    sym = (arr + arr.transpose(1, 0, 2)) / 2.0
+
+    sums = sym.sum(axis=2)
+    if mode == "strict":
+        worst = np.abs(sums - 1.0).max()
+        if worst > eps:
+            bad = np.unravel_index(np.abs(sums - 1.0).argmax(), sums.shape)
+            raise NotStochastic(
+                f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {float(sums[bad])!r}; "
+                f"off by {worst:.3e}"
+            )
+    elif sums.min() <= 0.0:
+        raise NotStochastic("cannot rescale a slice with non-positive sum")
+    # every raw entry is >= -eps, so is every mean of two: only noise is clamped
+    sym[sym < 0.0] = 0.0
+    if mode == "normalize":
+        sym = sym / sym.sum(axis=2, keepdims=True)
+
+    # (a + a^T) / 2 is exactly symmetric, and mirrored slices hold the same
+    # values in the same order, so the clamp and the rescaling keep it so
+    return QsoTensor._trusted(m, sym)
 
 
 def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,

@@ -16,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_kernel, rand_volterra_kernel, with_forbidden_entry
-from qso import OpFamilySpec, SimplexPoint, cli, iterate, op_family, serialize, validate
+from qso import (
+    FiniteKernel,
+    OpFamilySpec,
+    SimplexPoint,
+    cli,
+    iterate,
+    op_family,
+    serialize,
+    validate,
+)
 from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
@@ -546,6 +555,60 @@ def test_fuzz_malformed_integer_arguments(v1_file, case):
             fh.flush()
             code, _, err = _run(["validate", "--op", fh.name])
     assert code == 2 and one_error_line(err), (case, err)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """An m = 3 operator file and an n = 3 kernel file for the argv fuzz."""
+    V = op_family(OpFamilySpec(1, 0.3, 0.6, 0.9))
+    root = tmp_path_factory.mktemp("argv")
+    paths = {}
+    for name, obj in (("op.json", tensor_to_obj(V)),
+                      ("kernel.json", kernel_to_obj(FiniteKernel.from_tensor(V)))):
+        paths[name] = root / name
+        paths[name].write_text(dumps(obj))
+    return {name: str(path) for name, path in paths.items()}
+
+
+# besides any number or text, values that are sometimes valid: coordinates
+# that can sum to one, small integers and numbers in [0, 1]
+_LISTS = st.one_of(
+    st.lists(_NUMBERS, max_size=5).map(lambda vs: ",".join(map(str, vs))),
+    st.lists(st.sampled_from(["0", "-0.0", "0.25", "0.5", "1"]), min_size=1, max_size=4).map(
+        ",".join),
+    st.text(max_size=12),
+)
+_VALUES = st.one_of(_NUMBERS.map(str), st.integers(-2, 8).map(str), st.floats(0, 1).map(str),
+                    st.text(max_size=8))
+_BUILD = ["op", "build", "--family", "1", "--alpha", "0.3", "--beta", "0.6", "--gamma", "0.9"]
+
+# (argv with the fuzzed option left out, the option, its values); files
+# are named by key and replaced by their paths; orbits are kept short
+_ARGV_CASES = [
+    (["apply", "--op", "op.json"], "--x0", _LISTS),
+    (["dyn", "iterate", "--op", "op.json", "--max-iter", "50"], "--x0", _LISTS),
+    (["kernel", "apply", "--op", "kernel.json"], "--x0", _LISTS),
+    (["dyn", "iterate", "--op", "op.json", "--x0", "0.2,0.3,0.5"], "--max-iter", _VALUES),
+    (["validate", "--op", "op.json"], "--mode", _VALUES),
+    (["algebra", "refute", "--step", "0.1"], "--family", _VALUES),
+] + [(_BUILD[:at] + _BUILD[at + 2:], _BUILD[at], _VALUES) for at in (2, 4, 6, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_argument_values(argv_files, data):
+    """Any value of an option that takes numbers or a name exits 0, 1 or 2 without a traceback.
+
+    Exit 2 prints exactly one ``error:`` line.
+    """
+    argv, option, values = data.draw(st.sampled_from(_ARGV_CASES))
+    value = data.draw(values)
+    argv = [argv_files.get(a, a) for a in argv] + [f"{option}={value}"]
+    code, _, err = _run(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert one_error_line(err), (argv, err)
 
 
 # every leaf that reads a payload, with the other arguments it needs; the

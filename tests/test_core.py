@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_loops, rand_simplex, rand_skew, rand_tensor, sparse_operator
+from helpers import (
+    product_loops,
+    rand_simplex,
+    rand_skew,
+    rand_tensor,
+    reference_validate,
+    sparse_operator,
+)
 from qso import (
     DiscreteMeasure,
     FiniteKernel,
@@ -279,6 +288,98 @@ class TestValidate:
         p[0, 1, 0] += 1e-12
         with pytest.raises(NotSymmetric):
             QsoTensor(3, p)
+
+
+def _outcome(build, p, mode, eps):
+    """What ``build`` makes of p: the result's size and bytes, or its error's type and text."""
+    try:
+        V = build(p, mode, eps=eps)
+    except qso.QsoError as exc:
+        return type(exc), str(exc)
+    assert V.p.flags.c_contiguous and not V.p.flags.writeable
+    return V.m, V.p.tobytes()
+
+
+# entries that sit on validate's edges: signed zeros, noise within and past
+# eps on either side of 0 and 1, and non-finite values
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -5e-10, -1e-9, -2e-9, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 0.5,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(-1e-8, 1e-8),
+)
+
+
+@st.composite
+def _raw_cubes(draw):
+    """A raw m x m x m array (m = 2..5) in C, Fortran, axis-permuted or broadcast layout."""
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["stochastic", "random", "broadcast"]))
+    if kind == "broadcast":
+        row = rng.dirichlet(np.ones(m))
+        row[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-0.0, 0.0, -5e-10]))
+        return np.broadcast_to(row, (m, m, m))
+    p = rng.random((m, m, m))
+    if kind == "stochastic":
+        p = (p + p.transpose(1, 0, 2)) / 2.0
+        p /= p.sum(axis=2, keepdims=True)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        v = draw(_EDGE_VALUES)
+        if draw(st.booleans()):  # a small change, mirrored or not
+            p[i, j, k] += v if math.isfinite(v) else 0.0
+        else:
+            p[i, j, k] = v
+        if draw(st.booleans()):
+            p[j, i, k] = p[i, j, k]
+    layout = draw(st.sampled_from(["C", "F", "permuted"]))
+    if layout == "F":
+        return np.asfortranarray(p)
+    if layout == "permuted":
+        return np.ascontiguousarray(p.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return p
+
+
+class TestValidateMatchesReference:
+    """``validate`` gives the bits, errors and messages of the pre-in-place version."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=_raw_cubes(), mode=st.sampled_from(["strict", "normalize"]),
+           eps=st.sampled_from([EPS_VAL, 0.0, 1e-6, 0.2]))
+    def test_same_bits_and_errors(self, p, mode, eps):
+        before = p.tobytes()
+        assert _outcome(validate, p, mode, eps) == _outcome(reference_validate, p, mode, eps)
+        assert p.tobytes() == before  # the input is never written
+
+    @pytest.mark.parametrize("m", [30, 100])
+    def test_large_sizes(self, m):
+        rng = np.random.default_rng(1100 + m)
+        raw = rng.random((m, m, m))
+        good = validate(raw, mode="normalize").p
+        noisy = good + 1e-12 * rng.standard_normal(good.shape)
+        noisy[0, 0, 0] = -5e-10
+        for p in (raw, good, noisy):
+            for mode in ("strict", "normalize"):
+                assert _outcome(validate, p, mode, EPS_VAL) == _outcome(
+                    reference_validate, p, mode, EPS_VAL)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("mode", ["strict", "normalize"])
+    def test_result_is_the_only_cube_made(self, mode, negative):
+        # at m = 100 a float cube is 8 MB; the clamp's mask is a bool cube
+        m = 100
+        p = validate(np.random.default_rng(1200).random((m, m, m)), mode="normalize").p.copy()
+        if negative:  # moved within slice (1, 1), which stays stochastic
+            p[0, 0, 1] += p[0, 0, 0] + 5e-10
+            p[0, 0, 0] = -5e-10
+        tracemalloc.start()
+        try:
+            V = validate(p, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.m == m
+        assert peak < 1.25 * m**3 * 8
 
 
 class TestApply:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,7 +353,7 @@ class TestChunkedScan:
 
     def test_small_chunks_match(self, monkeypatch):
         # a window too wide for a 64-step chunk shrinks the chunk: to one
-        # step, or to 7 steps for window 64
+        # step, or to 448 // (64 m) steps (at least one) for window 64
         for V, x0, budget, tol in reference_cases():
             for window in (1, 64):
                 want = reference_iterate(V, x0, budget, tol, window=window)
@@ -442,6 +443,39 @@ class TestChunkedScan:
                 images.clear()
                 iterate(V, x0, max_iter=budget, tol=1e-300)
                 assert images == [name] * budget
+
+
+class TestTableBound:
+    """One chunk's (step, lag) table over all m coordinates stays near 2^16 entries."""
+
+    def test_long_window_at_large_m_stays_small(self):
+        # the buffer, its sorted copy and a one-step table hold m x window
+        # doubles each; chunks bounded by steps and lags alone held 4-6 steps
+        rng = np.random.default_rng(25)
+        m, window = 100, 10_000
+        V = validate(rng.random((m, m, m)), "normalize")
+        x0 = rand_simplex(rng, m)
+        tracemalloc.start()
+        try:
+            traj = iterate(V, x0, max_iter=window, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.status == "converged"
+        assert peak < 4 * m * window * 8
+
+    @pytest.mark.parametrize("m, window", [(17, 64), (20, 64), (30, 64), (10, 200), (40, 500)])
+    def test_shortened_chunks_match_reference(self, m, window):
+        assert dynamics._SCAN_ELEMENTS // (m * window) < dynamics._CHUNK_MAX
+        rng = np.random.default_rng(m * window)
+        statuses = set()
+        for V, x0, tol in ((rand_tensor(rng, m), rand_simplex(rng, m), 1e-10),
+                           (from_canonical(rand_skew(rng, m)), rand_simplex(rng, m), 1e-10),
+                           (shift_operator(m), rand_simplex(rng, m), 1e-9)):
+            got = iterate(V, x0, max_iter=150, tol=tol, window=window)
+            assert_same_trajectory(got, reference_iterate(V, x0, 150, tol, window=window))
+            statuses.add(got.status)
+        assert statuses == {"converged", "cycle", "budget_exhausted"}
 
 
 def shift_operator(L: int) -> QsoTensor:

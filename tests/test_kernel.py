@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from helpers import (
     rand_skew,
     rand_tensor,
     rand_volterra_kernel,
+    rand_volterra_tensor,
     reference_violation_witness,
     with_forbidden_entry,
 )
@@ -20,7 +23,10 @@ from qso import (
     DiscreteMeasure,
     FiniteKernel,
     InvalidPoint,
+    OpFamilySpec,
     ParameterOutOfRange,
+    QsoError,
+    QsoTensor,
     SimplexPoint,
     TooLarge,
     apply,
@@ -29,6 +35,8 @@ from qso import (
     kernel_apply,
     kernel_is_volterra,
     kernel_volterra_oracle,
+    op_family,
+    validate,
     volterra_violation_witness,
 )
 from qso import kernel as kernel_module
@@ -147,6 +155,42 @@ class TestFiniteKernel:
         V = rand_tensor(np.random.default_rng(1), 3)
         K = FiniteKernel.from_tensor(V)
         assert np.array_equal(K.to_tensor().p, V.p)
+
+
+class TestFromTensor:
+    """``from_tensor`` shares the tensor's array, with the constructor's bits and errors."""
+
+    def test_same_bits_as_the_constructor(self):
+        rng = np.random.default_rng(61)
+        tensors = [rand_tensor(rng, m) for m in (2, 3, 5, 12)]
+        tensors += [rand_volterra_tensor(rng, m) for m in (2, 3, 5, 12)]
+        tensors += [op_family(OpFamilySpec(f, *rng.random(3))) for f in range(1, 7)]
+        tensors += [op_family(OpFamilySpec(f, 0.0, 0.5, 1.0)) for f in range(1, 7)]
+        signed = tensors[-1].p.copy()
+        signed[signed == 0.0] = -0.0  # a QsoTensor holds -0.0, and so does its kernel
+        tensors.append(QsoTensor(3, signed))
+        tensors.append(validate(tensors[0].p * (1.0 - 5e-10)))  # rows off one within EPS_VAL
+        for V in tensors:
+            K = FiniteKernel.from_tensor(V)
+            want = FiniteKernel(V.m, V.p)
+            assert K.n == want.n == V.m
+            assert K.q.tobytes() == want.q.tobytes()
+            assert K.q is V.p and not K.q.flags.writeable
+
+    @pytest.mark.parametrize("case", ["not stochastic", "inf", "large eps"])
+    def test_same_errors_as_the_constructor(self, case):
+        p = op_family(OpFamilySpec(1, 0.3, 0.6, 0.9)).p.copy()
+        if case == "not stochastic":
+            V = QsoTensor(3, 0.5 * p)
+        elif case == "inf":
+            p[0, 1, 2] = p[1, 0, 2] = np.inf
+            V = QsoTensor(3, p)
+        else:
+            V = validate(0.9 * p, eps=0.2)  # its slices sum to 0.9
+        with pytest.raises(QsoError) as want:
+            FiniteKernel(V.m, V.p)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            FiniteKernel.from_tensor(V)
 
 
 class TestKernelApply:

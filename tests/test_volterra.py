@@ -291,6 +291,23 @@ class TestCertificateMatchesReference:
                 V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
                 assert volterra_certificate(V, eps) == reference_certificate(V, eps)
 
+    @pytest.mark.parametrize("eps", [1e-12, 0.49, 0.5, 0.99, 1.0, 2.0])
+    def test_each_probe_mask_level(self, eps):
+        # probe coordinates are 0, 1/2 or 1, so eps picks one of three cached
+        # masks; mixing in the uniform operator moves forbidden and midpoint
+        # mass across eps, up to 1/2 at m = 2
+        rng = np.random.default_rng(97)
+        verdicts = set()
+        for m in (2, 3, 4, 6):
+            uniform = np.full((m, m, m), 1.0 / m)
+            for t in np.linspace(0.0, 1.0, 9):
+                for W in (rand_volterra_tensor(rng, m), rand_tensor(rng, m)):
+                    V = QsoTensor(m, (1.0 - t) * W.p + t * uniform)
+                    got = volterra_certificate(V, eps)
+                    assert got == reference_certificate(V, eps)
+                    verdicts.add(got)
+        assert verdicts == ({True, False} if eps < 1.0 else {True})
+
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1e-9])
     def test_eps_must_be_positive(self, eps):
         uniform = validate(np.full((3, 3, 3), 1.0 / 3.0))
