@@ -22,8 +22,10 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,18 +180,15 @@ class SimplexPoint:
 
     @classmethod
     def _trusted_rows(cls, rows: np.ndarray) -> list["SimplexPoint"]:
-        """:meth:`_trusted` of each row of a 2-d float array, in one pass.
+        """:meth:`_trusted` of each row of a 2-d float array, in C-level loops.
 
         The caller gives up ``rows``: it is made read-only once, and each
         point holds a view of its row.
         """
         rows.flags.writeable = False
-        new, put = object.__new__, cls.coords.__set__  # the slot, past __setattr__
-        points = []
-        for row in rows:
-            pt = new(cls)
-            put(pt, row)
-            points.append(pt)
+        points = list(map(object.__new__, itertools.repeat(cls, len(rows))))
+        # the slot, past __setattr__; the deque only drains the map
+        deque(map(cls.coords.__set__, points, rows), maxlen=0)
         return points
 
     def __setattr__(self, name, value):  # pragma: no cover - guard

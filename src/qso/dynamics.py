@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+import itertools
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -43,24 +46,65 @@ _FLOAT_MAX_M = 7
 _FLOAT_MAX_TERMS = 56
 # compiled float steps kept, one per nonzero pattern and size
 _STEP_CACHE_SIZE = 64
+# rows wrapped as points at a time when a trajectory's points are iterated
+_WRAP_BLOCK = 256
 
 STATUS_CONVERGED = "converged"
 STATUS_CYCLE = "cycle"
 STATUS_BUDGET = "budget_exhausted"
 
 
-@dataclass
-class Trajectory:
-    """An orbit of the iteration together with how it terminated."""
+class _Points(Sequence):
+    """Read-only sequence of points over the rows of an orbit array.
 
-    points: list[SimplexPoint] = field(default_factory=list)
+    Each access wraps its row in a new :class:`SimplexPoint` whose
+    ``coords`` is a read-only view of the row; a slice is another view.
+    Iteration wraps ``_WRAP_BLOCK`` rows at a time.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Points(self._rows[k])
+        return SimplexPoint._trusted(self._rows[operator.index(k)])
+
+    def __iter__(self):
+        rows = self._rows
+        blocks = (rows[s:s + _WRAP_BLOCK] for s in range(0, len(rows), _WRAP_BLOCK))
+        return itertools.chain.from_iterable(map(SimplexPoint._trusted_rows, blocks))
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """An orbit of the iteration together with how it terminated.
+
+    ``coords`` holds the orbit as one (n + 1) x m float array, row t being
+    point t; it is made read-only, not copied. ``points`` wraps its rows
+    as :class:`SimplexPoint` on access. Trajectories compare by identity.
+    """
+
+    coords: np.ndarray
     status: str = STATUS_BUDGET
     cycle_length: Optional[int] = None
     iterations: int = 0
 
+    def __post_init__(self):
+        self.coords.flags.writeable = False
+
+    @property
+    def points(self) -> Sequence[SimplexPoint]:
+        return _Points(self.coords)
+
     @property
     def final(self) -> SimplexPoint:
-        return self.points[-1]
+        return SimplexPoint._trusted(self.coords[-1])
 
     @property
     def status_label(self) -> str:
@@ -170,9 +214,10 @@ def iterate(
     a <= b <= c, fl(c - a) >= fl(b - a). Otherwise the (step, lag) match
     table is one array expression over all coordinates, its differences
     taken in place. Its first row with a match is the stop, its smallest
-    lag there the cycle length, and the images past it are dropped; the
-    rows kept become points in one pass (``SimplexPoint._trusted_rows``).
-    An error inside a chunk is raised only if no step before it stops.
+    lag there the cycle length, and the images past it are dropped. The
+    chunks' arrays are kept as they are and joined once into the
+    trajectory's array; no point is wrapped until it is read. An error
+    inside a chunk is raised only if no step before it stops.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -193,7 +238,8 @@ def iterate(
     col = buf.strides[1]
     back = np.ndarray((m, cap + 1, size), float, buf, 0, (buf.strides[0], col, col))
     back.flags.writeable = False
-    points = [x0]
+    # the orbit's rows, one array per chunk
+    kept = [x0.coords.reshape(1, m)]
     # a chunk's images in one list: the float step's coordinates end to end,
     # the einsum's arrays one per step
     new = []
@@ -227,18 +273,18 @@ def iterate(
             hits = np.flatnonzero(near.any(axis=1))
             if hits.size:
                 r = int(hits[0])
-                points.extend(SimplexPoint._trusted_rows(rows[: r + 1]))
+                kept.append(rows[: r + 1])
                 lag = size - int(np.flatnonzero(near[r])[-1])
                 if lag == 1:
-                    return Trajectory(points, STATUS_CONVERGED, None, t0 + r)
-                return Trajectory(points, STATUS_CYCLE, lag, t0 + r)
+                    return Trajectory(np.concatenate(kept), STATUS_CONVERGED, None, t0 + r)
+                return Trajectory(np.concatenate(kept), STATUS_CYCLE, lag, t0 + r)
         if error is not None:
             raise error
-        points.extend(SimplexPoint._trusted_rows(rows))
+        kept.append(rows)
         buf[:, :size] = buf[:, n:n + size]
         t0 += n
         chunk = min(2 * chunk, cap)
-    return Trajectory(points, STATUS_BUDGET, None, max_iter)
+    return Trajectory(np.concatenate(kept), STATUS_BUDGET, None, max_iter)
 
 
 def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozenset:
@@ -254,10 +300,9 @@ def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozense
 
 def write_trajectory_csv(traj: Trajectory, fh: IO[str]) -> None:
     """Emit ``iter,x1,...,xm,status`` rows; the final row carries the status."""
-    m = traj.points[0].m
+    n, m = traj.coords.shape
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["iter"] + [f"x{i}" for i in range(1, m + 1)] + ["status"])
-    last = len(traj.points) - 1
-    for t, pt in enumerate(traj.points):
-        status = traj.status_label if t == last else ""
-        writer.writerow([t] + [format(c, ".17g") for c in pt.coords] + [status])
+    for t, row in enumerate(traj.coords):
+        status = traj.status_label if t == n - 1 else ""
+        writer.writerow([t] + [format(c, ".17g") for c in row.tolist()] + [status])

@@ -388,11 +388,11 @@ def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,
         nxt = apply(V, points[-1])
         points.append(nxt)
         if np.abs(nxt.coords - points[-2].coords).max() <= tol:
-            return Trajectory(points, "converged", None, t)
+            return Trajectory(np.array([p.coords for p in points]), "converged", None, t)
         for dist in range(2, min(window, t) + 1):
             if np.abs(nxt.coords - points[t - dist].coords).max() <= tol:
-                return Trajectory(points, "cycle", dist, t)
-    return Trajectory(points, "budget_exhausted", None, max_iter)
+                return Trajectory(np.array([p.coords for p in points]), "cycle", dist, t)
+    return Trajectory(np.array([p.coords for p in points]), "budget_exhausted", None, max_iter)
 
 
 def reference_is_op_grid(V: QsoTensor, grid: int = 101, eps_supp: float = EPS_SUPP) -> bool:

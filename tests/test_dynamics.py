@@ -608,6 +608,89 @@ class TestPointsStayImmutable:
                 pt.coords[0] = 0.5
 
 
+def leaving(start: float) -> tuple[QsoTensor, SimplexPoint]:
+    """Species 3 about doubles each step from ``start``, and slice (3, 3) sums to 1.5.
+
+    An image sums to 1 + x_3^2 / 2, so the orbit leaves the simplex once x_3
+    passes ~4.5e-5: at step 53 from 1e-20, inside the fourth chunk.
+    """
+    a = np.array([[0.0, 0.3, -1.0], [-0.3, 0.0, -1.0], [1.0, 1.0, 0.0]])
+    p = from_canonical(SkewMatrix(3, a)).p.copy()
+    p[2, 2] *= 1.5
+    return QsoTensor(3, p), SimplexPoint([(1.0 - start) / 2, (1.0 - start) / 2, start])
+
+
+class TestOrbitArray:
+    """The orbit is one read-only array; ``points`` wraps its rows on access."""
+
+    @pytest.mark.parametrize("V, x0, status", [
+        (op_family(OpFamilySpec(2, 0.3, 0.6, 0.9)), SimplexPoint([0.5, 0.3, 0.2]), "converged"),
+        (op_family(OpFamilySpec(1, 0.5, 0.5, 0.5)), SimplexPoint([0.7, 0.1, 0.2]), "cycle"),
+        (HETEROCLINIC, SimplexPoint([0.5, 0.3, 0.2]), "budget_exhausted"),
+        (from_canonical(rand_skew(np.random.default_rng(93), 10)),
+         rand_simplex(np.random.default_rng(94), 10), "budget_exhausted"),
+    ], ids=["converged", "cycle", "budget", "einsum budget"])
+    def test_points_view_matches_reference(self, V, x0, status):
+        got = iterate(V, x0, max_iter=300)
+        want = reference_iterate(V, x0, 300, dynamics.DEFAULT_TOL)
+        assert got.status == status
+        assert_same_trajectory(got, want)
+        n = got.iterations + 1
+        assert got.coords.shape == (n, V.m) and got.coords.dtype == float
+        assert got.coords.tobytes() == want.coords.tobytes()
+        pts = got.points
+        assert len(pts) == n
+        for k in (0, 1, n // 2, n - 1, -1, -n):
+            pt = pts[k]
+            assert type(pt) is SimplexPoint and pt.m == V.m
+            assert pt.coords.tobytes() == want.points[k].coords.tobytes()
+            assert np.shares_memory(pt.coords, got.coords)
+        assert pts[0].coords.tobytes() == x0.coords.tobytes()
+        for sl in (slice(1, None), slice(None, None, 3), slice(-5, None), slice(n, None)):
+            assert [p.coords.tobytes() for p in pts[sl]] == [
+                p.coords.tobytes() for p in list(want.points)[sl]]
+        assert b"".join(p.coords.tobytes() for p in pts) == want.coords.tobytes()
+        assert got.final.coords.tobytes() == got.coords[-1].tobytes() == pts[-1].coords.tobytes()
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                pts[bad]
+        with pytest.raises(TypeError):
+            pts[1.0]
+
+    def test_writes_raise(self):
+        traj = iterate(HETEROCLINIC, SimplexPoint([0.5, 0.3, 0.2]), max_iter=50)
+        for target in (traj.coords, traj.points[7].coords, traj.points[-1].coords,
+                       traj.final.coords, next(iter(traj.points[3:])).coords):
+            assert not target.flags.writeable
+            with pytest.raises(ValueError):
+                target[0] = 0.5
+        assert traj.coords[7].tobytes() == traj.points[7].coords.tobytes()
+
+    def test_error_after_stored_chunks_matches_reference(self):
+        V, x0 = leaving(1e-20)
+        with pytest.raises(InvalidPoint, match="sums to"):
+            assert_same_run(V, x0, 500, 1e-300, 64)
+            iterate(V, x0, max_iter=500, tol=1e-300)
+        # three chunks (28 steps) were stored before the one that raises
+        for budget in (28, 52):
+            traj = assert_same_run(V, x0, budget, 1e-300, 64)
+            assert (traj.status, len(traj.points)) == ("budget_exhausted", budget + 1)
+        assert assert_same_run(V, x0, 53, 1e-300, 64) is None
+
+    def test_orbit_memory_is_its_array(self):
+        # no per-point objects: a 10^4-step m = 3 orbit holds 240 kB of
+        # coordinates, where 10^4 SimplexPoint objects took ~1.9 MB
+        x0 = SimplexPoint([0.5, 0.3, 0.2])
+        tracemalloc.start()
+        try:
+            traj = iterate(HETEROCLINIC, x0, max_iter=10_000, tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.iterations == 10_000
+        assert peak < 3 * traj.coords.nbytes
+
+
 class TestFixedVertices:
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_bad_tolerance_is_a_typed_error(self, tol):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,13 @@ from qso import (
     validate,
     volterra_certificate,
 )
-from qso.errors import DimensionMismatch, InvalidSkew, NegativeCoefficient, ParameterOutOfRange
+from qso.errors import (
+    DimensionMismatch,
+    InvalidPoint,
+    InvalidSkew,
+    NegativeCoefficient,
+    ParameterOutOfRange,
+)
 from qso.volterra import _forbidden_max
 
 
@@ -307,6 +315,32 @@ class TestCertificateMatchesReference:
                     assert got == reference_certificate(V, eps)
                     verdicts.add(got)
         assert verdicts == ({True, False} if eps < 1.0 else {True})
+
+    @pytest.mark.parametrize("case", ["zero", "doubled", "one slice off", "inf"])
+    def test_probe_image_off_the_simplex_raises(self, case):
+        # the reference applies V to each probe, which raises InvalidPoint
+        # from the first image whose sum is off; no 0/0 warning, no verdict
+        p = rand_volterra_tensor(np.random.default_rng(98), 3).p.copy()
+        if case == "zero":
+            p[:] = 0.0
+        elif case == "doubled":
+            p *= 2.0
+        else:
+            p[1, 2, :] = p[2, 1, :] = 1.5 * p[1, 2] if case == "one slice off" else np.inf
+        V = QsoTensor(3, p)
+        with pytest.raises(InvalidPoint):
+            reference_certificate(V)
+        probe = "(e_2 + e_3)/2" if case in ("one slice off", "inf") else "e_1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPoint, match=rf"probe point {re.escape(probe)} sums to"):
+                volterra_certificate(V)
+
+    def test_sums_within_eps_of_one_still_decide(self):
+        V = rand_volterra_tensor(np.random.default_rng(99), 4)
+        for scale in (1.0 - 0.9 * EPS_VAL, 1.0 + 0.9 * EPS_VAL):
+            W = QsoTensor(4, scale * V.p)
+            assert volterra_certificate(W) == reference_certificate(W) is True
 
     @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1e-9])
     def test_eps_must_be_positive(self, eps):
