@@ -22,7 +22,17 @@ SIGPIPE, what a shell reports for a writer killed by that signal). With
 significant digits.
 
 ``dyn iterate --max-iter`` is capped at ``MAX_ITER``, and a larger count
-exits 2 with ``TooLarge``; the library's ``iterate`` takes any count.
+exits 2 with ``TooLarge``; the library's ``iterate`` takes any count. An
+option left out keeps the library's default (``algebra.EPS_ASSOC``,
+``dynamics.DEFAULT_MAX_ITER``, ``dynamics.DEFAULT_TOL``, the refutation
+grid step).
+
+A process pays only for the command it runs. This module imports the
+standard library and ``qso.errors`` alone, and ``import qso`` loads no
+submodule; each command imports what it uses where it runs, after it has
+read its JSON payload. So ``--help``, usage errors and undecodable JSON
+exit without importing numpy, and ``validate`` loads only ``core`` and
+``serialize``.
 """
 
 from __future__ import annotations
@@ -35,10 +45,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import algebra, conjugacy, dynamics, kernel, orthopreserve, serialize, volterra
-from .core import EPS_VAL, SimplexPoint, apply
 from .errors import QsoError, TooLarge
 
 EXIT_BROKEN_PIPE = 141
@@ -70,11 +76,28 @@ def _parse_floats(text: str) -> list[float]:
         raise QsoError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
+def _given(**options) -> dict:
+    """The options given on the command line; one left out (None) keeps the library default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _load_tensor(args, mode: str = "strict"):
-    return serialize.tensor_from_obj(_read_json(args.op), mode=mode)
+    obj = _read_json(args.op)
+    from . import serialize
+
+    return serialize.tensor_from_obj(obj, mode=mode)
+
+
+def _load_kernel(args):
+    obj = _read_json(args.op)
+    from . import serialize
+
+    return serialize.kernel_from_obj(obj)
 
 
 def _write_or_print(args, obj, human: str) -> None:
+    from . import serialize
+
     text = serialize.dumps(obj)
     out = getattr(args, "out", None)
     if out:
@@ -84,6 +107,8 @@ def _write_or_print(args, obj, human: str) -> None:
 
 
 def _tensor_human(V) -> str:
+    from . import serialize
+
     lines = [f"m = {V.m}; nonzero entries (i <= j):"]
     for ent in serialize.tensor_to_obj(V)["entries"]:
         lines.append(f"  p[{ent['i']},{ent['j']},{ent['k']}] = {ent['p']:.17g}")
@@ -111,6 +136,9 @@ def cmd_validate(args) -> int:
 
 def cmd_apply(args) -> int:
     V = _load_tensor(args)
+    from . import serialize
+    from .core import SimplexPoint, apply
+
     x = SimplexPoint(_parse_floats(args.x0))
     y = apply(V, x)
     _write_or_print(args, serialize.point_to_obj(y), f"image: {_fmt_point(y.coords)}")
@@ -118,16 +146,24 @@ def cmd_apply(args) -> int:
 
 
 def cmd_volterra_check(args) -> int:
-    return _verdict(args, "volterra", volterra.is_volterra(_load_tensor(args)))
+    V = _load_tensor(args)
+    from . import volterra
+
+    return _verdict(args, "volterra", volterra.is_volterra(V))
 
 
 def cmd_volterra_canonical(args) -> int:
     if args.skew:
-        a = serialize.skew_from_obj(_read_json(args.skew))
+        obj = _read_json(args.skew)
+        from . import serialize, volterra
+
+        a = serialize.skew_from_obj(obj)
         V = volterra.from_canonical(a)
         _write_or_print(args, serialize.tensor_to_obj(V), _tensor_human(V))
         return 0
     V = _load_tensor(args)
+    from . import serialize, volterra
+
     a = volterra.to_canonical(V)
     rows = "\n".join("  " + _fmt_point(row) for row in a.a)
     _write_or_print(args, serialize.skew_to_obj(a), f"canonical parameters:\n{rows}")
@@ -135,10 +171,15 @@ def cmd_volterra_canonical(args) -> int:
 
 
 def cmd_volterra_certificate(args) -> int:
-    return _verdict(args, "certificate", volterra.volterra_certificate(_load_tensor(args)))
+    V = _load_tensor(args)
+    from . import volterra
+
+    return _verdict(args, "certificate", volterra.volterra_certificate(V))
 
 
 def cmd_op_build(args) -> int:
+    from . import orthopreserve, serialize
+
     spec = orthopreserve.OpFamilySpec(args.family, args.alpha, args.beta, args.gamma)
     V = orthopreserve.op_family(spec)
     _write_or_print(args, serialize.tensor_to_obj(V), _tensor_human(V))
@@ -146,12 +187,18 @@ def cmd_op_build(args) -> int:
 
 
 def cmd_op_check(args) -> int:
-    verdict = orthopreserve.is_orthogonality_preserving(_load_tensor(args))
+    V = _load_tensor(args)
+    from . import orthopreserve
+
+    verdict = orthopreserve.is_orthogonality_preserving(V)
     return _verdict(args, "orthogonality_preserving", verdict, "orthogonality-preserving")
 
 
 def cmd_op_classify(args) -> int:
-    spec = orthopreserve.classify_op(_load_tensor(args))
+    V = _load_tensor(args)
+    from . import orthopreserve, serialize
+
+    spec = orthopreserve.classify_op(V)
     human = (
         f"family {spec.family}: alpha = {spec.alpha:.12g}, "
         f"beta = {spec.beta:.12g}, gamma = {spec.gamma:.12g}"
@@ -162,6 +209,8 @@ def cmd_op_classify(args) -> int:
 
 def cmd_op_conjugate(args) -> int:
     V = _load_tensor(args)
+    from . import conjugacy, serialize
+
     perm = conjugacy.Permutation.from_one_based(_parse_floats(args.perm))
     W = conjugacy.conjugate(V, perm)
     _write_or_print(args, serialize.tensor_to_obj(W), _tensor_human(W))
@@ -169,6 +218,8 @@ def cmd_op_conjugate(args) -> int:
 
 
 def cmd_op_classes(args) -> int:
+    from . import conjugacy
+
     classes = conjugacy.conjugacy_classes()
     as_lists = [sorted(c) for c in classes]
     human = "classes: " + " | ".join("{" + ",".join(map(str, c)) + "}" for c in as_lists)
@@ -177,17 +228,26 @@ def cmd_op_classes(args) -> int:
 
 
 def cmd_algebra_check(args) -> int:
-    return _verdict(args, "associative", algebra.is_associative(_load_tensor(args), eps=args.tol))
+    V = _load_tensor(args)
+    from . import algebra
+
+    return _verdict(args, "associative", algebra.is_associative(V, **_given(eps=args.tol)))
 
 
 def cmd_algebra_residual(args) -> int:
     V = _load_tensor(args)
+    from . import algebra
+
     r = algebra.associator_residual(V)
     _write_or_print(args, {"residual": r}, f"associator residual: {r:.17g}")
     return 0
 
 
 def cmd_algebra_solve_v2(args) -> int:
+    import numpy as np
+
+    from . import algebra
+
     solutions = sorted(algebra.assoc_solutions_v2())
     disagreements = []
     for corner in ((a, b, g) for a in (0.0, 1.0) for b in (0.0, 1.0) for g in (0.0, 1.0)):
@@ -204,7 +264,9 @@ def cmd_algebra_solve_v2(args) -> int:
 
 
 def cmd_algebra_refute(args) -> int:
-    rep = algebra.refute_associativity(args.family, args.step)
+    from . import algebra
+
+    rep = algebra.refute_associativity(args.family, **_given(grid_step=args.step))
     obj = {
         "family": rep.family,
         "grid_step": rep.grid_step,
@@ -221,7 +283,9 @@ def cmd_algebra_refute(args) -> int:
 
 
 def cmd_kernel_apply(args) -> int:
-    K = serialize.kernel_from_obj(_read_json(args.op))
+    K = _load_kernel(args)
+    from . import kernel, serialize
+
     mu = kernel.DiscreteMeasure(_parse_floats(args.x0))
     out = kernel.kernel_apply(K, mu)
     _write_or_print(args, serialize.point_to_obj(out), f"image: {_fmt_point(out.coords)}")
@@ -229,13 +293,17 @@ def cmd_kernel_apply(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    K = serialize.kernel_from_obj(_read_json(args.op))
+    K = _load_kernel(args)
+    from . import kernel
+
     return _verdict(args, "volterra", kernel.kernel_is_volterra(K))
 
 
 def cmd_kernel_oracle(args) -> int:
-    K = serialize.kernel_from_obj(_read_json(args.op))
-    witness = kernel.volterra_violation_witness(K, EPS_VAL)
+    K = _load_kernel(args)
+    from . import kernel
+
+    witness = kernel.volterra_violation_witness(K)
     verdict = witness is None
     obj = {"volterra": verdict}
     human = f"volterra (exhaustive): {str(verdict).lower()}"
@@ -249,10 +317,13 @@ def cmd_kernel_oracle(args) -> int:
 
 def cmd_dyn_iterate(args) -> int:
     V = _load_tensor(args)
+    from . import dynamics, serialize
+    from .core import SimplexPoint
+
     x0 = SimplexPoint(_parse_floats(args.x0))
-    if args.max_iter > MAX_ITER:
+    if args.max_iter is not None and args.max_iter > MAX_ITER:
         raise TooLarge(f"--max-iter is capped at {MAX_ITER}, got {args.max_iter}")
-    traj = dynamics.iterate(V, x0, max_iter=args.max_iter, tol=args.tol)
+    traj = dynamics.iterate(V, x0, **_given(max_iter=args.max_iter, tol=args.tol))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             dynamics.write_trajectory_csv(traj, fh)
@@ -272,7 +343,9 @@ def cmd_dyn_iterate(args) -> int:
 
 def cmd_dyn_fixed_points(args) -> int:
     V = _load_tensor(args)
-    fixed = sorted(dynamics.fixed_points_on_vertices(V, tol=args.tol))
+    from . import dynamics
+
+    fixed = sorted(dynamics.fixed_points_on_vertices(V, **_given(tol=args.tol)))
     _write_or_print(args, fixed, f"fixed vertices: {fixed}")
     return 0
 
@@ -332,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     asub = group("algebra", "induced algebra and associativity")
     p = leaf(asub, "check", "associativity on basis triples", cmd_algebra_check)
-    p.add_argument("--tol", type=float, default=algebra.EPS_ASSOC)
+    p.add_argument("--tol", type=float)
     leaf(asub, "residual", "largest associator entry", cmd_algebra_residual)
     leaf(asub, "solve-v2", "associative corners of family 2", cmd_algebra_solve_v2, op=None)
     p = leaf(asub, "refute", "grid evidence of non-associativity", cmd_algebra_refute, op=None)
     p.add_argument("--family", type=int, required=True, choices=(1, 4))
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--step", type=float)
 
     ksub = group("kernel", "finite measure-kernel operators")
     p = leaf(ksub, "apply", "apply a kernel to a measure", cmd_kernel_apply, op=_KERNEL_HELP)
@@ -350,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = group("dyn", "trajectory iteration")
     p = leaf(dsub, "iterate", "iterate from a start point", cmd_dyn_iterate)
     p.add_argument("--x0", required=True, help="comma-separated coordinates")
-    p.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--out", help="write the trajectory CSV to this file")
     p = leaf(dsub, "fixed-points", "vertices fixed by the operator", cmd_dyn_fixed_points)
-    p.add_argument("--tol", type=float, default=dynamics.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
 
     for p in leaves:  # last, so --json ends every leaf's option list
         p.add_argument("--json", action="store_true", help="emit deterministic JSON")

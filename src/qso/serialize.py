@@ -13,24 +13,26 @@ All index fields in payloads are 1-based. Formats:
 * permutation: {"sigma": [2, 3, 1]}     (images of 1..m)
 
 ``dumps`` renders with sorted keys and floats at 17 significant digits so
-identical inputs always produce byte-identical output. An entry list (a
-list of plain dicts sharing one set of str keys, each key holding only
-ints or only floats) is written with one ``%`` format over its columns;
-``_entries_to_array`` reads a well-formed entry list column by column and
-falls back to the per-entry loop, the only source of its error messages,
-for anything its bulk checks refuse.
+identical inputs always produce byte-identical output; strings are escaped
+as ``json.dumps(..., ensure_ascii=False)`` escapes them (quote, backslash
+and the control characters U+0000-U+001F), so every output is valid JSON.
+An entry list (a list of plain dicts sharing one set of str keys, each key
+holding only ints or only floats) is written with one ``%`` format over its
+columns; ``_entries_to_array`` reads a well-formed entry list column by
+column and falls back to the per-entry loop, the only source of its error
+messages, for anything its bulk checks refuse.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring as _fmt_str
 from operator import itemgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .conjugacy import Permutation
 from .core import QsoTensor, SimplexPoint, _integer, as_integer, validate
 from .errors import (
     DimensionMismatch,
@@ -40,19 +42,18 @@ from .errors import (
     QsoError,
     TooLarge,
 )
-from .kernel import DiscreteMeasure, FiniteKernel
-from .orthopreserve import OpFamilySpec
-from .volterra import SkewMatrix
+
+if TYPE_CHECKING:
+    # the ``*_from_obj`` functions import these where they build them, so
+    # decoding a tensor loads only ``core`` and ``errors``
+    from .conjugacy import Permutation
+    from .kernel import DiscreteMeasure, FiniteKernel
+    from .orthopreserve import OpFamilySpec
+    from .volterra import SkewMatrix
 
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _fmt_str(s: str) -> str:
-    if '"' in s or "\\" in s:
-        s = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
 
 
 # row template field for each exact column type; "%.17g" % x and
@@ -291,6 +292,8 @@ def kernel_to_obj(K: FiniteKernel) -> dict:
 
 
 def kernel_from_obj(obj: dict) -> FiniteKernel:
+    from .kernel import FiniteKernel
+
     n = _dimension(obj, "n", "kernel")
     return FiniteKernel(n, _entries_to_array(n, obj.get("q", []), "kernel"))
 
@@ -324,6 +327,8 @@ measure_to_obj = point_to_obj
 
 
 def measure_from_obj(obj: dict) -> DiscreteMeasure:
+    from .kernel import DiscreteMeasure
+
     return DiscreteMeasure(_coords_from_obj(obj, "measure"))
 
 
@@ -332,6 +337,8 @@ def skew_to_obj(a: SkewMatrix) -> dict:
 
 
 def skew_from_obj(obj: dict) -> SkewMatrix:
+    from .volterra import SkewMatrix
+
     m = _dimension(obj, "m", "skew matrix")
     rows = _require(obj, "a", "skew matrix")
     try:
@@ -356,6 +363,8 @@ def spec_to_obj(spec: OpFamilySpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> OpFamilySpec:
+    from .orthopreserve import OpFamilySpec
+
     return OpFamilySpec(
         _require(obj, "family", "family spec"),
         _require(obj, "alpha", "family spec"),
@@ -369,4 +378,6 @@ def perm_to_obj(perm: Permutation) -> dict:
 
 
 def perm_from_obj(obj: dict) -> Permutation:
+    from .conjugacy import Permutation
+
     return Permutation.from_one_based(_require(obj, "sigma", "permutation"))

@@ -10,6 +10,7 @@ library output against these independent routes.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -458,8 +459,7 @@ def reference_dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(str(obj), ensure_ascii=False)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -160,6 +160,18 @@ def test_dumps_matches_reference(obj):
     assert _text_or_error(dumps, obj) == _text_or_error(reference_dumps, obj)
 
 
+@pytest.mark.parametrize("code", range(32))
+def test_control_characters_are_escaped(code):
+    """Every U+0000-U+001F survives json.loads in a key, a value and a record-list key."""
+    s = f"a{chr(code)}b"
+    records = [{s: 1, "p": 0.5}, {s: 2, "p": 0.25}]
+    for obj in ({s: 1}, {"k": s}, [s, "x"], records):
+        assert json.loads(dumps(obj)) == obj
+    for obj in (s, {s: s}, [s, {s: [s]}]):
+        assert dumps(obj) == json.dumps(obj, ensure_ascii=False, sort_keys=True,
+                                        separators=(",", ":"))
+
+
 def _array_or_error(read, m, entries, payload):
     try:
         p = read(m, entries, payload)
