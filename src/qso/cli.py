@@ -153,18 +153,14 @@ def cmd_volterra_check(args) -> int:
 
 
 def cmd_volterra_canonical(args) -> int:
-    if args.skew:
-        obj = _read_json(args.skew)
-        from . import serialize, volterra
-
-        a = serialize.skew_from_obj(obj)
-        V = volterra.from_canonical(a)
-        _write_or_print(args, serialize.tensor_to_obj(V), _tensor_human(V))
-        return 0
-    V = _load_tensor(args)
+    obj = _read_json(args.skew or args.op)
     from . import serialize, volterra
 
-    a = volterra.to_canonical(V)
+    if args.skew:
+        V = volterra.from_canonical(serialize.skew_from_obj(obj))
+        _write_or_print(args, serialize.tensor_to_obj(V), _tensor_human(V))
+        return 0
+    a = volterra.to_canonical(serialize.tensor_from_obj(obj))
     rows = "\n".join("  " + _fmt_point(row) for row in a.a)
     _write_or_print(args, serialize.skew_to_obj(a), f"canonical parameters:\n{rows}")
     return 0

@@ -1,13 +1,13 @@
 """Wall and CPU time of one ``qso`` process per command, for two source trees.
 
-    python tests/cli_startup.py OLD_SRC NEW_SRC [--runs 24] [--seed 0]
+    python tests/cli_startup.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding a ``qso`` package (a checkout's
 ``src``). The commands are the ten kinds of the benchmark's ``cli`` workload
 (``bench/workloads.py``; ``algebra residual`` at m = 20), with input files
-that workload writes from ``--seed``. Each round runs every command once
-under each tree, in an order that alternates between rounds, so both trees
-see the same host load. A first, untimed round checks that both trees give
+that workload writes from seed ``SEED``. Each of ``RUNS`` rounds runs every
+command once under each tree, in an order that alternates between rounds,
+so both trees see the same host load. A first, untimed round checks that both trees give
 the same exit code, stdout and stderr.
 
 Per command it prints the median wall ms from spawn to exit and the median
@@ -35,15 +35,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # add its start-up to every child's CPU time
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
+RUNS = 24  # timed runs per command and tree
+SEED = 0  # seed of the workload's input files
 
 
-def commands(workdir: Path, new_src: Path, seed: int) -> dict[str, list[str]]:
+def commands(workdir: Path, new_src: Path) -> dict[str, list[str]]:
     """One argv per ``cli`` workload kind, with its input files written to ``workdir``."""
     sys.path[:0] = [str(new_src), str(ROOT / "bench")]
     import numpy as np
     from workloads import Cli
 
-    wl = Cli(np.random.default_rng(seed), workdir)
+    wl = Cli(np.random.default_rng(SEED), workdir)
     argv = {}
     for task_id, kind in enumerate(wl.round_kinds):
         argv.setdefault(kind[0], wl.make_task(task_id, kind).data["argv"])
@@ -77,28 +79,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
-    ap.add_argument("--runs", type=int, default=24, help="timed runs per command and tree")
-    ap.add_argument("--seed", type=int, default=0, help="seed of the workload's input files")
     args = ap.parse_args(argv)
     trees = (args.old_src.resolve(), args.new_src.resolve())
 
     with tempfile.TemporaryDirectory(prefix="cli-startup-") as tmp:
         workdir = Path(tmp)
-        cmds = commands(workdir, trees[1], args.seed)
+        cmds = commands(workdir, trees[1])
         for kind, cmd in cmds.items():
             old, new = (output(src, cmd, workdir) for src in trees)
             if old != new:
                 print(f"{kind}: the trees differ on {cmd}:\n  {old}\n  {new}", file=sys.stderr)
                 return 1
         times = {(kind, side): ([], []) for kind in cmds for side in (0, 1)}
-        for run in range(args.runs):
+        for run in range(RUNS):
             for kind, cmd in cmds.items():
                 for side in (run % 2, 1 - run % 2):
                     wall, cpu = spawn(trees[side], cmd, workdir)
                     times[kind, side][0].append(wall * 1e3)
                     times[kind, side][1].append(cpu * 1e3)
 
-    print(f"{args.runs} runs per command and tree, medians in ms; "
+    print(f"{RUNS} runs per command and tree, medians in ms; "
           f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}")
     print(f"{'command':<18}{'wall old':>10}{'wall new':>10}{'cpu old':>10}{'cpu new':>10}"
           f"{'cpu change':>12}")

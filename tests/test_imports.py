@@ -50,8 +50,10 @@ def _child(args: list[str], cwd) -> subprocess.CompletedProcess:
 
 def _run_cli(argv: list[str], cwd) -> tuple[dict, set[str]]:
     """(record, loaded modules) of one ``qso`` process; qso.errors is left out."""
-    proc = _child(["-c", WRAPPER, "modules.json", *argv], cwd)
-    loaded = set(json.loads((cwd / "modules.json").read_text(encoding="utf-8")))
+    report = cwd / "modules.json"
+    report.unlink(missing_ok=True)  # a child that writes no report fails the read below
+    proc = _child(["-c", WRAPPER, str(report), *argv], cwd)
+    loaded = set(json.loads(report.read_text(encoding="utf-8")))
     record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
     return record, {m.removeprefix("qso.") for m in loaded} - {"errors"}
 
