@@ -12,12 +12,19 @@ This module owns the two value types (:class:`SimplexPoint`,
 :class:`QsoTensor`), tensor validation, operator application, and the
 support-based order predicates (absolute continuity, orthogonality).
 
+A :class:`QsoTensor` holds all three invariants above: its constructor
+refuses an array that is not exactly symmetric, has a negative entry or
+has a slice whose sum misses one by more than ``EPS_VAL``. So the image of
+a simplex point under any tensor sums to one within that tolerance, and
+:func:`apply` only divides by the sum; it raises no point error.
+
 Conventions
 -----------
 * Arrays are indexed 0-based internally; index *sets* returned to callers
   (supports, vertex labels) and all JSON payloads are 1-based.
 * ``EPS_VAL`` separates construction noise from genuine violations;
-  ``EPS_SUPP`` decides support membership. Both can be overridden per call.
+  ``EPS_SUPP`` decides support membership. Both can be overridden per
+  call, except the slice sums of a :class:`QsoTensor`, always ``EPS_VAL``.
 """
 
 from __future__ import annotations
@@ -140,7 +147,7 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     if lo < 0.0:
         v[v < 0.0] = 0.0
         total = v.sum()
-    if abs(total - 1.0) > eps:
+    if abs(total - 1.0) > eps or total == 0.0:  # eps >= 1 would let 0 through to 0/0
         raise InvalidPoint(f"{what} sums to {float(total)!r}, expected 1 within {eps:g}")
     v /= total
     return v
@@ -220,13 +227,32 @@ class SimplexPoint:
         return f"{type(self).__name__}([{inside}])"
 
 
+def _check_slices(sums: np.ndarray, eps: float) -> float:
+    """The largest distance of a slice sum from one; :class:`NotStochastic` if above ``eps``.
+
+    The one slice check, of :class:`QsoTensor` and of strict :func:`validate`.
+    The error names the first worst slice (i, j), 1-based; since the slices
+    are symmetric, that one has i <= j. An infinite sum is off by inf.
+    """
+    off = np.abs(sums - 1.0)
+    worst = off.max()
+    if not worst <= eps:
+        bad = np.unravel_index(off.argmax(), sums.shape)
+        raise NotStochastic(
+            f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {float(sums[bad])!r}; "
+            f"off by {worst:.3e}"
+        )
+    return worst
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class QsoTensor:
     """Dense cubic array of heredity coefficients for an m-species QSO.
 
-    The array is exactly symmetric in its first two indices and >= 0 (the
-    constructor checks both, in that order); :func:`validate` and the
-    package's builders also establish stochasticity.
+    The array is exactly symmetric in its first two indices, >= 0, and each
+    slice p[i, j, :] sums to one within ``EPS_VAL``; the constructor checks
+    the three in that order. :func:`validate` repairs raw data into this
+    form, and the package's builders make it directly.
     """
 
     m: int
@@ -248,20 +274,22 @@ class QsoTensor:
             )
         if not p.min() >= 0:  # NaN already failed the symmetry check
             raise NegativeCoefficient(f"coefficient below zero: min entry = {p.min():.3e}")
+        _check_slices(p.sum(axis=2), EPS_VAL)
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
     @classmethod
     def _trusted(cls, m: int, p: np.ndarray) -> "QsoTensor":
-        """Wrap a C-ordered m x m x m float array, m >= 2, symmetric in (i, j) and >= 0.
+        """Wrap a C-ordered m x m x m float array, m >= 2, that the constructor would accept.
 
         The twin of :meth:`SimplexPoint._trusted`, for builders whose array
-        is all three by construction (a fresh array with the same value >= 0
-        in both halves, the same permutation applied to i and j, or a
-        symmetrized C-ordered array clamped at 0 and rescaled by its slice
-        sums). The caller gives up ``p``: it is made read-only, not checked
-        and not copied. Anything else goes through the public constructor.
+        is symmetric in (i, j), >= 0 and stochastic by construction (a fresh
+        array with the same value >= 0 in both halves and slices of t and
+        1 - t, the same permutation applied to i and j, or a symmetrized
+        C-ordered array clamped at 0 and rescaled by its slice sums). The
+        caller gives up ``p``: it is made read-only, not checked and not
+        copied. Anything else goes through the public constructor.
         """
         p.flags.writeable = False
         V = object.__new__(cls)
@@ -277,13 +305,16 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     """Check (and optionally repair) a raw cubic array of coefficients.
 
     In ``strict`` mode the input must already satisfy the invariants within
-    ``eps``; it is symmetrized exactly but otherwise untouched. In
+    ``eps``; it is symmetrized exactly, and its slices are divided by their
+    sums only if one of them is more than ``EPS_VAL`` off, which a larger
+    ``eps`` allows, so that the result is a :class:`QsoTensor`. In
     ``normalize`` mode the array is symmetrized via (p[i,j,k]+p[j,i,k])/2
     and every (i, j) slice is rescaled to sum to one. The input is read in
     C order, so the result depends only on its values, not on their layout.
 
     Raw entries below -eps raise :class:`NegativeCoefficient` and entries
-    above 1 + eps raise :class:`NotStochastic` in both modes. ``eps`` must be
+    above 1 + eps raise :class:`NotStochastic` in both modes, as does a
+    slice with a sum <= 0 that would have to be rescaled. ``eps`` must be
     nonnegative; NaN or a negative value raises :class:`ParameterOutOfRange`.
 
     The result is the only m^3 array made: the strict asymmetry is measured
@@ -319,24 +350,22 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
         sym = np.add(arr, arr_t)
     sym /= 2.0
 
+    # normalize rescales every slice, strict only when one is more than
+    # EPS_VAL off; a sum <= 0 is off by at least one, which strict allows
+    # only with eps >= 1
     sums = sym.sum(axis=2)
-    if mode == "strict":
-        worst = np.abs(sums - 1.0).max()
-        if worst > eps:
-            bad = np.unravel_index(np.abs(sums - 1.0).argmax(), sums.shape)
-            raise NotStochastic(
-                f"slice ({bad[0] + 1}, {bad[1] + 1}) sums to {float(sums[bad])!r}; "
-                f"off by {worst:.3e}"
-            )
-    elif sums.min() <= 0.0:
+    worst = _check_slices(sums, eps) if mode == "strict" else math.inf
+    if worst >= 1.0 and sums.min() <= 0.0:
         raise NotStochastic("cannot rescale a slice with non-positive sum")
     # every raw entry is >= -eps, so is every mean of two: only noise is
-    # clamped, and a mean of two entries >= 0 is >= 0 (or -0.0, kept)
+    # clamped, and a mean of two entries >= 0 is >= 0 (or -0.0, kept); the
+    # clamp raises a slice sum by up to m * eps
     if lo < 0.0:
         sym[sym < 0.0] = 0.0
-        if mode == "normalize":
-            sums = sym.sum(axis=2)
-    if mode == "normalize":
+        sums = sym.sum(axis=2)
+        if mode == "strict":
+            worst = np.abs(sums - 1.0).max()
+    if worst > EPS_VAL:
         sym /= sums[:, :, None]
 
     # (a + a^T) / 2 is exactly symmetric, and mirrored slices hold the same
@@ -344,34 +373,27 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     return QsoTensor._trusted(m, sym)
 
 
-def _image(
-    p: np.ndarray, x: np.ndarray, eps: float = EPS_VAL, what: str = SimplexPoint._label
-) -> np.ndarray:
-    """Coordinates of the image of x under the coefficients p, cleaned as a point.
+def _image(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coordinates of the image of x under the coefficients p, divided by their sum.
 
     The one image routine: x'_k = sum_{i,j} p[i, j, k] x_i x_j, then the
-    point check of :class:`SimplexPoint` with label ``what``. Coefficients
-    and coordinates are >= 0, so a sum within ``eps`` of one only needs the
-    division, the same bits as the full check; any other image gets the
-    full check only to word the :class:`InvalidPoint` it raises. The
-    einsum is called past numpy's dispatch and the sum is the ufunc reduce
-    that ``out.sum()`` runs, so the bits are those of ``np.einsum`` and
+    division that :class:`SimplexPoint` makes of a point. Slices that sum
+    to one within ``EPS_VAL`` and a point on the simplex give a sum within
+    that tolerance of one, so there is nothing to check. The einsum is
+    called past numpy's dispatch and the sum is the ufunc reduce that
+    ``out.sum()`` runs, so the bits are those of ``np.einsum`` and
     ``out.sum()``.
     """
     out = _einsum("ijk,i,j->k", p, x, x)
-    total = np.add.reduce(out)
-    if abs(total - 1.0) <= eps:  # false for a non-finite sum
-        out /= total
-        return out
-    return _clean_prob_vector(out, eps, what)
+    out /= np.add.reduce(out)
+    return out
 
 
-def apply(V: QsoTensor, x: SimplexPoint, *, eps: float = EPS_VAL) -> SimplexPoint:
+def apply(V: QsoTensor, x: SimplexPoint) -> SimplexPoint:
     """Image of x under the operator: x'_k = sum_{i,j} p[i, j, k] x_i x_j."""
-    check_tol("eps", eps)
     if x.m != V.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, operator expects {V.m}")
-    return SimplexPoint._trusted(_image(V.p, x.coords, eps=eps))
+    return SimplexPoint._trusted(_image(V.p, x.coords))
 
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> frozenset[int]:

@@ -2,7 +2,8 @@
 
 No global convergence theory is attempted; iteration stops on pointwise
 convergence, on revisiting a recent point (a cycle), or on exhausting the
-step budget.
+step budget. A :class:`~qso.core.QsoTensor` has stochastic slices, so no
+image leaves the simplex and an orbit never fails midway.
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .core import (
-    EPS_VAL,
-    QsoTensor,
-    SimplexPoint,
-    _clean_prob_vector,
-    _image,
-    _integer,
-    apply,
-    check_tol,
-)
-from .errors import DimensionMismatch, InvalidPoint
+from .core import QsoTensor, SimplexPoint, _image, _integer, apply, check_tol
+from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -113,11 +105,6 @@ class Trajectory:
         return self.status
 
 
-def _float_fallback(out: list[float]) -> list[float]:
-    """The full point check of an image on Python floats, as ``core._image`` makes it."""
-    return _clean_prob_vector(np.array(out), EPS_VAL, SimplexPoint._label).tolist()
-
-
 @functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
 def _step_maker(flat: tuple[int, ...], m: int):
     """Compile ``make(c0, c1, ...)``, which returns the float step of one orbit.
@@ -128,11 +115,10 @@ def _step_maker(flat: tuple[int, ...], m: int):
     array, which is C-ordered, einsum adds (p[i, j, k] * x_i) * x_j into a
     zeroed output in (i, j) order, and skipping an exact-zero coefficient only
     skips adding +0.0; numpy sums fewer than 8 doubles left to right, as
-    ``t`` does. An image that fails the division-only path gets the full
-    point check, which raises ``InvalidPoint`` as ``_image`` would. The
-    source holds only indices and fixed names; coefficient values reach the
-    step only through ``make``'s arguments, so no cached function carries
-    another operator's values.
+    ``t`` does, and each coordinate is divided by ``t`` as ``_image``
+    divides by its sum. The source holds only indices and fixed names;
+    coefficient values reach the step only through ``make``'s arguments,
+    so no cached function carries another operator's values.
     """
     sums = [["0.0"] for _ in range(m)]
     for n, f in enumerate(flat):
@@ -146,12 +132,10 @@ def _step_maker(flat: tuple[int, ...], m: int):
         f"        {', '.join(f'x{i}' for i in range(m))} = x",
         *(f"        o{k} = {' + '.join(terms)}" for k, terms in enumerate(sums)),
         f"        t = 0.0 + {' + '.join(out)}",
-        "        if abs(t - 1.0) <= EPS_VAL:  # false for a non-finite sum",
-        f"            return [{', '.join(f'{o} / t' for o in out)}]",
-        f"        return fallback([{', '.join(out)}])",
+        f"        return [{', '.join(f'{o} / t' for o in out)}]",
         "    return step",
     ]
-    namespace = {"EPS_VAL": EPS_VAL, "fallback": _float_fallback}
+    namespace = {}
     exec(compile("\n".join(lines), "<qso float step>", "exec"), namespace)
     return namespace["make"]
 
@@ -194,9 +178,8 @@ def iterate(
     bounded cache; this orbit's coefficient values are bound to it as
     arguments, never written into its source. It performs the einsum's
     additions in the einsum's order, so its bits are the einsum's. Both
-    steps take a division-only path, since coefficients and points are
-    >= 0 and so is every term; an image that fails it gets the full point
-    check, which raises ``InvalidPoint`` where ``apply`` would.
+    steps divide by the image's sum and check nothing: the tensor's slices
+    sum to one, so every image lies on the simplex.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
@@ -216,8 +199,7 @@ def iterate(
     taken in place. Its first row with a match is the stop, its smallest
     lag there the cycle length, and the images past it are dropped. The
     chunks' arrays are kept as they are and joined once into the
-    trajectory's array; no point is wrapped until it is read. An error
-    inside a chunk is raised only if no step before it stops.
+    trajectory's array; no point is wrapped until it is read.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -249,13 +231,8 @@ def iterate(
         x, push = x0.coords.tolist(), new.extend
     t0, chunk = 1, min(_CHUNK_FIRST, cap)
     while t0 <= max_iter:
-        error = None
         for _ in range(min(chunk, max_iter - t0 + 1)):
-            try:
-                x = step(x)
-            except InvalidPoint as exc:
-                error = exc
-                break
+            x = step(x)
             push(x)
         rows = np.array(new).reshape(-1, m)
         new.clear()
@@ -278,8 +255,6 @@ def iterate(
                 if lag == 1:
                     return Trajectory(np.concatenate(kept), STATUS_CONVERGED, None, t0 + r)
                 return Trajectory(np.concatenate(kept), STATUS_CYCLE, lag, t0 + r)
-        if error is not None:
-            raise error
         kept.append(rows)
         buf[:, :size] = buf[:, n:n + size]
         t0 += n

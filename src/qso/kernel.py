@@ -25,7 +25,10 @@ with the routine behind :func:`~qso.core.apply`, and
 :func:`kernel_is_volterra` reads the forbidden-entry maximum of
 :func:`~qso.volterra.is_volterra`. :class:`FiniteKernel` keeps its own
 validation: it accepts a single atom, which a QSO tensor does not, and
-words its errors for kernels.
+words its errors for kernels. Both types hold the same invariants (exact
+symmetry, entries >= 0, rows summing to one within ``EPS_VAL``), so
+:meth:`FiniteKernel.from_tensor` and :meth:`FiniteKernel.to_tensor` share
+the array unchecked, and an image measure is only divided by its sum.
 """
 
 from __future__ import annotations
@@ -131,17 +134,11 @@ class FiniteKernel:
     def from_tensor(cls, V: QsoTensor) -> "FiniteKernel":
         """View an m-species operator as a kernel on m atoms, sharing its array.
 
-        ``V.p`` is C-ordered, exactly symmetric and >= 0, so the
-        constructor's symmetrization and clamp would return its bits
-        unchanged; only the row sums are checked. A tensor whose rows miss
-        one by more than ``EPS_VAL`` (a public ``QsoTensor`` that holds inf
-        or is not stochastic, or one from ``validate`` with a large
-        ``eps``) goes through the constructor, which raises as it would for
-        the same array.
+        ``V.p`` is C-ordered, exactly symmetric, >= 0 and its rows sum to
+        one within ``EPS_VAL``: the constructor would keep its bits, so
+        nothing is checked.
         """
-        if np.abs(V.p.sum(axis=2) - 1.0).max() <= EPS_VAL:  # false for inf
-            return cls._trusted(V.m, V.p)
-        return cls(V.m, V.p)
+        return cls._trusted(V.m, V.p)
 
     def to_tensor(self) -> QsoTensor:
         if self.n < 2:
@@ -153,8 +150,7 @@ def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Image measure: (V mu)_k = sum_{x,y} q[x, y, k] mu_x mu_y."""
     if mu.n != K.n:
         raise DimensionMismatch(f"measure on {mu.n} atoms, kernel on {K.n}")
-    out = _image(K.q, mu.coords, EPS_VAL, DiscreteMeasure._label)
-    return DiscreteMeasure._trusted(out)
+    return DiscreteMeasure._trusted(_image(K.q, mu.coords))
 
 
 def kernel_is_volterra(K: FiniteKernel, eps: float = EPS_VAL) -> bool:

@@ -19,7 +19,9 @@ closed forms, V(e_k) = p[k, k, :] and
     V((e_i + e_j) / 2) = (p[i, i, :] + 2 p[i, j, :] + p[j, j, :]) / 4,
 
 so all m + C(m, 2) images are one (m, m, m) array whose i = j diagonal is
-the vertex image.
+the vertex image. Every QsoTensor's slices also sum to one within
+``EPS_VAL``, so every probe image does too and is divided by its sum
+without a check, as ``apply`` divides.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .core import (
 )
 from .errors import (
     DimensionMismatch,
-    InvalidPoint,
     InvalidSkew,
     NotVolterra,
     ParameterOutOfRange,
@@ -186,20 +187,6 @@ def check_abs_continuity_property(
     return all(abs_continuous(apply(V, x), x, eps_supp) for x in samples)
 
 
-def _off_simplex(sums: np.ndarray) -> InvalidPoint:
-    """The error for the first probe, in :func:`certificate_points` order, whose image sum is off."""
-    off = ~(np.abs(sums - 1.0) <= EPS_VAL)  # NaN too
-    k = np.flatnonzero(off.diagonal())
-    if k.size:
-        i = j = int(k[0])
-        name = f"e_{i + 1}"
-    else:
-        i, j = (int(c) for c in np.argwhere(np.triu(off, 1))[0])
-        name = f"(e_{i + 1} + e_{j + 1})/2"
-    return InvalidPoint(
-        f"image of probe point {name} sums to {float(sums[i, j])!r}, expected 1 within {EPS_VAL:g}")
-
-
 def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     """Decide the Volterra property from finitely many probe points.
 
@@ -212,11 +199,11 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
 
     No operator is applied: image[i, j] = (p[i, i] + p[j, j] + 2 p[i, j]) / 4
     is V((e_i + e_j) / 2), and its diagonal image[k, k] = p[k, k] = V(e_k)
-    exactly. Each image is divided by its own sum, as :class:`SimplexPoint`
-    does, and compared against the probe point's support; this is
+    exactly. Each image is divided by its own sum, as ``apply`` does, and
+    compared against the probe point's support; this is
     :func:`check_abs_continuity_property` on :func:`certificate_points`.
-    As there, an image whose sum lies more than ``EPS_VAL`` from one (NaN
-    too) raises :class:`InvalidPoint`, naming the first such probe.
+    The tensor's slices sum to one, so every probe image sums to one
+    within ``EPS_VAL`` and nothing is checked before the division.
     The coordinates outside a probe's support at ``eps`` depend only on m
     and on where eps lies against 1/2 and 1, so that mask is cached per
     size (below 1/2 it is the forbidden-entry mask) and read by a masked
@@ -226,9 +213,6 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     check_tol("eps", eps, positive=True)
     vertex_images = V.p.diagonal(0, 0, 1).T  # [k, j] = p[k, k, j], a view
     images = (vertex_images[:, None, :] + vertex_images[None, :, :] + 2.0 * V.p) / 4.0
-    sums = images.sum(axis=2, keepdims=True)
-    if not np.abs(sums - 1.0).max() <= EPS_VAL:  # NaN too
-        raise _off_simplex(sums[..., 0])
-    images /= sums
+    images /= images.sum(axis=2, keepdims=True)
     outside = _probe_mask(V.m, 0.0 if eps < 0.5 else 0.5 if eps < 1.0 else 1.0)
     return bool(images.max(where=outside, initial=0.0) <= eps)

@@ -86,8 +86,9 @@ def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
     """An m-species operator, built by the public constructor, on its first coordinates.
 
     Each slice (i, j) with i, j < ``support`` splits its mass over
-    ``outputs(i, j)`` random outputs below ``support``; every other slice is
-    zero. An orbit from a start on those coordinates stays on them.
+    ``outputs(i, j)`` random outputs below ``support``; every other slice
+    puts its mass on output max(i, j). An orbit from a start on the first
+    coordinates stays on them and never reads those other slices.
     """
     p = np.zeros((m, m, m))
     for i in range(support):
@@ -95,6 +96,8 @@ def sparse_operator(rng, m: int, support: int, outputs) -> QsoTensor:
             ks = rng.choice(support, outputs(i, j), replace=False)
             w = rng.exponential(size=ks.size)
             p[i, j, ks] = p[j, i, ks] = w / w.sum()
+    i, j = np.nonzero(p.sum(axis=2) == 0.0)
+    p[i, j, np.maximum(i, j)] = 1.0
     return QsoTensor(m, p)
 
 

@@ -38,6 +38,7 @@ from qso import (
     Permutation,
     abs_continuous,
     apply,
+    classify_op,
     conjugate,
     from_canonical,
     iterate,
@@ -47,6 +48,7 @@ from qso import (
     support,
     v2_condition_system,
     validate,
+    volterra_certificate,
 )
 import qso
 from qso import core
@@ -59,6 +61,9 @@ from qso.serialize import (
     tensor_to_obj,
 )
 from qso.errors import DimensionMismatch, ParameterOutOfRange
+
+
+GENERIC_PARAMS = (0.3, 0.6, 0.9)
 
 
 def uniform_tensor(m: int) -> np.ndarray:
@@ -82,6 +87,14 @@ class TestSimplexPoint:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidPoint):
             SimplexPoint([0.5, 0.6])
+
+    def test_a_zero_vector_is_no_point_at_any_eps(self):
+        # an image is only divided by its sum, so a NaN point would run on
+        message = "^simplex point sums to 0.0, expected 1 within 1$"
+        for coords in ([0.0, 0.0], [-0.5, 0.0]):
+            with pytest.raises(InvalidPoint, match=message):
+                SimplexPoint(coords, eps=1.0)
+        assert SimplexPoint([0.0, 0.25], eps=1.0).coords.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("coords", [[], [[0.5, 0.5]], 1.0])
     def test_rejects_empty_or_non_vector_coordinates(self, coords):
@@ -182,7 +195,7 @@ class TestQsoTensorSign:
 
     def test_negative_zero_and_nan(self):
         p = np.full((2, 2, 2), 0.5)
-        p[0, 1, 0] = p[1, 0, 0] = -0.0
+        p[0, 1] = p[1, 0] = [-0.0, 1.0]  # a stochastic slice holding -0.0
         assert QsoTensor(2, p).p[0, 1, 0].hex() == (-0.0).hex()
         p[0, 1, 0] = p[1, 0, 0] = np.nan  # NaN != NaN: the symmetry check speaks first
         with pytest.raises(NotSymmetric):
@@ -340,6 +353,19 @@ def _raw_cubes(draw):
     return p
 
 
+def rescaled_reference(p, mode, *, eps):
+    """``reference_validate``, its result divided by its slice sums if one is more than EPS_VAL off.
+
+    The reference keeps strict slices that are up to ``eps`` off as they
+    are; ``validate`` rescales them, so that its result is a tensor.
+    """
+    V = reference_validate(p, mode, eps=eps)
+    sums = V.p.sum(axis=2, keepdims=True)
+    if np.abs(sums - 1.0).max() <= EPS_VAL:
+        return V
+    return QsoTensor._trusted(V.m, V.p / sums)
+
+
 class TestValidateMatchesReference:
     """``validate`` gives the bits, errors and messages of the pre-in-place version."""
 
@@ -348,7 +374,7 @@ class TestValidateMatchesReference:
            eps=st.sampled_from([EPS_VAL, 0.0, 1e-6, 0.2]))
     def test_same_bits_and_errors(self, p, mode, eps):
         before = p.tobytes()
-        assert _outcome(validate, p, mode, eps) == _outcome(reference_validate, p, mode, eps)
+        assert _outcome(validate, p, mode, eps) == _outcome(rescaled_reference, p, mode, eps)
         assert p.tobytes() == before  # the input is never written
 
     @pytest.mark.parametrize("m", [30, 100])
@@ -516,6 +542,28 @@ def assert_trusted(V: QsoTensor) -> None:
     assert W.p.tobytes() == V.p.tobytes()
 
 
+#: parameters in [0, 1] including the corners and -0.0, which a spec keeps
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _noisy_kernels(draw):
+    """A kernel array: stochastic rows with a few symmetric changes within EPS_VAL."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.dirichlet(np.ones(n), size=(n, n))
+    q = (q + q.transpose(1, 0, 2)) / 2.0
+    if draw(st.booleans()):  # exact zeros, as in a Volterra kernel
+        q[rng.random((n, n, n)) < 0.4] = 0.0
+        q = (q + q.transpose(1, 0, 2)) / 2.0
+        q[q.sum(axis=2) == 0.0] = 1.0 / n
+        q /= q.sum(axis=2, keepdims=True)
+    for _ in range(draw(st.integers(0, 3))):
+        x, y, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        q[x, y, k] = q[y, x, k] = q[x, y, k] + draw(st.sampled_from([-5e-10, 5e-10, -1e-9]))
+    return n, q
+
+
 class TestTrustedBuilders:
     """Every builder that skips the constructor's checks gives what they accept."""
 
@@ -581,6 +629,141 @@ class TestTrustedBuilders:
         V = rand_tensor(np.random.default_rng(530 + m), m)
         for mode in ("strict", "normalize"):
             assert_trusted(tensor_from_obj(tensor_to_obj(V), mode=mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.integers(1, 6), params=st.tuples(_UNIT, _UNIT, _UNIT),
+           sigma=st.permutations(range(3)))
+    def test_drawn_op_family_and_its_conjugates(self, family, params, sigma):
+        V = op_family(OpFamilySpec(family, *params))
+        assert_trusted(V)
+        assert_trusted(conjugate(V, Permutation(sigma)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), corners=st.booleans())
+    def test_drawn_from_canonical_and_conjugate(self, seed, m, corners):
+        rng = np.random.default_rng(seed)
+        r = rng.choice([-1.0, 0.0, 1.0], (m, m)) if corners else rng.uniform(-1.0, 1.0, (m, m))
+        V = from_canonical(SkewMatrix(m, np.triu(r, 1) - np.triu(r, 1).T))
+        assert_trusted(V)
+        assert_trusted(conjugate(V, Permutation(rng.permutation(m))))
+        assert_trusted(conjugate(rand_tensor(rng, m), Permutation(rng.permutation(m))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=_raw_cubes(), mode=st.sampled_from(["strict", "normalize"]),
+           eps=st.sampled_from([EPS_VAL, 0.0, 1e-6, 0.2]))
+    def test_drawn_validate(self, p, mode, eps):
+        try:
+            V = validate(p, mode, eps=eps)
+        except qso.QsoError:
+            return
+        assert_trusted(V)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=_noisy_kernels())
+    def test_drawn_kernel_to_tensor(self, kernel):
+        n, q = kernel
+        try:
+            K = FiniteKernel(n, q)
+        except qso.QsoError:
+            return
+        if n >= 2:
+            assert_trusted(K.to_tensor())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6),
+           mode=st.sampled_from(["strict", "normalize"]))
+    def test_drawn_tensor_from_obj(self, seed, m, mode):
+        rng = np.random.default_rng(seed)
+        for V in (rand_tensor(rng, m), from_canonical(rand_skew(rng, m))):
+            assert_trusted(tensor_from_obj(tensor_to_obj(V), mode=mode))
+
+
+class TestStochasticSlices:
+    """Every slice of a QsoTensor sums to one within EPS_VAL; the constructor refuses the rest."""
+
+    def test_arrays_that_are_not_operators_are_refused(self):
+        family = op_family(OpFamilySpec(1, *GENERIC_PARAMS)).p
+        doubled_vertex = family.copy()
+        doubled_vertex[0, 0] *= 2.0
+        for p, message in [
+            (np.zeros((3, 3, 3)), "slice (1, 1) sums to 0.0; off by 1.000e+00"),
+            (np.full((3, 3, 3), np.inf), "slice (1, 1) sums to inf; off by inf"),
+            (0.5 * family, "slice (1, 1) sums to 0.5; off by 5.000e-01"),
+            (doubled_vertex, "slice (1, 1) sums to 2.0; off by 1.000e+00"),
+        ]:
+            with pytest.raises(NotStochastic, match=f"^{re.escape(message)}$"):
+                QsoTensor(3, p)
+
+    def test_the_tolerance_is_eps_val(self):
+        p = uniform_tensor(3)
+        for scale in (1.0 - 5e-10, 1.0 + 5e-10):
+            assert QsoTensor(3, scale * p).p.tobytes() == (scale * p).tobytes()
+        p = p.copy()
+        p[1, 2, 0] = p[2, 1, 0] = p[1, 2, 0] + 2e-9  # slices (2, 3) and (3, 2) off by 2e-9
+        with pytest.raises(NotStochastic, match=r"^slice \(2, 3\) sums to 1.000000002"):
+            QsoTensor(3, p)
+
+    def test_same_message_as_strict_validate(self):
+        p = 0.9 * op_family(OpFamilySpec(4, *GENERIC_PARAMS)).p
+        with pytest.raises(NotStochastic) as constructor:
+            QsoTensor(3, p)
+        with pytest.raises(NotStochastic) as strict:
+            validate(p)
+        assert str(constructor.value) == str(strict.value)
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_strict_with_a_larger_eps_gives_an_operator(self, family):
+        # slices that sum to 0.9 are rescaled, so every consumer takes the
+        # result and agrees with the normalized tensor
+        raw = 0.9 * op_family(OpFamilySpec(family, *GENERIC_PARAMS)).p
+        V = validate(raw, "strict", eps=0.2)
+        W = validate(raw, "normalize")
+        assert V.p.tobytes() == W.p.tobytes()
+        assert np.abs(V.p.sum(axis=2) - 1.0).max() <= EPS_VAL
+        x = SimplexPoint([0.5, 0.3, 0.2])
+        assert apply(V, x).coords.tobytes() == apply(W, x).coords.tobytes()
+        got, want = iterate(V, x, max_iter=200), iterate(W, x, max_iter=200)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert volterra_certificate(V) is volterra_certificate(W) is (family == 2)
+        assert FiniteKernel.from_tensor(V).q.tobytes() == FiniteKernel(3, W.p).q.tobytes()
+        spec = classify_op(V)
+        assert spec == classify_op(W)
+        assert spec.family == family
+        assert np.allclose(spec.params, GENERIC_PARAMS, rtol=0.0, atol=1e-15)
+
+    def test_strict_rescales_only_past_eps_val(self):
+        # slice sums 1 + 2^-20: accepted at eps = 2^-20 exactly, and rescaled
+        p = np.full((2, 2, 2), 0.5)
+        p[:, :, 0] += 2.0**-20
+        assert (p.sum(axis=2) == 1.0 + 2.0**-20).all()
+        V = validate(p, "strict", eps=2.0**-20)
+        assert V.p.tobytes() == (p / (1.0 + 2.0**-20)).tobytes()
+        with pytest.raises(NotStochastic, match="off by 9.537e-07$"):
+            validate(p, "strict", eps=2.0**-21)
+        # within EPS_VAL nothing moves, whatever eps allows
+        q = uniform_tensor(3) * (1.0 + 5e-10)
+        for eps in (EPS_VAL, 1e-6, 0.2):
+            assert validate(q, "strict", eps=eps).p.tobytes() == q.tobytes()
+
+    def test_strict_rescales_a_clamp_that_pushes_a_sum_past_eps_val(self):
+        # each raw slice sums to ~1 + 8e-10, within EPS_VAL; clamping its two
+        # -1e-9 entries adds 2e-9
+        row = np.array([-1e-9, -1e-9, 0.5 + 1.4e-9, 0.5 + 1.4e-9])
+        p = np.broadcast_to(row, (4, 4, 4))
+        assert np.abs(p.sum(axis=2) - 1.0).max() <= EPS_VAL
+        V = validate(p)
+        clamped = np.maximum(row, 0.0)
+        assert (V.p == clamped / clamped.sum()).all()
+        assert_trusted(V)
+
+    def test_strict_with_eps_of_one_refuses_an_empty_slice(self):
+        p = uniform_tensor(3).copy()
+        p[0, 2, :] = p[2, 0, :] = 0.0  # off by exactly one
+        with pytest.raises(NotStochastic, match="^cannot rescale a slice with non-positive sum$"):
+            validate(p, "strict", eps=1.0)
+        V = validate(uniform_tensor(3) * 0.25, "strict", eps=1.0)
+        assert V.p.tobytes() == validate(uniform_tensor(3), "normalize").p.tobytes()
 
 
 def other_layouts(a: np.ndarray) -> list[np.ndarray]:
@@ -709,7 +892,6 @@ class TestToleranceGuard:
             "validate": lambda eps: validate(uniform_tensor(3), eps=eps),
             "validate_normalize": lambda eps: validate(uniform_tensor(3), "normalize", eps=eps),
             "SimplexPoint": lambda eps: SimplexPoint([-3.0, 2.0], eps=eps),
-            "apply": lambda eps: apply(V, SimplexPoint([0.2, 0.3, 0.5]), eps=eps),
             "is_volterra": lambda eps: is_volterra(V, eps),
             "to_canonical": lambda eps: to_canonical(V, eps),
             "kernel_is_volterra": lambda eps: kernel_is_volterra(K, eps),
@@ -719,7 +901,7 @@ class TestToleranceGuard:
     @pytest.mark.parametrize("eps", [float("nan"), -1e-9, -1.0])
     @pytest.mark.parametrize(
         "site",
-        ["validate", "validate_normalize", "SimplexPoint", "apply", "is_volterra",
+        ["validate", "validate_normalize", "SimplexPoint", "is_volterra",
          "to_canonical", "kernel_is_volterra", "assoc_solutions_v2"],
     )
     def test_nan_and_negative_eps_raise(self, site, eps):
@@ -748,7 +930,6 @@ class TestToleranceGuard:
             ("is_volterra", "1e-9", r"eps must be nonnegative, got '1e-9'"),
             ("iterate", None, r"tol must be positive, got None"),
             ("is_associative", [1], r"eps must be nonnegative, got \[1\]"),
-            ("apply", "0", r"eps must be nonnegative, got '0'"),
             ("volterra_certificate", None, r"eps must be positive, got None"),
             ("refute_associativity", "0.05", r"grid_step must be in \(0, 0.1\], got '0.05'"),
             ("is_volterra", True, r"eps must be nonnegative, got True"),
@@ -757,8 +938,8 @@ class TestToleranceGuard:
             ("is_volterra", (1e-9,), r"eps must be nonnegative, got \(1e-09,\)"),
             ("is_volterra", np.array([1e-9]), r"eps must be nonnegative, got array"),
         ],
-        ids=["volterra-text", "iterate-None", "associative-list", "apply-text",
-             "certificate-None", "refute-text", "bool", "numpy-bool", "bytes", "tuple", "array"],
+        ids=["volterra-text", "iterate-None", "associative-list", "certificate-None",
+             "refute-text", "bool", "numpy-bool", "bytes", "tuple", "array"],
     )
     def test_non_numbers_are_parameter_errors(self, site, value, message):
         # a non-number used to escape as a bare TypeError from the comparison
@@ -769,7 +950,6 @@ class TestToleranceGuard:
             "is_volterra": lambda: is_volterra(V, value),
             "iterate": lambda: iterate(V, x, tol=value),
             "is_associative": lambda: is_associative(V, value),
-            "apply": lambda: apply(V, x, eps=value),
             "volterra_certificate": lambda: volterra_certificate(V, value),
             "refute_associativity": lambda: refute_associativity(1, value),
         }[site]

@@ -24,6 +24,7 @@ from qso import (
     InvalidFamily,
     NegativeCoefficient,
     NotOrthogonalityPreserving,
+    NotStochastic,
     OpFamilySpec,
     ParameterOutOfRange,
     QsoTensor,
@@ -341,7 +342,7 @@ def s2_cases(draw):
     negative or infinite value (NaN fails the constructor's symmetry check).
     The corner parameters include -0.0, which a spec keeps as it is. The
     array is symmetric; :func:`s2_tensor` makes it a tensor, or sees the
-    constructor refuse a negative entry.
+    constructor refuse a negative or infinite entry.
     """
     eps = draw(st.sampled_from(EPS_CHOICES))
     vertex_tol = draw(st.sampled_from(VERTEX_TOL_CHOICES))
@@ -377,11 +378,30 @@ def s2_cases(draw):
 
 
 def s2_tensor(p: np.ndarray) -> QsoTensor | None:
-    """``QsoTensor(3, p)``, or None once the constructor refuses a negative entry of p."""
+    """The tensor of p with stochastic slices, or None once the constructor refuses p.
+
+    A negative entry raises :class:`NegativeCoefficient` and an infinite one
+    :class:`NotStochastic`; no tensor holds either. Otherwise slices that
+    miss one by more than ``EPS_VAL`` raise :class:`NotStochastic` and are
+    divided by their sums, which keeps every entry's zero or nonzero; a
+    slice (i, j) of zeros becomes (e_i + e_j) / 2, as in a Volterra operator.
+    """
     if p.min() < 0:
         with pytest.raises(NegativeCoefficient, match="^coefficient below zero"):
             QsoTensor(3, p)
         return None
+    sums = p.sum(axis=2, keepdims=True)
+    if np.abs(sums - 1.0).max() <= EPS_VAL:
+        return QsoTensor(3, p)
+    with pytest.raises(NotStochastic, match=r"^slice \(\d, \d\) sums to "):
+        QsoTensor(3, p)
+    if np.isinf(sums).any():
+        return None
+    empty = sums[..., 0] == 0.0
+    p = np.divide(p, sums, out=np.zeros_like(p), where=sums > 0.0)
+    i, j = np.nonzero(empty)
+    p[i, j, i] += 0.5
+    p[i, j, j] += 0.5
     return QsoTensor(3, p)
 
 
@@ -421,7 +441,9 @@ class TestOnePassMatchesReference:
         for (i, j), (k, l) in pairs:
             p = base.copy()
             shared = int(np.argmax(p[k, l]))
-            p[i, j, shared] = p[j, i, shared] = 1e-3
+            for a, b in {(i, j), (j, i)}:  # 1e-3 of the slice moved onto the shared output
+                p[a, b, np.argmax(p[a, b])] -= 1e-3
+                p[a, b, shared] += 1e-3
             V = QsoTensor(3, p)
             assert is_orthogonality_preserving(V) is False
             assert reference_is_op_loop(V) is False

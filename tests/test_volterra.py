@@ -40,9 +40,9 @@ from qso import (
 )
 from qso.errors import (
     DimensionMismatch,
-    InvalidPoint,
     InvalidSkew,
     NegativeCoefficient,
+    NotStochastic,
     ParameterOutOfRange,
 )
 from qso.volterra import _forbidden_max
@@ -318,8 +318,9 @@ class TestCertificateMatchesReference:
 
     @pytest.mark.parametrize("case", ["zero", "doubled", "one slice off", "inf"])
     def test_probe_image_off_the_simplex_raises(self, case):
-        # the reference applies V to each probe, which raises InvalidPoint
-        # from the first image whose sum is off; no 0/0 warning, no verdict
+        # an array whose probe images would leave the simplex is no tensor:
+        # the constructor raises, naming the first slice that is off, so the
+        # certificate never divides 0 by 0 or returns a verdict for it
         p = rand_volterra_tensor(np.random.default_rng(98), 3).p.copy()
         if case == "zero":
             p[:] = 0.0
@@ -327,14 +328,11 @@ class TestCertificateMatchesReference:
             p *= 2.0
         else:
             p[1, 2, :] = p[2, 1, :] = 1.5 * p[1, 2] if case == "one slice off" else np.inf
-        V = QsoTensor(3, p)
-        with pytest.raises(InvalidPoint):
-            reference_certificate(V)
-        probe = "(e_2 + e_3)/2" if case in ("one slice off", "inf") else "e_1"
+        bad = "(2, 3)" if case in ("one slice off", "inf") else "(1, 1)"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidPoint, match=rf"probe point {re.escape(probe)} sums to"):
-                volterra_certificate(V)
+            with pytest.raises(NotStochastic, match=rf"^slice {re.escape(bad)} sums to "):
+                QsoTensor(3, p)
 
     def test_sums_within_eps_of_one_still_decide(self):
         V = rand_volterra_tensor(np.random.default_rng(99), 4)
@@ -368,6 +366,10 @@ def assert_forbidden_max_matches_gather(p: np.ndarray) -> None:
         with pytest.raises(NegativeCoefficient):
             QsoTensor(p.shape[0], p)
         return
+    if not np.abs(p.sum(axis=2) - 1.0).max() <= EPS_VAL:  # nor one with inf
+        with pytest.raises(NotStochastic):
+            QsoTensor(p.shape[0], p)
+        return
     V = QsoTensor(p.shape[0], p)
     assert is_volterra(V) == (want <= EPS_VAL)
     if want <= EPS_VAL:  # past the forbidden test; the skew check may still refuse it
@@ -385,15 +387,18 @@ class TestForbiddenMaxMatchesGather:
         for trial in range(6):
             V = rand_volterra_tensor(rng, m) if trial % 2 else rand_tensor(rng, m)
             assert_forbidden_max_matches_gather(V.p)
-            if m > 2:  # one forbidden entry just below or above eps
+            if m > 2:  # one forbidden entry just below or above eps, moved off output 1
                 p = rand_volterra_tensor(rng, m).p.copy()
-                p[0, 1, 2] = p[1, 0, 2] = EPS_VAL * (0.5 if trial % 2 else 2.0)
+                value = EPS_VAL * (0.5 if trial % 2 else 2.0)
+                p[0, 1, 2] = p[1, 0, 2] = value
+                p[0, 1, 0] = p[1, 0, 0] = p[0, 1, 0] - value
                 assert_forbidden_max_matches_gather(p)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, -0.5])
     def test_unvalidated_entries(self, value):
-        # _forbidden_max reads raw arrays; of these a QsoTensor holds only +inf
-        # (its constructor refuses NaN as asymmetric and negatives by sign)
+        # _forbidden_max reads raw arrays; a QsoTensor holds none of these (its
+        # constructor refuses NaN as asymmetric, negatives by sign and inf by
+        # its slice sum)
         p = from_canonical(rand_skew(np.random.default_rng(310), 4)).p.copy()
         p[0, 1, 2] = p[1, 0, 2] = value
         assert_forbidden_max_matches_gather(p)
