@@ -305,9 +305,12 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     """Check (and optionally repair) a raw cubic array of coefficients.
 
     In ``strict`` mode the input must already satisfy the invariants within
-    ``eps``; it is symmetrized exactly, and its slices are divided by their
-    sums only if one of them is more than ``EPS_VAL`` off, which a larger
-    ``eps`` allows, so that the result is a :class:`QsoTensor`. In
+    ``eps``; it is symmetrized exactly, small negatives are clamped to zero,
+    and the slices are divided by their sums only if one of them is then
+    more than ``EPS_VAL`` off, so that the result is a :class:`QsoTensor`.
+    A larger ``eps`` allows that, and so, at the default ``eps``, does a
+    clamp that raises a slice sum past ``EPS_VAL``; no other input is
+    rescaled. In
     ``normalize`` mode the array is symmetrized via (p[i,j,k]+p[j,i,k])/2
     and every (i, j) slice is rescaled to sum to one. The input is read in
     C order, so the result depends only on its values, not on their layout.

@@ -1,7 +1,6 @@
 """Mutation check: does the suite notice small breaks of the code it guards?
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 A mutant is one exact text, found exactly once in one file under ``src``,
 with its replacement, and the test files that should notice it. Each runs
@@ -137,13 +136,9 @@ def run(mutant: Mutant) -> tuple[bool, float]:
         return done.returncode != 0, time.perf_counter() - start
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+def main() -> int:
     wrong = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         killed, seconds = run(mutant)
         verdict = "killed" if killed else "survived"
         if mutant.equivalent:
@@ -152,9 +147,9 @@ def main(names: list[str]) -> int:
         wrong += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {verdict} in {seconds:.1f} s",
               flush=True)
-    print(f"{len(chosen) - wrong} of {len(chosen)} as expected")
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} as expected")
     return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

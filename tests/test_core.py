@@ -685,11 +685,14 @@ class TestStochasticSlices:
         family = op_family(OpFamilySpec(1, *GENERIC_PARAMS)).p
         doubled_vertex = family.copy()
         doubled_vertex[0, 0] *= 2.0
+        one_slice_off = family.copy()
+        one_slice_off[1, 2] = one_slice_off[2, 1] = 1.5 * family[1, 2]
         for p, message in [
             (np.zeros((3, 3, 3)), "slice (1, 1) sums to 0.0; off by 1.000e+00"),
             (np.full((3, 3, 3), np.inf), "slice (1, 1) sums to inf; off by inf"),
             (0.5 * family, "slice (1, 1) sums to 0.5; off by 5.000e-01"),
             (doubled_vertex, "slice (1, 1) sums to 2.0; off by 1.000e+00"),
+            (one_slice_off, "slice (2, 3) sums to 1.5; off by 5.000e-01"),
         ]:
             with pytest.raises(NotStochastic, match=f"^{re.escape(message)}$"):
                 QsoTensor(3, p)

@@ -337,12 +337,13 @@ def s2_cases(draw):
 
     Kinds: a family member at random or corner parameters (maybe conjugated),
     the same with one symmetric entry pair moved by a tolerance times
-    1 - 2^-20, 1 or 1 + 2^-20 (either sign), a random tensor with a random
-    sparsity pattern, and a family member with one entry pair replaced by a
-    negative or infinite value (NaN fails the constructor's symmetry check).
-    The corner parameters include -0.0, which a spec keeps as it is. The
-    array is symmetric; :func:`s2_tensor` makes it a tensor, or sees the
-    constructor refuse a negative or infinite entry.
+    1 - 2^-20, 1 or 1 + 2^-20 (either sign) and balanced by the largest
+    other entry of its slice where that entry can pay, a random tensor with
+    a random sparsity pattern, and a family member with one entry pair
+    replaced by a negative or infinite value (NaN fails the constructor's
+    symmetry check). The corner parameters include -0.0, which a spec keeps
+    as it is. The array is symmetric; :func:`s2_tensor` makes it a tensor,
+    or sees the constructor refuse a negative or infinite entry.
     """
     eps = draw(st.sampled_from(EPS_CHOICES))
     vertex_tol = draw(st.sampled_from(VERTEX_TOL_CHOICES))
@@ -370,10 +371,17 @@ def s2_cases(draw):
     if kind == "perturbed":
         tol = draw(st.sampled_from([t for t in (eps, vertex_tol, eps_supp) if t > 0]))
         delta = tol * (1.0 + draw(st.sampled_from(TOL_OFFSETS)))
-        value = p[i, j, k] + draw(st.sampled_from((delta, -delta)))
-    else:
-        value = draw(st.sampled_from((-1e-3, -EPS_VAL, -1.0, np.inf, -np.inf)))
-    p[i, j, k] = p[j, i, k] = value
+        delta = draw(st.sampled_from((delta, -delta)))
+        # the largest other entry of the slice pays for the move, so the slice
+        # stays stochastic and the entry moves by delta; when none can,
+        # the slice is left off and s2_tensor divides it by its sum
+        other = max((c for c in range(3) if c != k), key=lambda c: p[i, j, c])
+        p[i, j, k] += delta
+        if p[i, j, other] >= delta:
+            p[i, j, other] -= delta
+        p[j, i] = p[i, j]
+        return p, eps, vertex_tol, eps_supp
+    p[i, j, k] = p[j, i, k] = draw(st.sampled_from((-1e-3, -EPS_VAL, -1.0, np.inf, -np.inf)))
     return p, eps, vertex_tol, eps_supp
 
 

@@ -318,9 +318,9 @@ class TestCertificateMatchesReference:
 
     @pytest.mark.parametrize("case", ["zero", "doubled", "one slice off", "inf"])
     def test_probe_image_off_the_simplex_raises(self, case):
-        # an array whose probe images would leave the simplex is no tensor:
-        # the constructor raises, naming the first slice that is off, so the
-        # certificate never divides 0 by 0 or returns a verdict for it
+        # a Volterra array whose probe images would leave the simplex is no
+        # tensor: the constructor raises, naming the first slice that is off
+        # and without a numpy warning, so the certificate never meets it
         p = rand_volterra_tensor(np.random.default_rng(98), 3).p.copy()
         if case == "zero":
             p[:] = 0.0
