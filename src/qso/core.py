@@ -29,10 +29,8 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +135,18 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidPoint(f"{what} must be a nonempty 1-d vector")
-    total = v.sum()
-    # a non-finite entry makes the sum non-finite, so a finite sum needs no scan
-    if not math.isfinite(total) and not np.isfinite(v).all():
-        raise InvalidPoint(f"{what} contains non-finite entries")
-    lo = v.min()
-    if lo < -eps:
-        raise InvalidPoint(f"{what} has a negative entry: min = {lo:.3e}")
-    if lo < 0.0:
-        v[v < 0.0] = 0.0
+    # finite entries of ~1e308 can sum to inf: that sum is reported below, not warned of
+    with np.errstate(over="ignore"):
         total = v.sum()
+        # a non-finite entry makes the sum non-finite, so a finite sum needs no scan
+        if not math.isfinite(total) and not np.isfinite(v).all():
+            raise InvalidPoint(f"{what} contains non-finite entries")
+        lo = v.min()
+        if lo < -eps:
+            raise InvalidPoint(f"{what} has a negative entry: min = {lo:.3e}")
+        if lo < 0.0:
+            v[v < 0.0] = 0.0
+            total = v.sum()
     if abs(total - 1.0) > eps or total == 0.0:  # eps >= 1 would let 0 through to 0/0
         raise InvalidPoint(f"{what} sums to {float(total)!r}, expected 1 within {eps:g}")
     v /= total
@@ -184,19 +184,6 @@ class SimplexPoint:
         pt = object.__new__(cls)
         object.__setattr__(pt, "coords", coords)
         return pt
-
-    @classmethod
-    def _trusted_rows(cls, rows: np.ndarray) -> list["SimplexPoint"]:
-        """:meth:`_trusted` of each row of a 2-d float array, in C-level loops.
-
-        The caller gives up ``rows``: it is made read-only once, and each
-        point holds a view of its row.
-        """
-        rows.flags.writeable = False
-        points = list(map(object.__new__, itertools.repeat(cls, len(rows))))
-        # the slot, past __setattr__; the deque only drains the map
-        deque(map(cls.coords.__set__, points, rows), maxlen=0)
-        return points
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")

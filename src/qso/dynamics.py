@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .core import QsoTensor, SimplexPoint, _image, _integer, apply, check_tol
+from .core import QsoTensor, SimplexPoint, _image, _integer, check_tol
 from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-10
@@ -30,16 +29,15 @@ CYCLE_WINDOW = 64
 _CHUNK_FIRST = 4
 _CHUNK_MAX = 64
 _SCAN_ELEMENTS = 1 << 16
-# operators with at most this many species and nonzero coefficients step on
-# Python floats (see _step_maker); numpy sums 8 or more doubles pairwise,
-# and past ~56 terms a 200-step orbit that compiles a fresh pattern is no
-# longer faster than the einsum
-_FLOAT_MAX_M = 7
+# operators with at most this many nonzero coefficients step on Python
+# floats (see _step_maker): past ~56 terms a 200-step orbit that compiles a
+# fresh pattern is no longer faster than the einsum. It must stay below
+# 64 = 8^2: a QsoTensor has a nonzero in each of its m^2 slices, so the
+# cap keeps m <= 7, where numpy still sums left to right (8 or more
+# doubles it sums pairwise)
 _FLOAT_MAX_TERMS = 56
 # compiled float steps kept, one per nonzero pattern and size
 _STEP_CACHE_SIZE = 64
-# rows wrapped as points at a time when a trajectory's points are iterated
-_WRAP_BLOCK = 256
 
 STATUS_CONVERGED = "converged"
 STATUS_CYCLE = "cycle"
@@ -51,7 +49,6 @@ class _Points(Sequence):
 
     Each access wraps its row in a new :class:`SimplexPoint` whose
     ``coords`` is a read-only view of the row; a slice is another view.
-    Iteration wraps ``_WRAP_BLOCK`` rows at a time.
     """
 
     __slots__ = ("_rows",)
@@ -68,9 +65,7 @@ class _Points(Sequence):
         return SimplexPoint._trusted(self._rows[operator.index(k)])
 
     def __iter__(self):
-        rows = self._rows
-        blocks = (rows[s:s + _WRAP_BLOCK] for s in range(0, len(rows), _WRAP_BLOCK))
-        return itertools.chain.from_iterable(map(SimplexPoint._trusted_rows, blocks))
+        return map(SimplexPoint._trusted, self._rows)
 
 
 @dataclass(eq=False)
@@ -78,17 +73,21 @@ class Trajectory:
     """An orbit of the iteration together with how it terminated.
 
     ``coords`` holds the orbit as one (n + 1) x m float array, row t being
-    point t; it is made read-only, not copied. ``points`` wraps its rows
-    as :class:`SimplexPoint` on access. Trajectories compare by identity.
+    point t; it is made read-only, not copied. ``iterations`` is n, read
+    off its length, and ``points`` wraps its rows as :class:`SimplexPoint`
+    on access. Trajectories compare by identity.
     """
 
     coords: np.ndarray
     status: str = STATUS_BUDGET
     cycle_length: Optional[int] = None
-    iterations: int = 0
 
     def __post_init__(self):
         self.coords.flags.writeable = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.coords) - 1
 
     @property
     def points(self) -> Sequence[SimplexPoint]:
@@ -143,11 +142,12 @@ def _step_maker(flat: tuple[int, ...], m: int):
 def _float_step(p: np.ndarray):
     """The compiled float step of the coefficients p (see :func:`_step_maker`), or None.
 
-    None unless the operator is small enough: at most ``_FLOAT_MAX_M``
-    species and ``_FLOAT_MAX_TERMS`` nonzero coefficients. Operator arrays
-    are C-ordered (``QsoTensor``), so the size decides alone.
+    None unless the operator has at most ``_FLOAT_MAX_TERMS`` nonzero
+    coefficients, hence m <= 7: each of its m^2 slices holds one, so a
+    larger m needs no count. Operator arrays are C-ordered
+    (``QsoTensor``), so the count decides alone.
     """
-    if p.shape[0] > _FLOAT_MAX_M:
+    if p.shape[0] ** 2 > _FLOAT_MAX_TERMS:
         return None
     flat = np.flatnonzero(p)
     if flat.size > _FLOAT_MAX_TERMS:
@@ -171,7 +171,7 @@ def iterate(
     ``window <= 1`` only convergence is detected.
 
     Every point is bit for bit ``apply`` of the one before. An operator
-    with at most 7 species and 56 nonzero coefficients steps on Python
+    with at most 56 nonzero coefficients, hence m <= 7, steps on Python
     floats; every other one calls ``apply``'s image routine
     ``core._image``. The float step is straight-line code that
     ``_step_maker`` compiles once per (nonzero pattern, m) and keeps in a
@@ -253,24 +253,28 @@ def iterate(
                 kept.append(rows[: r + 1])
                 lag = size - int(np.flatnonzero(near[r])[-1])
                 if lag == 1:
-                    return Trajectory(np.concatenate(kept), STATUS_CONVERGED, None, t0 + r)
-                return Trajectory(np.concatenate(kept), STATUS_CYCLE, lag, t0 + r)
+                    return Trajectory(np.concatenate(kept), STATUS_CONVERGED)
+                return Trajectory(np.concatenate(kept), STATUS_CYCLE, lag)
         kept.append(rows)
         buf[:, :size] = buf[:, n:n + size]
         t0 += n
         chunk = min(2 * chunk, cap)
-    return Trajectory(np.concatenate(kept), STATUS_BUDGET, None, max_iter)
+    return Trajectory(np.concatenate(kept), STATUS_BUDGET)
 
 
 def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozenset:
-    """Labels (1-based) of the vertices fixed by the operator within ``tol``."""
+    """Labels (1-based) of the vertices fixed by the operator within ``tol``.
+
+    The image of the vertex e_k is the slice p[k, k, :] divided by its sum,
+    so row k of ``images`` is ``apply(V, e_k)`` bit for bit, up to the sign
+    of a zero that the distance drops. e_k is fixed when its image lies
+    within ``tol`` of it in max norm. The cost is O(m^2).
+    """
     check_tol("tol", tol, positive=True)
-    fixed = set()
-    for k in range(1, V.m + 1):
-        e = SimplexPoint.vertex(V.m, k)
-        if np.abs(apply(V, e).coords - e.coords).max() <= tol:
-            fixed.add(k)
-    return frozenset(fixed)
+    diag = V.p.diagonal(0, 0, 1).T  # diag[k] = p[k, k, :], a contiguous row
+    images = diag / diag.sum(axis=1, keepdims=True)
+    fixed = np.abs(images - np.eye(V.m)).max(axis=1) <= tol
+    return frozenset((np.flatnonzero(fixed) + 1).tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, fh: IO[str]) -> None:

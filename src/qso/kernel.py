@@ -98,14 +98,16 @@ class FiniteKernel:
             raise DimensionMismatch("a kernel needs at least one atom")
         if not np.all(np.isfinite(q)):
             raise NotStochastic("kernel contains non-finite entries")
-        asym = np.abs(q - q.transpose(1, 0, 2)).max()
-        if asym > EPS_VAL:
-            raise NotSymmetric(f"kernel asymmetry {asym:.3e} exceeds {EPS_VAL:g}")
-        q = (q + q.transpose(1, 0, 2)) / 2.0
-        if q.min() < -EPS_VAL:
-            raise NegativeCoefficient(f"kernel entry below zero: {q.min():.3e}")
-        q[q < 0.0] = 0.0
-        sums = q.sum(axis=2)
+        # finite entries of ~1e308 can differ or sum by inf: the checks report that, unwarned
+        with np.errstate(over="ignore"):
+            asym = np.abs(q - q.transpose(1, 0, 2)).max()
+            if asym > EPS_VAL:
+                raise NotSymmetric(f"kernel asymmetry {asym:.3e} exceeds {EPS_VAL:g}")
+            q = (q + q.transpose(1, 0, 2)) / 2.0
+            if q.min() < -EPS_VAL:
+                raise NegativeCoefficient(f"kernel entry below zero: {q.min():.3e}")
+            q[q < 0.0] = 0.0
+            sums = q.sum(axis=2)
         worst = np.abs(sums - 1.0).max()
         if worst > EPS_VAL:
             raise NotStochastic(f"a kernel row sums off one by {worst:.3e}")

@@ -107,11 +107,16 @@ class SkewMatrix:
             raise DimensionMismatch("a skew matrix needs at least one species")
         if not np.all(np.isfinite(a)):
             raise InvalidSkew("matrix contains non-finite entries")
-        dev = np.abs(a + a.T).max() / 2.0
+        top = np.abs(a).max()
+        # halved first past magnitude 1, so that entries of ~1e308 cannot sum to inf
+        if top <= 1.0 + EPS_VAL:
+            dev = np.abs(a + a.T).max() / 2.0
+        else:
+            dev = np.abs(a / 2.0 + a.T / 2.0).max()
         if dev > EPS_VAL:
             raise InvalidSkew(f"skew-symmetry violated by {dev:.3e}")
-        if np.abs(a).max() > 1.0 + EPS_VAL:
-            raise InvalidSkew(f"entry magnitude {np.abs(a).max():.6g} exceeds 1")
+        if top > 1.0 + EPS_VAL:
+            raise InvalidSkew(f"entry magnitude {top:.6g} exceeds 1")
         a = np.clip((a - a.T) / 2.0, -1.0, 1.0)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)

@@ -392,11 +392,21 @@ def reference_iterate(V: QsoTensor, x0: SimplexPoint, max_iter: int, tol: float,
         nxt = apply(V, points[-1])
         points.append(nxt)
         if np.abs(nxt.coords - points[-2].coords).max() <= tol:
-            return Trajectory(np.array([p.coords for p in points]), "converged", None, t)
+            return Trajectory(np.array([p.coords for p in points]), "converged")
         for dist in range(2, min(window, t) + 1):
             if np.abs(nxt.coords - points[t - dist].coords).max() <= tol:
-                return Trajectory(np.array([p.coords for p in points]), "cycle", dist, t)
-    return Trajectory(np.array([p.coords for p in points]), "budget_exhausted", None, max_iter)
+                return Trajectory(np.array([p.coords for p in points]), "cycle", dist)
+    return Trajectory(np.array([p.coords for p in points]), "budget_exhausted")
+
+
+def reference_fixed_points(V: QsoTensor, tol: float = 1e-10) -> frozenset:
+    """Oracle: apply the operator to each vertex and compare in max norm."""
+    fixed = set()
+    for k in range(1, V.m + 1):
+        e = SimplexPoint.vertex(V.m, k)
+        if np.abs(apply(V, e).coords - e.coords).max() <= tol:
+            fixed.add(k)
+    return frozenset(fixed)
 
 
 def reference_is_op_grid(V: QsoTensor, grid: int = 101, eps_supp: float = EPS_SUPP) -> bool:

@@ -88,6 +88,20 @@ MUTANTS = [
            "                if lag == 1:\n", "                if lag <= 1:\n",
            ("test_dynamics.py",),
            equivalent="a lag is a distance back in the window, so it is at least one"),
+    Mutant("iterations off by one", "dynamics.py",
+           "        return len(self.coords) - 1\n", "        return len(self.coords)\n",
+           ("test_dynamics.py",)),
+    Mutant("float step term cap at 64", "dynamics.py",
+           "_FLOAT_MAX_TERMS = 56\n", "_FLOAT_MAX_TERMS = 64\n",
+           ("test_dynamics.py",)),
+    # vertex fixed points read off the diagonal
+    Mutant("fixed-point images not divided", "dynamics.py",
+           "    images = diag / diag.sum(axis=1, keepdims=True)\n", "    images = diag\n",
+           ("test_dynamics.py",)),
+    Mutant("fixed-point <= becomes <", "dynamics.py",
+           "    fixed = np.abs(images - np.eye(V.m)).max(axis=1) <= tol\n",
+           "    fixed = np.abs(images - np.eye(V.m)).max(axis=1) < tol\n",
+           ("test_dynamics.py",)),
     # verdicts at their tolerance
     Mutant("is_volterra <= becomes <", "volterra.py",
            "    return bool(_forbidden_max(V.p) <= eps)\n",
@@ -106,6 +120,12 @@ MUTANTS = [
     Mutant("kernel oracle cap raised", "kernel.py",
            "_ORACLE_MAX_ATOMS = 12\n", "_ORACLE_MAX_ATOMS = 13\n",
            ("test_kernel.py",)),
+    Mutant("refute grid cap raised", "algebra.py",
+           "_REFUTE_MAX_AXIS = 201\n", "_REFUTE_MAX_AXIS = 202\n",
+           ("test_algebra.py",)),
+    Mutant("positive tolerance admits zero", "core.py",
+           "(value > 0 if positive else value >= 0)", "(value >= 0 if positive else value >= 0)",
+           ("test_core.py",)),
     Mutant("--max-iter cap off by one", "cli.py",
            "    if args.max_iter is not None and args.max_iter > MAX_ITER:\n",
            "    if args.max_iter is not None and args.max_iter > MAX_ITER + 1:\n",

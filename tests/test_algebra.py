@@ -387,7 +387,8 @@ class TestBatchedRefutation:
         again = associator_residual(op_family(OpFamilySpec(family, *rep.argmin)))
         assert rep.min_residual == again
 
-    @pytest.mark.parametrize("step", [1e-300, 1e-6, 0.0049])
+    # the last, one step below 0.005, gives 200.00000000000003 intervals per axis
+    @pytest.mark.parametrize("step", [1e-300, 1e-6, 0.0049, float(np.nextafter(0.005, 0.0))])
     def test_grid_cap(self, step):
         with pytest.raises(TooLarge):
             refute_associativity(1, step)

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,50 @@ def test_bad_refute_step_is_exit_two(capsys, step, error):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and one_error_line(captured.err)
     assert captured.err.startswith(f"error: {error}:")
+
+
+def _kernel_payload(n: int, entries) -> dict:
+    return {"n": n, "q": [{"i": i, "j": j, "k": k, "p": v} for i, j, k, v in entries]}
+
+
+@pytest.mark.parametrize("argv,payload,error", [
+    (["apply", "--x0", "1e308,1e308,0", "--op"], None,
+     "InvalidPoint: simplex point sums to inf, expected 1 within 1e-09"),
+    (["apply", "--x0", "1e308,1e308,-1e-12", "--op"], None,
+     "InvalidPoint: simplex point sums to inf, expected 1 within 1e-09"),
+    (["dyn", "iterate", "--x0", "1e308,1e308,0", "--op"], None,
+     "InvalidPoint: simplex point sums to inf, expected 1 within 1e-09"),
+    (["kernel", "apply", "--x0", "1e308,1e308", "--op"],
+     _kernel_payload(2, [(1, 1, 1, 1.0), (1, 2, 2, 1.0), (2, 2, 2, 1.0)]),
+     "InvalidPoint: measure sums to inf, expected 1 within 1e-09"),
+    (["volterra", "canonical", "--skew"], {"m": 2, "a": [[0.0, 1e308], [1e308, 0.0]]},
+     "InvalidSkew: skew-symmetry violated by 1.000e+308"),
+    (["volterra", "canonical", "--skew"], {"m": 2, "a": [[1e308, 0.0], [0.0, 0.0]]},
+     "InvalidSkew: skew-symmetry violated by 1.000e+308"),
+    (["volterra", "canonical", "--skew"], {"m": 2, "a": [[0.0, 1e308], [-1e308, 0.0]]},
+     "InvalidSkew: entry magnitude 1e+308 exceeds 1"),
+    (["kernel", "check", "--op"], _kernel_payload(1, [(1, 1, 1, 1e308)]),
+     "NotStochastic: a kernel row sums off one by inf"),
+    (["kernel", "check", "--op"], _kernel_payload(3, [
+        (1, 1, 1, 7e307), (1, 1, 2, 7e307), (1, 1, 3, 7e307), (1, 2, 1, 1.0),
+        (1, 3, 1, 1.0), (2, 2, 1, 1.0), (2, 3, 1, 1.0), (3, 3, 1, 1.0)]),
+     "NotStochastic: a kernel row sums off one by inf"),
+    (["kernel", "check", "--op"], _kernel_payload(2, [
+        (1, 1, 1, 1e308), (1, 1, 2, -1e308), (1, 2, 1, 1.0), (2, 2, 2, 1.0)]),
+     "NegativeCoefficient: kernel entry below zero: -inf"),
+], ids=["apply", "apply clamped", "dyn iterate", "kernel apply", "skew pair", "skew diagonal",
+        "skew magnitude", "kernel sum", "kernel row sum", "kernel negative"])
+def test_huge_finite_input_is_one_error_line(files, tmp_path, argv, payload, error):
+    # under pytest a warning is captured, not printed: make it an error, as it
+    # would be a second line on a user's stderr
+    path = files["v2.json"]
+    if payload is not None:
+        path = str(tmp_path / "huge.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(argv + [path]) == (2, "", f"error: {error}\n")
 
 
 class TestCountCaps:

@@ -106,7 +106,6 @@ class TestSimplexPoint:
         with pytest.raises(InvalidPoint, match="contains non-finite entries"):
             SimplexPoint([0.5, bad, 0.5])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_of_finite_entries_reports_the_sum(self):
         with pytest.raises(InvalidPoint, match="sums to .*inf"):
             SimplexPoint([1e308, 1e308])

@@ -15,6 +15,7 @@ from helpers import (
     rand_skew,
     rand_tensor,
     rand_volterra_tensor,
+    reference_fixed_points,
     reference_iterate,
     sparse_operator,
 )
@@ -574,6 +575,19 @@ class TestCompiledStep:
         assert info.misses == 3 and info.hits > 0
         assert info.maxsize == dynamics._STEP_CACHE_SIZE > 0
 
+    @pytest.mark.parametrize("m, compiled", [(7, True), (8, False)])
+    def test_one_nonzero_per_slice_compiles_up_to_m_7(self, m, compiled):
+        # the fewest nonzeros an m-species tensor can have: m^2, which is 64
+        # at m = 8, past the term cap
+        i, j = np.indices((m, m))
+        p = np.zeros((m, m, m))
+        p[i, j, np.maximum(i, j)] = 1.0
+        V = QsoTensor(m, p)
+        assert np.count_nonzero(V.p) == m * m
+        assert (dynamics._float_step(V.p) is not None) == compiled
+        x0 = rand_simplex(np.random.default_rng(95), m)
+        assert_same_trajectory(iterate(V, x0, max_iter=50), reference_iterate(V, x0, 50, 1e-10))
+
     def test_compiled_code_holds_no_coefficient(self):
         V = op_family(OpFamilySpec(2, 0.3, 0.6, 0.9))
         make = dynamics._step_maker(tuple(np.flatnonzero(V.p).tolist()), 3)
@@ -686,6 +700,58 @@ class TestFixedVertices:
     def test_uniform_kernel_fixes_none(self):
         V = validate(np.full((3, 3, 3), 1.0 / 3.0))
         assert fixed_points_on_vertices(V) == frozenset()
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(86)
+        ops = [op_family(OpFamilySpec(family, *corner)) for family in range(1, 7)
+               for corner in itertools.product((0.0, 0.5, 1.0), repeat=3)]
+        for m in range(2, 14):
+            ops += [rand_volterra_tensor(rng, m), rand_tensor(rng, m), vertex_slices_off_one(m)]
+        ops += [with_negative_zeros(V) for V in ops]
+        for V in ops:
+            for tol in (1e-10, 1e-3, 0.5):
+                assert fixed_points_on_vertices(V, tol) == reference_fixed_points(V, tol)
+
+    def test_slices_off_one_are_divided_by_their_sums(self):
+        # apply divides p[k, k, :] by its sum 1 + 4e-10, so every vertex is fixed exactly
+        assert fixed_points_on_vertices(vertex_slices_off_one(5)) == frozenset(range(1, 6))
+
+    def test_a_vertex_at_exactly_tol_is_fixed(self):
+        # the distances are apply's bit for bit: a vertex at distance d is
+        # fixed at tol = d and not one step of d below
+        rng = np.random.default_rng(87)
+        for m in (2, 3, 8, 13):
+            for V in (rand_tensor(rng, m), near_vertex_fixer(m, 3e-11), near_vertex_fixer(m, 0.2)):
+                for W in (V, with_negative_zeros(V)):
+                    for k in range(1, m + 1):
+                        e = SimplexPoint.vertex(m, k)
+                        d = np.abs(apply(W, e).coords - e.coords).max()
+                        assert d > 0
+                        assert k in fixed_points_on_vertices(W, tol=d)
+                        assert k not in fixed_points_on_vertices(W, tol=np.nextafter(d, 0.0))
+
+
+def vertex_slices_off_one(m: int) -> QsoTensor:
+    """The a = 0 Volterra operator with each p[k, k, k] at 1 + 4e-10, within ``EPS_VAL``."""
+    p = from_canonical(SkewMatrix(m, np.zeros((m, m)))).p.copy()
+    p[range(m), range(m), range(m)] += 4e-10
+    return QsoTensor(m, p)
+
+
+def near_vertex_fixer(m: int, leak: float) -> QsoTensor:
+    """The a = 0 Volterra operator with ``leak`` of each slice (k, k) moved to output k + 1 (mod m)."""
+    p = from_canonical(SkewMatrix(m, np.zeros((m, m)))).p.copy()
+    k = np.arange(m)
+    p[k, k, k] = 1.0 - leak
+    p[k, k, (k + 1) % m] = leak
+    return QsoTensor(m, p)
+
+
+def with_negative_zeros(V: QsoTensor) -> QsoTensor:
+    """The operator with every zero coefficient stored as -0.0."""
+    p = V.p.copy()
+    p[p == 0.0] = -0.0
+    return QsoTensor(V.m, p)
 
 
 class TestCsvExport:
