@@ -132,7 +132,10 @@ def _clean_prob_vector(values, eps: float, what: str) -> np.ndarray:
     Entries in [-eps, 0) are rounded up to exactly 0 so that genuine zeros
     stay exact under iteration; anything more negative is an error.
     """
-    v = np.array(values, dtype=float)
+    try:
+        v = np.array(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidPoint(f"{what} has an entry too large for a float: {exc}") from None
     if v.ndim != 1 or v.size == 0:
         raise InvalidPoint(f"{what} must be a nonempty 1-d vector")
     # finite entries of ~1e308 can sum to inf: that sum is reported below, not warned of
@@ -261,7 +264,10 @@ class QsoTensor:
             )
         if not p.min() >= 0:  # NaN already failed the symmetry check
             raise NegativeCoefficient(f"coefficient below zero: min entry = {p.min():.3e}")
-        _check_slices(p.sum(axis=2), EPS_VAL)
+        # finite entries of ~1e308 can sum to inf: that sum is reported, not warned of
+        with np.errstate(over="ignore"):
+            sums = p.sum(axis=2)
+        _check_slices(sums, EPS_VAL)
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "p", p)

@@ -15,8 +15,9 @@ SHA-256 so that a changed input shows up as such, not as a changed output.
 Payloads stay small (m <= 6, n <= 8, refutation steps >= 0.05) so that no
 BLAS call is large enough to use more than one thread (``bad_m_cap.json``,
 one past the size cap, is only read: it is refused before its array is
-allocated), and argparse's help text ties the corpus to one Python minor
-version.
+allocated; ``v12.json``, an m = 12 Volterra tensor, is only iterated,
+which calls no BLAS routine), and argparse's help text ties the corpus to
+one Python minor version.
 
 Rule: regenerate the file only for an output change that CHANGES.md names
 (which commands, which bytes, and why). Never regenerate it to make a
@@ -153,6 +154,7 @@ def _input_objects() -> dict:
         "v3.json": _tensor(_volterra_array(3, 5)),
         "v4.json": _tensor(_volterra_array(4, 6)),
         "v6.json": _tensor(_volterra_array(6, 7)),
+        "v12.json": _tensor(_volterra_array(12, 16)),  # iterate's sparse step
         "nv5.json": _tensor(nv5),
         "sk3.json": _skew(3, 8),
         "sk5.json": _skew(5, 9),
@@ -334,6 +336,10 @@ def _cases() -> list[dict]:
                      ("r4.json", "0.1,0.2,0.3,0.4", "1000"), ("f4.json", "1,0,0", "10")):
         plain.extend(_forms(["dyn", "iterate", "--op", f, "--x0", x0, "--max-iter", n],
                             "out.csv"))
+    for x0 in ("0.2,0.1,0.1,0.1,0.05,0.05,0.05,0.05,0.1,0.1,0.05,0.05",
+               "0.25,0,0.25,0,0.25,0,0.25,0,0,0,0,0"):
+        plain.extend(_forms(["dyn", "iterate", "--op", "v12.json", "--x0", x0, "--max-iter",
+                             "200"], "out.csv"))
     plain.append(["dyn", "iterate", "--op", "f2.json", "--x0", "0.2,0.3,0.5", "--max-iter", "50",
                   "--json", "--out", "out.csv"])
     for flag, value in (("--max-iter", "0"), ("--max-iter", "-3"), ("--tol", "0"),

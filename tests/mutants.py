@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # stochastic slices as a QsoTensor invariant
     Mutant("slice check dropped", "core.py",
-           "        _check_slices(p.sum(axis=2), EPS_VAL)\n", "",
+           "        _check_slices(sums, EPS_VAL)\n", "",
            ("test_core.py",)),
     Mutant("slice check > becomes >=", "core.py",
            "    if not worst <= eps:\n", "    if not worst < eps:\n",
@@ -57,8 +57,8 @@ MUTANTS = [
            "    off = np.abs(sums - 1.0)\n", "    off = np.abs(np.triu(sums - 1.0, 1))\n",
            ("test_core.py",)),
     Mutant("slice check at EPS_SUPP", "core.py",
-           "        _check_slices(p.sum(axis=2), EPS_VAL)\n",
-           "        _check_slices(p.sum(axis=2), EPS_SUPP)\n",
+           "        _check_slices(sums, EPS_VAL)\n",
+           "        _check_slices(sums, EPS_SUPP)\n",
            ("test_core.py",)),
     Mutant("validate rescale condition inverted", "core.py",
            "    if worst > EPS_VAL:\n        sym /=", "    if not worst > EPS_VAL:\n        sym /=",
@@ -93,6 +93,29 @@ MUTANTS = [
            ("test_dynamics.py",)),
     Mutant("float step term cap at 64", "dynamics.py",
            "_FLOAT_MAX_TERMS = 56\n", "_FLOAT_MAX_TERMS = 64\n",
+           ("test_dynamics.py",)),
+    # the sparse step: the einsum's products, in its order, into a new array
+    Mutant("sparse products as c * (x_i * x_j)", "dynamics.py",
+           "c * x[i] * x[j]", "c * (x[i] * x[j])",
+           ("test_dynamics.py",)),
+    Mutant("sparse nonzeros in reverse order", "dynamics.py",
+           "    flat = np.flatnonzero(p)\n    i, jk", "    flat = np.flatnonzero(p)[::-1]\n    i, jk",
+           ("test_dynamics.py",)),
+    Mutant("sparse image not divided by its sum", "dynamics.py",
+           "        out /= np.add.reduce(out)\n        return out\n", "        return out\n",
+           ("test_dynamics.py",)),
+    Mutant("sparse bincount without minlength", "dynamics.py",
+           ", minlength=m)", ")",
+           ("test_dynamics.py",)),
+    Mutant("sparse step reuses one output array", "dynamics.py",
+           "        out /= np.add.reduce(out)\n        return out\n",
+           "        out /= np.add.reduce(out)\n"
+           "        held = step.__dict__.setdefault(\"held\", out)\n"
+           "        held[...] = out\n"
+           "        return held\n",
+           ("test_dynamics.py",)),
+    Mutant("sparse rule inverted", "dynamics.py",
+           "    if _SPARSE_SHARE * n <= m ** 3:\n", "    if _SPARSE_SHARE * n > m ** 3:\n",
            ("test_dynamics.py",)),
     # vertex fixed points read off the diagonal
     Mutant("fixed-point images not divided", "dynamics.py",

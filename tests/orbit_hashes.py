@@ -8,11 +8,13 @@ count and the bytes of every point to its family's hash, or the type and
 text of the error that building or iterating raised. The cases are the
 benchmark's ``orbits`` mix (OP families 1, 2 and 4, the heteroclinic
 m = 3 operator and m = 10 Volterra operators, budget 500, tol 1e-10)
-plus random operators at m = 3..10 with windows 0, 1, 64 and 1000, and
+plus random operators at m = 3..10 with windows 0, 1, 64 and 1000,
 Volterra arrays with one slice summing to 1.5, whose orbits would leave
-the simplex and which the tensor constructor refuses. Two checkouts that
-print the same lines iterate these orbits bit for bit alike. The name has
-no ``test_`` prefix, so pytest does not collect it.
+the simplex and which the tensor constructor refuses, and operators that
+take the sparse step (Volterra at m = 12, 20 and 40, OP at m = 12 and
+20, a random sparse operator at m = 16) with windows 1 and 64. Two
+checkouts that print the same lines iterate these orbits bit for bit
+alike. The name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,27 @@ def leaving(m: int, start: float) -> tuple[partial, qso.SimplexPoint]:
     return partial(qso.QsoTensor, m, p), qso.SimplexPoint(x)
 
 
+def op(a: qso.SkewMatrix, sigma: np.ndarray) -> qso.QsoTensor:
+    """OP operator: the Volterra operator of ``a`` with its outputs permuted by ``sigma``."""
+    return qso.QsoTensor(a.m, qso.from_canonical(a).p[:, :, sigma])
+
+
+def sparse(rng, m: int, share: float) -> partial:
+    """Random operator whose slices hold their max(i, j) output and about ``share`` of the rest."""
+    keep = rng.random((m, m, m)) < share
+    keep |= keep.transpose(1, 0, 2)
+    i, j = np.indices((m, m))
+    keep[i, j, np.maximum(i, j)] = True
+    return partial(qso.validate, rng.random((m, m, m)) * keep, mode="normalize")
+
+
+def face(rng, m: int) -> qso.SimplexPoint:
+    """A random start with a third of its coordinates zero."""
+    x = rng.dirichlet(np.ones(m))
+    x[rng.permutation(m)[: m // 3]] = 0.0
+    return qso.SimplexPoint(x / x.sum())
+
+
 def cases():
     """(family, build, x0, budget, tol, window) in a fixed order; ``build()`` is the operator.
 
@@ -97,6 +120,19 @@ def cases():
         for s in (1e-12, 1e-20, 1e-30):
             build, x0 = leaving(m, s)
             yield (m, "leaving", 64, 1e-300), build, x0, 500, 1e-300, 64
+    # operators past the float step with at most m^3 / 4 nonzeros, which step
+    # over their nonzeros: Volterra, OP (Volterra with permuted outputs) and
+    # a random sparse operator; starts with zero coordinates among them
+    for window in (1, 64):
+        for _ in range(3):
+            for m in (12, 20, 40):
+                slow = partial(qso.from_canonical, skew(rng, m, 0.05))
+                yield (m, "volterra", window, 1e-10), slow, start(m), 300, 1e-10, window
+            for m in (12, 20):
+                build = partial(op, skew(rng, m), rng.permutation(m))
+                yield (m, "op", window, 1e-10), build, face(rng, m), 300, 1e-10, window
+            yield (16, "sparse", window, 1e-10), sparse(rng, 16, 0.1), start(16), 300, 1e-10, \
+                window
 
 
 def digests() -> dict:

@@ -110,6 +110,14 @@ class TestSimplexPoint:
         with pytest.raises(InvalidPoint, match="sums to .*inf"):
             SimplexPoint([1e308, 1e308])
 
+    @pytest.mark.parametrize("cls, label", [(SimplexPoint, "simplex point"),
+                                            (DiscreteMeasure, "measure")])
+    def test_integers_beyond_the_float_range_are_invalid_points(self, cls, label):
+        message = f"^{label} has an entry too large for a float: int too large to convert"
+        for coords in ([10**400, 0], [0.5, -(10**309)]):
+            with pytest.raises(InvalidPoint, match=message):
+                cls(coords)
+
     def test_clamped_negatives_renormalize_by_the_clamped_sum(self):
         x = SimplexPoint([0.25, 0.75 + 8e-10, -8e-10])
         clamped = np.array([0.25, 0.75 + 8e-10, 0.0])
@@ -695,6 +703,13 @@ class TestStochasticSlices:
         ]:
             with pytest.raises(NotStochastic, match=f"^{re.escape(message)}$"):
                 QsoTensor(3, p)
+
+    def test_finite_slices_that_sum_past_the_float_range_are_refused_without_a_warning(self):
+        # pytest turns RuntimeWarning into an error, so an overflow warning fails this
+        p = np.full((2, 2, 2), 0.5)
+        p[0, 0] = [1e308, 1e308]
+        with pytest.raises(NotStochastic, match=r"^slice \(1, 1\) sums to inf; off by inf$"):
+            QsoTensor(2, p)
 
     def test_the_tolerance_is_eps_val(self):
         p = uniform_tensor(3)

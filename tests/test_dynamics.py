@@ -184,8 +184,8 @@ def reference_cases():
         cases.append((op_family(OpFamilySpec(family, *params)), SimplexPoint(starts[n % 3]), 60,
                       1e-10))
     # 30 coefficients on 5 coordinates, plus one per slice off them: float
-    # steps at m = 6 and 7 (41 and 54 terms), einsum at m = 8, where numpy
-    # sums the 8 image coordinates pairwise
+    # steps at m = 6 and 7 (41 and 54 terms), the sparse step at m = 8, where
+    # numpy sums the 8 image coordinates pairwise
     for m in (6, 7, 8):
         V = sparse_operator(rng, m, 5, lambda i, j: 2 if i == j else 1)
         cases.append((V, start_on(rng, m, 5), 150, 1e-10))
@@ -223,7 +223,7 @@ class TestIterateMatchesReference:
         assert statuses == expected
 
     def test_cases_cover_both_sides_of_the_float_rule(self):
-        sides = {(V.m, int(np.count_nonzero(V.p)), dynamics._float_step(V.p) is not None)
+        sides = {(V.m, int(np.count_nonzero(V.p)), dynamics._orbit_step(V.p)[0] == "float")
                  for V, *_ in reference_cases()}
         assert {(6, 41, True), (7, 54, True), (8, 69, False),
                 (6, 216, False), (7, 343, False),
@@ -236,7 +236,7 @@ class TestIterateMatchesReference:
         want = iterate(V, x0, max_iter=150)
         for W in (validate(np.asfortranarray(V.p)),
                   FiniteKernel(3, np.asfortranarray(V.p)).to_tensor()):
-            assert W.p.flags.c_contiguous and dynamics._float_step(W.p) is not None
+            assert W.p.flags.c_contiguous and dynamics._orbit_step(W.p)[0] == "float"
             got = iterate(W, x0, max_iter=150)
             for other in (want, reference_iterate(W, x0, 150, dynamics.DEFAULT_TOL)):
                 assert (got.status, got.cycle_length, got.iterations) == (
@@ -397,8 +397,9 @@ class TestChunkedScan:
                 QsoTensor(3, p)
 
     def test_work_is_bounded_by_twice_the_stop_step(self, monkeypatch):
-        # images counts the calls of either image routine: m = 3 steps on
-        # the compiled float step, m = 8 on the einsum
+        # images counts the calls of each image routine: m = 3 steps on the
+        # compiled float step, the m = 8 Volterra operator over its
+        # nonzeros, and a dense blend of it on the einsum
         images = []
 
         def counted_image(*args, image=dynamics._image, **kwargs):
@@ -417,10 +418,22 @@ class TestChunkedScan:
 
             return make
 
+        def counted_sparse(p, sparse=dynamics._sparse_step):
+            step = sparse(p)
+
+            def counted(x):
+                images.append("sparse step")
+                return step(x)
+
+            return counted
+
         monkeypatch.setattr(dynamics, "_image", counted_image)
         monkeypatch.setattr(dynamics, "_step_maker", counted_maker)
-        for m, name in ((3, "float step"), (8, "_image")):
-            V, x0 = dominant_species(m), dominant_start(m)
+        monkeypatch.setattr(dynamics, "_sparse_step", counted_sparse)
+        dense = QsoTensor(8, 0.99 * dominant_species(8).p + 0.01 / 8)
+        for V, name in ((dominant_species(3), "float step"), (dominant_species(8), "sparse step"),
+                        (dense, "_image")):
+            x0 = dominant_start(V.m)
             for t, tol in stop_tolerances(V, x0, 64, 200).items():
                 images.clear()
                 assert iterate(V, x0, max_iter=10_000, tol=tol).iterations == t
@@ -567,7 +580,7 @@ class TestCompiledStep:
         for _ in range(2):
             for (a, b), x0 in zip(pairs, starts):
                 for V in (a, b):
-                    assert dynamics._float_step(V.p) is not None
+                    assert dynamics._orbit_step(V.p)[0] == "float"
                     want = reference_iterate(V, x0, 150, 1e-10)
                     assert_same_trajectory(iterate(V, x0, max_iter=150), want)
         info = dynamics._step_maker.cache_info()
@@ -584,7 +597,7 @@ class TestCompiledStep:
         p[i, j, np.maximum(i, j)] = 1.0
         V = QsoTensor(m, p)
         assert np.count_nonzero(V.p) == m * m
-        assert (dynamics._float_step(V.p) is not None) == compiled
+        assert (dynamics._orbit_step(V.p)[0] == "float") == compiled
         x0 = rand_simplex(np.random.default_rng(95), m)
         assert_same_trajectory(iterate(V, x0, max_iter=50), reference_iterate(V, x0, 50, 1e-10))
 
@@ -594,10 +607,121 @@ class TestCompiledStep:
         assert float_constants(make.__code__) == {0.0}  # the zeroed sums, no tolerance
 
 
+def op_tensor(rng, m: int) -> QsoTensor:
+    """An OP operator: a random Volterra tensor with its outputs permuted by a random sigma."""
+    return QsoTensor(m, rand_volterra_tensor(rng, m).p[:, :, rng.permutation(m)])
+
+
+def symmetric_sparse_tensor(rng, m: int, density: float) -> QsoTensor:
+    """A random operator with about ``density`` + 1/m of its coefficients nonzero."""
+    keep = rng.random((m, m, m)) < 1.0 - np.sqrt(1.0 - density)
+    keep |= keep.transpose(1, 0, 2)
+    i, j = np.indices((m, m))
+    keep[i, j, np.maximum(i, j)] = True  # no empty slice
+    return validate(rng.random((m, m, m)) * keep, mode="normalize")
+
+
+def last_species_never_made(m: int) -> QsoTensor:
+    """A Volterra-like operator whose output m is always zero, so bincount's output is short."""
+    p = np.zeros((m, m, m))
+    for i in range(m):
+        for j in range(m):
+            ks = sorted({i, j} - {m - 1}) or [0]
+            p[i, j, ks] = 1.0 / len(ks)
+    return QsoTensor(m, p)
+
+
+def sparse_cases():
+    """(operator, starts): every operator here takes the sparse step."""
+    rng = np.random.default_rng(97)
+    operators = [from_canonical(rand_skew(rng, m)) for m in (8, 10, 16)]
+    operators += [rand_volterra_tensor(rng, 31), op_tensor(rng, 10), op_tensor(rng, 20)]
+    operators += [symmetric_sparse_tensor(rng, m, d)
+                  for m, d in ((12, 0.02), (14, 0.08), (16, 0.15), (18, 0.18))]
+    operators.append(last_species_never_made(9))
+    cases = []
+    for V in operators:
+        m = V.m
+        tiny = rand_simplex(rng, m).coords.copy()
+        tiny[:4] = [5e-324, 1e-310, 2.5e-308, 1e-300]  # three subnormals
+        starts = [rand_simplex(rng, m), rand_simplex(rng, m, n_zeros=m // 3),
+                  SimplexPoint.vertex(m, m), SimplexPoint(tiny / tiny.sum())]
+        cases.append((V, starts))
+    return cases
+
+
+class TestSparseStep:
+    """Operators with at most m^3 / 4 nonzeros step over them alone, with the einsum's bits."""
+
+    def test_matches_the_einsum_byte_for_byte(self):
+        for V, starts in sparse_cases():
+            step = dynamics._sparse_step(V.p)
+            for x0 in starts:
+                x = x0.coords
+                for _ in range(60):
+                    got, want = step(x), dynamics._image(V.p, x)
+                    assert got.tobytes() == want.tobytes()
+                    assert got is not x
+                    x = want
+
+    def test_iterate_matches_reference(self):
+        statuses = set()
+        for V, starts in sparse_cases():
+            assert dynamics._orbit_step(V.p)[0] == "sparse"
+            for x0 in starts:
+                for window, tol in ((64, 1e-10), (2, 1e-3)):
+                    statuses.add(assert_same_run(V, x0, 150, tol, window).status)
+        assert statuses == {"converged", "cycle", "budget_exhausted"}
+
+    def test_each_image_is_a_new_array(self):
+        V, (x0, *_) = sparse_cases()[1]
+        traj = iterate(V, x0, max_iter=20, tol=1e-300)
+        assert len({row.tobytes() for row in traj.coords}) == 21
+
+    def test_step_choice(self):
+        rng = np.random.default_rng(98)
+
+        def two_outputs(m, extra=0):
+            # slice (i, j) split over outputs max(i, j) and max(i, j) + 1 mod m;
+            # ``extra`` diagonal slices get a third output
+            p = np.zeros((m, m, m))
+            i, j = np.indices((m, m))
+            top = np.maximum(i, j)
+            p[i, j, top] = p[i, j, (top + 1) % m] = 0.5
+            for d in range(extra):
+                p[d, d, [d, (d + 1) % m, (d + 2) % m]] = [0.25, 0.25, 0.5]
+            return QsoTensor(m, p)
+
+        def float_at_56():
+            p = np.zeros((7, 7, 7))
+            i, j = np.indices((7, 7))
+            p[i, j, np.maximum(i, j)] = 1.0
+            for d in range(7):
+                p[d, d, [d, (d + 1) % 7]] = 0.5
+            return QsoTensor(7, p)
+
+        cases = [
+            (float_at_56(), 56, "float"),
+            (from_canonical(rand_skew(rng, 8)), 120, "sparse"),
+            (from_canonical(rand_skew(rng, 10)), 190, "sparse"),
+            (rand_tensor(rng, 10), 1000, "einsum"),
+            (two_outputs(8), 128, "sparse"),  # 4n = m^3
+            (two_outputs(8, extra=1), 129, "einsum"),
+        ]
+        for V, n, kind in cases:
+            assert np.count_nonzero(V.p) == n
+            assert dynamics._orbit_step(V.p)[0] == kind
+            x0 = rand_simplex(rng, V.m)
+            assert_same_run(V, x0, 40, 1e-10, 64)
+
+
 class TestPointsStayImmutable:
     @pytest.mark.parametrize(
-        "V", [HETEROCLINIC, from_canonical(rand_skew(np.random.default_rng(91), 10))],
-        ids=["float step", "einsum"])
+        "V", [HETEROCLINIC,
+              QsoTensor(10, 0.999 * from_canonical(rand_skew(np.random.default_rng(91), 10)).p
+                        + 0.0001),
+              from_canonical(rand_skew(np.random.default_rng(91), 10))],
+        ids=["float step", "einsum", "sparse step"])
     def test_every_point_is_read_only(self, V):
         x0 = rand_simplex(np.random.default_rng(92), V.m)
         traj = iterate(V, x0, max_iter=100)
@@ -629,7 +753,9 @@ class TestOrbitArray:
         (HETEROCLINIC, SimplexPoint([0.5, 0.3, 0.2]), "budget_exhausted"),
         (from_canonical(rand_skew(np.random.default_rng(93), 10)),
          rand_simplex(np.random.default_rng(94), 10), "budget_exhausted"),
-    ], ids=["converged", "cycle", "budget", "einsum budget"])
+        (QsoTensor(10, 0.999 * from_canonical(rand_skew(np.random.default_rng(93), 10)).p
+                   + 0.0001), rand_simplex(np.random.default_rng(94), 10), "budget_exhausted"),
+    ], ids=["converged", "cycle", "budget", "einsum budget", "dense budget"])
     def test_points_view_matches_reference(self, V, x0, status):
         got = iterate(V, x0, max_iter=300)
         want = reference_iterate(V, x0, 300, dynamics.DEFAULT_TOL)
