@@ -673,11 +673,6 @@ class TestSparseStep:
                     statuses.add(assert_same_run(V, x0, 150, tol, window).status)
         assert statuses == {"converged", "cycle", "budget_exhausted"}
 
-    def test_each_image_is_a_new_array(self):
-        V, (x0, *_) = sparse_cases()[1]
-        traj = iterate(V, x0, max_iter=20, tol=1e-300)
-        assert len({row.tobytes() for row in traj.coords}) == 21
-
     def test_step_choice(self):
         rng = np.random.default_rng(98)
 
