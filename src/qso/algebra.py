@@ -9,23 +9,34 @@ By multilinearity, associativity holds for all vectors iff it holds on the
 m^3 basis triples, so the decision procedure here is exact up to floating
 point: compare (e_i o e_j) o e_k with e_i o (e_j o e_k) for every triple.
 
-All m^4 left products are entries of one matrix product,
+The associator is a commutator. Write P_i = p[i] for the matrix of
+multiplication by e_i: row j of P_i is e_i o e_j. :class:`QsoTensor`
+keeps p exactly symmetric in (i, j), so
 
-    L = P(m^2 x m) @ P(m x m^2),    L[i, j, k, u] = ((e_i o e_j) o e_k)_u,
+    ((e_i o e_j) o e_k)_u = sum_s p[i, j, s] p[k, s, u] = (P_i P_k)[j, u],
+    (e_i o (e_j o e_k))_u = sum_s p[k, j, s] p[i, s, u] = (P_k P_i)[j, u],
 
-and the right products need no second one: :class:`QsoTensor` keeps p
-exactly symmetric in (i, j), so e_i o (e_j o e_k) = (e_j o e_k) o e_i =
-L[j, k, i, :]. The residual is the largest entry of |L - L[j, k, i, u]|.
-Only small inputs form L. Anything larger goes slab by slab: slab j,
+and the algebra is associative iff its multiplication operators commute
+(Woerz-Busekros, Algebras in Genetics, 1980). The residual is the largest
+entry of |[P_i, P_k]| over i < k only: [P_k, P_i] = -[P_i, P_k] exactly
+and [P_i, P_i] = 0. For each i the kernel forms two batched products over
+the partners k > i,
 
-    M_j = p[j] @ P(m x m^2),    M_j[i, k, u] = L[j, i, k, u] = L[i, j, k, u],
+    X[k, j, u] = (P_i P_k)[j, u],    Y[k, j, u] = (P_k P_i)[j, u],
 
-also holds L[j, k, i, :] = M_j[k, i, :], so the associator of (i, j, k) is
-M_j[i, k, :] - M_j[k, i, :], and one m^3 slab at a time keeps the memory
-at O(m^3) per tensor. A stack of tensors (the refutation grid) takes the
-same slabs, one batched product per j. Row (j, i) of p is row (i, j)
-bit for bit, so M_j sums the same products as L and the residual does not
-depend on the path.
+both contiguous in (k, j, u), so the gap X - Y needs no transpose, and it
+keeps a running maximum of |X - Y| per tensor. That is the m^5
+multiply-adds of the whole left-product array L = P(m^2 x m) @ P(m x m^2),
+L[i, j, k, u] = ((e_i o e_j) o e_k)_u, but half its m^4 gap entries and
+at most 2 (m - 1) m^2 floats at a time. A stack of tensors (the
+refutation grid) takes the same two products per i, batched over the
+stack. X[k] and Y[k] are products of one shape, so an associator whose
+two sides sum the same products in the same order comes out exactly 0.
+Only small inputs form L, and take its gap to
+L[j, k, i, u] = (e_i o (e_j o e_k))_u in one piece. BLAS may round a dot
+product differently in a product of another shape, so the two paths, and
+the slab loop the commutators replaced (README, "Associativity"), can
+differ in the last bits of a residual.
 The refutation grid evaluates stacks of family tensors with the same
 kernel in batches of ``_REFUTE_CHUNK`` points, and is capped at
 ``_REFUTE_MAX_AXIS`` values per parameter (a step of at least 0.005).
@@ -73,10 +84,15 @@ _REFUTE_MAX_AXIS = 201
 _REFUTE_CHUNK = 4096
 
 #: Largest gap (elements of 8 bytes) that :func:`_residuals` takes in one
-#: piece. Small inputs skip the slab loop's call overhead; on larger ones
-#: the strided pass over the whole gap is slower than the loop (one tensor
-#: crosses over between m = 12 and m = 15). Above it a tensor or a stack
-#: goes slab by slab.
+#: piece, through the whole left-product array; above it a tensor or a stack
+#: takes the commutator loop. In process, one BLAS thread, 2-core x86-64 VM,
+#: one piece against the loop: one tensor at m = 12 (20 736 entries) 0.04-0.07
+#: against 0.11-0.23 ms, at m = 13 (28 561) 0.09-0.28 against 0.13-0.27 ms,
+#: at m = 15 (50 625) 0.36 against 0.17 ms; a stack of m = 3 tensors at
+#: n = 300 (24 300) 0.18 against 0.23 ms, at n = 404 (32 724) 0.15-0.44
+#: against 0.17-0.28 ms, at n = 1 024 (82 944) 0.80 against 0.41 ms. The
+#: crossover lies between ~25 000 and ~33 000 entries and moves from run to
+#: run, so the bound stays where the slab loop put it.
 _WHOLE_GAP_MAX = 1 << 15
 
 
@@ -84,10 +100,12 @@ def product(V: QsoTensor, x, y) -> np.ndarray:
     """Algebra product (x o y)_k = sum_{i,j} p[i, j, k] x_i y_j.
 
     Accepts arbitrary vectors of R^m (not only simplex points) and returns
-    a plain array; bilinear in both arguments and commutative.
+    a plain array; bilinear in both arguments and commutative. An operand
+    that is not a vector of finite real numbers raises
+    :class:`ParameterOutOfRange`, one of another length
+    :class:`DimensionMismatch`.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    xv, yv = _operand("x", x), _operand("y", y)
     if xv.shape != (V.m,) or yv.shape != (V.m,):
         raise DimensionMismatch(
             f"operands must be vectors of length {V.m}, got {xv.shape} and {yv.shape}"
@@ -95,30 +113,41 @@ def product(V: QsoTensor, x, y) -> np.ndarray:
     return np.einsum("ijk,i,j->k", V.p, xv, yv)
 
 
+def _operand(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or :class:`ParameterOutOfRange` naming the operand."""
+    if np.iscomplexobj(value):  # a float cast would drop the imaginary parts
+        raise ParameterOutOfRange(f"operand {name} is not a vector of real numbers: complex")
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterOutOfRange(
+            f"operand {name} is not a vector of real numbers: {exc}"
+        ) from None
+    if not np.isfinite(v).all():
+        raise ParameterOutOfRange(f"operand {name} has a non-finite entry")
+    return v
+
+
 def _residuals(P: np.ndarray) -> np.ndarray:
     """Associator residual of every tensor in an (n, m, m, m) stack.
 
     Each tensor must be exactly symmetric in its first two indices (see
     the module docstring). When the whole gap to L[j, k, i, u] fits in
-    ``_WHOLE_GAP_MAX`` elements it is taken in one piece. Above that the
-    stack takes two (n, m, m, m) arrays, the slabs M_j and their gap,
-    reused for each j, and keeps one maximum per tensor and slab.
+    ``_WHOLE_GAP_MAX`` elements it is taken in one piece. Above that, for
+    each i the stack forms the products P_i P_k and P_k P_i for all k > i,
+    two (n, m - 1 - i, m, m) arrays, and keeps one maximum per tensor.
     """
     n, m = P.shape[:2]
     if n * m**4 <= _WHOLE_GAP_MAX:
         L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
         gap = L - L.transpose(0, 3, 1, 2, 4)
         return np.abs(gap, out=gap).reshape(n, -1).max(axis=1)
-    flat = P.reshape(n, m, m * m)
-    slab = np.empty((n, m, m, m))
-    gap = np.empty((n, m, m, m))
-    worst = np.empty((m, n))
-    for j in range(m):
-        np.matmul(P[:, j], flat, out=slab.reshape(n, m, m * m))
-        np.subtract(slab, slab.transpose(0, 2, 1, 3), out=gap)
-        # gap[k, i] is exactly -gap[i, k], so its max is its largest |entry|
-        gap.reshape(n, -1).max(axis=1, out=worst[j])
-    return worst.max(axis=0)
+    worst = np.zeros(n)
+    for i in range(m - 1):
+        gap = P[:, i:i + 1] @ P[:, i + 1:]
+        gap -= P[:, i + 1:] @ P[:, i:i + 1]
+        np.maximum(worst, np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=worst)
+    return worst
 
 
 def associator_residual(V: QsoTensor) -> float:

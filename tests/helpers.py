@@ -287,6 +287,41 @@ def reference_residuals(P: np.ndarray, whole_gap_max: int = 1 << 15) -> np.ndarr
     return out
 
 
+def reference_slab_residuals(P: np.ndarray, whole_gap_max: int = 1 << 15) -> np.ndarray:
+    """Oracle: the residual kernel as it was before the commutator loop, verbatim.
+
+    Above ``whole_gap_max`` gap entries, slab j of a stack is
+    M_j = p[j] @ P(m x m^2), M_j[i, k, u] = ((e_j o e_i) o e_k)_u, and the
+    associator of (i, j, k) is M_j[i, k, :] - M_j[k, i, :]: every gap
+    entry over all (i, k), taken through a strided transpose.
+    """
+    n, m = P.shape[:2]
+    if n * m**4 <= whole_gap_max:
+        L = (P.reshape(n, m * m, m) @ P.reshape(n, m, m * m)).reshape(n, m, m, m, m)
+        gap = L - L.transpose(0, 3, 1, 2, 4)
+        return np.abs(gap, out=gap).reshape(n, -1).max(axis=1)
+    flat = P.reshape(n, m, m * m)
+    slab = np.empty((n, m, m, m))
+    gap = np.empty((n, m, m, m))
+    worst = np.empty((m, n))
+    for j in range(m):
+        np.matmul(P[:, j], flat, out=slab.reshape(n, m, m * m))
+        np.subtract(slab, slab.transpose(0, 2, 1, 3), out=gap)
+        # gap[k, i] is exactly -gap[i, k], so its max is its largest |entry|
+        gap.reshape(n, -1).max(axis=1, out=worst[j])
+    return worst.max(axis=0)
+
+
+def reference_commutator_residual(V: QsoTensor) -> float:
+    """Oracle: the largest |[P_i, P_k]| over i < k, by plain 2-D products of p[i] and p[k]."""
+    p = V.p
+    return max(
+        (float(np.abs(p[i] @ p[k] - p[k] @ p[i]).max())
+         for i in range(V.m) for k in range(i + 1, V.m)),
+        default=0.0,
+    )
+
+
 def reference_forbidden_max(p: np.ndarray) -> float:
     """Oracle: the largest entry p[i, j, k] with k not in {i, j}, by a gather (0 if none)."""
     i, j, k = np.indices(p.shape)

@@ -136,6 +136,31 @@ MUTANTS = [
     Mutant("classify residual > becomes >=", "orthopreserve.py",
            "    if residual > eps:\n", "    if residual >= eps:\n",
            ("test_orthopreserve.py",)),
+    # the associator residual as commutators [P_i, P_k], i < k
+    Mutant("commutator pairs stop one short", "algebra.py",
+           "    for i in range(m - 1):\n", "    for i in range(m - 2):\n",
+           ("test_algebra.py",)),
+    Mutant("commutator partners start at i + 2", "algebra.py",
+           "        gap = P[:, i:i + 1] @ P[:, i + 1:]\n"
+           "        gap -= P[:, i + 1:] @ P[:, i:i + 1]\n",
+           "        gap = P[:, i:i + 1] @ P[:, i + 2:]\n"
+           "        gap -= P[:, i + 2:] @ P[:, i:i + 1]\n",
+           ("test_algebra.py",)),
+    Mutant("commutator running max becomes an assignment", "algebra.py",
+           "        np.maximum(worst, np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=worst)\n",
+           "        worst = np.abs(gap, out=gap).reshape(n, -1).max(axis=1)\n",
+           ("test_algebra.py",)),
+    Mutant("commutator gap without its absolute value", "algebra.py",
+           "np.abs(gap, out=gap).reshape(n, -1).max(axis=1), out=worst)",
+           "gap.reshape(n, -1).max(axis=1), out=worst)",
+           ("test_algebra.py",)),
+    Mutant("is_associative <= becomes <", "algebra.py",
+           "    return associator_residual(V) <= eps\n",
+           "    return associator_residual(V) < eps\n",
+           ("test_algebra.py",)),
+    Mutant("product operands not checked for finiteness", "algebra.py",
+           "    if not np.isfinite(v).all():\n", "    if False:\n",
+           ("test_algebra.py",)),
     # size caps and exit-2 guards
     Mutant("payload size cap raised", "serialize.py",
            "MAX_DIMENSION = 200\n", "MAX_DIMENSION = 201\n",

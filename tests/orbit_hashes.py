@@ -1,6 +1,6 @@
 """Digests of ``qso.iterate`` orbits, one sha256 per case family.
 
-    PYTHONPATH=src python tests/orbit_hashes.py
+    python tests/orbit_hashes.py
 
 A family is (m, operator kind, window, tol). Each case builds its
 operator and iterates it; it adds its status, cycle length, iteration
@@ -20,12 +20,17 @@ alike. The name has no ``test_`` prefix, so pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-import qso
-from qso.errors import QsoError
+# the checkout's own qso, wherever the script is started from
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import qso  # noqa: E402
+from qso.errors import QsoError  # noqa: E402
 
 HETEROCLINIC = qso.SkewMatrix(3, 0.05 * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
 

@@ -16,9 +16,11 @@ from helpers import (
     rand_skew,
     rand_tensor,
     reference_associator_residual,
+    reference_commutator_residual,
     reference_one_product_residual,
     reference_refute,
     reference_residuals,
+    reference_slab_residuals,
 )
 from qso import (
     algebra,
@@ -103,6 +105,36 @@ class TestProduct:
         V = rand_tensor(np.random.default_rng(0), 3)
         with pytest.raises(DimensionMismatch):
             product(V, [1.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad, shown", [
+        (["a", "b", "c"], "is not a vector of real numbers"),
+        ([float("nan"), 0.0, 0.0], "has a non-finite entry"),
+        ([0.0, float("inf"), 0.0], "has a non-finite entry"),
+        ([0.0, 0.0, -np.inf], "has a non-finite entry"),
+        ([None, 0.0, 0.0], "has a non-finite entry"),
+        ([1j, 0.0, 0.0], "is not a vector of real numbers"),
+        (np.array([1.0 + 1j, 0.0, 0.0]), "is not a vector of real numbers"),
+        ([10**400, 0.0, 0.0], "is not a vector of real numbers"),
+    ])
+    def test_unusable_operand_is_a_typed_error(self, bad, shown):
+        # these used to raise a bare ValueError or return NaN
+        V = rand_tensor(np.random.default_rng(0), 3)
+        e1 = [1.0, 0.0, 0.0]
+        with pytest.raises(ParameterOutOfRange, match=f"^operand x {shown}"):
+            product(V, bad, e1)
+        with pytest.raises(ParameterOutOfRange, match=f"^operand y {shown}"):
+            product(V, e1, bad)
+
+    def test_valid_operands_keep_their_bits(self):
+        rng = np.random.default_rng(49)
+        for m in (2, 3, 7):
+            V = rand_tensor(rng, m)
+            for x, y in [(rng.uniform(-2, 2, m), rng.uniform(-2, 2, m)),
+                         (list(range(m)), [True] + [False] * (m - 1)),
+                         (np.full(m, 1e300), np.full(m, -1e-300))]:
+                want = np.einsum("ijk,i,j->k", V.p, np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float))
+                assert product(V, x, y).tobytes() == want.tobytes()
 
 
 class TestAssociativityDecision:
@@ -366,6 +398,67 @@ class TestStackSlabs:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * m**3 * 8
+
+
+def _dirichlet_tensor(rng, m: int) -> np.ndarray:
+    d = rng.dirichlet(np.ones(m), size=(m, m))
+    return validate((d + d.transpose(1, 0, 2)) / 2.0).p
+
+
+class TestCommutatorResidual:
+    # above the whole-gap size the residual is the largest |[P_i, P_k]|,
+    # i < k, from one pair of batched m x m products per i
+
+    @pytest.mark.parametrize("m", range(14, 61))
+    def test_single_tensors_against_slab_loop_and_commutators(self, m):
+        # X[k] and Y[k] are equally shaped products, so each single tensor
+        # keeps the bits of the plain 2-D commutators, and an associator
+        # whose two sides sum the same products is exactly 0. The slab loop
+        # took the two sides at different places of one m x m^2 product,
+        # which BLAS may round differently: it must agree within the bound
+        # of two m-term dot products of entries in [0, 1] that differ only
+        # in rounding, 2 * m * eps.
+        assert m**4 > algebra._WHOLE_GAP_MAX
+        bound = 2 * m * np.finfo(float).eps
+        rng = np.random.default_rng(5500 + m)
+        c = rng.dirichlet(np.ones(m))
+        control = validate(np.broadcast_to(c, (m, m, m)))  # p[i, j, :] = c associates
+        stack = (rand_tensor(rng, m), control, from_canonical(rand_skew(rng, m)))
+        for V in stack:
+            got = algebra._residuals(V.p[np.newaxis])
+            assert got.tolist() == [reference_commutator_residual(V)]
+            assert abs(got[0] - reference_slab_residuals(V.p[np.newaxis])[0]) <= bound
+        assert associator_residual(control) == 0.0
+        assert is_associative(control, eps=0.0)
+
+    @pytest.mark.parametrize("m", [2, 4, 5, 9])
+    def test_dirichlet_stack_equals_slab_loop(self, m):
+        rng = np.random.default_rng(5600 + m)
+        P = np.stack([_dirichlet_tensor(rng, m)
+                      for _ in range(2 * algebra._WHOLE_GAP_MAX // m**4)])
+        assert P.shape[0] * m**4 > algebra._WHOLE_GAP_MAX
+        assert algebra._residuals(P).tolist() == reference_slab_residuals(P).tolist()
+
+    @pytest.mark.parametrize("family", [1, 3, 4, 6])
+    def test_family_stack_equals_slab_loop(self, family):
+        rng = np.random.default_rng(5700 + family)
+        P = np.stack([op_family(OpFamilySpec(family, *rng.random(3))).p for _ in range(4096)])
+        assert algebra._residuals(P).tolist() == reference_slab_residuals(P).tolist()
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_residual_is_the_largest_commutator(self, m):
+        rng = np.random.default_rng(5800 + m)
+        c = rng.dirichlet(np.ones(m))
+        for V in (rand_tensor(rng, m), validate(_dirichlet_tensor(rng, m)),
+                  validate(np.broadcast_to(c, (m, m, m))), from_canonical(rand_skew(rng, m))):
+            assert associator_residual(V) == reference_commutator_residual(V)
+
+    def test_family2_corners_commute_iff_associative(self):
+        for corner in itertools.product((0.0, 1.0), repeat=3):
+            p = op_family(OpFamilySpec(2, *corner)).p
+            commute = all((p[i] @ p[k] == p[k] @ p[i]).all()
+                          for i in range(3) for k in range(3))
+            assert commute == (corner in ASSOCIATIVE_V2_CORNERS)
 
 
 class TestBatchedRefutation:
