@@ -16,6 +16,7 @@ off ``FAMILY_VERTEX_IMAGES`` without building a tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,9 +53,12 @@ class Permutation:
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> "Permutation":
-        sigma = tuple(as_integer(i) for i in images)
+        """The permutation with these 1-based images; an error names them 1-based too."""
+        sigma = [as_integer(i) for i in images]
         if None in sigma:
             raise InvalidPermutation(f"images must be integers, got {list(images)}")
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
+            raise InvalidPermutation(f"{sigma} is not a bijection of 1..{len(sigma)}")
         return cls(tuple(i - 1 for i in sigma))
 
     @property
@@ -82,21 +86,57 @@ def permute_point(perm: Permutation, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(x.coords[list(perm.sigma)])
 
 
+#: Largest m^3 whose flat gather index :func:`conjugate` keeps: 4 096 intp
+#: entries (32 KiB) per permutation, for up to ``_GATHER_CACHE_SIZE``
+#: permutations, so the cache holds at most 2 MiB of indices.
+_GATHER_CACHE_MAX = 4096
+_GATHER_CACHE_SIZE = 64
+
+
+def _inverse(sigma: tuple[int, ...]) -> np.ndarray:
+    """The images of the inverse permutation, as an intp array."""
+    inv = np.empty(len(sigma), dtype=np.intp)
+    inv[list(sigma)] = np.arange(len(sigma))
+    return inv
+
+
+@lru_cache(maxsize=_GATHER_CACHE_SIZE)
+def _gather_index(sigma: tuple[int, ...]) -> np.ndarray:
+    """Read-only flat indices (inv[i] m + inv[j]) m + inv[k] in (i, j, k) C order.
+
+    Cached for m^3 <= ``_GATHER_CACHE_MAX`` only: at most 2 MiB of indices.
+    """
+    m = len(sigma)
+    inv = _inverse(sigma)
+    idx = ((inv[:, None, None] * m + inv[:, None]) * m + inv).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def conjugate(V: QsoTensor, perm: Permutation) -> QsoTensor:
     """The conjugated operator T^-1 o V o T for the coordinate map T of ``perm``.
 
     Realized entrywise: the result's entry at (i, j, k) is the input's
-    entry at the inverse-permuted indices.
+    entry at the inverse-permuted indices. Either way below it is a pure
+    gather, so the bits are the input's, and the same permutation on i
+    and j keeps the (i, j) symmetry exact.
+
+    While m^3 <= ``_GATHER_CACHE_MAX`` (m <= 16) the coefficients are read
+    as one flat gather through an index cached per permutation (at most 2
+    MiB in all, see there). Above it the index would be built on every
+    call, which measured slower than indexing with the three broadcast
+    inverse arrays (m = 50: ~1.4 against ~0.6 ms on a 2-core x86-64 VM),
+    so that is what runs.
     """
-    if perm.m != V.m:
-        raise DimensionMismatch(f"permutation size {perm.m} vs operator size {V.m}")
-    inv = [0] * V.m
-    for k, s in enumerate(perm.sigma):
-        inv[s] = k
-    inv = np.array(inv)
-    # the open mesh np.ix_(inv, inv, inv) builds, without its per-call cost;
-    # the same permutation on i and j keeps the (i, j) symmetry exact
-    return QsoTensor._trusted(V.m, V.p[inv[:, None, None], inv[:, None], inv])
+    m = V.m
+    if perm.m != m:
+        raise DimensionMismatch(f"permutation size {perm.m} vs operator size {m}")
+    if m ** 3 <= _GATHER_CACHE_MAX:
+        p = V.p.ravel()[_gather_index(perm.sigma)].reshape(m, m, m)
+    else:
+        inv = _inverse(perm.sigma)
+        p = V.p[inv[:, None, None], inv[:, None], inv]
+    return QsoTensor._trusted(m, p)
 
 
 def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:

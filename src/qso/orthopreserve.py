@@ -45,8 +45,9 @@ Both directions read one table, built at import from
 27 entries p[i, j, k] saying whether it holds 0, 1, t or 1 - t, and for
 which parameter t. ``op_family`` writes its array from the codes, and
 ``classify_op`` reads the tensor once as 27 floats, matches the vertex
-images, reads the parameters at their slots and compares every entry
-with the value its code gives.
+images (an exact family diagonal is looked up whole), reads the
+parameters at their slots and compares the entries with the values
+their codes give.
 
 Orthogonality preservation is decided exactly. Every QsoTensor holds
 coefficients >= 0, so supp V(x) is the union of supp p[i, j, :] over i,
@@ -89,6 +90,13 @@ _VERTEX_IMAGES_TO_FAMILY = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}
 #: The edges (i, j), 0-based, whose slices carry alpha, beta and gamma.
 _EDGES = ((0, 1), (1, 2), (0, 2))
 
+#: Readers of the 27 floats q[9 i + 3 j + k] = p[i, j, k]: the diagonal slices
+#: p[k, k, :] = V(e_k) for k = 0, 1, 2, and the edge slices p[i, j, :] for
+#: (i, j) in ``_EDGES``, each as one tuple of 9.
+_read_diagonal = itemgetter(0, 1, 2, 12, 13, 14, 24, 25, 26)
+_EDGE_FLAT = (3, 4, 5, 15, 16, 17, 6, 7, 8)
+_read_edges = itemgetter(*_EDGE_FLAT)
+
 #: Entry codes: the entry of code c is ``_fills(a, b, g)[c]``, that is 0, 1,
 #: the parameter t of edge e (code _T + e) or 1 - t (code _ONE_MINUS_T + e).
 _ONE, _T, _ONE_MINUS_T = 1, 2, 5
@@ -98,14 +106,16 @@ def _fills(a: float, b: float, g: float) -> tuple[float, ...]:
     return (0.0, 1.0, a, b, g, 1.0 - a, 1.0 - b, 1.0 - g)
 
 
-def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, tuple[int, ...]]:
+def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter, itemgetter]:
     """The slot table row of the family with vertex images ``images``.
 
-    The codes of its 27 entries p[i, j, k] (flat index 9 i + 3 j + k), as a
-    getter that maps ``_fills(a, b, g)`` to the entries in that order, and
-    the flat slot of each parameter t. The codes: 1 at p[k, k, sigma(k)]; on
-    edge (i, j) t at output min(sigma(i), sigma(j)) and 1 - t at the other,
-    in both halves of the slice; 0 elsewhere.
+    Three getters: one that maps ``_fills(a, b, g)`` to the 27 entries
+    p[i, j, k] in flat order (index 9 i + 3 j + k), one that maps it to
+    the 9 edge-slice entries in ``_EDGE_FLAT`` order, and one that reads
+    (alpha, beta, gamma) from the 27 floats at their slots. The codes: 1
+    at p[k, k, sigma(k)]; on edge (i, j) t at output min(sigma(i),
+    sigma(j)) and 1 - t at the other, in both halves of the slice; 0
+    elsewhere.
     """
     sigma = [s - 1 for s in images]
     codes = [0] * 27
@@ -116,14 +126,25 @@ def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, tuple[int, ...]
         for n in (9 * i + 3 * j, 9 * j + 3 * i):
             codes[n + lo] = _T + e
             codes[n + hi] = _ONE_MINUS_T + e
-    return itemgetter(*codes), tuple(codes.index(_T + e) for e in range(3))
+    return (
+        itemgetter(*codes),
+        itemgetter(*(codes[n] for n in _EDGE_FLAT)),
+        itemgetter(*(codes.index(_T + e) for e in range(3))),
+    )
 
 
-#: Per family, the entry getter and parameter slots of :func:`_slot_row`.
+#: Per family, its row of the slot table (:func:`_slot_row`).
 _SLOTS = {f: _slot_row(images) for f, images in FAMILY_VERTEX_IMAGES.items()}
 
 #: The vertices e_1, e_2, e_3 as rows of floats.
 _VERTICES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+#: Per family, its exact vertex images as ``_read_diagonal`` reads them, 9
+#: floats (-0.0 matches 0.0). Six 9-tuples: a fixed table, not a cache.
+_DIAGONAL_TO_FAMILY = {
+    sum((_VERTICES[s - 1] for s in images), ()): f
+    for f, images in FAMILY_VERTEX_IMAGES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -175,7 +196,7 @@ def op_family(spec: OpFamilySpec) -> QsoTensor:
     names: 1 at p[k, k, sigma(k)] and each parameter t in its edge slice
     (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other output.
     """
-    entries, _ = _SLOTS[spec.family]
+    entries, _, _ = _SLOTS[spec.family]
     p = np.empty((3, 3, 3))
     p.flat = entries(_fills(*spec.params))
     return QsoTensor._trusted(3, p)
@@ -199,6 +220,31 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     return not (supp & reached).any()
 
 
+def _vertex_family(V: QsoTensor, q: list[float], vertex_tol: float) -> int:
+    """The family whose vertex images the diagonal slices of ``q`` lie within ``vertex_tol`` of.
+
+    Matches each p[k, k, :] to the vertex at its first maximum, as argmax
+    picks it; raises for the first k farther than ``vertex_tol`` from it,
+    or when the images are not a permutation.
+    """
+    images = []
+    for k in range(3):
+        row = q[12 * k:12 * k + 3]  # p[k, k, :] = V(e_k)
+        nearest = row.index(max(row))
+        if max(map(abs, map(sub, row, _VERTICES[nearest]))) > vertex_tol:
+            raise VertexImageNotVertex(
+                f"image of vertex {k + 1} is {np.round(V.p[k, k], 6).tolist()}, "
+                f"not within {vertex_tol:g} of any vertex"
+            )
+        images.append(nearest + 1)
+    images = tuple(images)
+    if len(set(images)) != 3:
+        raise NotOrthogonalityPreserving(
+            f"vertex images {images} are not mutually orthogonal"
+        )
+    return _VERTEX_IMAGES_TO_FAMILY[images]
+
+
 def classify_op(
     V: QsoTensor,
     *,
@@ -218,9 +264,16 @@ def classify_op(
     outside the six families and :class:`NotOrthogonalityPreserving` is
     raised.
 
-    One pass over the 27 entries read once as Python floats; numpy only
-    words the vertex error. ``eps`` and ``vertex_tol`` must be nonnegative
-    (0 asks for exact matches); NaN or a negative value raises
+    One pass over the 27 entries read once as Python floats. When the nine
+    diagonal entries are exactly the vertex images of a family (every
+    family member), ``_DIAGONAL_TO_FAMILY`` names it at once: those rows
+    are at distance 0 from their vertices, so the match could name no
+    other. The residual is then taken over the edge slices i < j only, as
+    the diagonal matches its codes exactly and p is exactly symmetric in
+    (i, j). Any other diagonal, a near-vertex or an error, takes the
+    vertex match and the residual over all 27 entries. Numpy only words
+    the vertex error. ``eps`` and ``vertex_tol`` must be nonnegative (0
+    asks for exact matches); NaN or a negative value raises
     :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
@@ -228,31 +281,26 @@ def classify_op(
     check_tol("vertex_tol", vertex_tol)
 
     q = V.p.ravel().tolist()  # q[9 i + 3 j + k] = p[i, j, k]
-    images = []
-    for k in range(3):
-        row = q[12 * k:12 * k + 3]  # p[k, k, :] = V(e_k)
-        nearest = row.index(max(row))  # the first maximum, as argmax picks it
-        if max(map(abs, map(sub, row, _VERTICES[nearest]))) > vertex_tol:
-            raise VertexImageNotVertex(
-                f"image of vertex {k + 1} is {np.round(V.p[k, k], 6).tolist()}, "
-                f"not within {vertex_tol:g} of any vertex"
-            )
-        images.append(nearest + 1)
-    images = tuple(images)
-    if len(set(images)) != 3:
+    family = _DIAGONAL_TO_FAMILY.get(_read_diagonal(q))
+    exact = family is not None
+    if not exact:
+        family = _vertex_family(V, q, vertex_tol)
+    entries, edges, params = _SLOTS[family]
+    a, b, g = params(q)
+    if not (-eps <= a <= 1.0 + eps and -eps <= b <= 1.0 + eps and -eps <= g <= 1.0 + eps):
         raise NotOrthogonalityPreserving(
-            f"vertex images {images} are not mutually orthogonal"
+            f"recovered parameters {[a, b, g]} fall outside [0, 1]"
         )
-    family = _VERTEX_IMAGES_TO_FAMILY[images]
-    entries, slots = _SLOTS[family]
-    values = [q[n] for n in slots]
-    if any(not -eps <= v <= 1.0 + eps for v in values):
-        raise NotOrthogonalityPreserving(
-            f"recovered parameters {values} fall outside [0, 1]"
-        )
-    a, b, g = [min(max(v, 0.0), 1.0) for v in values]
+    # min(max(t, 0.0), 1.0) for each t; like max, it keeps a -0.0
+    a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+    g = 0.0 if g < 0.0 else 1.0 if g > 1.0 else g
 
-    residual = max(map(abs, map(sub, entries(_fills(a, b, g)), q)))
+    fills = _fills(a, b, g)
+    if exact:
+        residual = max(map(abs, map(sub, edges(fills), _read_edges(q))))
+    else:
+        residual = max(map(abs, map(sub, entries(fills), q)))
     if residual > eps:
         raise NotOrthogonalityPreserving(
             f"reconstruction residual {residual:.3e} exceeds {eps:g}; "

@@ -268,9 +268,39 @@ def _upper_mask(m: int) -> np.ndarray:
     return mask
 
 
+#: Largest m^3 that ``_array_to_entries`` encodes from Python floats (m <= 8).
+_SMALL_ENTRIES_MAX = 512
+
+
+@lru_cache(maxsize=8)
+def _upper_slots(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(flat index, i, j, k) of each slot i <= j, indices 1-based, in (i, j, k) order.
+
+    Only sizes with m^3 <= ``_SMALL_ENTRIES_MAX`` are asked for; the tables
+    of m = 1..8 together hold under 0.1 MB.
+    """
+    return tuple(
+        ((i * m + j) * m + k, i + 1, j + 1, k + 1)
+        for i in range(m) for j in range(i, m) for k in range(m)
+    )
+
+
 def _array_to_entries(p: np.ndarray) -> list[dict]:
-    """Nonzero entries with i <= j, in (i, j, k) order, as 1-based dicts."""
-    i, j, k = np.nonzero((p != 0.0) & _upper_mask(p.shape[0]))
+    """Nonzero entries with i <= j, in (i, j, k) order, as 1-based dicts.
+
+    Up to m^3 = ``_SMALL_ENTRIES_MAX`` the array is read once as Python
+    floats and walked along the cached slot table of its size, which skips
+    numpy's per-call cost; a larger one goes through ``np.nonzero``. Both
+    drop -0.0 with the zeros and give exact ints and floats.
+    """
+    m = p.shape[0]
+    if m ** 3 <= _SMALL_ENTRIES_MAX:
+        q = p.ravel().tolist()
+        return [
+            {"i": i, "j": j, "k": k, "p": v}
+            for n, i, j, k in _upper_slots(m) if (v := q[n]) != 0.0
+        ]
+    i, j, k = np.nonzero((p != 0.0) & _upper_mask(m))
     return [
         {"i": a, "j": b, "k": c, "p": v}
         for a, b, c, v in zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),

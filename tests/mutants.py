@@ -1,6 +1,7 @@
 """Mutation check: does the suite notice small breaks of the code it guards?
 
-    python tests/mutants.py
+    python tests/mutants.py                      # every mutant
+    python tests/mutants.py conjugacy.py core.py # the mutants of these files
 
 A mutant is one exact text, found exactly once in one file under ``src``,
 with its replacement, and the test files that should notice it. Each runs
@@ -12,12 +13,15 @@ One line per mutant gives killed or survived and the run time. A mutant
 tagged ``equivalent`` (with its reason) behaves like the code it mutates,
 so it is expected to survive. The exit status is 0 when every untagged
 mutant is killed and every tagged one survives, else 1. A change that adds
-a predicate adds its mutants here. The name has no ``test_`` prefix, so
-pytest does not collect it.
+a predicate adds its mutants here. Arguments name files under ``src/qso``
+and keep only their mutants; the exit status means the same for the
+selection, and a file with no mutants is a usage error (status 2). The
+name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -136,6 +140,29 @@ MUTANTS = [
     Mutant("classify residual > becomes >=", "orthopreserve.py",
            "    if residual > eps:\n", "    if residual >= eps:\n",
            ("test_orthopreserve.py",)),
+    # the S^2 sweep's fast paths: the exact-diagonal lookup, the clamp, the
+    # cached flat gather and the small-tensor encoder
+    Mutant("diagonal lookup built with shifted images", "orthopreserve.py",
+           "sum((_VERTICES[s - 1] for s in images), ())", "sum((_VERTICES[s % 3] for s in images), ())",
+           ("test_orthopreserve.py",)),
+    Mutant("lookup residual skips the gamma slice", "orthopreserve.py",
+           "_EDGE_FLAT = (3, 4, 5, 15, 16, 17, 6, 7, 8)\n", "_EDGE_FLAT = (3, 4, 5, 15, 16, 17)\n",
+           ("test_orthopreserve.py",)),
+    Mutant("clamp loses its upper bound", "orthopreserve.py",
+           "    b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b\n", "    b = 0.0 if b < 0.0 else b\n",
+           ("test_orthopreserve.py",)),
+    Mutant("gather index built from sigma, not its inverse", "conjugacy.py",
+           "    inv = _inverse(sigma)\n", "    inv = np.array(sigma)\n",
+           ("test_conjugacy.py",)),
+    Mutant("gather cache bound past m = 16", "conjugacy.py",
+           "_GATHER_CACHE_MAX = 4096\n", "_GATHER_CACHE_MAX = 4913\n",
+           ("test_conjugacy.py",)),
+    Mutant("1-based permutation error shown 0-based", "conjugacy.py",
+           "        if sorted(sigma) != list(range(1, len(sigma) + 1)):\n", "        if False:\n",
+           ("test_conjugacy.py",)),
+    Mutant("small-tensor encoder keeps zeros", "serialize.py",
+           "if (v := q[n]) != 0.0", "if (v := q[n]) >= 0.0",
+           ("test_serialize.py",)),
     # the associator residual as commutators [P_i, P_k], i < k
     Mutant("commutator pairs stop one short", "algebra.py",
            "    for i in range(m - 1):\n", "    for i in range(m - 2):\n",
@@ -204,9 +231,16 @@ def run(mutant: Mutant) -> tuple[bool, float]:
         return done.returncode != 0, time.perf_counter() - start
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the mutants, or those of the named files.")
+    parser.add_argument("files", nargs="*", help="files under src/qso, e.g. conjugacy.py")
+    files = parser.parse_args(argv).files
+    unknown = sorted(set(files) - {mutant.file for mutant in MUTANTS})
+    if unknown:
+        parser.error(f"no mutants in {', '.join(unknown)}")
+    chosen = [mutant for mutant in MUTANTS if not files or mutant.file in files]
     wrong = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         killed, seconds = run(mutant)
         verdict = "killed" if killed else "survived"
         if mutant.equivalent:
@@ -215,7 +249,7 @@ def main() -> int:
         wrong += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {verdict} in {seconds:.1f} s",
               flush=True)
-    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} as expected")
+    print(f"{len(chosen) - wrong} of {len(chosen)} as expected")
     return 1 if wrong else 0
 
 

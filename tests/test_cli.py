@@ -16,17 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_kernel, rand_volterra_kernel, with_forbidden_entry
+from helpers import rand_kernel, rand_volterra_kernel, rand_volterra_tensor, with_forbidden_entry
 from qso import (
     FiniteKernel,
     OpFamilySpec,
     SimplexPoint,
+    associator_residual,
     cli,
+    is_associative,
     iterate,
     op_family,
     serialize,
     validate,
 )
+from qso.algebra import _WHOLE_GAP_MAX
 from qso.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qso.serialize import dumps, kernel_to_obj, tensor_to_obj
 
@@ -734,3 +737,44 @@ def test_fuzz_whole_payloads(doc):
                 lines = err.splitlines()
                 assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (
                     argv, doc, err)
+
+
+def _commutator_path_tensors(m: int) -> dict:
+    """Tensors of size m whose associator residual takes the commutator path."""
+    rng = np.random.default_rng(1400 + m)
+    constant = np.zeros((m, m, m))
+    constant[:, :, 0] = 1.0  # x o y = e_1 for all x, y: associative
+    return {
+        "dense": validate(rng.random((m, m, m)), mode="normalize"),
+        "volterra": rand_volterra_tensor(rng, m),
+        "constant": validate(constant),
+    }
+
+
+@pytest.mark.parametrize("m", [14, 16])
+def test_algebra_commands_on_the_commutator_path_print_the_library_result(tmp_path, m):
+    """``algebra residual`` and ``algebra check`` above m = 13 print exactly what the
+    library gives for the decoded tensor. The bits there depend on how the BLAS build
+    rounds by product shape, so the comparison runs in one process, not against a record."""
+    assert m**4 > _WHOLE_GAP_MAX  # one tensor's gap entries exceed the one-piece bound
+    verdicts = set()
+    for name, V in _commutator_path_tensors(m).items():
+        path = tmp_path / f"{name}{m}.json"
+        path.write_text(dumps(tensor_to_obj(V)), encoding="utf-8")
+        W = serialize.tensor_from_obj(json.loads(path.read_text(encoding="utf-8")))
+        residual, associative = associator_residual(W), is_associative(W)
+        verdicts.add(associative)
+        code = 0 if associative else 1
+        assert _run(["algebra", "residual", "--op", str(path), "--json"]) == (
+            0, dumps({"residual": residual}) + "\n", "")
+        assert _run(["algebra", "check", "--op", str(path), "--json"]) == (
+            code, dumps({"associative": associative}) + "\n", "")
+        assert _run(["algebra", "check", "--op", str(path)]) == (
+            code, f"associative: {str(associative).lower()}\n", "")
+    assert verdicts == {True, False}
+
+
+def test_a_bad_one_based_perm_is_named_one_based(files):
+    code, out, err = _run(["op", "conjugate", "--op", files["v1.json"], "--perm", "4,2,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: InvalidPermutation: [4, 2, 1] is not a bijection of 1..3\n"

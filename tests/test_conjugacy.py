@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import rand_simplex, rand_tensor, reference_conjugacy_classes, reference_conjugate
+from helpers import (
+    rand_simplex,
+    rand_tensor,
+    rand_volterra_tensor,
+    reference_conjugacy_classes,
+    reference_conjugate,
+)
 from qso import (
     InvalidFamily,
     InvalidPermutation,
     OpFamilySpec,
     Permutation,
+    QsoTensor,
     SimplexPoint,
     apply,
     classify_op,
@@ -24,7 +33,9 @@ from qso import (
     permute_point,
     validate,
 )
+from qso.conjugacy import _GATHER_CACHE_MAX, _GATHER_CACHE_SIZE, _gather_index
 from qso.errors import DimensionMismatch, ParameterOutOfRange
+from qso.serialize import perm_from_obj
 
 #: T_pi (x, y, z) -> (y, z, x) and T_pi1 (x, y, z) -> (x, z, y)
 PI = Permutation((1, 2, 0))
@@ -195,3 +206,79 @@ class TestClasses:
             assert classes([2.0]) == [frozenset({2})]
             assert classes([np.int64(2), 2, 4.0]) == [frozenset({2}), frozenset({4})]
             assert all(type(f) is int for c in classes([2.0, np.int64(5)]) for f in c)
+
+
+def permuted_volterra(rng: np.random.Generator, m: int) -> QsoTensor:
+    """An OP operator of size m: a Volterra tensor with its outputs permuted."""
+    W = rand_volterra_tensor(rng, m)
+    return QsoTensor(m, W.p[:, :, rng.permutation(m)])
+
+
+class TestFlatGather:
+    """The cached flat gather (m^3 <= 4 096) and the broadcast indexing above it
+    both give the bits of the reference conjugation."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 15, 16, 17, 18, 25, 40])
+    def test_bits_match_reference(self, m):
+        rng = np.random.default_rng(700 + m)
+        tensors = [rand_tensor(rng, m), rand_volterra_tensor(rng, m), permuted_volterra(rng, m)]
+        perms = [Permutation.identity(m), Permutation(tuple(range(1, m)) + (0,))]
+        perms += [Permutation(tuple(int(s) for s in rng.permutation(m))) for _ in range(3)]
+        for V in tensors:
+            for perm in perms:
+                got = conjugate(V, perm)
+                want = reference_conjugate(V, perm)
+                assert got.p.tobytes() == want.p.tobytes()
+                assert got.p.shape == (m, m, m) and not got.p.flags.writeable
+
+    def test_the_cache_holds_at_most_two_mib(self):
+        itemsize = np.dtype(np.intp).itemsize
+        assert _GATHER_CACHE_SIZE * _GATHER_CACHE_MAX * itemsize <= 2 * 2**20
+        assert 16**3 <= _GATHER_CACHE_MAX < 17**3
+        rng = np.random.default_rng(41)
+        V = rand_tensor(rng, 16)
+        perms = [Permutation(tuple(int(s) for s in rng.permutation(16))) for _ in range(100)]
+        _gather_index.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for perm in perms:
+                conjugate(V, perm)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _gather_index.cache_info().currsize == _GATHER_CACHE_SIZE
+        # the indices and their keys, with 64 KiB for the keys and the cache's own links
+        assert held <= 2 * 2**20 + 64 * 2**10
+        # a larger size builds nothing into the cache
+        info = _gather_index.cache_info()
+        W = rand_tensor(rng, 17)
+        for _ in range(3):
+            conjugate(W, Permutation(tuple(int(s) for s in rng.permutation(17))))
+        assert _gather_index.cache_info() == info
+
+    def test_the_cached_index_is_read_only(self):
+        conjugate(op_family(OpFamilySpec(3, 0.3, 0.6, 0.9)), PI)
+        with pytest.raises(ValueError):
+            _gather_index(PI.sigma)[0] = 0
+
+
+class TestOneBasedErrors:
+    """A bad 1-based permutation is named as it was given, 1-based."""
+
+    @pytest.mark.parametrize("images", [[4, 2, 1], [1, 1, 2], [0, 1, 2], [2.0, 2.0], [-1]])
+    def test_from_one_based_names_its_images(self, images):
+        shown = [int(i) for i in images]
+        message = rf"^{re.escape(str(shown))} is not a bijection of 1\.\.{len(images)}$"
+        with pytest.raises(InvalidPermutation, match=message):
+            Permutation.from_one_based(images)
+        with pytest.raises(InvalidPermutation, match=message):
+            perm_from_obj({"sigma": images})
+
+    def test_the_zero_based_constructor_keeps_its_message(self):
+        with pytest.raises(InvalidPermutation, match=r"^\(3, 1, 0\) is not a bijection of 0\.\.2$"):
+            Permutation((3, 1, 0))
+
+    def test_valid_images_still_build(self):
+        assert Permutation.from_one_based([]).sigma == ()
+        assert Permutation.from_one_based([np.int64(2), 1.0]).sigma == (1, 0)

@@ -39,6 +39,7 @@ from qso import (
 )
 from qso.core import EPS_SUPP, EPS_VAL
 from qso.errors import DimensionUnsupported
+from qso.orthopreserve import _DIAGONAL_TO_FAMILY, _read_diagonal
 from qso.serialize import dumps, spec_to_obj
 
 GENERIC = (0.3, 0.6, 0.9)
@@ -523,3 +524,100 @@ class TestToleranceGuards:
             classify_op(V, eps=float("nan"))
         with pytest.raises(DimensionUnsupported):
             is_orthogonality_preserving(V, eps_supp=float("nan"))
+
+
+def takes_the_lookup(V: QsoTensor) -> bool:
+    """True when the exact-diagonal table names V's family, False where the vertex match runs."""
+    return _read_diagonal(V.p.ravel().tolist()) in _DIAGONAL_TO_FAMILY
+
+
+def parameter_slots(family: int, edge: int) -> tuple:
+    """Both halves of the slot holding parameter ``edge``, found by moving it from 0 to 1."""
+    params = [1.0, 1.0, 1.0]
+    high = op_family(OpFamilySpec(family, *params)).p
+    params[edge] = 0.0
+    low = op_family(OpFamilySpec(family, *params)).p
+    return np.nonzero(high > low)
+
+
+class TestDiagonalLookupMatchesReference:
+    """Both sides of the exact-diagonal lookup give the reference classifier's outcome."""
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_members_and_their_conjugates_take_the_lookup(self, family):
+        rng = np.random.default_rng(900 + family)
+        corners = list(itertools.product((0.0, 0.5, 1.0), repeat=3))
+        for params in corners + [tuple(rng.random(3)) for _ in range(10)]:
+            for sigma in itertools.permutations(range(3)):
+                V = conjugate(op_family(OpFamilySpec(family, *params)), Permutation(sigma))
+                assert takes_the_lookup(V)
+                for kwargs in ({}, {"eps": 0.0, "vertex_tol": 0.0}):
+                    got = outcome(classify_op, V, **kwargs)
+                    assert got == outcome(reference_classify_op, V, **kwargs)
+                    assert type(got[0]) is int  # a spec, never an error
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_vertex_rows_moved_within_vertex_tol_take_the_match(self, family):
+        vertex_tol = 1e-3
+        base = op_family(OpFamilySpec(family, *GENERIC)).p
+        kinds = set()
+        for k, shift in itertools.product(range(3), (1, 2)):
+            for delta in (vertex_tol / 4, vertex_tol, vertex_tol * (1 + 2.0**-20)):
+                p = base.copy()
+                s = int(np.argmax(p[k, k]))
+                p[k, k, s] -= delta
+                p[k, k, (s + shift) % 3] += delta
+                V = QsoTensor(3, p)
+                assert not takes_the_lookup(V)
+                for eps in (EPS_VAL, vertex_tol / 2, 0.05):
+                    got = outcome(classify_op, V, eps=eps, vertex_tol=vertex_tol)
+                    assert got == outcome(reference_classify_op, V, eps=eps, vertex_tol=vertex_tol)
+                    kinds.add(got[0] if isinstance(got[0], type) else "spec")
+        assert kinds == {"spec", NotOrthogonalityPreserving, VertexImageNotVertex}
+
+    def test_exact_vertex_rows_that_are_not_a_permutation(self):
+        for images in itertools.product(range(3), repeat=3):
+            if len(set(images)) == 3:
+                continue
+            p = np.full((3, 3, 3), 1.0 / 3.0)
+            for k, s in enumerate(images):
+                p[k, k] = np.eye(3)[s]
+            V = QsoTensor(3, p)
+            assert not takes_the_lookup(V)
+            got = outcome(classify_op, V)
+            assert got == outcome(reference_classify_op, V)
+            assert got == (
+                NotOrthogonalityPreserving,
+                f"vertex images {tuple(s + 1 for s in images)} are not mutually orthogonal",
+            )
+
+    @pytest.mark.parametrize("row", [(0.5, 0.5, 0.0), (1 / 3, 1 / 3, 1 / 3), (0.9, 0.0, 0.1)])
+    def test_a_row_far_from_every_vertex(self, row):
+        for k in range(3):
+            p = op_family(OpFamilySpec(3, *GENERIC)).p.copy()
+            p[k, k] = row
+            V = QsoTensor(3, p)
+            assert not takes_the_lookup(V)
+            got = outcome(classify_op, V)
+            assert got == outcome(reference_classify_op, V)
+            assert got[0] is VertexImageNotVertex and got[1].startswith(f"image of vertex {k + 1}")
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_parameters_within_eps_of_the_interval_are_clamped(self, family):
+        for edge in range(3):
+            rows, cols, outs = parameter_slots(family, edge)
+            above = op_family(OpFamilySpec(family, 1.0, 1.0, 1.0)).p.copy()
+            above[rows, cols, outs] += EPS_VAL / 2  # the slice sums stay within EPS_VAL
+            params = [0.5, 0.5, 0.5]
+            params[edge] = 0.0
+            signed = op_family(OpFamilySpec(family, *params)).p.copy()
+            signed[rows, cols, outs] = -0.0
+            for p in (above, signed):
+                V = QsoTensor(3, p)
+                assert takes_the_lookup(V)
+                for eps in (EPS_VAL, 0.0):
+                    got = outcome(classify_op, V, eps=eps)
+                    assert got == outcome(reference_classify_op, V, eps=eps)
+            spec = classify_op(QsoTensor(3, above))
+            assert spec.params == (1.0, 1.0, 1.0)
+            assert str(classify_op(QsoTensor(3, signed)).params[edge]) == "-0.0"

@@ -15,6 +15,7 @@ from helpers import (
     rand_kernel,
     rand_skew,
     rand_tensor,
+    rand_volterra_kernel,
     rand_volterra_tensor,
     reference_array_to_entries,
     reference_dumps,
@@ -35,11 +36,13 @@ from qso import (
     TooLarge,
     serialize,
 )
-from qso.kernel import DiscreteMeasure
+from qso.kernel import DiscreteMeasure, FiniteKernel
 from qso.serialize import (
     _BULK_MIN_ENTRIES,
+    _SMALL_ENTRIES_MAX,
     _bulk_entries_to_array,
     _entries_to_array,
+    _upper_slots,
     dumps,
     kernel_from_obj,
     kernel_to_obj,
@@ -587,3 +590,58 @@ class TestIntegralIndices:
         obj = {"family": family, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
         with pytest.raises(InvalidFamily, match="must be an integer"):
             spec_from_obj(obj)
+
+
+def exact_entries(entries: list[dict]) -> bool:
+    """Every entry holds exact ints at i, j, k and an exact float at p, in that key order."""
+    return all(
+        list(e) == ["i", "j", "k", "p"]
+        and type(e["i"]) is type(e["j"]) is type(e["k"]) is int and type(e["p"]) is float
+        for e in entries
+    )
+
+
+def zeroed(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A symmetric stochastic array with about 70 % of its entries zeroed at random."""
+    p = rng.random((m, m, m)) * (rng.random((m, m, m)) < 0.3)
+    p[:, :, 0] += 1e-3  # every slice keeps some mass
+    p = (p + p.transpose(1, 0, 2)) / 2.0
+    return p / p.sum(axis=2, keepdims=True)
+
+
+class TestSmallAndLargeEntryEncoders:
+    """Tensors and kernels up to m^3 = 512 (m <= 8) are encoded from Python floats,
+    larger ones through np.nonzero; both give the reference entries."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_tensor_and_kernel_entries_match_reference(self, m):
+        rng = np.random.default_rng(800 + m)
+        tensors = [rand_tensor(rng, m), rand_volterra_tensor(rng, m), QsoTensor(m, zeroed(rng, m))]
+        kernels = [rand_kernel(rng, m), rand_volterra_kernel(rng, m), FiniteKernel(m, zeroed(rng, m))]
+        for V in tensors:
+            got = tensor_to_obj(V)["entries"]
+            assert got == reference_array_to_entries(V.p) and exact_entries(got)
+        for K in kernels:
+            got = kernel_to_obj(K)["q"]
+            assert got == reference_array_to_entries(K.q) and exact_entries(got)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 9])
+    def test_negative_zeros_are_dropped(self, m):
+        rng = np.random.default_rng(850 + m)
+        p = rand_volterra_tensor(rng, m).p
+        signed = np.where(p == 0.0, -0.0, p)
+        assert np.signbit(signed).sum() > 0
+        V = QsoTensor(m, signed)
+        assert np.signbit(V.p).sum() > 0
+        got = tensor_to_obj(V)["entries"]
+        assert got == reference_array_to_entries(V.p) == tensor_to_obj(QsoTensor(m, p))["entries"]
+        assert exact_entries(got)
+        K = FiniteKernel(m, signed)
+        assert kernel_to_obj(K)["q"] == reference_array_to_entries(K.q)
+
+    def test_slot_tables_are_cached_for_small_sizes_only(self):
+        _upper_slots.cache_clear()
+        for m in range(2, 12):
+            tensor_to_obj(rand_tensor(np.random.default_rng(m), m))
+        assert _upper_slots.cache_info().currsize == 7  # m = 2..8
+        assert 8**3 <= _SMALL_ENTRIES_MAX < 9**3
