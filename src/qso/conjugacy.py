@@ -86,57 +86,33 @@ def permute_point(perm: Permutation, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(x.coords[list(perm.sigma)])
 
 
-#: Largest m^3 whose flat gather index :func:`conjugate` keeps: 4 096 intp
-#: entries (32 KiB) per permutation, for up to ``_GATHER_CACHE_SIZE``
-#: permutations, so the cache holds at most 2 MiB of indices.
-_GATHER_CACHE_MAX = 4096
-_GATHER_CACHE_SIZE = 64
+@lru_cache(maxsize=64)
+def _inverse_index(sigma: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse images of ``sigma`` as an index for p[i, j, k]: on i, j and k.
 
-
-def _inverse(sigma: tuple[int, ...]) -> np.ndarray:
-    """The images of the inverse permutation, as an intp array."""
-    inv = np.empty(len(sigma), dtype=np.intp)
-    inv[list(sigma)] = np.arange(len(sigma))
-    return inv
-
-
-@lru_cache(maxsize=_GATHER_CACHE_SIZE)
-def _gather_index(sigma: tuple[int, ...]) -> np.ndarray:
-    """Read-only flat indices (inv[i] m + inv[j]) m + inv[k] in (i, j, k) C order.
-
-    Cached for m^3 <= ``_GATHER_CACHE_MAX`` only: at most 2 MiB of indices.
+    The three arrays are broadcast views of one read-only array of m intp,
+    so the cache holds at most 64 of them: 512 m bytes of indices at size
+    m (64 KiB at m = 128), beside their m-tuple keys.
     """
     m = len(sigma)
-    inv = _inverse(sigma)
-    idx = ((inv[:, None, None] * m + inv[:, None]) * m + inv).ravel()
-    idx.flags.writeable = False
-    return idx
+    inv = np.empty(m, dtype=np.intp)
+    inv[list(sigma)] = np.arange(m)
+    inv.flags.writeable = False
+    return inv[:, None, None], inv[:, None], inv
 
 
 def conjugate(V: QsoTensor, perm: Permutation) -> QsoTensor:
     """The conjugated operator T^-1 o V o T for the coordinate map T of ``perm``.
 
     Realized entrywise: the result's entry at (i, j, k) is the input's
-    entry at the inverse-permuted indices. Either way below it is a pure
-    gather, so the bits are the input's, and the same permutation on i
-    and j keeps the (i, j) symmetry exact.
-
-    While m^3 <= ``_GATHER_CACHE_MAX`` (m <= 16) the coefficients are read
-    as one flat gather through an index cached per permutation (at most 2
-    MiB in all, see there). Above it the index would be built on every
-    call, which measured slower than indexing with the three broadcast
-    inverse arrays (m = 50: ~1.4 against ~0.6 ms on a 2-core x86-64 VM),
-    so that is what runs.
+    entry at the inverse-permuted indices, one gather through the
+    broadcast inverse images, cached per permutation. A gather keeps the
+    input's bits, and the same permutation on i and j keeps the (i, j)
+    symmetry exact.
     """
-    m = V.m
-    if perm.m != m:
-        raise DimensionMismatch(f"permutation size {perm.m} vs operator size {m}")
-    if m ** 3 <= _GATHER_CACHE_MAX:
-        p = V.p.ravel()[_gather_index(perm.sigma)].reshape(m, m, m)
-    else:
-        inv = _inverse(perm.sigma)
-        p = V.p[inv[:, None, None], inv[:, None], inv]
-    return QsoTensor._trusted(m, p)
+    if perm.m != V.m:
+        raise DimensionMismatch(f"permutation size {perm.m} vs operator size {V.m}")
+    return QsoTensor._trusted(V.m, V.p[_inverse_index(perm.sigma)])
 
 
 def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:

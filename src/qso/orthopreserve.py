@@ -46,8 +46,8 @@ Both directions read one table, built at import from
 which parameter t. ``op_family`` writes its array from the codes, and
 ``classify_op`` reads the tensor once as 27 floats, matches the vertex
 images (an exact family diagonal is looked up whole), reads the
-parameters at their slots and compares the entries with the values
-their codes give.
+parameters at their slots and compares every entry with the value
+its code gives.
 
 Orthogonality preservation is decided exactly. Every QsoTensor holds
 coefficients >= 0, so supp V(x) is the union of supp p[i, j, :] over i,
@@ -90,12 +90,9 @@ _VERTEX_IMAGES_TO_FAMILY = {v: f for f, v in FAMILY_VERTEX_IMAGES.items()}
 #: The edges (i, j), 0-based, whose slices carry alpha, beta and gamma.
 _EDGES = ((0, 1), (1, 2), (0, 2))
 
-#: Readers of the 27 floats q[9 i + 3 j + k] = p[i, j, k]: the diagonal slices
-#: p[k, k, :] = V(e_k) for k = 0, 1, 2, and the edge slices p[i, j, :] for
-#: (i, j) in ``_EDGES``, each as one tuple of 9.
+#: Reads the diagonal slices p[k, k, :] = V(e_k), k = 0, 1, 2, from the 27
+#: floats q[9 i + 3 j + k] = p[i, j, k] as one tuple of 9.
 _read_diagonal = itemgetter(0, 1, 2, 12, 13, 14, 24, 25, 26)
-_EDGE_FLAT = (3, 4, 5, 15, 16, 17, 6, 7, 8)
-_read_edges = itemgetter(*_EDGE_FLAT)
 
 #: Entry codes: the entry of code c is ``_fills(a, b, g)[c]``, that is 0, 1,
 #: the parameter t of edge e (code _T + e) or 1 - t (code _ONE_MINUS_T + e).
@@ -106,12 +103,11 @@ def _fills(a: float, b: float, g: float) -> tuple[float, ...]:
     return (0.0, 1.0, a, b, g, 1.0 - a, 1.0 - b, 1.0 - g)
 
 
-def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter, itemgetter]:
+def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter]:
     """The slot table row of the family with vertex images ``images``.
 
-    Three getters: one that maps ``_fills(a, b, g)`` to the 27 entries
-    p[i, j, k] in flat order (index 9 i + 3 j + k), one that maps it to
-    the 9 edge-slice entries in ``_EDGE_FLAT`` order, and one that reads
+    Two getters: one that maps ``_fills(a, b, g)`` to the 27 entries
+    p[i, j, k] in flat order (index 9 i + 3 j + k), and one that reads
     (alpha, beta, gamma) from the 27 floats at their slots. The codes: 1
     at p[k, k, sigma(k)]; on edge (i, j) t at output min(sigma(i),
     sigma(j)) and 1 - t at the other, in both halves of the slice; 0
@@ -126,11 +122,7 @@ def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter, ite
         for n in (9 * i + 3 * j, 9 * j + 3 * i):
             codes[n + lo] = _T + e
             codes[n + hi] = _ONE_MINUS_T + e
-    return (
-        itemgetter(*codes),
-        itemgetter(*(codes[n] for n in _EDGE_FLAT)),
-        itemgetter(*(codes.index(_T + e) for e in range(3))),
-    )
+    return itemgetter(*codes), itemgetter(*(codes.index(_T + e) for e in range(3)))
 
 
 #: Per family, its row of the slot table (:func:`_slot_row`).
@@ -196,7 +188,7 @@ def op_family(spec: OpFamilySpec) -> QsoTensor:
     names: 1 at p[k, k, sigma(k)] and each parameter t in its edge slice
     (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other output.
     """
-    entries, _, _ = _SLOTS[spec.family]
+    entries, _ = _SLOTS[spec.family]
     p = np.empty((3, 3, 3))
     p.flat = entries(_fills(*spec.params))
     return QsoTensor._trusted(3, p)
@@ -268,13 +260,11 @@ def classify_op(
     diagonal entries are exactly the vertex images of a family (every
     family member), ``_DIAGONAL_TO_FAMILY`` names it at once: those rows
     are at distance 0 from their vertices, so the match could name no
-    other. The residual is then taken over the edge slices i < j only, as
-    the diagonal matches its codes exactly and p is exactly symmetric in
-    (i, j). Any other diagonal, a near-vertex or an error, takes the
-    vertex match and the residual over all 27 entries. Numpy only words
-    the vertex error. ``eps`` and ``vertex_tol`` must be nonnegative (0
-    asks for exact matches); NaN or a negative value raises
-    :class:`ParameterOutOfRange`.
+    other. Any other diagonal, a near-vertex or an error, takes the
+    vertex match. The residual is taken over all 27 entries either way.
+    Numpy only words the vertex error. ``eps`` and ``vertex_tol`` must be
+    nonnegative (0 asks for exact matches); NaN or a negative value
+    raises :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
     check_tol("eps", eps)
@@ -282,10 +272,9 @@ def classify_op(
 
     q = V.p.ravel().tolist()  # q[9 i + 3 j + k] = p[i, j, k]
     family = _DIAGONAL_TO_FAMILY.get(_read_diagonal(q))
-    exact = family is not None
-    if not exact:
+    if family is None:
         family = _vertex_family(V, q, vertex_tol)
-    entries, edges, params = _SLOTS[family]
+    entries, params = _SLOTS[family]
     a, b, g = params(q)
     if not (-eps <= a <= 1.0 + eps and -eps <= b <= 1.0 + eps and -eps <= g <= 1.0 + eps):
         raise NotOrthogonalityPreserving(
@@ -296,11 +285,7 @@ def classify_op(
     b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
     g = 0.0 if g < 0.0 else 1.0 if g > 1.0 else g
 
-    fills = _fills(a, b, g)
-    if exact:
-        residual = max(map(abs, map(sub, edges(fills), _read_edges(q))))
-    else:
-        residual = max(map(abs, map(sub, entries(fills), q)))
+    residual = max(map(abs, map(sub, entries(_fills(a, b, g)), q)))
     if residual > eps:
         raise NotOrthogonalityPreserving(
             f"reconstruction residual {residual:.3e} exceeds {eps:g}; "

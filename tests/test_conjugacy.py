@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from qso import (
     permute_point,
     validate,
 )
-from qso.conjugacy import _GATHER_CACHE_MAX, _GATHER_CACHE_SIZE, _gather_index
+from qso.conjugacy import _inverse_index
 from qso.errors import DimensionMismatch, ParameterOutOfRange
 from qso.serialize import perm_from_obj
 
@@ -214,9 +213,9 @@ def permuted_volterra(rng: np.random.Generator, m: int) -> QsoTensor:
     return QsoTensor(m, W.p[:, :, rng.permutation(m)])
 
 
-class TestFlatGather:
-    """The cached flat gather (m^3 <= 4 096) and the broadcast indexing above it
-    both give the bits of the reference conjugation."""
+class TestCachedInverseGather:
+    """The gather through the cached inverse images gives the bits of the
+    reference conjugation, and its cache stays within its stated bytes."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 15, 16, 17, 18, 25, 40])
     def test_bits_match_reference(self, m):
@@ -231,36 +230,29 @@ class TestFlatGather:
                 assert got.p.tobytes() == want.p.tobytes()
                 assert got.p.shape == (m, m, m) and not got.p.flags.writeable
 
-    def test_the_cache_holds_at_most_two_mib(self):
-        itemsize = np.dtype(np.intp).itemsize
-        assert _GATHER_CACHE_SIZE * _GATHER_CACHE_MAX * itemsize <= 2 * 2**20
-        assert 16**3 <= _GATHER_CACHE_MAX < 17**3
-        rng = np.random.default_rng(41)
-        V = rand_tensor(rng, 16)
-        perms = [Permutation(tuple(int(s) for s in rng.permutation(16))) for _ in range(100)]
-        _gather_index.cache_clear()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for perm in perms:
-                conjugate(V, perm)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert _gather_index.cache_info().currsize == _GATHER_CACHE_SIZE
-        # the indices and their keys, with 64 KiB for the keys and the cache's own links
-        assert held <= 2 * 2**20 + 64 * 2**10
-        # a larger size builds nothing into the cache
-        info = _gather_index.cache_info()
-        W = rand_tensor(rng, 17)
-        for _ in range(3):
-            conjugate(W, Permutation(tuple(int(s) for s in rng.permutation(17))))
-        assert _gather_index.cache_info() == info
+    @pytest.mark.parametrize("m", [16, 40])
+    def test_the_cache_holds_at_most_64_arrays_of_m_intp(self, m):
+        rng = np.random.default_rng(41 + m)
+        V = rand_tensor(rng, m)
+        sigmas = [tuple(int(s) for s in rng.permutation(m)) for _ in range(100)]
+        _inverse_index.cache_clear()
+        for sigma in sigmas:
+            conjugate(V, Permutation(sigma))
+        info = _inverse_index.cache_info()
+        assert info.currsize == 64
+        # the 64 most recent permutations are the ones held: reading them misses none
+        held = [_inverse_index(sigma) for sigma in sigmas[-64:]]
+        assert _inverse_index.cache_info().misses == info.misses
+        for i, j, inv in held:
+            assert inv.base is None and i.base is inv and j.base is inv
+            assert inv.dtype == np.intp and inv.shape == (m,)
+        assert sum(inv.nbytes for *_, inv in held) <= 512 * m
 
     def test_the_cached_index_is_read_only(self):
         conjugate(op_family(OpFamilySpec(3, 0.3, 0.6, 0.9)), PI)
-        with pytest.raises(ValueError):
-            _gather_index(PI.sigma)[0] = 0
+        for index in _inverse_index(PI.sigma):
+            with pytest.raises(ValueError):
+                index[(0,) * index.ndim] = 0
 
 
 class TestOneBasedErrors:
