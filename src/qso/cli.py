@@ -50,10 +50,10 @@ from .errors import QsoError, TooLarge
 EXIT_BROKEN_PIPE = 141
 
 #: Largest ``dyn iterate --max-iter``. The orbit is one array of 8m bytes
-#: per point, which peaks at ~53 B per point at m = 3 and ~165 B at m = 10
-#: while its chunks are joined (tracemalloc), so an orbit that never stops
-#: peaks at ~55-170 MB at the cap; at m = 3 such a call runs ~2.0-2.5 s with
-#: a peak RSS of ~86 MB (README).
+#: per point, grown in place, which peaks at ~27 B per point at m = 3 and
+#: ~86 B at m = 10 (tracemalloc), so an orbit that never stops peaks at
+#: ~27-86 MB at the cap; at m = 3 such a call runs ~1.8-2.2 s with a peak
+#: RSS of ~53 MB (README).
 MAX_ITER = 1_000_000
 
 

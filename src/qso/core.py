@@ -10,7 +10,11 @@ generation x' with x'_k = sum_{i,j} p[i, j, k] * x_i * x_j.
 
 This module owns the two value types (:class:`SimplexPoint`,
 :class:`QsoTensor`), tensor validation, operator application, and the
-support-based order predicates (absolute continuity, orthogonality).
+support-based predicates: absolute continuity, orthogonality, and the
+probe mask that decides every Volterra, kernel and OP verdict. Each of
+those verdicts asks which coordinates lie outside the support of a probe
+(e_i + e_j) / 2; :func:`_probe_mask` is that rule and
+:func:`_forbidden_max` its forbidden-entry maximum.
 
 A :class:`QsoTensor` holds all three invariants above: its constructor
 refuses an array that is not exactly symmetric, has a negative entry or
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -416,3 +421,32 @@ def orthogonal(x: SimplexPoint, y: SimplexPoint, eps_supp: float = EPS_SUPP) -> 
     if x.m != y.m:
         raise DimensionMismatch(f"dimension mismatch: {x.m} vs {y.m}")
     return not (support(x, eps_supp) & support(y, eps_supp))
+
+
+@lru_cache(maxsize=8)
+def _probe_mask(m: int, level: float) -> np.ndarray:
+    """Read-only (m, m, m) mask of the probe coordinates (e_i + e_j)[k] / 2 at most ``level``.
+
+    The probe (e_i + e_j) / 2 is the vertex e_i when i = j, else an edge
+    midpoint, so its coordinates are exactly 0, 1/2 or 1 and a caller passes
+    the largest of these its tolerance reaches. At level 0 the mask holds
+    the triples with k not in {i, j}: the entries a Volterra operator must
+    not reach. The sum e_i + e_j is taken on uint8 rows of the identity and
+    compared with 2 * level in place, so the mask is the only cube made.
+    """
+    eye = np.eye(m, dtype=np.uint8)
+    twice = eye[:, None, :] + eye[None, :, :]  # (e_i + e_j)[k], in {0, 1, 2}
+    np.less_equal(twice, np.uint8(2 * level), out=twice.view(bool))
+    twice.flags.writeable = False
+    return twice.view(bool)
+
+
+def _forbidden_max(p: np.ndarray) -> float:
+    """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
+
+    The one forbidden-entry test behind ``is_volterra``, ``to_canonical``
+    and ``kernel_is_volterra``. A masked reduction, not a gather: the mask
+    selects all but O(m^2) of the m^3 entries, so a gather would copy nearly
+    all of p.
+    """
+    return p.max(where=_probe_mask(p.shape[0], 0.0), initial=0.0)

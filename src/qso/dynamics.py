@@ -241,9 +241,10 @@ def iterate(
     a <= b <= c, fl(c - a) >= fl(b - a). Otherwise the (step, lag) match
     table is one array expression over all coordinates, its differences
     taken in place. Its first row with a match is the stop, its smallest
-    lag there the cycle length, and the images past it are dropped. The
-    chunks' arrays are kept as they are and joined once into the
-    trajectory's array; no point is wrapped until it is read.
+    lag there the cycle length, and the images past it are dropped. Each
+    chunk's rows are appended as bytes to one growing buffer, which becomes
+    the trajectory's array without a copy, so the orbit is held once; no
+    point is wrapped until it is read.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -264,8 +265,9 @@ def iterate(
     col = buf.strides[1]
     back = np.ndarray((m, cap + 1, size), float, buf, 0, (buf.strides[0], col, col))
     back.flags.writeable = False
-    # the orbit's rows, one array per chunk
-    kept = [x0.coords.reshape(1, m)]
+    # the orbit's rows end to end, as the bytes of one C-ordered float array;
+    # extend, since += with an array operand would be numpy's broadcast add
+    orbit = bytearray(x0.coords.tobytes())
     # a chunk's images in one list: the float step's coordinates end to end,
     # the other steps' arrays one per step
     new = []
@@ -294,16 +296,17 @@ def iterate(
             hits = np.flatnonzero(near.any(axis=1))
             if hits.size:
                 r = int(hits[0])
-                kept.append(rows[: r + 1])
+                orbit.extend(rows[: r + 1])
+                coords = np.frombuffer(orbit).reshape(-1, m)
                 lag = size - int(np.flatnonzero(near[r])[-1])
                 if lag == 1:
-                    return Trajectory(np.concatenate(kept), STATUS_CONVERGED)
-                return Trajectory(np.concatenate(kept), STATUS_CYCLE, lag)
-        kept.append(rows)
+                    return Trajectory(coords, STATUS_CONVERGED)
+                return Trajectory(coords, STATUS_CYCLE, lag)
+        orbit.extend(rows)
         buf[:, :size] = buf[:, n:n + size]
         t0 += n
         chunk = min(2 * chunk, cap)
-    return Trajectory(np.concatenate(kept), STATUS_BUDGET)
+    return Trajectory(np.frombuffer(orbit).reshape(-1, m), STATUS_BUDGET)
 
 
 def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozenset:

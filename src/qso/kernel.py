@@ -22,9 +22,10 @@ A measure on n atoms is a point of S^{n-1} and a kernel is a QSO on it,
 so this module reuses the core definitions: :class:`DiscreteMeasure` is a
 :class:`~qso.core.SimplexPoint`, :func:`kernel_apply` computes its image
 with the routine behind :func:`~qso.core.apply`, and
-:func:`kernel_is_volterra` reads the forbidden-entry maximum of
-:func:`~qso.volterra.is_volterra`. :class:`FiniteKernel` keeps its own
-validation: it accepts a single atom, which a QSO tensor does not, and
+:func:`kernel_is_volterra` reads the forbidden-entry maximum
+``core._forbidden_max`` of :func:`~qso.volterra.is_volterra`, so a kernel
+command never loads :mod:`qso.volterra`. :class:`FiniteKernel` keeps its
+own validation: it accepts a single atom, which a QSO tensor does not, and
 words its errors for kernels. Both types hold the same invariants (exact
 symmetry, entries >= 0, rows summing to one within ``EPS_VAL``), so
 :meth:`FiniteKernel.from_tensor` and :meth:`FiniteKernel.to_tensor` share
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VAL, QsoTensor, SimplexPoint, _image, _integer, check_tol
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _forbidden_max, _image, _integer, check_tol
 from .errors import (
     DimensionMismatch,
     NegativeCoefficient,
@@ -45,7 +46,6 @@ from .errors import (
     NotSymmetric,
     TooLarge,
 )
-from .volterra import _forbidden_max
 
 _ORACLE_MAX_ATOMS = 12
 

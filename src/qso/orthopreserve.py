@@ -65,14 +65,13 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, as_integer, check_tol, check_unit
+from .core import EPS_SUPP, EPS_VAL, QsoTensor, _probe_mask, as_integer, check_tol, check_unit
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
     NotOrthogonalityPreserving,
     VertexImageNotVertex,
 )
-from .volterra import _forbidden_mask
 
 #: Vertex image permutation per family: entry f gives (image of e_1, e_2, e_3),
 #: 1-based. The six tuples exhaust S_3, so the lookup is unambiguous.
@@ -200,7 +199,7 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     No slot p[i, j, :] may share a support entry (one above ``eps_supp``)
     with V(e_k) = p[k, k, :] for a vertex k outside {i, j}: the module's
     slice-pair rule, exact on S^2 since of two disjoint index sets one is a
-    vertex. One boolean product of ``volterra._forbidden_mask(3)`` with the
+    vertex. The forbidden mask, ``core._probe_mask(3, 0.0)``, times the
     vertex supports gives what each slot must not reach. ``eps_supp`` must
     be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
@@ -208,7 +207,7 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     check_tol("eps_supp", eps_supp, positive=True)
     supp = V.p > eps_supp
     # reached[i, j] = union of supp[k, k, :] (row k of diagonal().T) over k not in {i, j}
-    reached = _forbidden_mask(3) @ supp.diagonal().T
+    reached = _probe_mask(3, 0.0) @ supp.diagonal().T
     return not (supp & reached).any()
 
 

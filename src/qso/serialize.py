@@ -260,14 +260,6 @@ def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=8)
-def _upper_mask(m: int) -> np.ndarray:
-    """Read-only (m, m, 1) mask of the slices i <= j."""
-    mask = np.arange(m)[:, None, None] <= np.arange(m)[None, :, None]
-    mask.flags.writeable = False
-    return mask
-
-
 #: Largest m^3 that ``_array_to_entries`` encodes from Python floats (m <= 8).
 _SMALL_ENTRIES_MAX = 512
 
@@ -300,7 +292,8 @@ def _array_to_entries(p: np.ndarray) -> list[dict]:
             {"i": i, "j": j, "k": k, "p": v}
             for n, i, j, k in _upper_slots(m) if (v := q[n]) != 0.0
         ]
-    i, j, k = np.nonzero((p != 0.0) & _upper_mask(m))
+    upper = np.arange(m)[:, None, None] <= np.arange(m)[None, :, None]  # slices i <= j
+    i, j, k = np.nonzero((p != 0.0) & upper)
     return [
         {"i": a, "j": b, "k": c, "p": v}
         for a, b, c, v in zip((i + 1).tolist(), (j + 1).tolist(), (k + 1).tolist(),

@@ -27,7 +27,6 @@ without a check, as ``apply`` divides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -37,7 +36,9 @@ from .core import (
     EPS_VAL,
     QsoTensor,
     SimplexPoint,
+    _forbidden_max,
     _integer,
+    _probe_mask,
     abs_continuous,
     apply,
     check_tol,
@@ -48,42 +49,6 @@ from .errors import (
     NotVolterra,
     ParameterOutOfRange,
 )
-
-
-@lru_cache(maxsize=8)
-def _forbidden_mask(m: int) -> np.ndarray:
-    """Read-only mask of the (i, j, k) triples with k not in {i, j}."""
-    i, j, k = np.ogrid[:m, :m, :m]
-    mask = (k != i) & (k != j)
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=8)
-def _probe_mask(m: int, level: float) -> np.ndarray:
-    """Read-only mask of the probe coordinates (e_i + e_j)[k] / 2 at most ``level``.
-
-    Probe coordinates are exactly 0, 1/2 or 1, so ``level`` is the largest
-    of these at most eps and the mask is ``probes <= eps``. At level 0 it is
-    :func:`_forbidden_mask`.
-    """
-    if level == 0.0:
-        return _forbidden_mask(m)
-    eye = np.eye(m)
-    mask = (eye[:, None, :] + eye[None, :, :]) / 2.0 <= level
-    mask.flags.writeable = False
-    return mask
-
-
-def _forbidden_max(p: np.ndarray) -> float:
-    """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
-
-    The one forbidden-entry test behind ``is_volterra``, ``to_canonical``
-    and ``kernel_is_volterra``. A masked reduction, not a gather: the mask
-    selects all but O(m^2) of the m^3 entries, so a gather would copy nearly
-    all of p.
-    """
-    return p.max(where=_forbidden_mask(p.shape[0]), initial=0.0)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -108,11 +73,9 @@ class SkewMatrix:
         if not np.all(np.isfinite(a)):
             raise InvalidSkew("matrix contains non-finite entries")
         top = np.abs(a).max()
-        # halved first past magnitude 1, so that entries of ~1e308 cannot sum to inf
-        if top <= 1.0 + EPS_VAL:
-            dev = np.abs(a + a.T).max() / 2.0
-        else:
-            dev = np.abs(a / 2.0 + a.T / 2.0).max()
+        # halved before the sum, so that entries of ~1e308 cannot sum to inf;
+        # halving a normal float is exact
+        dev = np.abs(a / 2.0 + a.T / 2.0).max()
         if dev > EPS_VAL:
             raise InvalidSkew(f"skew-symmetry violated by {dev:.3e}")
         if top > 1.0 + EPS_VAL:
@@ -210,8 +173,8 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     The tensor's slices sum to one, so every probe image sums to one
     within ``EPS_VAL`` and nothing is checked before the division.
     The coordinates outside a probe's support at ``eps`` depend only on m
-    and on where eps lies against 1/2 and 1, so that mask is cached per
-    size (below 1/2 it is the forbidden-entry mask) and read by a masked
+    and on where eps lies against 1/2 and 1: they are ``core._probe_mask``
+    at that level (below 1/2 the forbidden-entry mask), read by a masked
     maximum. Raises :class:`ParameterOutOfRange` unless ``eps`` is positive
     (NaN too).
     """

@@ -129,6 +129,34 @@ MUTANTS = [
            "    fixed = np.abs(images - np.eye(V.m)).max(axis=1) <= tol\n",
            "    fixed = np.abs(images - np.eye(V.m)).max(axis=1) < tol\n",
            ("test_dynamics.py",)),
+    # the support rule: one probe mask in core under every verdict
+    Mutant("probe mask <= becomes <", "core.py",
+           "    np.less_equal(twice, np.uint8(2 * level), out=twice.view(bool))\n",
+           "    np.less(twice, np.uint8(2 * level), out=twice.view(bool))\n",
+           ("test_core.py",)),
+    Mutant("forbidden max reads the midpoint level", "core.py",
+           "_probe_mask(p.shape[0], 0.0)", "_probe_mask(p.shape[0], 0.5)",
+           ("test_volterra.py",)),
+    Mutant("OP test reads the vertex supports untransposed", "orthopreserve.py",
+           "    reached = _probe_mask(3, 0.0) @ supp.diagonal().T\n",
+           "    reached = _probe_mask(3, 0.0) @ supp.diagonal()\n",
+           ("test_orthopreserve.py",)),
+    Mutant("slot codes put t at the larger output", "orthopreserve.py",
+           "        lo, hi = sorted((sigma[i], sigma[j]))\n",
+           "        hi, lo = sorted((sigma[i], sigma[j]))\n",
+           ("test_orthopreserve.py",)),
+    Mutant("to_canonical reads p[i, k, k]", "volterra.py",
+           "np.einsum(\"kik->ki\", V.p)", "np.einsum(\"kik->ik\", V.p)",
+           ("test_volterra.py",)),
+    Mutant("from_canonical halves 1 - a", "volterra.py",
+           "    half = (1.0 + a.a) / 2.0\n", "    half = (1.0 - a.a) / 2.0\n",
+           ("test_volterra.py",)),
+    Mutant("witness threshold without its 2^-45 margin", "kernel.py",
+           "np.where(size > 1, 1.0 + 2.0**-45, 1.0)", "np.where(size > 1, 1.0, 1.0)",
+           ("test_kernel.py",)),
+    Mutant("orbit drops the stop chunk's rows", "dynamics.py",
+           "                orbit.extend(rows[: r + 1])\n", "",
+           ("test_dynamics.py",)),
     # verdicts at their tolerance
     Mutant("is_volterra <= becomes <", "volterra.py",
            "    return bool(_forbidden_max(V.p) <= eps)\n",

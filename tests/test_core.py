@@ -41,7 +41,10 @@ from qso import (
     classify_op,
     conjugate,
     from_canonical,
+    is_orthogonality_preserving,
+    is_volterra,
     iterate,
+    kernel_is_volterra,
     kernel_volterra_oracle,
     op_family,
     orthogonal,
@@ -875,6 +878,35 @@ class TestSupportPredicates:
         assert abs_continuous(small, small)
         assert abs_continuous(small, mid) and abs_continuous(mid, big)
         assert abs_continuous(small, big)
+
+
+class TestProbeMask:
+    """``core._probe_mask``: the one support rule of the Volterra, kernel and OP verdicts."""
+
+    @pytest.mark.parametrize("level", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_mask_is_the_probe_rule(self, m, level):
+        mask = core._probe_mask(m, level)
+        eye = np.eye(m)
+        want = np.array([[[(eye[i] + eye[j])[k] / 2 <= level for k in range(m)]
+                          for j in range(m)] for i in range(m)])
+        assert mask.dtype == bool and np.array_equal(mask, want)
+        if level == 0.0:  # the forbidden entries, as an ogrid mask built them
+            i, j, k = np.ogrid[:m, :m, :m]
+            assert np.array_equal(mask, (k != i) & (k != j))
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0, 0] = True
+
+    def test_verdicts_share_one_mask(self):
+        rng = np.random.default_rng(62)
+        V = rand_tensor(rng, 3)
+        W = op_family(OpFamilySpec(int(rng.integers(1, 7)), *rng.random(3)))
+        core._probe_mask.cache_clear()
+        assert not is_volterra(V) and is_orthogonality_preserving(W)
+        assert not kernel_is_volterra(FiniteKernel.from_tensor(V))
+        info = core._probe_mask.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestTypedParameterErrors:

@@ -800,6 +800,22 @@ class TestOrbitArray:
         assert traj.iterations == 10_000
         assert peak < 3 * traj.coords.nbytes
 
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_orbit_is_held_once(self, m):
+        # the rows go into one growing buffer that becomes the orbit's array;
+        # per-chunk arrays joined at the stop peaked at ~2.2x the array
+        cyclic = np.roll(np.eye(m), 1, axis=1)
+        V = from_canonical(SkewMatrix(m, 0.05 * (cyclic - cyclic.T)))
+        x0 = SimplexPoint(np.arange(1.0, m + 1.0) / (m * (m + 1) / 2))
+        tracemalloc.start()
+        try:
+            traj = iterate(V, x0, max_iter=20_000, tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.status == "budget_exhausted"
+        assert peak < 1.5 * traj.coords.nbytes
+
 
 class TestFixedVertices:
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

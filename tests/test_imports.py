@@ -77,7 +77,7 @@ def test_import_qso_loads_no_submodule(tmp_path):
 
 
 _TENSOR = {"core", "serialize"}
-_OP = _TENSOR | {"orthopreserve", "volterra"}
+_OP = _TENSOR | {"orthopreserve"}
 
 
 _IMPORT_SETS = [
@@ -88,7 +88,7 @@ _IMPORT_SETS = [
     (["op", "conjugate", "--op", "f1.json", "--perm", "2,3,1"], _OP | {"conjugacy"}),
     (["algebra", "residual", "--op", "f1.json", "--json"], _OP | {"algebra"}),
     (["algebra", "refute", "--family", "4", "--step", "0.1", "--json"], _OP | {"algebra"}),
-    (["kernel", "oracle", "--op", "k4.json", "--json"], _TENSOR | {"kernel", "volterra"}),
+    (["kernel", "oracle", "--op", "k4.json", "--json"], _TENSOR | {"kernel"}),
     (["dyn", "iterate", "--op", "f1.json", "--x0", "0.2,0.3,0.5", "--json"],
      _TENSOR | {"dynamics"}),
     # a payload that decodes as JSON but not as a tensor stops before the

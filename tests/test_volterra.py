@@ -192,6 +192,18 @@ class TestCanonicalForm:
         with pytest.raises(InvalidSkew):
             SkewMatrix(2, np.array([[0.0, 1.5], [-1.5, 0.0]]))
 
+    @pytest.mark.parametrize("t, one_sided, symmetric", [
+        (0.5, "2.500e-01", "5.000e-01"),
+        (1.0, "5.000e-01", "1.000e+00"),
+        (1e308, "5.000e+307", "1.000e+308"),
+    ])
+    def test_skew_deviation_message(self, t, one_sided, symmetric):
+        # |a + a^T| is measured as |a / 2 + a^T / 2| at every magnitude, so
+        # entries of ~1e308 report their deviation instead of inf
+        for a, dev in (([[0.0, t], [0.0, 0.0]], one_sided), ([[0.0, t], [t, 0.0]], symmetric)):
+            with pytest.raises(InvalidSkew, match=f"^skew-symmetry violated by {re.escape(dev)}$"):
+                SkewMatrix(2, np.array(a))
+
     def test_fixed_vertices_exactly(self):
         rng = np.random.default_rng(10)
         for m in (2, 3, 4):
