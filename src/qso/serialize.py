@@ -18,9 +18,13 @@ as ``json.dumps(..., ensure_ascii=False)`` escapes them (quote, backslash
 and the control characters U+0000-U+001F), so every output is valid JSON.
 An entry list (a list of plain dicts sharing one set of str keys, each key
 holding only ints or only floats) is written with one ``%`` format over its
-columns; ``_entries_to_array`` reads a well-formed entry list column by
-column and falls back to the per-entry loop, the only source of its error
-messages, for anything its bulk checks refuse.
+columns. ``_read_entries`` reads a well-formed entry list of size m > 8
+column by column and falls back to the per-entry loop, the only source of
+its error messages, for anything its bulk checks refuse. Sizes m <= 8 take
+the loop, which builds the array from one list of Python floats. A strict
+tensor payload of that size skips ``validate`` when it is clean: exact-int
+indices, values >= 0 and slice sums within ``EPS_VAL / 2`` of one, a case
+in which validate would return its values unchanged (see ``_is_clean``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .core import QsoTensor, SimplexPoint, _integer, as_integer, validate
+from .core import EPS_VAL, QsoTensor, SimplexPoint, _integer, as_integer, validate
 from .errors import (
     DimensionMismatch,
     InvalidPoint,
@@ -176,8 +180,12 @@ def _check_dimension(m: int, payload: str) -> None:
 # (a bool, a string) is refused, though ``float`` would read it
 _NUMBER_TYPES = frozenset((int, float))
 
-# entry lists shorter than this are read by the per-entry loop: below it the
-# bulk path's fixed numpy cost outweighs what it saves per entry
+#: Largest m^3 whose entries are encoded and decoded on Python floats (m <= 8).
+_SMALL_ENTRIES_MAX = 512
+
+# entry lists of a larger size that are shorter than this are read by the
+# per-entry loop: below it the bulk path's fixed numpy cost outweighs what it
+# saves per entry (at m <= 8 the loop is the faster one at any length)
 _BULK_MIN_ENTRIES = 64
 
 
@@ -211,57 +219,119 @@ def _bulk_entries_to_array(m: int, entries) -> np.ndarray | None:
     ordered = np.sort(upper)  # np.unique would import numpy.ma (~1 MB) on first use
     if (ordered[1:] == ordered[:-1]).any():  # an (i, j, k) twice
         return None
+    return _scatter(m, upper, (j * m + i) * m + k, values)
+
+
+def _scatter(m: int, upper: np.ndarray, lower: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An m x m x m array of zeros with ``values`` at the flat slots ``upper`` and ``lower``."""
     p = np.zeros(m**3)
     p[upper] = values
-    p[(j * m + i) * m + k] = values
+    p[lower] = values
     return p.reshape(m, m, m)
 
 
-def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _mirror_slots(m: int) -> tuple[int, ...]:
+    """The flat slot of (j, i, k) at the flat slot of each (i, j, k); m^3 <= ``_SMALL_ENTRIES_MAX``."""
+    return tuple((j * m + i) * m + k for i in range(m) for j in range(m) for k in range(m))
+
+
+@lru_cache(maxsize=8)
+def _upper_slices(m: int) -> tuple[slice, ...]:
+    """The flat slots of each slice (i, j, :) with i <= j; m^3 <= ``_SMALL_ENTRIES_MAX``."""
+    return tuple(slice((i * m + j) * m, (i * m + j + 1) * m) for i in range(m) for j in range(i, m))
+
+
+def _read_entries(m: int, entries, payload: str) -> tuple[np.ndarray, list | None]:
+    """The array of an entry payload, and its values as a flat list when it is small.
+
+    A payload of size m^3 <= ``_SMALL_ENTRIES_MAX`` (m <= 8), and a longer
+    one that ``_bulk_entries_to_array`` refuses, goes through the per-entry
+    loop, which words every error and maps the flat slot of each (i, j, k)
+    to its value. A small payload's array is then one ``np.array`` of the
+    m^3 Python floats, both halves written; that list comes with it if the
+    payload is a list with exact-int indices, else None. A large one is
+    scattered into zeros by index arrays, as the bulk path does.
+    """
     if not isinstance(entries, (list, tuple)):
         raise QsoError(f"{payload} entries must be a list, got {type(entries).__name__}")
-    if len(entries) >= m * (m + 1) // 2:  # shorter lists fail the slice count below
+    need = m * (m + 1) // 2
+    if len(entries) >= need:  # shorter lists fail the slice count below
         _check_dimension(m, payload)
-    p = _bulk_entries_to_array(m, entries)
-    if p is not None:
-        return p
+    small = m**3 <= _SMALL_ENTRIES_MAX
+    if not small and (p := _bulk_entries_to_array(m, entries)) is not None:
+        return p, None
+    plain = type(entries) is list
+    base = (m + 1) * m + 1  # (i, j, k) = (1, 1, 1) is flat slot 0
     values = {}
     for ent in entries:
         try:
             i, j, k, v = ent["i"], ent["j"], ent["k"], ent["p"]
-            if type(v) not in _NUMBER_TYPES:
-                raise TypeError(f"p must be a number, got {type(v).__name__}")
-            v = float(v)
+            if type(v) is not float:
+                if type(v) is not int:
+                    raise TypeError(f"p must be a number, got {type(v).__name__}")
+                v = float(v)
         except (KeyError, TypeError, OverflowError) as exc:
             raise QsoError(f"bad {payload} entry {ent!r}: {exc}") from exc
         if not type(i) is type(j) is type(k) is int:  # JSON integers need no further check
             i, j, k = as_integer(i), as_integer(j), as_integer(k)
             if None in (i, j, k):
                 raise QsoError(f"bad {payload} entry {ent!r}: indices must be integers")
-        if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
-            raise QsoError(f"{payload} entry indices {(i, j, k)} outside 1..{m}")
-        if i > j:
+            plain = False
+        if not (1 <= i <= j <= m and 1 <= k <= m):
+            if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
+                raise QsoError(f"{payload} entry indices {(i, j, k)} outside 1..{m}")
             raise QsoError(f"{payload} entries must have i <= j, got {(i, j, k)}")
-        if (i, j, k) in values:
+        slot = (i * m + j) * m + k - base
+        if slot in values:
             raise QsoError(f"duplicate {payload} entry for {(i, j, k)}")
-        values[i, j, k] = v
+        values[slot] = v
     # every (i <= j) slice must sum to one, so each needs an entry; checking
     # the count before allocating also refuses a huge size with few entries
-    need = m * (m + 1) // 2
     if len(values) < need:
         raise NotStochastic(
             f"{payload} lists {len(values)} entries, fewer than the {need} slices i <= j "
             f"of size {m}"
         )
-    p = np.zeros((m, m, m))
-    for (i, j, k), v in values.items():
-        p[i - 1, j - 1, k - 1] = v
-        p[j - 1, i - 1, k - 1] = v
-    return p
+    if small:
+        flat = [0.0] * m**3
+        mirror = _mirror_slots(m)
+        for slot, v in values.items():
+            flat[slot] = flat[mirror[slot]] = v
+        p = np.array(flat, float)
+        p.shape = (m, m, m)
+        return p, flat if plain else None
+    n = len(values)
+    upper = np.fromiter(values, np.int64, n)
+    i, rest = divmod(upper, m * m)
+    j, k = divmod(rest, m)
+    return _scatter(m, upper, (j * m + i) * m + k, np.fromiter(values.values(), float, n)), None
 
 
-#: Largest m^3 that ``_array_to_entries`` encodes from Python floats (m <= 8).
-_SMALL_ENTRIES_MAX = 512
+def _entries_to_array(m: int, entries, payload: str) -> np.ndarray:
+    return _read_entries(m, entries, payload)[0]
+
+
+#: How far from one the Python sum of a slice of a clean small payload may be:
+#: half of ``EPS_VAL``, so that the few ulps by which numpy's order of
+#: summation differs keep strict ``validate``'s sum within ``EPS_VAL``
+_CLEAN_SUM_MARGIN = EPS_VAL / 2
+
+
+def _is_clean(m: int, flat: list[float]) -> bool:
+    """Whether strict ``validate`` returns the array of ``flat`` with its values unchanged.
+
+    ``flat`` holds both halves of an m x m x m array in C order. Clean means
+    m >= 2, no value below 0.0 (-0.0 passes) and the Python sum of every
+    slice within ``_CLEAN_SUM_MARGIN`` of one, which a NaN or inf in it is
+    not. Values >= 0 whose sum is at most 1 + margin are each at most that,
+    so none is above one. Then validate finds no asymmetry, clamps nothing,
+    rescales nothing, and (v + v) / 2 is v: its array has these bits.
+    """
+    if m < 2 or not min(flat) >= 0.0:
+        return False
+    lo, hi = 1.0 - _CLEAN_SUM_MARGIN, 1.0 + _CLEAN_SUM_MARGIN
+    return all(lo <= sum(flat[s]) <= hi for s in _upper_slices(m))
 
 
 @lru_cache(maxsize=8)
@@ -306,8 +376,20 @@ def tensor_to_obj(V: QsoTensor) -> dict:
 
 
 def tensor_from_obj(obj: dict, mode: str = "strict") -> QsoTensor:
+    """The tensor of a payload: its entry array through ``validate(p, mode)``.
+
+    A small strict payload (m <= 8, read by the per-entry loop as a list
+    with exact-int indices) that ``_is_clean`` accepts skips validate: with
+    every value >= 0 and every slice's Python sum within ``EPS_VAL / 2`` of
+    one, validate would return the same values, so the array is wrapped as
+    it is, with validate's bits. Every other payload, a large one and
+    normalize mode included, goes through validate.
+    """
     m = _dimension(obj, "m", "tensor")
-    return validate(_entries_to_array(m, obj.get("entries", []), "tensor"), mode=mode)
+    p, flat = _read_entries(m, obj.get("entries", []), "tensor")
+    if mode == "strict" and flat is not None and _is_clean(m, flat):
+        return QsoTensor._trusted(m, p)
+    return validate(p, mode=mode)
 
 
 def kernel_to_obj(K: FiniteKernel) -> dict:

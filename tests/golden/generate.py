@@ -12,8 +12,9 @@ does not depend on the terminal. The input files are built by
 :func:`build_inputs` from seeded specs (numpy's ``default_rng`` streams and
 :func:`qso.op_family` for the family tensors); the corpus records their
 SHA-256 so that a changed input shows up as such, not as a changed output.
-Payloads stay small (m <= 6, n <= 8, refutation steps >= 0.05) so that no
-BLAS call is large enough to use more than one thread (``bad_m_cap.json``,
+Payloads stay small (m <= 6, n <= 8, refutation steps >= 0.05; ``d8.json``,
+an m = 8 tensor, is only validated and applied) so that no BLAS call is
+large enough to use more than one thread (``bad_m_cap.json``,
 one past the size cap, is only read: it is refused before its array is
 allocated; ``v12.json``, an m = 12 Volterra tensor, is only iterated,
 which calls no BLAS routine), and argparse's help text ties the corpus to
@@ -141,6 +142,21 @@ def _input_objects() -> dict:
             ent["p"] = 0.0
     kernel_nan = _kernel(np.full((2, 2, 2), 0.5))
     kernel_nan["q"][2]["p"] = float("nan")
+    # payloads at the edges of the decoder's clean test: -0.0 entries (kept),
+    # a -1e-12 entry (clamped), a slice 0.75e-9 above one (within EPS_VAL but
+    # outside the clean margin), an Infinity literal, and a dense tensor of
+    # the largest small size, m = 8
+    neg0 = _family(1, 0.3, 0.6, 0.9)
+    neg0["entries"] += [{"i": 1, "j": 1, "k": 2, "p": -0.0}, {"i": 1, "j": 2, "k": 1, "p": -0.0}]
+    clamp = _family(4, 0.2, 0.7, 0.1)
+    clamp["entries"].append({"i": 1, "j": 1, "k": 2, "p": -1e-12})
+    off = _family(1, 0.3, 0.6, 0.9)
+    off["entries"][0]["p"] += 0.75e-9
+    inf = _tensor(uniform)
+    inf["entries"][4]["p"] = float("inf")
+    dense8 = np.random.default_rng(17).random((8, 8, 8))
+    dense8 = (dense8 + dense8.transpose(1, 0, 2)) / 2.0
+    dense8 /= dense8.sum(axis=2, keepdims=True)
     objs = {f"f{k}.json": _family(k, 0.3, 0.6, 0.9) for k in range(1, 7)}
     objs.update({
         "f2c.json": _family(2, 0.0, 0.0, 0.0),
@@ -163,6 +179,11 @@ def _input_objects() -> dict:
         "kv8.json": _kernel(kv8),
         "kx8.json": _kernel(_with_forbidden(kv8, 1, 2, 6, 1e-3)),
         "k1.json": {"n": 1, "q": [{"i": 1, "j": 1, "k": 1, "p": 1.0}]},
+        "neg0.json": neg0,
+        "clamp.json": clamp,
+        "off.json": off,
+        "inf.json": inf,
+        "d8.json": _tensor(dense8),
         "zero_slice.json": {"m": 2, "entries": zero_slice},  # fails only in normalize mode
         # malformed payloads
         "bad_syntax.json": "{\"m\": 3, \"entries\": [",
@@ -374,6 +395,11 @@ def _cases() -> list[dict]:
     cases.append({"argv": ["algebra", "residual", "--op", "-", "--json"], "stdin": "v4.json"})
     cases.append({"argv": ["kernel", "oracle", "--op", "-"], "stdin": "kx8.json"})
     cases.append({"argv": ["validate", "--op", "-"], "stdin": "bad_syntax.json"})
+    for f, x0 in (("neg0.json", "0.2,0.3,0.5"), ("clamp.json", "0.2,0.3,0.5"),
+                  ("off.json", "0.2,0.3,0.5"), ("inf.json", "0.2,0.3,0.5"),
+                  ("d8.json", ",".join(["0.125"] * 8))):
+        cases.append({"argv": ["validate", "--op", f, "--json"]})
+        cases.append({"argv": ["apply", "--op", f, "--x0", x0, "--json"]})
     return cases
 
 

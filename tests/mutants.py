@@ -185,6 +185,35 @@ MUTANTS = [
     Mutant("small-tensor encoder keeps zeros", "serialize.py",
            "if (v := q[n]) != 0.0", "if (v := q[n]) >= 0.0",
            ("test_serialize.py",)),
+    # the small-tensor decoder: one flat list, and validate skipped when clean
+    Mutant("small decoder drops the mirror write", "serialize.py",
+           "            flat[slot] = flat[mirror[slot]] = v\n", "            flat[slot] = v\n",
+           ("test_serialize.py",)),
+    Mutant("decoder duplicate check dropped", "serialize.py",
+           "        if slot in values:\n", "        if False:\n",
+           ("test_serialize.py",)),
+    Mutant("clean test without its sign test", "serialize.py",
+           "    if m < 2 or not min(flat) >= 0.0:\n", "    if m < 2:\n",
+           ("test_serialize.py",)),
+    Mutant("clean test without its slice sums", "serialize.py",
+           "    return all(lo <= sum(flat[s]) <= hi for s in _upper_slices(m))\n",
+           "    return True\n",
+           ("test_serialize.py",)),
+    # the decoder's field checks and the emitter's escaping
+    Mutant("payload field check reads a missing key", "serialize.py",
+           "    if not isinstance(obj, dict) or key not in obj:\n",
+           "    if not isinstance(obj, dict):\n",
+           ("test_serialize.py",)),
+    Mutant("coefficient type check lets text through", "serialize.py",
+           "                if type(v) is not int:\n", "                if type(v) is bool:\n",
+           ("test_serialize.py",)),
+    Mutant("string escaping skipped", "serialize.py",
+           "    if t is str:\n        return _fmt_str(obj)\n",
+           "    if t is str:\n        return '\"' + obj + '\"'\n",
+           ("test_serialize.py",)),
+    Mutant("record template does not double %", "serialize.py",
+           '_fmt_str(key).replace("%", "%%")', "_fmt_str(key)",
+           ("test_serialize.py",)),
     # the associator residual as commutators [P_i, P_k], i < k
     Mutant("commutator pairs stop one short", "algebra.py",
            "    for i in range(m - 1):\n", "    for i in range(m - 2):\n",

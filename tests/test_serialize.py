@@ -22,6 +22,7 @@ from helpers import (
     reference_entries_to_array,
 )
 from qso import (
+    EPS_VAL,
     DimensionMismatch,
     InvalidFamily,
     InvalidPermutation,
@@ -34,8 +35,10 @@ from qso import (
     QsoTensor,
     SimplexPoint,
     TooLarge,
+    op_family,
     serialize,
 )
+from qso.core import validate as core_validate
 from qso.kernel import DiscreteMeasure, FiniteKernel
 from qso.serialize import (
     _BULK_MIN_ENTRIES,
@@ -645,3 +648,188 @@ class TestSmallAndLargeEntryEncoders:
             tensor_to_obj(rand_tensor(np.random.default_rng(m), m))
         assert _upper_slots.cache_info().currsize == 7  # m = 2..8
         assert 8**3 <= _SMALL_ENTRIES_MAX < 9**3
+
+
+def _tensor_or_error(read):
+    """The array's shape, dtype, bytes and write flag, or the error's type and message."""
+    try:
+        p = read().p
+    except Exception as exc:  # the error's type and message are the result
+        return (type(exc), str(exc))
+    return (p.shape, p.dtype, p.tobytes(), p.flags.writeable)
+
+
+def _decode_matches_validate(obj, mode="strict"):
+    """``tensor_from_obj`` gives what ``validate`` makes of the loop's reference array."""
+    m, entries = obj["m"], obj["entries"]
+    want = _tensor_or_error(
+        lambda: core_validate(reference_entries_to_array(m, entries, "tensor"), mode=mode))
+    assert _tensor_or_error(lambda: tensor_from_obj(obj, mode=mode)) == want
+
+
+def _slices_rescaled(entries):
+    """The entries with each float p divided by the sum of the float p's listed for its (i, j)."""
+    def slice_of(e):
+        return repr((e.get("i"), e.get("j"))) if type(e.get("p")) is float else None
+
+    sums = {}
+    for e in entries:
+        if isinstance(e, dict) and (key := slice_of(e)) is not None:
+            sums[key] = sums.get(key, 0.0) + e["p"]
+    return type(entries)(
+        dict(e, p=e["p"] / sums[key])
+        if isinstance(e, dict) and (key := slice_of(e)) is not None and sums[key] > 0.0 else e
+        for e in entries
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_payloads(), st.sampled_from(["strict", "normalize"]))
+def test_tensor_decode_matches_validate_of_the_reference(case, mode):
+    """Each draw also with its slices rescaled to one, so that clean ones take the small path."""
+    m, entries, _ = case
+    for listed in (entries, _slices_rescaled(entries)):
+        _decode_matches_validate({"m": m, "entries": listed}, mode)
+
+
+def _family_payload(family, a, b, g):
+    return json.loads(dumps(tensor_to_obj(op_family(OpFamilySpec(family, a, b, g)))))
+
+
+def _off_by(offset):
+    """The family-1 payload with its first diagonal entry 1.0 (alone in its slice) + offset."""
+    obj = _family_payload(1, 0.3, 0.6, 0.9)
+    ent = next(e for e in obj["entries"] if e["i"] == e["j"])
+    assert ent["p"] == 1.0
+    ent["p"] = 1.0 + offset
+    return obj
+
+
+def _with_entries(obj, *values):
+    """The payload with each of ``values`` listed at one of its zero slots i <= j."""
+    m = obj["m"]
+    have = {(e["i"], e["j"], e["k"]) for e in obj["entries"]}
+    free = [(i, j, k) for i in range(1, m + 1) for j in range(i, m + 1) for k in range(1, m + 1)
+            if (i, j, k) not in have]
+    obj["entries"] += [dict(zip("ijkp", at + (v,))) for at, v in zip(free, values)]
+    return obj
+
+
+def _as_tuple(obj):
+    obj["entries"] = tuple(obj["entries"])
+    return obj
+
+
+def _edited(obj, at, **fields):
+    obj["entries"][at].update(fields)
+    return obj
+
+
+def _without_slice(obj, i, j):
+    """The payload without slice (i, j), padded with zeros elsewhere to its entry count."""
+    kept = [e for e in obj["entries"] if (e["i"], e["j"]) != (i, j)]
+    have = {(e["i"], e["j"], e["k"]) for e in kept}
+    free = [(a, b, c) for a in (1, 2, 3) for b in range(a, 4) for c in (1, 2, 3)
+            if (a, b) != (i, j) and (a, b, c) not in have]
+    obj["entries"] = kept + [dict(zip("ijkp", f + (0.0,))) for f in free[:3]]
+    assert len(obj["entries"]) >= 6
+    return obj
+
+
+def _dense_payload(m):
+    V = core_validate(np.random.default_rng(900 + m).random((m, m, m)), "normalize")
+    return json.loads(dumps(tensor_to_obj(V)))
+
+
+_HALF = EPS_VAL / 2
+_NUDGE = 2.0**-20
+
+# name -> (payload, whether strict decoding skips validate; None: the loop raises first)
+_SMALL_PATH_EDGES = {
+    "negative zeros": (lambda: _with_entries(_family_payload(1, 0.3, 0.6, 0.9), -0.0, -0.0), True),
+    "extra keys": (lambda: _edited(_family_payload(4, 0.2, 0.7, 0.1), 2, note="x", q=1), True),
+    "integer coefficients": (lambda: _family_payload(2, 0.0, 1.0, 0.0), True),
+    "dense m = 8": (lambda: _dense_payload(8), True),
+    "clamped -1e-12": (lambda: _with_entries(_family_payload(1, 0.3, 0.6, 0.9), -1e-12), False),
+    "off by EPS_VAL/2 (1 - 2^-20) up": (lambda: _off_by(_HALF * (1 - _NUDGE)), True),
+    "off by EPS_VAL/2 (1 - 2^-20) down": (lambda: _off_by(-_HALF * (1 - _NUDGE)), True),
+    "off by EPS_VAL/2 (1 + 2^-20) up": (lambda: _off_by(_HALF * (1 + _NUDGE)), False),
+    "off by EPS_VAL/2 (1 + 2^-20) down": (lambda: _off_by(-_HALF * (1 + _NUDGE)), False),
+    "off by EPS_VAL (1 - 2^-20)": (lambda: _off_by(EPS_VAL * (1 - _NUDGE)), False),
+    "off by EPS_VAL (1 + 2^-20)": (lambda: _off_by(EPS_VAL * (1 + _NUDGE)), False),
+    "missing slice": (lambda: _without_slice(_family_payload(3, 0.2, 0.4, 0.6), 1, 2), False),
+    "integral float index": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 0, i=1.0), False),
+    "p NaN": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 1, p=float("nan")), False),
+    "p inf": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 1, p=float("inf")), False),
+    "p -inf": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 1, p=float("-inf")), False),
+    "p True": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 1, p=True), None),
+    "p 10**400": (lambda: _edited(_family_payload(1, 0.3, 0.6, 0.9), 1, p=10**400), None),
+    "entries tuple": (lambda: _as_tuple(_family_payload(5, 0.7, 0.1, 0.35)), False),
+    "dense m = 9": (lambda: _dense_payload(9), False),
+    "m = 1": (lambda: {"m": 1, "entries": [{"i": 1, "j": 1, "k": 1, "p": 1.0}]}, False),
+}
+
+
+def _payload(name):
+    return _SMALL_PATH_EDGES[name][0]()
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The number of calls of ``serialize.validate`` so far, as a one-item list."""
+    calls = [0]
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return core_validate(*args, **kwargs)
+
+    monkeypatch.setattr(serialize, "validate", spy)
+    return calls
+
+
+class TestSmallDecodePath:
+    """Strict m <= 8 payloads that validate would return unchanged skip it, with its bits."""
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_PATH_EDGES))
+    @pytest.mark.parametrize("mode", ["strict", "normalize"])
+    def test_edge_matches_validate_of_the_reference(self, name, mode):
+        _decode_matches_validate(_payload(name), mode)
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_PATH_EDGES))
+    def test_edge_skips_validate_only_when_clean(self, name, validate_calls):
+        skips = _SMALL_PATH_EDGES[name][1]
+        try:
+            tensor_from_obj(_payload(name))
+            raised = False
+        except QsoError:
+            raised = True
+        assert validate_calls[0] == (skips is False)
+        if skips is not False:  # a clean payload decodes; the loop raises before validate
+            assert raised is (skips is None)
+
+    def test_negative_zeros_are_kept(self):
+        obj = _payload("negative zeros")
+        V = tensor_from_obj(obj)
+        for e in obj["entries"][-2:]:
+            i, j, k = e["i"] - 1, e["j"] - 1, e["k"] - 1
+            assert np.signbit(V.p[i, j, k]) and np.signbit(V.p[j, i, k])
+        assert np.signbit(V.p).sum() == sum(2 - (e["i"] == e["j"]) for e in obj["entries"][-2:])
+
+    @pytest.mark.parametrize("family", range(1, 7))
+    def test_op_family_payloads_skip_validate(self, family, validate_calls):
+        rng = np.random.default_rng(family)
+        params = [(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.5, 0.5, 0.5), *rng.random((5, 3)).tolist()]
+        for a, b, g in params:
+            obj = _family_payload(family, a, b, g)
+            V = tensor_from_obj(obj)
+            assert validate_calls[0] == 0
+            assert V.p.tobytes() == op_family(OpFamilySpec(family, a, b, g)).p.tobytes()
+            assert not V.p.flags.writeable and V.p.flags.c_contiguous and V.p.base is None
+            _decode_matches_validate(obj)
+
+    def test_normalize_mode_calls_validate_and_kernels_never_do(self, validate_calls):
+        obj = _family_payload(1, 0.3, 0.6, 0.9)
+        tensor_from_obj(obj, mode="normalize")
+        assert validate_calls[0] == 1
+        assert kernel_from_obj({"n": 3, "q": obj["entries"]}).n == 3
+        assert validate_calls[0] == 1
