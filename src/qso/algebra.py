@@ -166,7 +166,7 @@ def is_associative(V: QsoTensor, eps: float = EPS_ASSOC) -> bool:
     ``eps`` must be nonnegative (0 asks for exact associativity); NaN or a
     negative value raises :class:`ParameterOutOfRange` instead of a verdict.
     """
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     return associator_residual(V) <= eps
 
 
@@ -209,7 +209,7 @@ def assoc_solutions_v2(eps: float = EPS_ASSOC) -> set[tuple[float, float, float]
     vanish); each corner is decided by the basis-triple residual. ``eps``
     must be nonnegative, as for :func:`is_associative`.
     """
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     corners = list(itertools.product((0.0, 1.0), repeat=3))
     res = _residuals(np.stack([op_family(OpFamilySpec(2, *c)).p for c in corners]))
     return {c for c, r in zip(corners, res) if r <= eps}

@@ -100,16 +100,33 @@ def _is_real(value) -> bool:
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_tol(name: str, value, *, positive: bool = False) -> None:
-    """Raise :class:`ParameterOutOfRange` unless ``value`` is a usable tolerance.
+def check_tol(name: str, value, *, positive: bool = False) -> float:
+    """``value`` as a float if it is a usable tolerance, else :class:`ParameterOutOfRange`.
 
     The one guard for every tolerance: ``value`` must be a real number >= 0,
-    or > 0 with ``positive``. NaN fails both comparisons, so it raises too
-    instead of turning every later ``<=`` or ``>`` test into a silent verdict.
+    or > 0 with ``positive``, that a float can hold. Callers use the float
+    returned, so an int, a ``Fraction`` or a numpy scalar is compared as
+    the float it rounds to (one that rounds to 0.0 is not positive), and
+    one past the float range raises here instead of overflowing later. NaN fails both comparisons, so it raises
+    too instead of turning every later ``<=`` or ``>`` test into a silent
+    verdict.
     """
-    if not (_is_real(value) and (value > 0 if positive else value >= 0)):
+    tol = math.nan
+    if _is_real(value):
+        try:
+            tol = float(value)
+        except OverflowError:
+            raise ParameterOutOfRange(
+                f"{name} must fit in a float; this {type(value).__name__} overflows it"
+            ) from None
+    if not (tol > 0 if positive else tol >= 0):
         rule = "positive" if positive else "nonnegative"
-        raise ParameterOutOfRange(f"{name} must be {rule}, got {_plain(value)!r}")
+        try:
+            shown = repr(_plain(value))
+        except ValueError:  # an int or a Fraction past Python's digit limit for str
+            shown = f"a {type(value).__name__} that rounds to {tol!r}"
+        raise ParameterOutOfRange(f"{name} must be {rule}, got {shown}")
+    return tol
 
 
 def check_unit(name: str, value) -> float:
@@ -177,7 +194,7 @@ class SimplexPoint:
     _label = "simplex point"
 
     def __init__(self, coords, *, eps: float = EPS_VAL):
-        check_tol("eps", eps)
+        eps = check_tol("eps", eps)
         coords = _clean_prob_vector(coords, eps, self._label)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -324,7 +341,7 @@ def validate(p, mode: str = "strict", *, eps: float = EPS_VAL) -> QsoTensor:
     """
     if mode not in _VALIDATE_MODES:
         raise ParameterOutOfRange(f"mode must be one of {_VALIDATE_MODES}, got {mode!r}")
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     arr = np.asarray(p, dtype=float, order="C")
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise DimensionMismatch(f"expected a cubic m x m x m array, got shape {arr.shape}")
@@ -399,7 +416,7 @@ def apply(V: QsoTensor, x: SimplexPoint) -> SimplexPoint:
 
 def support(x: SimplexPoint, eps_supp: float = EPS_SUPP) -> frozenset[int]:
     """Indices (1-based) of the coordinates of x exceeding ``eps_supp``."""
-    check_tol("eps_supp", eps_supp, positive=True)  # NaN would empty every support
+    eps_supp = check_tol("eps_supp", eps_supp, positive=True)  # NaN would empty every support
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > eps_supp)[0])
 
 

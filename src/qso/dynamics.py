@@ -30,11 +30,16 @@ _CHUNK_FIRST = 4
 _CHUNK_MAX = 64
 _SCAN_ELEMENTS = 1 << 16
 # operators with at most this many nonzero coefficients step on Python
-# floats (see _step_maker): past ~56 terms a 200-step orbit that compiles a
-# fresh pattern is no longer faster than the einsum. It must stay below
-# 64 = 8^2: a QsoTensor has a nonzero in each of its m^2 slices, so the
-# cap keeps m <= 7, where numpy still sums left to right (8 or more
-# doubles it sums pairwise)
+# floats (see _step_maker). A 200-step m = 4 or 5 orbit whose pattern is
+# cached takes 0.4 to 0.6 x the einsum's time up to 64 terms; one that
+# compiles a fresh pattern (~0.17 ms at 15 terms, ~0.24 ms at 27) is no
+# longer faster past ~45 terms (1.1 x at 56). The cap stays at 56 for
+# callers that reuse a pattern, as every dense m = 3 operator shares one
+# and repeated orbits of one operator hit the cache: only a caller that
+# compiles many distinct 46- to 56-term patterns loses, ~10 %. It must
+# stay below 64 = 8^2: a QsoTensor has a nonzero in each of its m^2
+# slices, so the cap keeps m <= 7, where numpy still sums left to right
+# (8 or more doubles it sums pairwise)
 _FLOAT_MAX_TERMS = 56
 # other operators step over their nonzeros alone (see _sparse_step) when at
 # most one in _SPARSE_SHARE of their m^3 coefficients is nonzero: in-process
@@ -42,7 +47,7 @@ _FLOAT_MAX_TERMS = 56
 # 0.2 to 0.3. A Volterra or OP operator has m(2m - 1) nonzeros, which
 # passes from m = 8 on
 _SPARSE_SHARE = 4
-# compiled float steps kept, one per nonzero pattern and size
+# compiled float runners kept, one per nonzero pattern and size
 _STEP_CACHE_SIZE = 64
 
 STATUS_CONVERGED = "converged"
@@ -112,82 +117,119 @@ class Trajectory:
 
 @functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
 def _step_maker(flat: tuple[int, ...], m: int):
-    """Compile ``make(c0, c1, ...)``, which returns the float step of one orbit.
+    """Compile ``make(c0, c1, ...)``, which returns the float runner of one orbit.
 
     ``flat`` holds the C-order flat indices i*m*m + j*m + k of the nonzero
-    coefficients, and ``make`` takes their values in that order. The step
-    maps x (m floats) to ``core._image`` of x, bit for bit: on an operator
-    array, which is C-ordered, einsum adds (p[i, j, k] * x_i) * x_j into a
-    zeroed output in (i, j) order, and skipping an exact-zero coefficient only
-    skips adding +0.0; numpy sums fewer than 8 doubles left to right, as
-    ``t`` does, and each coordinate is divided by ``t`` as ``_image``
-    divides by its sum. The source holds only indices and fixed names;
-    coefficient values reach the step only through ``make``'s arguments,
-    so no cached function carries another operator's values.
+    coefficients, and ``make`` takes their values in that order. The runner
+    ``run(x, n)`` takes n steps from x (an array of m floats) and returns
+    the n images as the rows of an (n, m) array; the coordinates stay in
+    locals from step to step, and each image's are appended to one list
+    that ``np.fromiter`` reads. Each step maps x to ``core._image`` of x,
+    bit for bit: on an operator array, which is C-ordered, einsum adds
+    (p[i, j, k] * x_i) * x_j into a zeroed output in (i, j) order, and
+    skipping an exact-zero coefficient only skips adding +0.0; numpy sums
+    fewer than 8 doubles left to right, as ``t`` does, and each coordinate
+    is divided by ``t`` as ``_image`` divides by its sum.
+    The source holds only indices and fixed names; coefficient values
+    reach the runner only through ``make``'s arguments, so no cached
+    function carries another operator's values.
     """
     sums = [["0.0"] for _ in range(m)]
     for n, f in enumerate(flat):
         i, jk = divmod(f, m * m)
         j, k = divmod(jk, m)
         sums[k].append(f"c{n} * x{i} * x{j}")
+    xs = ", ".join(f"x{i}" for i in range(m))
     out = [f"o{k}" for k in range(m)]
     lines = [
         f"def make({', '.join(f'c{n}' for n in range(len(flat)))}):",
-        "    def step(x):",
-        f"        {', '.join(f'x{i}' for i in range(m))} = x",
-        *(f"        o{k} = {' + '.join(terms)}" for k, terms in enumerate(sums)),
-        f"        t = 0.0 + {' + '.join(out)}",
-        f"        return [{', '.join(f'{o} / t' for o in out)}]",
-        "    return step",
+        "    def run(x, n):",
+        f"        {xs} = x.tolist()",
+        "        out = []",
+        "        push = out.extend",
+        "        for _ in range(n):",
+        *(f"            o{k} = {' + '.join(terms)}" for k, terms in enumerate(sums)),
+        f"            t = 0.0 + {' + '.join(out)}",
+        f"            {xs} = {', '.join(f'{o} / t' for o in out)}",
+        f"            push(({xs}))",
+        f"        return fromiter(out, float, len(out)).reshape(n, {m})",
+        "    return run",
     ]
-    namespace = {}
-    exec(compile("\n".join(lines), "<qso float step>", "exec"), namespace)
+    namespace = {"fromiter": np.fromiter}
+    exec(compile("\n".join(lines), "<qso float runner>", "exec"), namespace)
     return namespace["make"]
+
+
+# np.bincount without its __array_function__ dispatch, as core._einsum: the
+# same function on plain arrays, so the same bits
+_bincount = getattr(np.bincount, "_implementation", np.bincount)
 
 
 def _sparse_step(p: np.ndarray):
     """The image step of the coefficients p over their nonzeros, taken in C order.
 
     The step maps x to ``core._image`` of x, bit for bit. The einsum adds
-    (p[i, j, k] * x_i) * x_j into a zeroed output in (i, j) order, and
-    ``bincount`` adds its weights into a zeroed output in the order given,
-    so each coordinate gets the same products in the same order; a skipped
-    zero coefficient would only add a zero to a sum that is already >= +0.
-    The sum and the division are ``_image``'s own calls. Each step returns
-    a new array, since the orbit keeps every image.
+    (p[i, j, k] * x_i) * x_j into a zeroed output in (i, j) order. The
+    step gathers x_i and x_j through one (2, n) index, forms c * x_i and
+    multiplies it by x_j in place, and ``bincount`` adds these weights
+    into a zeroed output in the order given, so each coordinate gets the
+    same products in the same order; a skipped zero coefficient would only
+    add a zero to a sum that is already >= +0. The sum and the division
+    are ``_image``'s own calls. Each step returns a new array, since the
+    orbit keeps every image.
     """
     m = p.shape[0]
     flat = np.flatnonzero(p)
     i, jk = np.divmod(flat, m * m)
     j, k = np.divmod(jk, m)
     c = p.take(flat)
+    ij = np.stack((i, j))
 
     def step(x):
-        out = np.bincount(k, c * x[i] * x[j], minlength=m)
+        g = x[ij]
+        w = c * g[0]
+        w *= g[1]
+        out = _bincount(k, w, m)
         out /= np.add.reduce(out)
         return out
 
     return step
 
 
+def _array_runner(step):
+    """``run(x, n)`` of an array step: the n images from x, as the rows of an (n, m) array."""
+
+    def run(x, n):
+        out = []
+        for _ in range(n):
+            x = step(x)
+            out.append(x)
+        return np.concatenate(out).reshape(n, -1)
+
+    return run
+
+
 def _orbit_step(p: np.ndarray):
-    """(kind, step): the image step of one orbit of the coefficients p, chosen once.
+    """(kind, run): the runner of one orbit of the coefficients p, chosen once.
 
     With n nonzero coefficients, kind is ``"float"`` (the compiled float
-    step of :func:`_step_maker`, on a list of m floats) when n <= 56,
+    runner of :func:`_step_maker`, on Python floats) when n <= 56,
     ``"sparse"`` (:func:`_sparse_step`) when n is at most m^3 / 4, and
-    ``"einsum"`` (``core._image``) otherwise; the last two map arrays.
-    Operator arrays are C-ordered (``QsoTensor``), so the flat indices of
-    the nonzeros are in the order the einsum reads them. A dense operator
-    is only counted: its flat indices would take as much memory again.
+    ``"einsum"`` (``core._image``) otherwise; the last two map arrays and
+    run under :func:`_array_runner`. Every runner is called as
+    ``run(x, n)`` and returns the n images from x as the rows of an (n, m)
+    array. Operator arrays are C-ordered (``QsoTensor``), so the flat
+    indices of the nonzeros are in the order the einsum reads them. A
+    dense operator is only counted: its flat indices would take as much
+    memory again.
     """
     m, n = p.shape[0], np.count_nonzero(p)
     if n <= _FLOAT_MAX_TERMS:
         flat = np.flatnonzero(p)
         return "float", _step_maker(tuple(flat.tolist()), m)(*p.take(flat).tolist())
     if _SPARSE_SHARE * n <= m ** 3:
-        return "sparse", _sparse_step(p)
-    return "einsum", functools.partial(_image, p)
+        return "sparse", _array_runner(_sparse_step(p))
+    return "einsum", _array_runner(functools.partial(_image, p))
 
 
 def iterate(
@@ -208,32 +250,35 @@ def iterate(
     Every point is bit for bit ``apply`` of the one before. The step is
     chosen once per orbit from the operator's count n of nonzero
     coefficients. With n <= 56, hence m <= 7, it runs on Python floats:
-    straight-line code that ``_step_maker`` compiles once per (nonzero
-    pattern, m) and keeps in a bounded cache; this orbit's coefficient
-    values are bound to it as arguments, never written into its source.
-    With 4n <= m^3, as for every Volterra or OP operator from m = 8 on
-    (n = m(2m - 1)), it runs over the nonzeros alone, O(n) per step: one
-    ``np.bincount`` of the products (p[i, j, k] * x_i) * x_j into their
-    outputs k, taken in C order. Otherwise it calls ``apply``'s image
+    straight-line code in a loop over a chunk's steps, which
+    ``_step_maker`` compiles once per (nonzero pattern, m) and keeps in a
+    bounded cache; this orbit's coefficient values are bound to it as
+    arguments, never written into its source. With 4n <= m^3, as for
+    every Volterra or OP operator from m = 8 on (n = m(2m - 1)), it runs
+    over the nonzeros alone, O(n) per step: one ``np.bincount`` of the
+    products (p[i, j, k] * x_i) * x_j into their outputs k, taken in C
+    order. Otherwise it calls ``apply``'s image
     routine ``core._image``, the O(m^3) einsum. The first two perform the
     einsum's additions in the einsum's order, skipping only zero
     coefficients, whose products would add nothing to a sum >= +0, so
     their bits are the einsum's. Every step divides by the image's sum
     and checks nothing: the tensor's slices sum to one, so every image
     lies on the simplex. On a 2-core VM with one BLAS thread, a 500-step
-    orbit took ~3.0 ms on the einsum and ~2.5 ms on the sparse step for
-    a Volterra operator at m = 10, ~460 and ~61 ms at m = 100, and for an
-    OP operator ~7.1 and ~4.2 ms at m = 20, ~61 and ~15 ms at m = 50.
+    orbit took ~2.7-3.0 ms on the einsum and ~2.1-2.4 ms on the sparse
+    step for a Volterra operator at m = 10, ~420-460 and ~53-56 ms at
+    m = 100, and for an OP operator ~6.5-6.9 and ~3.5-3.8 ms at m = 20,
+    ~58-62 and ~13-15 ms at m = 50.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
     images; a long window shortens them, so that one chunk's table over
     all m coordinates holds at most 2^16 entries (one step's if a single
-    step has more). A chunk's images are collected in one list (the float
-    step's coordinates end to end) and become the rows of one array,
-    written in one go after the last ``window`` points of a buffer that
-    holds one column per point. A read-only strided view of that buffer,
-    built once per orbit, lines every step of the chunk up with its lags.
+    step has more). Each chunk is one call of the orbit's runner, which
+    returns the chunk's images as the rows of one array, and its last row
+    starts the next chunk. The rows are written in one go after the last
+    ``window`` points of a buffer that holds one column per point. A
+    read-only strided view of that buffer, built once per orbit, lines
+    every step of the chunk up with its lags.
     First a sorted-gap reject: each coordinate's values over the window
     and the chunk are sorted, and if some coordinate has no two adjacent
     values within ``tol``, no (step, lag) pair can match and the chunk has
@@ -248,12 +293,12 @@ def iterate(
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
-    check_tol("tol", tol, positive=True)
+    tol = check_tol("tol", tol, positive=True)
     if x0.m != V.m:
         raise DimensionMismatch(f"start point has {x0.m} coordinates, operator expects {V.m}")
 
     p, m = V.p, V.m
-    kind, step = _orbit_step(p)
+    run = _orbit_step(p)[1]
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // (m * size)))
     # one column per point: columns [0, size) hold the points before the
@@ -268,21 +313,12 @@ def iterate(
     # the orbit's rows end to end, as the bytes of one C-ordered float array;
     # extend, since += with an array operand would be numpy's broadcast add
     orbit = bytearray(x0.coords.tobytes())
-    # a chunk's images in one list: the float step's coordinates end to end,
-    # the other steps' arrays one per step
-    new = []
-    if kind == "float":
-        x, push = x0.coords.tolist(), new.extend
-    else:
-        x, push = x0.coords, new.append
+    x = x0.coords
     t0, chunk = 1, min(_CHUNK_FIRST, cap)
     while t0 <= max_iter:
-        for _ in range(min(chunk, max_iter - t0 + 1)):
-            x = step(x)
-            push(x)
-        rows = np.array(new).reshape(-1, m)
-        new.clear()
-        n = rows.shape[0]
+        n = min(chunk, max_iter - t0 + 1)
+        rows = run(x, n)
+        x = rows[-1]
         buf[:, size:size + n] = rows.T
         # a coordinate whose sorted values over the window and the chunk have
         # no adjacent pair within tol has no pair within tol at all (rounding
@@ -317,7 +353,7 @@ def fixed_points_on_vertices(V: QsoTensor, tol: float = DEFAULT_TOL) -> frozense
     of a zero that the distance drops. e_k is fixed when its image lies
     within ``tol`` of it in max norm. The cost is O(m^2).
     """
-    check_tol("tol", tol, positive=True)
+    tol = check_tol("tol", tol, positive=True)
     diag = V.p.diagonal(0, 0, 1).T  # diag[k] = p[k, k, :], a contiguous row
     images = diag / diag.sum(axis=1, keepdims=True)
     fixed = np.abs(images - np.eye(V.m)).max(axis=1) <= tol

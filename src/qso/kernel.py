@@ -157,7 +157,7 @@ def kernel_apply(K: FiniteKernel, mu: DiscreteMeasure) -> DiscreteMeasure:
 
 def kernel_is_volterra(K: FiniteKernel, eps: float = EPS_VAL) -> bool:
     """True iff q[x, y, k] <= eps whenever k is neither x nor y; ``eps`` >= 0."""
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     return bool(_forbidden_max(K.q) <= eps)
 
 
@@ -182,7 +182,7 @@ def volterra_violation_witness(
     exact mass above |A| * eps, hence an entry above eps and an earlier
     singleton hit. ``eps`` must be nonnegative; 0 asks for exact zeros.
     """
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     n = K.n
     if n > _ORACLE_MAX_ATOMS:
         raise TooLarge(f"subset enumeration supports n <= {_ORACLE_MAX_ATOMS}, got {n}")

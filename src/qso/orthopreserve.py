@@ -204,7 +204,7 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
     _require_s2(V)
-    check_tol("eps_supp", eps_supp, positive=True)
+    eps_supp = check_tol("eps_supp", eps_supp, positive=True)
     supp = V.p > eps_supp
     # reached[i, j] = union of supp[k, k, :] (row k of diagonal().T) over k not in {i, j}
     reached = _probe_mask(3, 0.0) @ supp.diagonal().T
@@ -266,8 +266,8 @@ def classify_op(
     raises :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
-    check_tol("eps", eps)
-    check_tol("vertex_tol", vertex_tol)
+    eps = check_tol("eps", eps)
+    vertex_tol = check_tol("vertex_tol", vertex_tol)
 
     q = V.p.ravel().tolist()  # q[9 i + 3 j + k] = p[i, j, k]
     family = _DIAGONAL_TO_FAMILY.get(_read_diagonal(q))

@@ -90,7 +90,7 @@ class SkewMatrix:
 
 def is_volterra(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     """True iff every coefficient with k outside {i, j} is at most ``eps`` (>= 0)."""
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     return bool(_forbidden_max(V.p) <= eps)
 
 
@@ -103,7 +103,7 @@ def to_canonical(V: QsoTensor, eps: float = EPS_VAL) -> SkewMatrix:
     :class:`NotVolterra` otherwise; NaN or a negative ``eps`` raises
     :class:`ParameterOutOfRange`.
     """
-    check_tol("eps", eps)
+    eps = check_tol("eps", eps)
     worst = _forbidden_max(V.p)
     if not worst <= eps:
         raise NotVolterra(f"forbidden mass {worst:.3e} exceeds {eps:g}")
@@ -178,7 +178,7 @@ def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     maximum. Raises :class:`ParameterOutOfRange` unless ``eps`` is positive
     (NaN too).
     """
-    check_tol("eps", eps, positive=True)
+    eps = check_tol("eps", eps, positive=True)
     vertex_images = V.p.diagonal(0, 0, 1).T  # [k, j] = p[k, k, j], a view
     images = (vertex_images[:, None, :] + vertex_images[None, :, :] + 2.0 * V.p) / 4.0
     images /= images.sum(axis=2, keepdims=True)

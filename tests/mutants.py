@@ -100,7 +100,7 @@ MUTANTS = [
            ("test_dynamics.py",)),
     # the sparse step: the einsum's products, in its order, into a new array
     Mutant("sparse products as c * (x_i * x_j)", "dynamics.py",
-           "c * x[i] * x[j]", "c * (x[i] * x[j])",
+           "        w = c * g[0]\n        w *= g[1]\n", "        w = g[0] * g[1]\n        w *= c\n",
            ("test_dynamics.py",)),
     Mutant("sparse nonzeros in reverse order", "dynamics.py",
            "    flat = np.flatnonzero(p)\n    i, jk", "    flat = np.flatnonzero(p)[::-1]\n    i, jk",
@@ -109,7 +109,7 @@ MUTANTS = [
            "        out /= np.add.reduce(out)\n        return out\n", "        return out\n",
            ("test_dynamics.py",)),
     Mutant("sparse bincount without minlength", "dynamics.py",
-           ", minlength=m)", ")",
+           "_bincount(k, w, m)", "_bincount(k, w)",
            ("test_dynamics.py",)),
     Mutant("sparse step reuses one output array", "dynamics.py",
            "        out /= np.add.reduce(out)\n        return out\n",
@@ -120,6 +120,17 @@ MUTANTS = [
            ("test_dynamics.py",)),
     Mutant("sparse rule inverted", "dynamics.py",
            "    if _SPARSE_SHARE * n <= m ** 3:\n", "    if _SPARSE_SHARE * n > m ** 3:\n",
+           ("test_dynamics.py",)),
+    # the runners: n images per call, each the image of the point before
+    Mutant("array runner one step short", "dynamics.py",
+           "        for _ in range(n):\n            x = step(x)\n",
+           "        for _ in range(n - 1):\n            x = step(x)\n",
+           ("test_dynamics.py",)),
+    Mutant("float runner appends the point before the step", "dynamics.py",
+           "        f\"            {xs} = {', '.join(f'{o} / t' for o in out)}\",\n"
+           "        f\"            push(({xs}))\",\n",
+           "        f\"            push(({xs}))\",\n"
+           "        f\"            {xs} = {', '.join(f'{o} / t' for o in out)}\",\n",
            ("test_dynamics.py",)),
     # vertex fixed points read off the diagonal
     Mutant("fixed-point images not divided", "dynamics.py",
@@ -249,8 +260,11 @@ MUTANTS = [
     Mutant("refute grid cap raised", "algebra.py",
            "_REFUTE_MAX_AXIS = 201\n", "_REFUTE_MAX_AXIS = 202\n",
            ("test_algebra.py",)),
+    Mutant("tolerance returned unconverted", "core.py",
+           "    return tol\n", "    return value\n",
+           ("test_core.py",)),
     Mutant("positive tolerance admits zero", "core.py",
-           "(value > 0 if positive else value >= 0)", "(value >= 0 if positive else value >= 0)",
+           "(tol > 0 if positive else tol >= 0)", "(tol >= 0 if positive else tol >= 0)",
            ("test_core.py",)),
     Mutant("--max-iter cap off by one", "cli.py",
            "    if args.max_iter is not None and args.max_iter > MAX_ITER:\n",

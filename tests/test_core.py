@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1017,6 +1019,90 @@ class TestToleranceGuard:
 
         with pytest.raises(ParameterOutOfRange, match=rf"^tol must be positive, got {value!r}$"):
             check_tol("tol", value, positive=True)
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [(1e-9, 1e-9), (0, 0.0), (3, 3.0), (np.float32(0.5), 0.5), (np.float64(0.25), 0.25),
+         (np.int64(2), 2.0), (Fraction(1, 10**9), 1e-9), (float("inf"), float("inf"))],
+    )
+    def test_returns_the_tolerance_as_a_float(self, value, want):
+        from qso.core import check_tol
+
+        got = check_tol("eps", value)
+        assert type(got) is float and got == want
+
+    def test_a_positive_fraction_that_rounds_to_zero_is_not_positive(self):
+        from qso.core import check_tol
+
+        assert check_tol("eps", Fraction(1, 10**400)) == 0.0
+        with pytest.raises(ParameterOutOfRange, match=r"^tol must be positive, got Fraction\("):
+            check_tol("tol", Fraction(1, 10**400), positive=True)
+
+    @pytest.mark.parametrize(
+        "value, rounded",
+        [(Fraction(1, 10**5000), "0.0"), (Fraction(-10**5000, 10**5000 + 1), "-1.0")],
+    )
+    def test_a_fraction_past_the_str_digit_limit_is_worded_by_its_float(self, value, rounded):
+        # its repr raises ValueError past 4 300 digits, which used to escape
+        # from the message of the rule error
+        V, x = validate(uniform_tensor(3)), SimplexPoint.barycenter(3)
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"^tol must be positive, got a Fraction that rounds to {rounded}$"):
+            iterate(V, x, tol=value)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)])
+    @pytest.mark.parametrize(
+        "site",
+        ["iterate", "fixed_points_on_vertices", "is_volterra", "to_canonical",
+         "volterra_certificate", "is_orthogonality_preserving", "classify_op-eps",
+         "classify_op-vertex_tol", "is_associative", "assoc_solutions_v2",
+         "kernel_is_volterra", "volterra_violation_witness", "support", "validate",
+         "SimplexPoint"],
+    )
+    def test_past_the_float_range_is_a_parameter_error(self, site, value):
+        # float() overflows on these: the guard used to accept them, and the
+        # call then raised a bare OverflowError (or decided on the int)
+        from qso import (assoc_solutions_v2, fixed_points_on_vertices, is_associative,
+                         to_canonical, volterra_violation_witness)
+
+        V = op_family(OpFamilySpec(1, 0.2, 0.3, 0.4))
+        x = SimplexPoint.barycenter(3)
+        K = FiniteKernel(3, V.p)
+        call, name = {
+            "iterate": (lambda: iterate(V, x, tol=value), "tol"),
+            "fixed_points_on_vertices": (lambda: fixed_points_on_vertices(V, value), "tol"),
+            "is_volterra": (lambda: is_volterra(V, value), "eps"),
+            "to_canonical": (lambda: to_canonical(V, value), "eps"),
+            "volterra_certificate": (lambda: volterra_certificate(V, value), "eps"),
+            "is_orthogonality_preserving":
+                (lambda: is_orthogonality_preserving(V, eps_supp=value), "eps_supp"),
+            "classify_op-eps": (lambda: classify_op(V, eps=value), "eps"),
+            "classify_op-vertex_tol": (lambda: classify_op(V, vertex_tol=value), "vertex_tol"),
+            "is_associative": (lambda: is_associative(V, value), "eps"),
+            "assoc_solutions_v2": (lambda: assoc_solutions_v2(value), "eps"),
+            "kernel_is_volterra": (lambda: kernel_is_volterra(K, value), "eps"),
+            "volterra_violation_witness": (lambda: volterra_violation_witness(K, value), "eps"),
+            "support": (lambda: support(x, value), "eps_supp"),
+            "validate": (lambda: validate(V.p, eps=value), "eps"),
+            "SimplexPoint": (lambda: SimplexPoint([0.5, 0.5], eps=value), "eps"),
+        }[site]
+        kind = type(value).__name__
+        with pytest.raises(ParameterOutOfRange,
+                           match=rf"^{name} must fit in a float; this {kind} overflows it$"):
+            call()
+
+    def test_iterate_with_a_fraction_runs_on_its_float(self):
+        # a Fraction tolerance was compared with the float arrays in object
+        # mode, with numpy RuntimeWarnings
+        V = op_family(OpFamilySpec(1, 0.2, 0.3, 0.4))
+        for x0 in (SimplexPoint.barycenter(3), SimplexPoint([0.7, 0.1, 0.2])):
+            for tol in (Fraction(1, 10**9), Fraction(1, 3)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = iterate(V, x0, max_iter=300, tol=tol)
+                want = iterate(V, x0, max_iter=300, tol=float(tol))
+                assert got.coords.tobytes() == want.coords.tobytes()
+                assert (got.status, got.cycle_length) == (want.status, want.cycle_length)
 
 
 class TestAsInteger:

@@ -397,9 +397,10 @@ class TestChunkedScan:
                 QsoTensor(3, p)
 
     def test_work_is_bounded_by_twice_the_stop_step(self, monkeypatch):
-        # images counts the calls of each image routine: m = 3 steps on the
-        # compiled float step, the m = 8 Volterra operator over its
-        # nonzeros, and a dense blend of it on the einsum
+        # images counts the images of each image routine: m = 3 steps on the
+        # compiled float runner (one call per chunk, so its rows are
+        # counted), the m = 8 Volterra operator over its nonzeros, and a
+        # dense blend of it on the einsum (one call per step)
         images = []
 
         def counted_image(*args, image=dynamics._image, **kwargs):
@@ -408,11 +409,12 @@ class TestChunkedScan:
 
         def counted_maker(*key, maker=dynamics._step_maker):
             def make(*coeffs):
-                step = maker(*key)(*coeffs)
+                run = maker(*key)(*coeffs)
 
-                def counted(x):
-                    images.append("float step")
-                    return step(x)
+                def counted(x, n):
+                    rows = run(x, n)
+                    images.extend(["float step"] * len(rows))
+                    return rows
 
                 return counted
 
@@ -708,6 +710,59 @@ class TestSparseStep:
             assert dynamics._orbit_step(V.p)[0] == kind
             x0 = rand_simplex(rng, V.m)
             assert_same_run(V, x0, 40, 1e-10, 64)
+
+
+def one_nonzero_per_slice(m: int) -> QsoTensor:
+    """Slice (i, j) all on output max(i, j): m^2 nonzeros, 49 at m = 7."""
+    i, j = np.indices((m, m))
+    p = np.zeros((m, m, m))
+    p[i, j, np.maximum(i, j)] = 1.0
+    return QsoTensor(m, p)
+
+
+def runner_starts(rng, m: int) -> list:
+    """An interior, a face, a vertex and a subnormal start."""
+    tiny = rand_simplex(rng, m).coords.copy()
+    tiny[:2] = [5e-324, 1e-310]
+    return [rand_simplex(rng, m), rand_simplex(rng, m, n_zeros=max(1, m // 3)),
+            SimplexPoint.vertex(m, m), SimplexPoint(tiny / tiny.sum())]
+
+
+class TestRunner:
+    """``run(x, n)`` returns the next n images as rows, each ``_image`` of the one before."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(99)
+        float_ops = [HETEROCLINIC, rand_tensor(rng, 3), rand_volterra_tensor(rng, 4),
+                     one_nonzero_per_slice(7)]
+        cases = [(V, "float", runner_starts(rng, V.m)) for V in float_ops]
+        cases += [(V, "sparse", starts) for V, starts in sparse_cases()]
+        cases += [(rand_tensor(rng, m), "einsum", runner_starts(rng, m)) for m in (8, 10)]
+        return cases
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    def test_returns_n_images_as_rows(self, n):
+        for V, kind, starts in self.cases():
+            got_kind, run = dynamics._orbit_step(V.p)
+            assert got_kind == kind
+            for x0 in starts:
+                rows = run(x0.coords, n)
+                assert rows.shape == (n, V.m) and rows.dtype == float
+                assert rows.flags.c_contiguous
+                before = x0.coords
+                for image in rows:
+                    assert image.tobytes() == dynamics._image(V.p, before).tobytes()
+                    before = image
+
+    def test_runs_continue_where_they_stopped(self):
+        # two chunks of 5 and 7, the second from the last row of the first,
+        # are the images of one run of 12
+        for V, _, starts in self.cases():
+            _, run = dynamics._orbit_step(V.p)
+            first = run(starts[0].coords, 5)
+            parts = np.concatenate((first, run(first[-1], 7)))
+            assert run(starts[0].coords, 12).tobytes() == parts.tobytes()
 
 
 class TestPointsStayImmutable:
