@@ -11,10 +11,13 @@ generation x' with x'_k = sum_{i,j} p[i, j, k] * x_i * x_j.
 This module owns the two value types (:class:`SimplexPoint`,
 :class:`QsoTensor`), tensor validation, operator application, and the
 support-based predicates: absolute continuity, orthogonality, and the
-probe mask that decides every Volterra, kernel and OP verdict. Each of
-those verdicts asks which coordinates lie outside the support of a probe
-(e_i + e_j) / 2; :func:`_probe_mask` is that rule and
-:func:`_forbidden_max` its forbidden-entry maximum.
+support rule of every Volterra, kernel and OP verdict. Coefficients are
+>= 0, so supp V(x) is the union of supp p[i, j, :] over i, j in supp x: a
+question about image supports is one about coefficient supports, and no
+image is needed. A coefficient is in the support when p[i, j, k] > eps,
+at ``eps = EPS_VAL`` by default. The probe (e_i + e_j) / 2 must not reach
+the k outside {i, j}; :func:`_probe_mask` marks those triples and
+:func:`_forbidden_max` is their largest entry.
 
 A :class:`QsoTensor` holds all three invariants above: its constructor
 refuses an array that is not exactly symmetric, has a negative entry or
@@ -26,9 +29,10 @@ Conventions
 -----------
 * Arrays are indexed 0-based internally; index *sets* returned to callers
   (supports, vertex labels) and all JSON payloads are 1-based.
-* ``EPS_VAL`` separates construction noise from genuine violations;
-  ``EPS_SUPP`` decides support membership. Both can be overridden per
-  call, except the slice sums of a :class:`QsoTensor`, always ``EPS_VAL``.
+* ``EPS_VAL`` separates construction noise from genuine violations and
+  is the coefficient-support threshold of every verdict; ``EPS_SUPP``
+  decides the support of a point. Both can be overridden per call, except
+  the slice sums of a :class:`QsoTensor`, always ``EPS_VAL``.
 """
 
 from __future__ import annotations
@@ -441,19 +445,17 @@ def orthogonal(x: SimplexPoint, y: SimplexPoint, eps_supp: float = EPS_SUPP) -> 
 
 
 @lru_cache(maxsize=8)
-def _probe_mask(m: int, level: float) -> np.ndarray:
-    """Read-only (m, m, m) mask of the probe coordinates (e_i + e_j)[k] / 2 at most ``level``.
+def _probe_mask(m: int) -> np.ndarray:
+    """Read-only (m, m, m) mask of the triples (i, j, k) with k not in {i, j}.
 
-    The probe (e_i + e_j) / 2 is the vertex e_i when i = j, else an edge
-    midpoint, so its coordinates are exactly 0, 1/2 or 1 and a caller passes
-    the largest of these its tolerance reaches. At level 0 the mask holds
-    the triples with k not in {i, j}: the entries a Volterra operator must
-    not reach. The sum e_i + e_j is taken on uint8 rows of the identity and
-    compared with 2 * level in place, so the mask is the only cube made.
+    The coordinates k outside the support of the probe (e_i + e_j) / 2, and
+    so the entries p[i, j, k] a Volterra operator must not reach. The sum
+    e_i + e_j is taken on uint8 rows of the identity and compared with 0 in
+    place, so the mask is the only cube made.
     """
     eye = np.eye(m, dtype=np.uint8)
     twice = eye[:, None, :] + eye[None, :, :]  # (e_i + e_j)[k], in {0, 1, 2}
-    np.less_equal(twice, np.uint8(2 * level), out=twice.view(bool))
+    np.equal(twice, 0, out=twice.view(bool))
     twice.flags.writeable = False
     return twice.view(bool)
 
@@ -461,9 +463,9 @@ def _probe_mask(m: int, level: float) -> np.ndarray:
 def _forbidden_max(p: np.ndarray) -> float:
     """Largest entry p[i, j, k] of a cubic array with k not in {i, j} (0 if none).
 
-    The one forbidden-entry test behind ``is_volterra``, ``to_canonical``
-    and ``kernel_is_volterra``. A masked reduction, not a gather: the mask
-    selects all but O(m^2) of the m^3 entries, so a gather would copy nearly
-    all of p.
+    The one forbidden-entry test behind ``is_volterra``, ``to_canonical``,
+    ``volterra_certificate`` and ``kernel_is_volterra``. A masked reduction,
+    not a gather: the mask selects all but O(m^2) of the m^3 entries, so a
+    gather would copy nearly all of p.
     """
-    return p.max(where=_probe_mask(p.shape[0], 0.0), initial=0.0)
+    return p.max(where=_probe_mask(p.shape[0]), initial=0.0)

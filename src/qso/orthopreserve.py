@@ -46,16 +46,18 @@ Both directions read one table, built at import from
 which parameter t. ``op_family`` writes its array from the codes, and
 ``classify_op`` reads the tensor once as 27 floats, matches the vertex
 images (an exact family diagonal is looked up whole), reads the
-parameters at their slots and compares every entry with the value
-its code gives.
+parameters at their slots and checks the entries coded 0.
 
-Orthogonality preservation is decided exactly. Every QsoTensor holds
-coefficients >= 0, so supp V(x) is the union of supp p[i, j, :] over i,
-j in supp x. Hence V preserves orthogonality iff supp p[i, j, :] and
+Orthogonality preservation is decided exactly. By the support map of
+:mod:`qso.core`, V preserves orthogonality iff supp p[i, j, :] and
 supp p[k, l, :] are disjoint whenever {i, j} and {k, l} are (necessary
 because (e_i + e_j)/2 and (e_k + e_l)/2 are orthogonal points). On S^2
 one of two disjoint index sets is a vertex {k}, so no slot (i, j) may share
 an output with V(e_k) = p[k, k, :], k outside {i, j}: the forbidden mask.
+An OP tensor's vertex images are then distinct vertices, and its support
+lies in the nonzero slots of that family, so with supports and zero slots
+both read at ``EPS_VAL``, a Volterra tensor is OP (sigma = id) and
+``classify_op`` succeeds exactly on the OP tensors.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .core import EPS_SUPP, EPS_VAL, QsoTensor, _probe_mask, as_integer, check_tol, check_unit
+from .core import EPS_VAL, QsoTensor, _probe_mask, as_integer, check_tol, check_unit
 from .errors import (
     DimensionUnsupported,
     InvalidFamily,
@@ -102,12 +104,13 @@ def _fills(a: float, b: float, g: float) -> tuple[float, ...]:
     return (0.0, 1.0, a, b, g, 1.0 - a, 1.0 - b, 1.0 - g)
 
 
-def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter]:
+def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter, itemgetter]:
     """The slot table row of the family with vertex images ``images``.
 
-    Two getters: one that maps ``_fills(a, b, g)`` to the 27 entries
-    p[i, j, k] in flat order (index 9 i + 3 j + k), and one that reads
-    (alpha, beta, gamma) from the 27 floats at their slots. The codes: 1
+    Three getters: one that maps ``_fills(a, b, g)`` to the 27 entries
+    p[i, j, k] in flat order (index 9 i + 3 j + k), one that reads
+    (alpha, beta, gamma) from the 27 floats at their slots, and one that
+    reads the 12 entries coded 0. The codes: 1
     at p[k, k, sigma(k)]; on edge (i, j) t at output min(sigma(i),
     sigma(j)) and 1 - t at the other, in both halves of the slice; 0
     elsewhere.
@@ -121,7 +124,10 @@ def _slot_row(images: tuple[int, int, int]) -> tuple[itemgetter, itemgetter]:
         for n in (9 * i + 3 * j, 9 * j + 3 * i):
             codes[n + lo] = _T + e
             codes[n + hi] = _ONE_MINUS_T + e
-    return itemgetter(*codes), itemgetter(*(codes.index(_T + e) for e in range(3)))
+    entries = itemgetter(*codes)
+    params = itemgetter(*(codes.index(_T + e) for e in range(3)))
+    zeros = itemgetter(*(n for n, c in enumerate(codes) if c == 0))
+    return entries, params, zeros
 
 
 #: Per family, its row of the slot table (:func:`_slot_row`).
@@ -187,19 +193,20 @@ def op_family(spec: OpFamilySpec) -> QsoTensor:
     names: 1 at p[k, k, sigma(k)] and each parameter t in its edge slice
     (i, j) at output min(sigma(i), sigma(j)), with 1 - t at the other output.
     """
-    entries, _ = _SLOTS[spec.family]
+    entries = _SLOTS[spec.family][0]
     p = np.empty((3, 3, 3))
     p.flat = entries(_fills(*spec.params))
     return QsoTensor._trusted(3, p)
 
 
-def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> bool:
+def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_VAL) -> bool:
     """Exact test of orthogonality preservation on S^2.
 
-    No slot p[i, j, :] may share a support entry (one above ``eps_supp``)
-    with V(e_k) = p[k, k, :] for a vertex k outside {i, j}: the module's
-    slice-pair rule, exact on S^2 since of two disjoint index sets one is a
-    vertex. The forbidden mask, ``core._probe_mask(3, 0.0)``, times the
+    No slot p[i, j, :] may share a support entry (one above ``eps_supp``,
+    the coefficient threshold ``EPS_VAL`` by default) with V(e_k) =
+    p[k, k, :] for a vertex k outside {i, j}: the module's slice-pair rule,
+    exact on S^2 since of two disjoint index sets one is a vertex. The
+    forbidden mask, ``core._probe_mask(3)``, times the
     vertex supports gives what each slot must not reach. ``eps_supp`` must
     be positive; NaN raises :class:`ParameterOutOfRange` too.
     """
@@ -207,7 +214,7 @@ def is_orthogonality_preserving(V: QsoTensor, *, eps_supp: float = EPS_SUPP) -> 
     eps_supp = check_tol("eps_supp", eps_supp, positive=True)
     supp = V.p > eps_supp
     # reached[i, j] = union of supp[k, k, :] (row k of diagonal().T) over k not in {i, j}
-    reached = _probe_mask(3, 0.0) @ supp.diagonal().T
+    reached = _probe_mask(3) @ supp.diagonal().T
     return not (supp & reached).any()
 
 
@@ -249,21 +256,22 @@ def classify_op(
     :class:`VertexImageNotVertex`, for the first such k), looks the
     permutation sigma up in ``FAMILY_VERTEX_IMAGES`` and reads each
     parameter straight from its slot p[i, j, min(sigma[i], sigma[j])], so
-    a family member is recovered exactly. Every entry must then lie within
-    ``eps`` of the 0, 1, t or 1 - t that the family's slot table (the one
-    :func:`op_family` writes from) puts there; otherwise the input lies
-    outside the six families and :class:`NotOrthogonalityPreserving` is
-    raised.
+    a family member is recovered exactly. Every entry that the family's
+    slot table (the one :func:`op_family` writes from) codes 0 must then be
+    at most ``eps``; otherwise the input lies outside the six families and
+    :class:`NotOrthogonalityPreserving` is raised. The entries coded 1 and
+    1 - t need no check: the slice sums fix them within ``EPS_VAL`` plus
+    the zero entry of their slice. So at the default ``eps`` a tensor is
+    classified iff :func:`is_orthogonality_preserving` holds.
 
     One pass over the 27 entries read once as Python floats. When the nine
     diagonal entries are exactly the vertex images of a family (every
     family member), ``_DIAGONAL_TO_FAMILY`` names it at once: those rows
     are at distance 0 from their vertices, so the match could name no
     other. Any other diagonal, a near-vertex or an error, takes the
-    vertex match. The residual is taken over all 27 entries either way.
-    Numpy only words the vertex error. ``eps`` and ``vertex_tol`` must be
-    nonnegative (0 asks for exact matches); NaN or a negative value
-    raises :class:`ParameterOutOfRange`.
+    vertex match. Numpy only words the vertex error. ``eps`` and
+    ``vertex_tol`` must be nonnegative (0 asks for exact matches); NaN or a
+    negative value raises :class:`ParameterOutOfRange`.
     """
     _require_s2(V)
     eps = check_tol("eps", eps)
@@ -273,7 +281,7 @@ def classify_op(
     family = _DIAGONAL_TO_FAMILY.get(_read_diagonal(q))
     if family is None:
         family = _vertex_family(V, q, vertex_tol)
-    entries, params = _SLOTS[family]
+    _, params, zeros = _SLOTS[family]
     a, b, g = params(q)
     if not (-eps <= a <= 1.0 + eps and -eps <= b <= 1.0 + eps and -eps <= g <= 1.0 + eps):
         raise NotOrthogonalityPreserving(
@@ -284,10 +292,10 @@ def classify_op(
     b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
     g = 0.0 if g < 0.0 else 1.0 if g > 1.0 else g
 
-    residual = max(map(abs, map(sub, entries(_fills(a, b, g)), q)))
-    if residual > eps:
+    worst = max(zeros(q))
+    if worst > eps:
         raise NotOrthogonalityPreserving(
-            f"reconstruction residual {residual:.3e} exceeds {eps:g}; "
+            f"residual {worst:.3e} at the zero entries of family {family} exceeds {eps:g}; "
             f"the tensor is outside the six families"
         )
     return OpFamilySpec._trusted(family, a, b, g)

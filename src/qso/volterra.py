@@ -9,19 +9,14 @@ written coordinate-wise as
 with a skew-symmetric matrix a whose entries lie in [-1, 1]. The map
 between the two representations is a[k, i] = 2 * p[k, i, k] - 1.
 
-Every QsoTensor holds coefficients >= 0, so no negative entry can cancel
-forbidden mass, and being Volterra is equivalent to V(x) being absolutely
-continuous with respect to x for every simplex point x. That equivalence
-can be decided on a finite set of probe points: the m vertices plus the
-C(m, 2) edge midpoints (:func:`volterra_certificate`). Their images have
-closed forms, V(e_k) = p[k, k, :] and
-
-    V((e_i + e_j) / 2) = (p[i, i, :] + 2 p[i, j, :] + p[j, j, :]) / 4,
-
-so all m + C(m, 2) images are one (m, m, m) array whose i = j diagonal is
-the vertex image. Every QsoTensor's slices also sum to one within
-``EPS_VAL``, so every probe image does too and is divided by its sum
-without a check, as ``apply`` divides.
+Being Volterra is equivalent to V(x) being absolutely continuous with
+respect to x for every simplex point x, and that is decided on a finite
+set of probe points: the m vertices plus the C(m, 2) edge midpoints
+(:func:`volterra_certificate`). By the support map of :mod:`qso.core`,
+the image of the probe (e_i + e_j) / 2 reaches a k outside {i, j} exactly
+when p[i, i, k], p[i, j, k] or p[j, j, k] is in the support. Over all
+probes these are the forbidden entries, so the certificate is the
+forbidden-entry test of :func:`is_volterra`.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from .core import (
     SimplexPoint,
     _forbidden_max,
     _integer,
-    _probe_mask,
     abs_continuous,
     apply,
     check_tol,
@@ -158,29 +152,14 @@ def check_abs_continuity_property(
 def volterra_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
     """Decide the Volterra property from finitely many probe points.
 
-    Checks V(x) absolutely continuous w.r.t. x at the vertices (which pin
-    the diagonal slices) and at the edge midpoints (which expose any
-    remaining forbidden mass, scaled by 1/2, the largest possible factor).
-    Supports are taken at ``eps`` so the verdict matches
-    :func:`is_volterra`; forbidden entries within a factor of two of
-    ``eps`` can straddle the midpoint test.
-
-    No operator is applied: image[i, j] = (p[i, i] + p[j, j] + 2 p[i, j]) / 4
-    is V((e_i + e_j) / 2), and its diagonal image[k, k] = p[k, k] = V(e_k)
-    exactly. Each image is divided by its own sum, as ``apply`` does, and
-    compared against the probe point's support; this is
-    :func:`check_abs_continuity_property` on :func:`certificate_points`.
-    The tensor's slices sum to one, so every probe image sums to one
-    within ``EPS_VAL`` and nothing is checked before the division.
-    The coordinates outside a probe's support at ``eps`` depend only on m
-    and on where eps lies against 1/2 and 1: they are ``core._probe_mask``
-    at that level (below 1/2 the forbidden-entry mask), read by a masked
-    maximum. Raises :class:`ParameterOutOfRange` unless ``eps`` is positive
-    (NaN too).
+    V(x) must be absolutely continuous w.r.t. x at every point of
+    :func:`certificate_points`, with the image supports read from the
+    coefficients at ``eps`` (module docstring): the probe (e_i + e_j) / 2
+    leaves its support iff an entry p[a, b, k] with a, b in {i, j} and k
+    outside is above ``eps``. Over all probes these are the forbidden
+    entries, so the verdict is that of :func:`is_volterra` at every
+    ``eps``, and no image is formed. Raises :class:`ParameterOutOfRange`
+    unless ``eps`` is positive (NaN too).
     """
     eps = check_tol("eps", eps, positive=True)
-    vertex_images = V.p.diagonal(0, 0, 1).T  # [k, j] = p[k, k, j], a view
-    images = (vertex_images[:, None, :] + vertex_images[None, :, :] + 2.0 * V.p) / 4.0
-    images /= images.sum(axis=2, keepdims=True)
-    outside = _probe_mask(V.m, 0.0 if eps < 0.5 else 0.5 if eps < 1.0 else 1.0)
-    return bool(images.max(where=outside, initial=0.0) <= eps)
+    return bool(_forbidden_max(V.p) <= eps)

@@ -117,6 +117,7 @@ def _with_forbidden(p: np.ndarray, i: int, j: int, k: int, value: float) -> np.n
 
 def _input_objects() -> dict:
     """File name -> JSON object (or raw text) of every corpus input."""
+    from qso import OpFamilySpec, op_family
     from qso.serialize import MAX_DIMENSION
 
     uniform = np.full((3, 3, 3), 1.0 / 3.0)
@@ -136,6 +137,9 @@ def _input_objects() -> dict:
     nv5 = _volterra_array(5, 15)  # forbidden mass 1e-9 = EPS_VAL at 3 outputs of slice (1, 2)
     for k in (2, 3, 4):
         nv5 = _with_forbidden(nv5, 0, 1, k, 1e-9)
+    # the Volterra tensor of a = 0 (family 2 at 1/2) with forbidden mass 1e-10,
+    # below EPS_VAL: Volterra, so OP and classified
+    nv3 = _with_forbidden(op_family(OpFamilySpec(2, 0.5, 0.5, 0.5)).p, 0, 1, 2, 1e-10)
     zero_slice = _entries(np.full((2, 2, 2), 0.5))
     for ent in zero_slice:
         if ent["i"] != ent["j"]:
@@ -172,6 +176,7 @@ def _input_objects() -> dict:
         "v6.json": _tensor(_volterra_array(6, 7)),
         "v12.json": _tensor(_volterra_array(12, 16)),  # iterate's sparse step
         "nv5.json": _tensor(nv5),
+        "nv3.json": _tensor(nv3),
         "sk3.json": _skew(3, 8),
         "sk5.json": _skew(5, 9),
         "k4.json": _kernel(_random_array(4, 10)),
@@ -268,7 +273,7 @@ def _cases() -> list[dict]:
         plain.append(["apply", "--op", "f1.json", f"--x0={x0}"])
     plain.append(["apply", "--op", "f1.json"])
 
-    for f in ("f1.json", "f2.json", "v4.json", "r4.json", "v3.json"):
+    for f in ("f1.json", "f2.json", "v4.json", "r4.json", "v3.json", "nv3.json"):
         ok.append(["volterra", "check", "--op", f])
     for removed in (["--samples", "5"], ["--seed", "3"]):  # options that are gone: argparse
         plain.append(["volterra", "check", "--op", "f2.json"] + removed)
@@ -285,7 +290,7 @@ def _cases() -> list[dict]:
                  ["--op", "v4.json", "--skew", "sk3.json"]):
         plain.append(["volterra", "canonical"] + argv)
 
-    for f in ("f1.json", "v4.json", "r4.json", "u3.json"):
+    for f in ("f1.json", "v4.json", "r4.json", "u3.json", "nv3.json"):
         ok.append(["volterra", "certificate", "--op", f])
 
     for fam, a, b, g in ((1, "0.3", "0.6", "0.9"), (2, "0", "1", "0.5"),
@@ -301,11 +306,11 @@ def _cases() -> list[dict]:
     plain.append(["op", "build", "--family", "1", "--alpha", "0.3", "--beta", "0.6", "--gamma",
                   "0.9", "--out", "missing/x.json"])
 
-    for f in _FAMILIES + ["u3.json", "r3.json", "v3.json", "f2x.json"]:
+    for f in _FAMILIES + ["u3.json", "r3.json", "v3.json", "f2x.json", "nv3.json"]:
         ok.append(["op", "check", "--op", f])
     plain.append(["op", "check", "--op", "v4.json"])
 
-    for f in _FAMILIES + ["f2c.json", "f2x.json", "f4h.json", "v3.json"]:
+    for f in _FAMILIES + ["f2c.json", "f2x.json", "f4h.json", "v3.json", "nv3.json"]:
         ok.append(["op", "classify", "--op", f])
     for f in ("u3.json", "r3.json", "v4.json"):
         plain.append(["op", "classify", "--op", f])

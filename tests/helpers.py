@@ -35,7 +35,6 @@ from qso import (
     apply,
     associator_residual,
     certificate_points,
-    check_abs_continuity_property,
     classify_op,
     conjugate,
     from_canonical,
@@ -471,8 +470,19 @@ def reference_is_op_grid(V: QsoTensor, grid: int = 101, eps_supp: float = EPS_SU
 
 
 def reference_certificate(V: QsoTensor, eps: float = EPS_VAL) -> bool:
-    """Oracle: the Volterra certificate as one ``apply`` per probe point."""
-    return check_abs_continuity_property(V, certificate_points(V.m), eps_supp=eps)
+    """Oracle: the Volterra certificate as one support map per probe point.
+
+    Each point of ``certificate_points`` must reach no output outside its
+    support, the image support being the union of the coefficient supports
+    {k : p[a, b, k] > eps} over a, b in the point's support, entry by entry.
+    """
+    for x in certificate_points(V.m):
+        inside = support(x)
+        reached = {k + 1 for a in inside for b in inside for k in range(V.m)
+                   if V.p[a - 1, b - 1, k] > eps}
+        if not reached <= inside:
+            return False
+    return True
 
 
 def reference_violation_witness(K: FiniteKernel, eps: float = EPS_VAL):
@@ -586,7 +596,7 @@ def reference_conjugacy_classes(
     return sorted((frozenset(c) for c in classes.values()), key=min)
 
 
-def reference_is_op_loop(V: QsoTensor, eps_supp: float = EPS_SUPP) -> bool:
+def reference_is_op_loop(V: QsoTensor, eps_supp: float = EPS_VAL) -> bool:
     """Oracle: the exact OP test as a loop over every pair of disjoint slots.
 
     The slice-pair criterion of ``qso.orthopreserve`` with one Python
@@ -609,12 +619,13 @@ def reference_is_op_loop(V: QsoTensor, eps_supp: float = EPS_SUPP) -> bool:
 
 def reference_classify_op(V: QsoTensor, *, eps: float = EPS_VAL,
                           vertex_tol: float = 1e-6) -> OpFamilySpec:
-    """Oracle: the classifier one vertex at a time, rebuilding a whole tensor.
+    """Oracle: the classifier one vertex at a time, on a whole family array.
 
     Each vertex image is matched against a fresh identity row, the
     parameters are read from the relabeled copy p[:, :, sigma] at the
-    endpoints of the paper's table, and the residual is taken against
-    :func:`reference_family_array` of the recovered spec. It takes
+    endpoints of the paper's table, and the entries that must be at most
+    ``eps`` are the zeros of :func:`reference_family_array` at interior
+    parameters, where no 1, t or 1 - t is 0. It takes
     the tolerances unchecked: a NaN or negative one gives a verdict or a
     different error here where the library raises ``ParameterOutOfRange``.
     """
@@ -646,10 +657,10 @@ def reference_classify_op(V: QsoTensor, *, eps: float = EPS_VAL,
             f"recovered parameters {values} fall outside [0, 1]"
         )
     spec = OpFamilySpec(family, *(min(max(v, 0.0), 1.0) for v in values))
-    residual = np.abs(reference_family_array(spec) - V.p).max()
-    if residual > eps:
+    worst = V.p[reference_family_array(OpFamilySpec(family, 0.5, 0.5, 0.5)) == 0.0].max()
+    if worst > eps:
         raise NotOrthogonalityPreserving(
-            f"reconstruction residual {residual:.3e} exceeds {eps:g}; "
+            f"residual {worst:.3e} at the zero entries of family {family} exceeds {eps:g}; "
             f"the tensor is outside the six families"
         )
     return spec

@@ -141,16 +141,13 @@ MUTANTS = [
            "    fixed = np.abs(images - np.eye(V.m)).max(axis=1) < tol\n",
            ("test_dynamics.py",)),
     # the support rule: one probe mask in core under every verdict
-    Mutant("probe mask <= becomes <", "core.py",
-           "    np.less_equal(twice, np.uint8(2 * level), out=twice.view(bool))\n",
-           "    np.less(twice, np.uint8(2 * level), out=twice.view(bool))\n",
+    Mutant("probe mask admits the midpoint coordinates", "core.py",
+           "    np.equal(twice, 0, out=twice.view(bool))\n",
+           "    np.less_equal(twice, 1, out=twice.view(bool))\n",
            ("test_core.py",)),
-    Mutant("forbidden max reads the midpoint level", "core.py",
-           "_probe_mask(p.shape[0], 0.0)", "_probe_mask(p.shape[0], 0.5)",
-           ("test_volterra.py",)),
     Mutant("OP test reads the vertex supports untransposed", "orthopreserve.py",
-           "    reached = _probe_mask(3, 0.0) @ supp.diagonal().T\n",
-           "    reached = _probe_mask(3, 0.0) @ supp.diagonal()\n",
+           "    reached = _probe_mask(3) @ supp.diagonal().T\n",
+           "    reached = _probe_mask(3) @ supp.diagonal()\n",
            ("test_orthopreserve.py",)),
     Mutant("slot codes put t at the larger output", "orthopreserve.py",
            "        lo, hi = sorted((sigma[i], sigma[j]))\n",
@@ -170,15 +167,23 @@ MUTANTS = [
            ("test_dynamics.py",)),
     # verdicts at their tolerance
     Mutant("is_volterra <= becomes <", "volterra.py",
-           "    return bool(_forbidden_max(V.p) <= eps)\n",
-           "    return bool(_forbidden_max(V.p) < eps)\n",
+           "    eps = check_tol(\"eps\", eps)\n    return bool(_forbidden_max(V.p) <= eps)\n",
+           "    eps = check_tol(\"eps\", eps)\n    return bool(_forbidden_max(V.p) < eps)\n",
            ("test_volterra.py",)),
-    Mutant("certificate probe level at eps = 1/2", "volterra.py",
-           "0.0 if eps < 0.5 else", "0.0 if eps <= 0.5 else",
+    # one support threshold: Volterra implies OP, classified iff OP
+    Mutant("certificate <= becomes <", "volterra.py",
+           "positive=True)\n    return bool(_forbidden_max(V.p) <= eps)\n",
+           "positive=True)\n    return bool(_forbidden_max(V.p) < eps)\n",
            ("test_volterra.py",)),
-    Mutant("classify residual > becomes >=", "orthopreserve.py",
-           "    if residual > eps:\n", "    if residual >= eps:\n",
+    Mutant("OP default back at EPS_SUPP", "orthopreserve.py",
+           "eps_supp: float = EPS_VAL) -> bool:", "eps_supp: float = 1e-12) -> bool:",
+           ("test_support_rule.py",)),
+    Mutant("classify zero-slot > becomes >=", "orthopreserve.py",
+           "    if worst > eps:\n", "    if worst >= eps:\n",
            ("test_orthopreserve.py",)),
+    Mutant("zero-slot getter misses one diagonal entry", "orthopreserve.py",
+           "enumerate(codes) if c == 0)", "enumerate(codes) if c == 0 and n != 1)",  # p[0, 0, 1]
+           ("test_support_rule.py",)),
     # the S^2 sweep's fast paths: the exact-diagonal lookup, the clamp, the
     # cached inverse gather and the small-tensor encoder
     Mutant("diagonal lookup built with shifted images", "orthopreserve.py",

@@ -885,17 +885,15 @@ class TestSupportPredicates:
 class TestProbeMask:
     """``core._probe_mask``: the one support rule of the Volterra, kernel and OP verdicts."""
 
-    @pytest.mark.parametrize("level", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("m", range(2, 10))
-    def test_mask_is_the_probe_rule(self, m, level):
-        mask = core._probe_mask(m, level)
+    def test_mask_is_the_probe_rule(self, m):
+        mask = core._probe_mask(m)
         eye = np.eye(m)
-        want = np.array([[[(eye[i] + eye[j])[k] / 2 <= level for k in range(m)]
+        want = np.array([[[(eye[i] + eye[j])[k] == 0 for k in range(m)]
                           for j in range(m)] for i in range(m)])
         assert mask.dtype == bool and np.array_equal(mask, want)
-        if level == 0.0:  # the forbidden entries, as an ogrid mask built them
-            i, j, k = np.ogrid[:m, :m, :m]
-            assert np.array_equal(mask, (k != i) & (k != j))
+        i, j, k = np.ogrid[:m, :m, :m]  # the forbidden entries, as an ogrid mask builds them
+        assert np.array_equal(mask, (k != i) & (k != j))
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0, 0] = True
