@@ -47,7 +47,8 @@ _FLOAT_MAX_TERMS = 56
 # 0.2 to 0.3. A Volterra or OP operator has m(2m - 1) nonzeros, which
 # passes from m = 8 on
 _SPARSE_SHARE = 4
-# compiled float runners kept, one per nonzero pattern and size
+# compiled float runners kept, one per nonzero pattern and size; and
+# compiled sums of the sparse step, one per size
 _STEP_CACHE_SIZE = 64
 
 STATUS_CONVERGED = "converged"
@@ -160,6 +161,43 @@ def _step_maker(flat: tuple[int, ...], m: int):
     return namespace["make"]
 
 
+def _pairwise(names: list[str]) -> str:
+    """numpy's pairwise summation of the named doubles, written as one expression.
+
+    This is numpy's ``pairwise_sum``: fewer than 8 terms are added left to
+    right from 0.0; up to 128, eight accumulators take the full blocks of
+    8, are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    and the tail is added left to right; past 128 the terms are split at
+    n / 2 rounded down to a multiple of 8 and each half is summed so.
+    """
+    n = len(names)
+    if n < 8:
+        return " + ".join(["0.0", *names])
+    if n <= 128:
+        full = n - n % 8
+        r = [f"({' + '.join(names[j:full:8])})" for j in range(8)]
+        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        return " + ".join([tree, *names[full:]])
+    half = n // 2 - n // 2 % 8
+    return f"({_pairwise(names[:half])}) + ({_pairwise(names[half:])})"
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _sum_maker(m: int):
+    """Compile ``total(x0, ..., x{m-1})``, ``np.add.reduce`` of m doubles on Python floats.
+
+    numpy reduces a contiguous array of doubles by adding its pairwise sum
+    (see :func:`_pairwise`) to the identity 0.0, so ``total`` returns the
+    same bits for every m. The source holds only names; the values arrive
+    as arguments.
+    """
+    names = [f"x{i}" for i in range(m)]
+    source = f"def total({', '.join(names)}):\n    return 0.0 + ({_pairwise(names)})\n"
+    namespace = {}
+    exec(compile(source, "<qso pairwise sum>", "exec"), namespace)
+    return namespace["total"]
+
+
 # np.bincount without its __array_function__ dispatch, as core._einsum: the
 # same function on plain arrays, so the same bits
 _bincount = getattr(np.bincount, "_implementation", np.bincount)
@@ -174,9 +212,10 @@ def _sparse_step(p: np.ndarray):
     multiplies it by x_j in place, and ``bincount`` adds these weights
     into a zeroed output in the order given, so each coordinate gets the
     same products in the same order; a skipped zero coefficient would only
-    add a zero to a sum that is already >= +0. The sum and the division
-    are ``_image``'s own calls. Each step returns a new array, since the
-    orbit keeps every image.
+    add a zero to a sum that is already >= +0. The sum is ``_image``'s
+    ``np.add.reduce`` bit for bit, taken on Python floats by
+    :func:`_sum_maker`'s ``total``, and the division is ``_image``'s. Each
+    step returns a new array, since the orbit keeps every image.
     """
     m = p.shape[0]
     flat = np.flatnonzero(p)
@@ -184,13 +223,14 @@ def _sparse_step(p: np.ndarray):
     j, k = np.divmod(jk, m)
     c = p.take(flat)
     ij = np.stack((i, j))
+    total = _sum_maker(m)
 
     def step(x):
         g = x[ij]
         w = c * g[0]
         w *= g[1]
         out = _bincount(k, w, m)
-        out /= np.add.reduce(out)
+        out /= total(*out.tolist())
         return out
 
     return step
@@ -232,6 +272,71 @@ def _orbit_step(p: np.ndarray):
     return "einsum", _array_runner(functools.partial(_image, p))
 
 
+class _StopScan:
+    """The stop scan of one orbit: each chunk's first stop, if it has one.
+
+    ``feed(rows)`` takes the chunk's images, at most ``cap`` rows, and
+    returns (r, lag) for the first row r within ``tol`` in max norm of one
+    of the ``size`` points before it, lag being the smallest such distance
+    back, or None. The points before the chunk sit in the last ``size``
+    columns of a buffer that holds one column per point, oldest first; NaN
+    columns stand for steps before x0 and never match. The chunk's rows are
+    written after them, and a read-only strided view of the buffer, built
+    once, lines every row up with its lags.
+
+    First a one-coordinate reject: if the sorted values of one coordinate
+    over the real columns of the window and the chunk have no adjacent pair
+    within ``tol``, that coordinate has no pair within ``tol`` at all, since
+    rounding is monotone (for a <= b <= c, fl(c - a) >= fl(b - a)), so no
+    (step, lag) pair can match and the chunk has no stop. Coordinates are
+    tried in turn, the one that separated last first, and the walk ends at
+    the first that separates. Only when none does is the (step, lag) match
+    table built, one array expression over all coordinates with its
+    differences taken in place; it decides.
+    """
+
+    __slots__ = ("_buf", "_back", "_size", "_tol", "_start", "_order")
+
+    def __init__(self, x0: np.ndarray, size: int, tol: float, cap: int):
+        m = len(x0)
+        self._buf = buf = np.full((m, size + cap), np.nan)
+        buf[:, size - 1] = x0
+        # back[k, r, q] is coordinate k of the point size - q steps before chunk
+        # column r: the windows of length size along buf's rows, read-only
+        col = buf.strides[1]
+        self._back = np.ndarray((m, cap + 1, size), float, buf, 0, (buf.strides[0], col, col))
+        self._back.flags.writeable = False
+        self._size, self._tol = size, tol
+        self._start = size - 1  # the first real column: x0's until the window fills
+        self._order = list(range(m))  # the coordinate that separated last comes first
+
+    def feed(self, rows: np.ndarray):
+        """(r, lag) of the first stop among the chunk's rows, or None."""
+        buf, size, tol, order = self._buf, self._size, self._tol, self._order
+        n = len(rows)
+        end = size + n
+        buf[:, size:end] = rows.T
+        start = self._start
+        self._start = max(start - n, 0)
+        for pos, k in enumerate(order):
+            seen = buf[k, start:end].copy()
+            seen.sort()
+            if np.minimum.reduce(np.subtract(seen[1:], seen[:-1])) > tol:
+                if pos:
+                    order.insert(0, order.pop(pos))
+                break
+        else:
+            # near[r, q]: chunk step r is within tol of the point size - q steps back
+            gap = self._back[:, :n] - buf[:, size:end, None]
+            near = (np.abs(gap, out=gap) <= tol).all(axis=0)
+            hits = np.flatnonzero(near.any(axis=1))
+            if hits.size:
+                r = int(hits[0])
+                return r, size - int(np.flatnonzero(near[r])[-1])
+        buf[:, :size] = buf[:, n:end]
+        return None
+
+
 def iterate(
     V: QsoTensor,
     x0: SimplexPoint,
@@ -264,10 +369,10 @@ def iterate(
     their bits are the einsum's. Every step divides by the image's sum
     and checks nothing: the tensor's slices sum to one, so every image
     lies on the simplex. On a 2-core VM with one BLAS thread, a 500-step
-    orbit took ~2.7-3.0 ms on the einsum and ~2.1-2.4 ms on the sparse
-    step for a Volterra operator at m = 10, ~420-460 and ~53-56 ms at
-    m = 100, and for an OP operator ~6.5-6.9 and ~3.5-3.8 ms at m = 20,
-    ~58-62 and ~13-15 ms at m = 50.
+    orbit took ~2.7-3.0 ms on the einsum and ~1.7-1.8 ms on the sparse
+    step for a Volterra operator at m = 10, ~420-460 and ~50-52 ms at
+    m = 100, and for an OP operator ~6.5-6.9 and ~3.1-3.2 ms at m = 20,
+    ~58-62 and ~13-14 ms at m = 50.
 
     Stops are found once per chunk of steps. Chunks grow 4, 8, ... up to
     64 steps, so an orbit that stops at step t computes at most 2t + 8
@@ -275,21 +380,12 @@ def iterate(
     all m coordinates holds at most 2^16 entries (one step's if a single
     step has more). Each chunk is one call of the orbit's runner, which
     returns the chunk's images as the rows of one array, and its last row
-    starts the next chunk. The rows are written in one go after the last
-    ``window`` points of a buffer that holds one column per point. A
-    read-only strided view of that buffer, built once per orbit, lines
-    every step of the chunk up with its lags.
-    First a sorted-gap reject: each coordinate's values over the window
-    and the chunk are sorted, and if some coordinate has no two adjacent
-    values within ``tol``, no (step, lag) pair can match and the chunk has
-    no stop. The test is exact, since rounding is monotone: for
-    a <= b <= c, fl(c - a) >= fl(b - a). Otherwise the (step, lag) match
-    table is one array expression over all coordinates, its differences
-    taken in place. Its first row with a match is the stop, its smallest
-    lag there the cycle length, and the images past it are dropped. Each
-    chunk's rows are appended as bytes to one growing buffer, which becomes
-    the trajectory's array without a copy, so the orbit is held once; no
-    point is wrapped until it is read.
+    starts the next chunk. A :class:`_StopScan` reads each chunk and
+    returns its first stop as (step in the chunk, smallest lag), or None;
+    lag 1 is convergence and a longer lag a cycle, and the images past the
+    stop are dropped. Each chunk's rows are appended as bytes to one
+    growing buffer, which becomes the trajectory's array without a copy,
+    so the orbit is held once; no point is wrapped until it is read.
     """
     max_iter = _integer("max_iter", max_iter, low=1)
     window = _integer("window", window)
@@ -301,15 +397,7 @@ def iterate(
     run = _orbit_step(p)[1]
     size = max(min(window, max_iter), 1)  # no lag exceeds the budget
     cap = max(1, min(_CHUNK_MAX, _SCAN_ELEMENTS // (m * size)))
-    # one column per point: columns [0, size) hold the points before the
-    # chunk, oldest first; NaN columns stand for steps before 0 and never match
-    buf = np.full((m, size + cap), np.nan)
-    buf[:, size - 1] = x0.coords
-    # back[k, r, q] is coordinate k of the point size - q steps before chunk
-    # column r: the windows of length size along buf's rows, read-only
-    col = buf.strides[1]
-    back = np.ndarray((m, cap + 1, size), float, buf, 0, (buf.strides[0], col, col))
-    back.flags.writeable = False
+    scan = _StopScan(x0.coords, size, tol, cap)
     # the orbit's rows end to end, as the bytes of one C-ordered float array;
     # extend, since += with an array operand would be numpy's broadcast add
     orbit = bytearray(x0.coords.tobytes())
@@ -319,27 +407,16 @@ def iterate(
         n = min(chunk, max_iter - t0 + 1)
         rows = run(x, n)
         x = rows[-1]
-        buf[:, size:size + n] = rows.T
-        # a coordinate whose sorted values over the window and the chunk have
-        # no adjacent pair within tol has no pair within tol at all (rounding
-        # is monotone, so fl(c - a) >= fl(b - a) for a <= b <= c), and then no
-        # (step, lag) pair can match; NaN columns sort last and never match
-        seen = np.sort(buf[:, :size + n], axis=1)
-        if ((seen[:, 1:] - seen[:, :-1]) <= tol).any(axis=1).all():
-            # near[r, q]: chunk step r is within tol of the point size - q steps back
-            gap = back[:, :n] - buf[:, size:size + n, None]
-            near = (np.abs(gap, out=gap) <= tol).all(axis=0)
-            hits = np.flatnonzero(near.any(axis=1))
-            if hits.size:
-                r = int(hits[0])
-                orbit.extend(rows[: r + 1])
-                coords = np.frombuffer(orbit).reshape(-1, m)
-                lag = size - int(np.flatnonzero(near[r])[-1])
-                if lag == 1:
-                    return Trajectory(coords, STATUS_CONVERGED)
-                return Trajectory(coords, STATUS_CYCLE, lag)
+        stop = scan.feed(rows)
+        if stop is not None:
+            r, lag = stop
+            orbit.extend(rows[: r + 1])
+            coords = np.frombuffer(orbit).reshape(-1, m)
+            # the stop verdict: lag 1 is convergence, a longer lag a cycle
+            if lag == 1:
+                return Trajectory(coords, STATUS_CONVERGED)
+            return Trajectory(coords, STATUS_CYCLE, lag)
         orbit.extend(rows)
-        buf[:, :size] = buf[:, n:n + size]
         t0 += n
         chunk = min(2 * chunk, cap)
     return Trajectory(np.frombuffer(orbit).reshape(-1, m), STATUS_BUDGET)

@@ -141,7 +141,15 @@ def check_abs_continuity_property(
 ) -> bool:
     """True iff V(x) is absolutely continuous w.r.t. x for every sample.
 
-    The samples are checked in order, up to the first failure.
+    The samples are checked in order, up to the first failure. This is a
+    sampled check on computed images, not the coefficient rule: each image
+    ``apply(V, x)`` is formed and its support read at ``eps_supp``
+    (``EPS_SUPP``, 1e-12, by default), as :func:`~qso.core.abs_continuous`
+    reads point supports. So it can return False for an operator that
+    :func:`is_volterra` and :func:`volterra_certificate` accept: moving
+    f = 1e-10 of slice (1, 2) to output 3 puts 5e-11 on coordinate 3 of
+    the image of (e_1 + e_2) / 2, above ``EPS_SUPP``, while the forbidden
+    coefficient is below ``EPS_VAL``.
     """
     samples = list(samples)
     if not samples:

@@ -83,13 +83,22 @@ MUTANTS = [
     Mutant("zero-sum point let through at eps >= 1", "core.py",
            "    if abs(total - 1.0) > eps or total == 0.0:", "    if abs(total - 1.0) > eps:",
            ("test_core.py",)),
-    # the stop scan of iterate
+    # the stop scan of iterate: one coordinate whose smallest sorted gap
+    # (the witness gap) exceeds tol rules the chunk out
     Mutant("sorted-gap reject > becomes >=", "dynamics.py",
-           "        if ((seen[:, 1:] - seen[:, :-1]) <= tol).any(axis=1).all():\n",
-           "        if ((seen[:, 1:] - seen[:, :-1]) < tol).any(axis=1).all():\n",
+           "            if np.minimum.reduce(np.subtract(seen[1:], seen[:-1])) > tol:\n",
+           "            if np.minimum.reduce(np.subtract(seen[1:], seen[:-1])) >= tol:\n",
+           ("test_dynamics.py",)),
+    Mutant("real-column start one point late", "dynamics.py",
+           "            seen = buf[k, start:end].copy()\n",
+           "            seen = buf[k, start + 1:end].copy()\n",
+           ("test_dynamics.py",)),
+    Mutant("stop lag off by one", "dynamics.py",
+           "                return r, size - int(np.flatnonzero(near[r])[-1])\n",
+           "                return r, size + 1 - int(np.flatnonzero(near[r])[-1])\n",
            ("test_dynamics.py",)),
     Mutant("lag one test widened", "dynamics.py",
-           "                if lag == 1:\n", "                if lag <= 1:\n",
+           "            if lag == 1:\n", "            if lag <= 1:\n",
            ("test_dynamics.py",),
            equivalent="a lag is a distance back in the window, so it is at least one"),
     Mutant("iterations off by one", "dynamics.py",
@@ -106,17 +115,29 @@ MUTANTS = [
            "    flat = np.flatnonzero(p)\n    i, jk", "    flat = np.flatnonzero(p)[::-1]\n    i, jk",
            ("test_dynamics.py",)),
     Mutant("sparse image not divided by its sum", "dynamics.py",
-           "        out /= np.add.reduce(out)\n        return out\n", "        return out\n",
+           "        out /= total(*out.tolist())\n        return out\n", "        return out\n",
            ("test_dynamics.py",)),
     Mutant("sparse bincount without minlength", "dynamics.py",
            "_bincount(k, w, m)", "_bincount(k, w)",
            ("test_dynamics.py",)),
     Mutant("sparse step reuses one output array", "dynamics.py",
-           "        out /= np.add.reduce(out)\n        return out\n",
-           "        out /= np.add.reduce(out)\n"
+           "        out /= total(*out.tolist())\n        return out\n",
+           "        out /= total(*out.tolist())\n"
            "        held = step.__dict__.setdefault(\"held\", out)\n"
            "        held[...] = out\n"
            "        return held\n",
+           ("test_dynamics.py",)),
+    # the sparse step's sum: numpy's pairwise summation, written out
+    Mutant("pairwise sum with its tail added first", "dynamics.py",
+           "        return \" + \".join([tree, *names[full:]])\n",
+           "        return \" + \".join([*names[full:], tree])\n",
+           ("test_dynamics.py",)),
+    Mutant("pairwise sum with four accumulators", "dynamics.py",
+           "        r = [f\"({' + '.join(names[j:full:8])})\" for j in range(8)]\n"
+           "        tree = f\"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + "
+           "(({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))\"\n",
+           "        r = [f\"({' + '.join(names[j:full:4])})\" for j in range(4)]\n"
+           "        tree = f\"({r[0]} + {r[1]}) + ({r[2]} + {r[3]})\"\n",
            ("test_dynamics.py",)),
     Mutant("sparse rule inverted", "dynamics.py",
            "    if _SPARSE_SHARE * n <= m ** 3:\n", "    if _SPARSE_SHARE * n > m ** 3:\n",
@@ -163,7 +184,10 @@ MUTANTS = [
            "np.where(size > 1, 1.0 + 2.0**-45, 1.0)", "np.where(size > 1, 1.0, 1.0)",
            ("test_kernel.py",)),
     Mutant("orbit drops the stop chunk's rows", "dynamics.py",
-           "                orbit.extend(rows[: r + 1])\n", "",
+           "            orbit.extend(rows[: r + 1])\n", "",
+           ("test_dynamics.py",)),
+    Mutant("stop row kept one short", "dynamics.py",
+           "orbit.extend(rows[: r + 1])", "orbit.extend(rows[: r])",
            ("test_dynamics.py",)),
     # verdicts at their tolerance
     Mutant("is_volterra <= becomes <", "volterra.py",

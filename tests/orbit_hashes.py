@@ -15,6 +15,12 @@ take the sparse step (Volterra at m = 12, 20 and 40, OP at m = 12 and
 20, a random sparse operator at m = 16) with windows 1 and 64. Two
 checkouts that print the same lines iterate these orbits bit for bit
 alike. The name has no ``test_`` prefix, so pytest does not collect it.
+
+``golden/orbit_hashes.txt`` holds the 153 lines, and
+``tests/test_golden.py`` recomputes and compares them. Rewrite the file
+(``python tests/orbit_hashes.py > tests/golden/orbit_hashes.txt``) only
+for an orbit change that CHANGES.md names, never to make a difference go
+away.
 """
 
 from __future__ import annotations
@@ -155,9 +161,14 @@ def digests() -> dict:
     return hashes
 
 
+def lines() -> list[str]:
+    """One line per family: its key and the hex digest of its cases."""
+    return [f"m={m} {kind} window={window} tol={tol:g} {h.hexdigest()}"
+            for (m, kind, window, tol), h in digests().items()]
+
+
 def main() -> None:
-    for (m, kind, window, tol), h in digests().items():
-        print(f"m={m} {kind} window={window} tol={tol:g} {h.hexdigest()}")
+    print("\n".join(lines()))
 
 
 if __name__ == "__main__":

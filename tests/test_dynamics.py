@@ -544,6 +544,82 @@ class TestSortedGapReject:
                 assert (traj.status, traj.iterations) == ("converged", t)
 
 
+def reference_stop(traj):
+    """(step, lag) of a reference trajectory's stop, or None if it ran out its budget."""
+    if traj.status == "budget_exhausted":
+        return None
+    return traj.iterations, traj.cycle_length or 1
+
+
+def scan_in_chunks(x0: SimplexPoint, rows: np.ndarray, window: int, tol: float, rng):
+    """(step, lag) of the first stop ``_StopScan`` finds in ``rows`` fed in random chunks.
+
+    Also returns the coordinate tried first after each chunk that has no stop.
+    """
+    size, cap = max(window, 1), int(rng.integers(1, 65))
+    scan = dynamics._StopScan(x0.coords, size, tol, cap)
+    t, fronts = 0, []
+    while t < len(rows):
+        n = int(rng.integers(1, cap + 1))
+        stop = scan.feed(rows[t:t + n])
+        if stop is not None:
+            r, lag = stop
+            return (t + r + 1, lag), fronts
+        fronts.append(scan._order[0])
+        t += n
+    return None, fronts
+
+
+class TestStopScan:
+    """Fed an orbit's rows in any chunks, the scan returns the per-lag loop's first stop."""
+
+    @pytest.mark.parametrize("window", [0, 1, 3, 64])
+    def test_random_chunkings_match_reference(self, window):
+        rng = np.random.default_rng(26)
+        stops = set()
+        for V, x0, budget, tol in reference_cases():
+            want = reference_iterate(V, x0, budget, tol, window=window)
+            for _ in range(3):
+                got, _ = scan_in_chunks(x0, want.coords[1:], window, tol, rng)
+                assert got == reference_stop(want)
+            stops.add(want.status)
+        assert len(stops) == 3 - (window < 2)
+
+    def test_the_separating_coordinate_changes_mid_orbit(self):
+        # a slow m = 10 Volterra orbit passes near different vertices, so the
+        # coordinate that rules the chunk out changes as it goes
+        rng = np.random.default_rng(27)
+        moved = 0
+        for _ in range(4):
+            V = from_canonical(rand_skew(rng, 10))
+            x0 = rand_simplex(rng, 10)
+            want = reference_iterate(V, x0, 400, 1e-10)
+            got, fronts = scan_in_chunks(x0, want.coords[1:], 64, 1e-10, rng)
+            assert got == reference_stop(want)
+            moved += sum(a != b for a, b in zip(fronts, fronts[1:]))
+        assert moved >= 4
+
+    @pytest.mark.parametrize("window", [2, 3, 64])
+    def test_stops_among_the_nan_columns(self, window):
+        # until the window fills, the scan's first columns stand for steps
+        # before x0; stops at steps 1 to 4 and cycles of length 2 to 4
+        rng = np.random.default_rng(28)
+        for m in (3, 8):
+            V, x0 = dominant_species(m), dominant_start(m)
+            tols = stop_tolerances(V, x0, window, 8)
+            for t in (1, 2, 3, 4):
+                want = reference_iterate(V, x0, 100, tols[t], window=window)
+                assert reference_stop(want) == (t, 1)
+                for _ in range(4):
+                    assert scan_in_chunks(x0, want.coords[1:], window, tols[t], rng)[0] == (t, 1)
+        for L in range(2, min(window, 4) + 1):
+            x0 = rand_simplex(rng, L)
+            want = reference_iterate(shift_operator(L), x0, 100, 1e-10, window=window)
+            assert reference_stop(want) == (L, L)
+            for _ in range(4):
+                assert scan_in_chunks(x0, want.coords[1:], window, 1e-10, rng)[0] == (L, L)
+
+
 def float_constants(code) -> set:
     """Every float constant of a code object and of the code objects inside it."""
     found = set()
@@ -710,6 +786,31 @@ class TestSparseStep:
             assert dynamics._orbit_step(V.p)[0] == kind
             x0 = rand_simplex(rng, V.m)
             assert_same_run(V, x0, 40, 1e-10, 64)
+
+
+class TestPairwiseSum:
+    """The sparse step's compiled sum is ``np.add.reduce``, bit for bit, at every length."""
+
+    @staticmethod
+    def vectors(rng, n: int):
+        """Signed values of magnitude 5e-324 to 1, about a fifth of them exact zeros."""
+        for _ in range(6):
+            v = rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(-1074, 1, n)
+            v[rng.random(n) < 0.2] = 0.0
+            yield v * rng.choice([-1.0, 1.0], n)
+        yield np.abs(v)
+        yield np.full(n, -0.0)
+
+    def test_every_length_matches_numpy(self):
+        rng = np.random.default_rng(29)
+        for n in [*range(1, 301), 511, 1024, 4096, 9000]:
+            total = dynamics._sum_maker(n)
+            for v in self.vectors(rng, n):
+                got, want = total(*v.tolist()), np.add.reduce(v)
+                assert np.float64(got).tobytes() == want.tobytes(), (n, got, want)
+
+    def test_compiled_code_holds_no_value(self):
+        assert float_constants(dynamics._sum_maker(200).__code__) == {0.0}
 
 
 def one_nonzero_per_slice(m: int) -> QsoTensor:

@@ -1,7 +1,8 @@
 """Replay the golden CLI corpus: every recorded argv prints the same bytes.
 
 See ``tests/golden/generate.py`` for what the corpus covers and when it may
-be regenerated.
+be regenerated. The orbit digests of ``tests/orbit_hashes.py`` are kept
+next to it, in ``golden/orbit_hashes.txt``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import difflib
 import json
 import re
 
+import orbit_hashes
 from golden.generate import CORPUS, build_inputs, run_case
 
 RECORDED = json.loads(CORPUS.read_text(encoding="utf-8"))
+ORBITS = CORPUS.with_name("orbit_hashes.txt")
 
 
 def _diff(want: dict, got: dict) -> str:
@@ -66,3 +69,8 @@ def test_corpus_covers_every_parser_node_and_output_form():
                     if tuple(c["argv"][: len(leaf)]) == leaf for arg in c["argv"]}
         assert set(re.findall(r"--[a-z][-a-z0-9]*", helps[leaf])) <= recorded, leaf
     assert {case["exit"] for case in RECORDED["cases"]} == {0, 1, 2}
+
+
+def test_orbit_digests_are_the_recorded_ones():
+    # every orbit of tests/orbit_hashes.py, bit for bit, with its stop
+    assert orbit_hashes.lines() == ORBITS.read_text(encoding="utf-8").splitlines()

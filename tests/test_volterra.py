@@ -45,7 +45,7 @@ from qso.errors import (
     NotStochastic,
     ParameterOutOfRange,
 )
-from qso.volterra import _forbidden_max
+from qso.volterra import _forbidden_max, certificate_points
 
 
 def volterra_like_with_forbidden_mass(value: float) -> QsoTensor:
@@ -242,6 +242,22 @@ class TestAbsContinuityProperty:
         V = rand_tensor(np.random.default_rng(0), 3)
         with pytest.raises(ValueError):
             check_abs_continuity_property(V, [])
+
+    def test_reads_image_supports_not_the_coefficient_rule(self):
+        # f = 1e-10 moved from p[1, 2, 1] to p[1, 2, 3] of the a = 0 operator:
+        # below EPS_VAL, so Volterra, but the midpoint's image puts f / 2 on
+        # coordinate 3, above the default eps_supp = EPS_SUPP
+        f = 1e-10
+        p = from_canonical(SkewMatrix(3, np.zeros((3, 3)))).p.copy()
+        p[0, 1, 0] = p[1, 0, 0] = 0.5 - f
+        p[0, 1, 2] = p[1, 0, 2] = f
+        V = QsoTensor(3, p)
+        assert is_volterra(V) and volterra_certificate(V)
+        midpoint = SimplexPoint([0.5, 0.5, 0.0])
+        assert apply(V, midpoint).coords[2] == f / 2
+        assert not check_abs_continuity_property(V, certificate_points(3))
+        assert not check_abs_continuity_property(V, [midpoint])
+        assert check_abs_continuity_property(V, certificate_points(3), eps_supp=f)
 
 
 class TestCertificate:
